@@ -14,7 +14,7 @@ import sys
 
 from .data import load_dataset
 from .errors import GlyphSvmError, IoFailureError
-from .features import FeatureConfig, extract_features, write_features_csv
+from .features import FeatureConfig, config_for_dimension, write_features_csv
 from .model_io import load_model, save_model
 from .modelsel import (
     Dataset,
@@ -47,16 +47,15 @@ def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _kernel_from_args(parser: argparse.ArgumentParser, args) -> KernelSpec:
-    if args.kernel == "linear":
-        return KernelSpec(kind="linear")
-    if args.kernel == "poly":
-        return KernelSpec(kind="poly", degree=args.degree)
-    if args.kernel == "rbf":
-        gamma = 0.125 if args.gamma is None else args.gamma
-        return KernelSpec(kind="rbf", gamma=gamma)
-    if args.slope is None or args.offset is None:
+    if args.kernel == "sigmoid" and (args.slope is None or args.offset is None):
         parser.error("--kernel sigmoid requires explicit --slope and --offset")
-    return KernelSpec(kind="sigmoid", slope=args.slope, offset=args.offset)
+    param = {
+        "linear": None,
+        "poly": args.degree,
+        "rbf": 0.125 if args.gamma is None else args.gamma,
+        "sigmoid": (args.slope, args.offset),
+    }[args.kernel]
+    return KernelSpec.from_param(args.kernel, param)
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
@@ -174,7 +173,7 @@ def cmd_gridsearch(parser, args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    config = _config_for_model(model)
+    config = config_for_dimension(model.scaling.dimension, args.model)
     data = load_dataset(args.data, config=config)
     report = evaluate(model, data)
     text = (
@@ -186,15 +185,6 @@ def cmd_evaluate(args) -> int:
         _write_text(args.report, text)
     print(text)
     return 0
-
-
-def _config_for_model(model) -> FeatureConfig | None:
-    locals_count = model.scaling.dimension - 4
-    for cell in (16, 8, 4, 2):
-        cfg = FeatureConfig(cell_px=cell)
-        if cfg.local_count == locals_count:
-            return cfg
-    return None
 
 
 def cmd_repeat_eval(parser, args) -> int:
@@ -262,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--strategy", choices=("ova", "ovo"), default="ova")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gridsearch", help="cross-validated hyperparameter sweep")
     _add_data_args(p)

@@ -124,8 +124,8 @@ class MixedDimensionsError(GlyphSvmError):
     category = "MixedDimensions"
 
 
-class InvalidConfigError(GlyphSvmError):
-    """Configuration violates its documented invariants."""
+class InvalidConfigError(GlyphSvmError, ValueError):
+    """Configuration violates its documented invariants (also a ValueError)."""
 
     category = "InvalidConfig"
 

@@ -164,8 +164,7 @@ def read_features_csv(path):
     if not header or header[0] != "label":
         raise UnreadableFileError(f"{path}: missing 'label' header column")
     width = len(header)
-    local_count = width - 1 - GLOBAL_FEATURE_COUNT
-    config = _config_for_local_count(local_count, path)
+    config = config_for_dimension(width - 1, path)
     labels = []
     rows = []
     for ln in lines[1:]:
@@ -181,14 +180,19 @@ def read_features_csv(path):
             raise UnreadableFileError(f"{path}: non-numeric feature value") from None
     if not rows:
         raise UnreadableFileError(f"{path}: no data rows")
-    return labels, np.array(rows, dtype=np.float64), config
+    matrix = np.array(rows, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        raise UnreadableFileError(f"{path}: non-finite feature value")
+    return labels, matrix, config
 
 
-def _config_for_local_count(local_count: int, path) -> FeatureConfig:
+def config_for_dimension(dimension: int, path) -> FeatureConfig:
+    """The zoning grid whose feature vectors have `dimension` values; `path`
+    names the source in the error raised when no grid matches."""
     for cell in VALID_CELL_SIZES:
         cfg = FeatureConfig(cell_px=cell)
-        if cfg.local_count == local_count:
+        if cfg.total_count == dimension:
             return cfg
     raise UnreadableFileError(
-        f"{path}: {local_count} local features match no supported grid"
+        f"{path}: {dimension - GLOBAL_FEATURE_COUNT} local features match no supported grid"
     )

@@ -37,7 +37,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .multiclass import MinMaxScaling, MulticlassModel
-from .svm import BinaryModel, KernelSpec, TrainingMeta
+from .svm import KERNEL_PARAMS, BinaryModel, KernelSpec, TrainingMeta
 
 MAGIC = "GSVM1"
 VERSION = 1
@@ -52,19 +52,13 @@ def _fmt_vec(values) -> str:
 
 
 def _kernel_line(spec: KernelSpec) -> str:
-    parts = ["kernel", spec.kind]
-    if spec.kind == "poly":
-        parts.append(f"degree={spec.degree}")
-    elif spec.kind == "rbf":
-        parts.append(f"gamma={_fmt(spec.gamma)}")
-    elif spec.kind == "sigmoid":
-        parts.append(f"slope={_fmt(spec.slope)}")
-        parts.append(f"offset={_fmt(spec.offset)}")
-    return " ".join(parts)
+    params = [f"{n}={_fmt(getattr(spec, n))}" for n in KERNEL_PARAMS[spec.kind]]
+    return " ".join(["kernel", spec.kind] + params)
 
 
 def save_model(model: MulticlassModel, path) -> None:
-    """Serialize and atomically replace `path`."""
+    """Validate, serialize and atomically replace `path`."""
+    model.validate()
     label_kind = "int" if all(isinstance(c, int) for c in model.class_ids) else "str"
     lines = [
         MAGIC,
@@ -162,19 +156,15 @@ def _parse_kernel(line: str, path) -> KernelSpec:
         key, value = item.split("=", 1)
         kv[key] = value
     try:
-        if kind == "linear":
-            return KernelSpec(kind="linear")
-        if kind == "poly":
-            return KernelSpec(kind="poly", degree=int(kv["degree"]))
-        if kind == "rbf":
-            return KernelSpec(kind="rbf", gamma=float(kv["gamma"]))
         if kind == "sigmoid":
-            return KernelSpec(
-                kind="sigmoid", slope=float(kv["slope"]), offset=float(kv["offset"])
-            )
+            param = (kv["slope"], kv["offset"])
+        elif kind in ("rbf", "poly"):
+            param = kv["gamma" if kind == "rbf" else "degree"]
+        else:
+            param = None
+        return KernelSpec.from_param(kind, param)
     except (KeyError, ValueError) as exc:
         raise CorruptBlockError(f"{path}: bad kernel parameters: {exc}") from exc
-    raise CorruptBlockError(f"{path}: unknown kernel kind {kind!r}")
 
 
 def load_model(path) -> MulticlassModel:

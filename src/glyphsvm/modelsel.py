@@ -16,7 +16,7 @@ from .errors import (
 from .multiclass import (
     MulticlassModel,
     ordered_classes,
-    predict,
+    predict_batch,
     train_one_vs_all,
     train_one_vs_one,
 )
@@ -112,10 +112,8 @@ def _train_multiclass(vectors, labels, strategy, kernel, C, tol, max_iter):
 
 
 def accuracy_of(model: MulticlassModel, data: Dataset) -> float:
-    hits = sum(
-        1 for vec, lb in zip(data.vectors, data.labels) if predict(model, vec) == lb
-    )
-    return hits / len(data)
+    predicted = predict_batch(model, data.vectors)
+    return sum(p == lb for p, lb in zip(predicted, data.labels)) / len(data)
 
 
 def cross_validate(
@@ -199,19 +197,6 @@ class GridSearchReport:
         return lines
 
 
-def _param_spec(kernel_kind: str, param) -> KernelSpec:
-    if kernel_kind == "linear":
-        return KernelSpec(kind="linear")
-    if kernel_kind == "rbf":
-        return KernelSpec(kind="rbf", gamma=float(param))
-    if kernel_kind == "poly":
-        return KernelSpec(kind="poly", degree=int(param))
-    if kernel_kind == "sigmoid":
-        slope, offset = param
-        return KernelSpec(kind="sigmoid", slope=float(slope), offset=float(offset))
-    raise ValueError(f"unknown kernel kind {kernel_kind!r}")
-
-
 def default_param_grid(kernel_kind: str):
     if kernel_kind == "rbf":
         return list(DEFAULT_GAMMA_GRID)
@@ -256,7 +241,7 @@ def grid_search(
     for C in c_values:
         for param in params:
             try:
-                spec = _param_spec(kernel_kind, param)
+                spec = KernelSpec.from_param(kernel_kind, param)
                 acc = cross_validate(
                     data, spec, C, strategy=strategy, k=k, seed=seed,
                     tol=tol, max_iter=max_iter,
@@ -341,8 +326,9 @@ def evaluate(model: MulticlassModel, test: Dataset) -> EvalReport:
     classes = ordered_classes(set(model.class_ids) | set(test.labels))
     index = {cls: i for i, cls in enumerate(classes)}
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for vec, lb in zip(test.vectors, test.labels):
-        confusion[index[lb], index[predict(model, vec)]] += 1
+    truth = [index[lb] for lb in test.labels]
+    guess = [index[p] for p in predict_batch(model, test.vectors)]
+    np.add.at(confusion, (truth, guess), 1)
     return _report_from_confusion(confusion, classes)
 
 

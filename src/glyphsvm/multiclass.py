@@ -6,8 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoConvergenceError, SingleClassError
-from .svm import BinaryModel, KernelCache, KernelSpec, decision_value, train_binary
+from .errors import (
+    DimensionMismatchError,
+    InvalidConfigError,
+    NoConvergenceError,
+    SingleClassError,
+)
+from .svm import BinaryModel, KernelCache, KernelSpec, decision_values, train_binary
 
 
 def class_sort_key(label):
@@ -74,6 +79,8 @@ class MulticlassModel:
                 f"{self.strategy} with {n} classes needs {expected} classifiers, "
                 f"got {len(self.classifiers)}"
             )
+        if len({clf.kernel for clf in self.classifiers}) > 1:
+            raise InvalidConfigError("classifiers of one model must share one kernel")
 
 
 def _prepare(data_vectors, data_labels):
@@ -168,18 +175,52 @@ def train_one_vs_one(
     return model
 
 
+def decision_matrix(model: MulticlassModel, X) -> np.ndarray:
+    """Decision values of every classifier at every row of the 2-D X, shape
+    (rows, classifiers); X is scaled once with the model's scaling record."""
+    xs = model.scaling.transform(X)
+    if xs.ndim != 2:
+        raise DimensionMismatchError(f"expected a 2-D block of samples, got shape {xs.shape}")
+    return np.column_stack([decision_values(clf, xs) for clf in model.classifiers])
+
+
+def predict_batch(model: MulticlassModel, X) -> list:
+    """Class ids of every row of X, by the rule of `predict_ova` or `predict_ovo`."""
+    values = decision_matrix(model, X)
+    if model.strategy == "ova":
+        winners = np.argmax(values, axis=1)
+    else:
+        votes = np.zeros((len(values), len(model.class_ids)), dtype=np.int64)
+        scores = np.zeros(votes.shape)
+        for f, (i, j) in zip(values.T, model.pairs):
+            wins = f >= 0.0
+            votes[:, i] += wins
+            votes[:, j] += ~wins
+            scores[:, i] += f
+            scores[:, j] -= f
+        tied = votes == votes.max(axis=1, keepdims=True)
+        # argmax keeps the lowest index on ties
+        winners = np.argmax(np.where(tied, scores, -np.inf), axis=1)
+    return [model.class_ids[w] for w in winners.tolist()]
+
+
 def class_decision_values(model: MulticlassModel, x) -> np.ndarray:
     """Per-class decision values of a one-vs-all model (scaled internally)."""
     if model.strategy != "ova":
         raise ValueError("per-class decision values need an ova model")
-    xs = model.scaling.transform(np.asarray(x, dtype=np.float64))
-    return np.array([decision_value(clf, xs) for clf in model.classifiers])
+    return decision_matrix(model, np.reshape(x, (1, -1)))[0]
+
+
+def predict(model: MulticlassModel, x):
+    """Class id of one sample: a 1-row call of `predict_batch`."""
+    return predict_batch(model, np.reshape(x, (1, -1)))[0]
 
 
 def predict_ova(model: MulticlassModel, x):
     """Winner-takes-all over per-class decision values; ties pick the lowest id."""
-    values = class_decision_values(model, x)
-    return model.class_ids[int(np.argmax(values))]
+    if model.strategy != "ova":
+        raise ValueError("predict_ova needs an ova model")
+    return predict(model, x)
 
 
 def predict_ovo(model: MulticlassModel, x):
@@ -187,32 +228,4 @@ def predict_ovo(model: MulticlassModel, x):
     then the lowest class id."""
     if model.strategy != "ovo":
         raise ValueError("predict_ovo needs an ovo model")
-    xs = model.scaling.transform(np.asarray(x, dtype=np.float64))
-    n = len(model.class_ids)
-    votes = np.zeros(n, dtype=np.int64)
-    scores = np.zeros(n)
-    for (i, j), clf in zip(model.pairs, model.classifiers):
-        f = decision_value(clf, xs)
-        if f >= 0.0:
-            votes[i] += 1
-        else:
-            votes[j] += 1
-        scores[i] += f
-        scores[j] -= f
-    top = votes.max()
-    tied = np.flatnonzero(votes == top)
-    if len(tied) == 1:
-        return model.class_ids[int(tied[0])]
-    best = tied[np.argmax(scores[tied])]  # argmax keeps the lowest index on ties
-    return model.class_ids[int(best)]
-
-
-def predict(model: MulticlassModel, x):
-    if model.strategy == "ova":
-        return predict_ova(model, x)
-    return predict_ovo(model, x)
-
-
-def predict_batch(model: MulticlassModel, X) -> list:
-    X = np.asarray(X, dtype=np.float64)
-    return [predict(model, row) for row in X]
+    return predict(model, x)

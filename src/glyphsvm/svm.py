@@ -13,9 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoConvergenceError, SingleClassError
+from .errors import (
+    DimensionMismatchError,
+    InvalidConfigError,
+    NoConvergenceError,
+    SingleClassError,
+)
 
-KERNEL_KINDS = ("linear", "poly", "rbf", "sigmoid")
+# The parameters of each kernel kind, in the order they are printed and saved.
+KERNEL_PARAMS = {
+    "linear": (), "poly": ("degree",), "rbf": ("gamma",), "sigmoid": ("slope", "offset")
+}
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000
 CURVATURE_FLOOR = 1e-12
@@ -39,60 +47,68 @@ class KernelSpec:
     offset: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.kind not in KERNEL_PARAMS:
+            raise InvalidConfigError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("rbf kernel requires gamma > 0")
+            if self.gamma is None or not self.gamma > 0:
+                raise InvalidConfigError("rbf kernel requires gamma > 0")
         if self.kind == "poly":
             if int(self.degree) != self.degree or self.degree < 1:
-                raise ValueError("poly kernel requires integer degree >= 1")
+                raise InvalidConfigError("poly kernel requires integer degree >= 1")
         if self.kind == "sigmoid":
             if self.slope is None or self.offset is None:
-                raise ValueError("sigmoid kernel requires explicit slope and offset")
+                raise InvalidConfigError("sigmoid kernel requires explicit slope and offset")
+
+    @classmethod
+    def from_param(cls, kind: str, param=None) -> "KernelSpec":
+        """Build a spec from its one tunable parameter: gamma (rbf), degree
+        (poly), a (slope, offset) pair (sigmoid) or None (linear)."""
+        if kind == "rbf":
+            return cls(kind, gamma=float(param))
+        if kind == "poly":
+            return cls(kind, degree=int(param))
+        if kind == "sigmoid":
+            slope, offset = param
+            return cls(kind, slope=float(slope), offset=float(offset))
+        return cls(kind)
 
     def describe(self) -> str:
-        if self.kind == "linear":
-            return "linear"
-        if self.kind == "poly":
-            return f"poly degree={self.degree}"
-        if self.kind == "rbf":
-            return f"rbf gamma={self.gamma}"
-        return f"sigmoid slope={self.slope} offset={self.offset}"
+        params = [f"{n}={getattr(self, n)}" for n in KERNEL_PARAMS[self.kind]]
+        return " ".join([self.kind] + params)
 
 
-def linear_kernel() -> KernelSpec:
-    return KernelSpec(kind="linear")
+def kernel_against(spec: KernelSpec, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Kernel values of probes against a stack of rows.
 
-
-def poly_kernel(degree: int) -> KernelSpec:
-    return KernelSpec(kind="poly", degree=degree)
-
-
-def rbf_kernel(gamma: float) -> KernelSpec:
-    return KernelSpec(kind="rbf", gamma=gamma)
-
-
-def sigmoid_kernel(slope: float, offset: float) -> KernelSpec:
-    return KernelSpec(kind="sigmoid", slope=slope, offset=offset)
-
-
-def kernel_against(spec: KernelSpec, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Kernel values of one point against a stack of rows."""
+    A 1-D probe gives one value per row (the form SMO uses). A 2-D block of
+    probes gives a (probes, rows) matrix.
+    """
     rows = np.asarray(rows, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if rows.shape[1] != x.shape[0]:
+    probes = np.asarray(probes, dtype=np.float64)
+    if rows.shape[1] != probes.shape[-1]:
         raise DimensionMismatchError(
-            f"vectors have dimension {rows.shape[1]}, probe has {x.shape[0]}"
+            f"vectors have dimension {rows.shape[1]}, probe has {probes.shape[-1]}"
         )
-    if spec.kind == "linear":
-        return rows @ x
-    if spec.kind == "poly":
-        return (rows @ x + 1.0) ** spec.degree
+    single = probes.ndim == 1
     if spec.kind == "rbf":
-        diff = rows - x
-        return np.exp(-spec.gamma * np.einsum("ij,ij->i", diff, diff))
-    return np.tanh(spec.slope * (rows @ x) + spec.offset)
+        if single:
+            diff = rows - probes
+            sq_dist = np.einsum("ij,ij->i", diff, diff)
+        else:
+            # expanded so memory stays probes x rows, not probes x rows x dimension
+            sq_dist = (
+                np.einsum("ij,ij->i", probes, probes)[:, None]
+                + np.einsum("ij,ij->i", rows, rows)
+                - 2.0 * (probes @ rows.T)
+            )
+            np.maximum(sq_dist, 0.0, out=sq_dist)
+        return np.exp(-spec.gamma * sq_dist)
+    dot = rows @ probes if single else probes @ rows.T
+    if spec.kind == "linear":
+        return dot
+    if spec.kind == "poly":
+        return (dot + 1.0) ** spec.degree
+    return np.tanh(spec.slope * dot + spec.offset)
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -181,10 +197,10 @@ def train_binary(
     falling back to the midpoint of the feasible interval.
     """
     X, y = _validate_training_input(samples, labels)
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not C > 0:
+        raise InvalidConfigError("C must be positive")
+    if not tol > 0:
+        raise InvalidConfigError("tol must be positive")
     n = X.shape[0]
     if cache is None:
         cache = KernelCache(kernel, X)
@@ -246,7 +262,7 @@ def train_binary(
         bias = (m + big_m) / 2.0
     support = alpha > 0
     if not support.any():
-        raise ValueError(f"tol {tol} is too loose; no support vectors survived")
+        raise InvalidConfigError(f"tol {tol} is too loose; no support vectors survived")
     return BinaryModel(
         kernel=kernel,
         support_vectors=X[support].copy(),
@@ -257,16 +273,15 @@ def train_binary(
     )
 
 
-def decision_value(model: BinaryModel, x) -> float:
-    """f(x) = sum_i alpha_i y_i K(sv_i, x) + b."""
-    x = np.asarray(x, dtype=np.float64)
-    k = kernel_against(model.kernel, model.support_vectors, x)
-    return float(model.dual_coeffs @ k + model.bias)
-
-
 def decision_values(model: BinaryModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    return np.array([decision_value(model, row) for row in X])
+    """f(x) = sum_i alpha_i y_i K(sv_i, x) + b for every row x of the 2-D X."""
+    k = kernel_against(model.kernel, model.support_vectors, X)
+    return k @ model.dual_coeffs + model.bias
+
+
+def decision_value(model: BinaryModel, x) -> float:
+    """f(x) of one sample: a 1-row call of `decision_values`."""
+    return float(decision_values(model, np.reshape(x, (1, -1)))[0])
 
 
 def predict_binary(model: BinaryModel, x) -> int:

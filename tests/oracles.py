@@ -6,6 +6,7 @@ KKT check recomputes every decision value from scratch.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -159,3 +160,53 @@ def max_kkt_violation(model, X, y, C):
         else:
             worst = max(worst, abs(margin - 1.0))
     return worst
+
+
+def reference_kernel(spec, a, b):
+    """K(a, b) straight from the kernel's formula, one pair at a time."""
+    dot = float(np.dot(a, b))
+    if spec.kind == "linear":
+        return dot
+    if spec.kind == "poly":
+        return (dot + 1.0) ** spec.degree
+    if spec.kind == "rbf":
+        return math.exp(-spec.gamma * float(np.sum((np.asarray(a) - b) ** 2)))
+    return math.tanh(spec.slope * dot + spec.offset)
+
+
+def reference_decision_matrix(model, X):
+    """Decision values of every classifier at every sample, one sample and
+    one support vector at a time, with the min-max scaling recomputed."""
+    span = model.scaling.maxs - model.scaling.mins
+    out = np.empty((len(X), len(model.classifiers)))
+    for r, x in enumerate(np.asarray(X, dtype=np.float64)):
+        xs = np.where(span > 0, (x - model.scaling.mins) / np.where(span > 0, span, 1.0), 0.0)
+        for c, clf in enumerate(model.classifiers):
+            out[r, c] = clf.bias + sum(
+                coeff * reference_kernel(clf.kernel, sv, xs)
+                for sv, coeff in zip(clf.support_vectors, clf.dual_coeffs)
+            )
+    return out
+
+
+def reference_label(model, values):
+    """The multiclass decision rule for one sample's decision values.
+
+    One-vs-all: largest value, ties to the lowest id. One-vs-one: max-wins
+    voting, vote ties to the largest signed decision-value sum, then the
+    lowest id.
+    """
+    if model.strategy == "ova":
+        return model.class_ids[int(np.argmax(values))]
+    votes = [0] * len(model.class_ids)
+    scores = [0.0] * len(model.class_ids)
+    for f, (i, j) in zip(values, model.pairs):
+        votes[i if f >= 0.0 else j] += 1
+        scores[i] += f
+        scores[j] -= f
+    tied = [k for k, v in enumerate(votes) if v == max(votes)]
+    best = tied[0]
+    for k in tied[1:]:
+        if scores[k] > scores[best]:
+            best = k
+    return model.class_ids[best]

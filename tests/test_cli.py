@@ -209,6 +209,22 @@ def test_sigmoid_requires_slope_and_offset(dataset_dir, tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_bad_kernel_parameter_is_one_line_error(dataset_dir, tmp_path, capsys):
+    rc = main(
+        [
+            "train",
+            "--data", str(dataset_dir),
+            "--model", str(tmp_path / "g.gsvm"),
+            "--gamma", "-1",
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig:")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "g.gsvm").exists()
+
+
 def test_unreadable_input_reports_category(tmp_path, capsys):
     missing = tmp_path / "missing.pgm"
     rc = main(["preprocess", "--input", str(missing), "--out-dir", str(tmp_path / "o")])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glyphsvm.errors import MixedDimensionsError, WrongDimensionsError
+from glyphsvm.errors import MixedDimensionsError, UnreadableFileError, WrongDimensionsError
 from glyphsvm.features import (
     FeatureConfig,
     FeatureVector,
@@ -257,4 +257,15 @@ def test_csv_rejects_ragged_rows(tmp_path):
     header = csv_header(cfg)
     path.write_text(header + "\n1," + ",".join(["0"] * cfg.total_count) + "\n2,0,0\n")
     with pytest.raises(MixedDimensionsError):
+        read_features_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    cfg = FeatureConfig(cell_px=16)
+    values = ["0"] * cfg.total_count
+    values[2] = bad
+    path.write_text(csv_header(cfg) + "\n1," + ",".join(values) + "\n")
+    with pytest.raises(UnreadableFileError):
         read_features_csv(path)

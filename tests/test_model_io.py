@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from glyphsvm.errors import BadMagicError, CorruptBlockError, VersionMismatchError
+from glyphsvm.errors import (
+    BadMagicError,
+    CorruptBlockError,
+    InvalidConfigError,
+    VersionMismatchError,
+)
 from glyphsvm.model_io import load_model, save_model
 from glyphsvm.multiclass import class_decision_values, predict, train_one_vs_all, train_one_vs_one
 from glyphsvm.svm import KernelSpec
@@ -51,6 +56,15 @@ def test_roundtrip_all_kernels(kernel, tmp_path):
     path = tmp_path / "model.gsvm"
     save_model(model, path)
     assert load_model(path).classifiers[0].kernel == kernel
+
+
+def test_save_rejects_mixed_kernels(tmp_path):
+    model, _ = small_model("ova")
+    model.classifiers[1].kernel = KernelSpec(kind="rbf", gamma=2.0)
+    path = tmp_path / "model.gsvm"
+    with pytest.raises(InvalidConfigError):
+        save_model(model, path)
+    assert not path.exists()
 
 
 def test_roundtrip_string_labels(tmp_path):

@@ -197,6 +197,13 @@ def test_grid_error_cells_recorded_not_fatal():
         assert entry.error == "FoldDegenerate"
 
 
+def test_grid_loose_tol_recorded_not_fatal():
+    data = separable_dataset(np.random.default_rng(24), n_per_class=8)
+    report = grid_search(data, "rbf", c_grid=[1.0], param_grid=[0.5, 2.0], k=4, seed=0, tol=10.0)
+    assert [e.error for e in report.entries] == ["InvalidConfig", "InvalidConfig"]
+    assert all(e.accuracy == 0.0 for e in report.entries)
+
+
 def test_grid_deterministic():
     data = separable_dataset(np.random.default_rng(14), n_per_class=10)
     a = grid_search(data, "poly", c_grid=[1.0], param_grid=[2, 3], k=3, seed=5)

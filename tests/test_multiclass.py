@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from oracles import reference_decision_matrix, reference_label
 
-from glyphsvm.errors import NoConvergenceError, SingleClassError
+from glyphsvm.errors import InvalidConfigError, NoConvergenceError, SingleClassError
 from glyphsvm.multiclass import (
     BinaryModel,
     MinMaxScaling,
     MulticlassModel,
     class_decision_values,
+    decision_matrix,
     ordered_classes,
     predict,
     predict_batch,
@@ -232,3 +234,56 @@ def test_predict_dispatch():
     probe = X[0]
     assert predict(ova, probe) == predict_ova(ova, probe)
     assert predict(ovo, probe) == predict_ovo(ovo, probe)
+
+
+def test_validate_rejects_mixed_kernels():
+    model = ova_from_values([0.5, -0.5])
+    model.classifiers[1].kernel = RBF
+    with pytest.raises(InvalidConfigError):
+        model.validate()
+
+
+# --- batched prediction against the per-sample oracle ------------------------------------
+
+ALL_KERNELS = [
+    LINEAR,
+    KernelSpec(kind="poly", degree=3),
+    RBF,
+    KernelSpec(kind="sigmoid", slope=0.01, offset=-0.25),
+]
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
+def test_decision_matrix_matches_per_sample_oracle(kernel, strategy):
+    rng = np.random.default_rng(21)
+    X, labels = clustered_data(rng, 4, per_class=8)
+    trainer = train_one_vs_all if strategy == "ova" else train_one_vs_one
+    model = trainer(X, labels, kernel, C=10.0)
+    probes = rng.normal(size=(30, 2)) * 3
+    values = decision_matrix(model, probes)
+    assert values.shape == (30, len(model.classifiers))
+    np.testing.assert_allclose(
+        values, reference_decision_matrix(model, probes), rtol=1e-10, atol=1e-10
+    )
+    assert predict_batch(model, probes) == [reference_label(model, v) for v in values]
+
+
+def test_predict_batch_tie_probes_match_per_row_predict():
+    # pinned models give f = weight * x: x = 0 ties every classifier at zero,
+    # x = -1 flips every sign
+    probes = np.array([[1.0], [0.0], [-1.0], [2.0]])
+    models = [
+        ova_from_values([0.3, 0.3, -1.0]),
+        ova_from_values([-0.9, -0.4, -0.7]),
+        ovo_from_values([0.9, 0.8, 0.7]),
+        ovo_from_values([0.1, 0.1, 5.0]),  # A wins on votes, B has the larger sum
+        ovo_from_values([0.9, -0.7, 0.8]),
+        ovo_from_values([0.5, -0.5, 0.5]),
+        ovo_from_values([0.0], n_classes=2),
+    ]
+    for model in models:
+        batch = predict_batch(model, probes)
+        assert batch == [predict(model, p) for p in probes]
+        reference = reference_decision_matrix(model, probes)
+        assert batch == [reference_label(model, v) for v in reference]
