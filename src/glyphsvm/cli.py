@@ -13,7 +13,7 @@ import os
 import sys
 
 from .data import load_dataset
-from .errors import GlyphSvmError, IoFailureError
+from .errors import GlyphSvmError, InvalidConfigError, IoFailureError
 from .features import FeatureConfig, config_for_dimension, write_features_csv
 from .model_io import load_model, save_model
 from .modelsel import (
@@ -141,7 +141,10 @@ def cmd_train(parser, args) -> int:
 def _parse_grid(raw: str | None, cast):
     if raw is None:
         return None
-    return [cast(tok) for tok in raw.split(",") if tok.strip()]
+    try:
+        return [cast(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InvalidConfigError(f"bad grid {raw!r}: {exc}") from None
 
 
 def cmd_gridsearch(parser, args) -> int:

@@ -130,6 +130,12 @@ class InvalidConfigError(GlyphSvmError, ValueError):
     category = "InvalidConfig"
 
 
+class NonFiniteInputError(GlyphSvmError, ValueError):
+    """A feature vector holds NaN or infinity (also a ValueError)."""
+
+    category = "NonFiniteInput"
+
+
 class IoFailureError(GlyphSvmError):
     """Filesystem write or read failed."""
 

@@ -12,6 +12,8 @@ from .errors import (
     DimensionMismatchError,
     FoldDegenerateError,
     GlyphSvmError,
+    InvalidConfigError,
+    NonFiniteInputError,
 )
 from .multiclass import (
     MulticlassModel,
@@ -37,6 +39,8 @@ class Dataset:
             raise ValueError("vectors must form a 2-D matrix")
         if len(self.labels) != self.vectors.shape[0] or not self.labels:
             raise ValueError("need one label per vector, at least one sample")
+        if not np.isfinite(self.vectors).all():
+            raise NonFiniteInputError("feature vectors must not hold nan or inf")
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -63,7 +67,9 @@ def split_train_test(
     within each class instead.
     """
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be strictly between 0 and 1")
+        raise InvalidConfigError(
+            f"train_fraction must be strictly between 0 and 1, got {train_fraction}"
+        )
     n = len(data)
     rng = np.random.default_rng(seed)
     if stratified:
@@ -223,7 +229,8 @@ def grid_search(
     Scan order is C ascending, then gamma descending / degree ascending; the
     reported best is the first entry attaining the maximum accuracy. A cell
     whose evaluation raises is recorded with accuracy 0 and its error tag
-    rather than aborting the sweep.
+    rather than aborting the sweep; a fold count that fits no sweep raises
+    before any cell runs.
     """
     c_values = sorted(float(c) for c in (c_grid if c_grid is not None else DEFAULT_C_GRID))
     if param_grid is None:
@@ -235,7 +242,8 @@ def grid_search(
         elif kernel_kind == "poly":
             params = sorted(int(p) for p in params)
     if not c_values or not params:
-        raise ValueError("grids must be nonempty")
+        raise InvalidConfigError("grids must be nonempty")
+    kfold_split(len(data), k, seed)
 
     entries: list[GridEntry] = []
     for C in c_values:
@@ -324,12 +332,17 @@ def evaluate(model: MulticlassModel, test: Dataset) -> EvalReport:
             f"model expects dimension {model.scaling.dimension}, test has {test.dimension}"
         )
     classes = ordered_classes(set(model.class_ids) | set(test.labels))
+    return _report_from_confusion(
+        _confusion(classes, test.labels, predict_batch(model, test.vectors)), classes
+    )
+
+
+def _confusion(classes, truth, predicted) -> np.ndarray:
+    """Counts of (true, predicted) class pairs, rows and columns in `classes` order."""
     index = {cls: i for i, cls in enumerate(classes)}
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    truth = [index[lb] for lb in test.labels]
-    guess = [index[p] for p in predict_batch(model, test.vectors)]
-    np.add.at(confusion, (truth, guess), 1)
-    return _report_from_confusion(confusion, classes)
+    np.add.at(confusion, ([index[lb] for lb in truth], [index[p] for p in predicted]), 1)
+    return confusion
 
 
 def _report_from_confusion(confusion, classes, iterations=None) -> EvalReport:
@@ -375,15 +388,15 @@ def repeat_evaluate(
     repetition's test predictions.
     """
     if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise InvalidConfigError(f"repetitions must be >= 1, got {repetitions}")
     if seeds is None:
         seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(repetitions)]
     elif len(seeds) != repetitions:
-        raise ValueError("need exactly one seed per repetition")
+        raise InvalidConfigError(
+            f"need exactly one seed per repetition, got {len(seeds)} for {repetitions}"
+        )
 
-    classes = None
-    pooled = None
-    iteration_acc = []
+    classes, truth, predicted, iteration_acc = set(), [], [], []
     for rep_seed in seeds:
         train_part, test_part = split_train_test(
             data, train_fraction, rep_seed, stratified=stratified
@@ -391,25 +404,12 @@ def repeat_evaluate(
         model = _train_multiclass(
             train_part.vectors, train_part.labels, strategy, kernel, C, tol, max_iter
         )
-        report = evaluate(model, test_part)
-        iteration_acc.append(report.overall_accuracy)
-        if pooled is None:
-            classes = report.class_ids
-            pooled = report.confusion.copy()
-        else:
-            pooled, classes = _merge_confusions(pooled, classes, report)
-    return _report_from_confusion(pooled, classes, iterations=iteration_acc)
-
-
-def _merge_confusions(pooled, classes, report: EvalReport):
-    """Add a report's confusion counts into the pooled matrix, unioning classes."""
-    merged = ordered_classes(set(classes) | set(report.class_ids))
-    out = np.zeros((len(merged), len(merged)), dtype=np.int64)
-    pos = {cls: i for i, cls in enumerate(merged)}
-    for a, cls_a in enumerate(classes):
-        for b, cls_b in enumerate(classes):
-            out[pos[cls_a], pos[cls_b]] += pooled[a, b]
-    for a, cls_a in enumerate(report.class_ids):
-        for b, cls_b in enumerate(report.class_ids):
-            out[pos[cls_a], pos[cls_b]] += report.confusion[a, b]
-    return out, merged
+        guess = predict_batch(model, test_part.vectors)
+        iteration_acc.append(sum(p == lb for p, lb in zip(guess, test_part.labels)) / len(guess))
+        classes.update(model.class_ids, test_part.labels)
+        truth.extend(test_part.labels)
+        predicted.extend(guess)
+    classes = ordered_classes(classes)
+    return _report_from_confusion(
+        _confusion(classes, truth, predicted), classes, iterations=iteration_acc
+    )

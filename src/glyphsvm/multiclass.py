@@ -10,6 +10,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
     NoConvergenceError,
+    NonFiniteInputError,
     SingleClassError,
 )
 from .svm import BinaryModel, KernelCache, KernelSpec, decision_values, train_binary
@@ -53,6 +54,8 @@ class MinMaxScaling:
             raise DimensionMismatchError(
                 f"scaling expects dimension {self.dimension}, got {X.shape[-1]}"
             )
+        if not np.isfinite(X).all():
+            raise NonFiniteInputError("feature vectors must not hold nan or inf")
         span = self.maxs - self.mins
         safe = np.where(span > 0, span, 1.0)
         scaled = (X - self.mins) / safe

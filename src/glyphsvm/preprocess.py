@@ -153,16 +153,14 @@ def _inverse_map(out_shape, in_shape, angle_deg: float):
     return src_y, src_x
 
 
-def rotate_nearest(img: np.ndarray, angle_deg: float, out_shape=None) -> np.ndarray:
+def rotate_nearest(img: np.ndarray, angle_deg: float) -> np.ndarray:
     """Rotate a binary image about its center, nearest-neighbor sampling."""
     img = _check_binary(img)
-    if out_shape is None:
-        out_shape = img.shape
-    src_y, src_x = _inverse_map(out_shape, img.shape, angle_deg)
+    src_y, src_x = _inverse_map(img.shape, img.shape, angle_deg)
     iy = np.rint(src_y).astype(np.int64)
     ix = np.rint(src_x).astype(np.int64)
     inside = (iy >= 0) & (iy < img.shape[0]) & (ix >= 0) & (ix < img.shape[1])
-    out = np.zeros(out_shape, dtype=bool)
+    out = np.zeros(img.shape, dtype=bool)
     out[inside] = img[iy[inside], ix[inside]]
     return out
 
@@ -193,10 +191,13 @@ def _bicubic_gather(src: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) -> np
     return acc
 
 
-def rotate_bicubic(img: np.ndarray, angle_deg: float, enlarge: bool = True) -> np.ndarray:
-    """Rotate a binary image with bicubic interpolation, re-binarized at 0.5."""
+def rotate_bicubic(img: np.ndarray, angle_deg: float) -> np.ndarray:
+    """Rotate a binary image with bicubic interpolation, re-binarized at 0.5.
+
+    The output canvas is enlarged to hold all rotated content.
+    """
     img = _check_binary(img)
-    out_shape = _rotated_extent(*img.shape, angle_deg) if enlarge else img.shape
+    out_shape = _rotated_extent(*img.shape, angle_deg)
     src_y, src_x = _inverse_map(out_shape, img.shape, angle_deg)
     values = _bicubic_gather(img.astype(np.float64), src_y, src_x)
     return values >= 0.5
@@ -252,10 +253,18 @@ def deskew(page: np.ndarray, angle_deg: float) -> np.ndarray:
     page = _check_binary(page)
     if abs(angle_deg) > MAX_SKEW_DEG:
         raise AngleOutOfRangeError(f"|{angle_deg}| exceeds {MAX_SKEW_DEG} degrees")
-    return rotate_bicubic(page, -angle_deg, enlarge=True)
+    return rotate_bicubic(page, -angle_deg)
 
 
 # --- segmentation ---------------------------------------------------------
+
+def _runs(mask: np.ndarray):
+    """Row, start and exclusive end of every run of True along the rows of a
+    2-D mask, in raster order."""
+    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    return rows, starts, np.nonzero(edges == -1)[1]
+
 
 def segment_lines(page: np.ndarray) -> list[tuple[int, int]]:
     """Split a page into text-line row intervals (inclusive, top to bottom).
@@ -267,95 +276,71 @@ def segment_lines(page: np.ndarray) -> list[tuple[int, int]]:
     page = _check_binary(page)
     counts = page.sum(axis=1, dtype=np.int64)
     intervals: list[tuple[int, int]] = []
-    row = 0
-    n = len(counts)
-    while row < n:
-        if counts[row] == 0:
-            row += 1
-            continue
-        start = row
-        while row < n and counts[row] > 0:
-            row += 1
-        end = row - 1
-        intervals.extend(_split_run(counts, start, end))
+    _, starts, ends = _runs(counts[None] > 0)
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        intervals.extend(_split_run(counts, start, end - 1))
     return intervals
 
 
 def _split_run(counts: np.ndarray, start: int, end: int) -> list[tuple[int, int]]:
     run = counts[start : end + 1]
-    peak_level = run.max() / 2.0
-    is_peak = run > peak_level
-    groups = []
-    i = 0
-    while i < len(run):
-        if is_peak[i]:
-            j = i
-            while j + 1 < len(run) and is_peak[j + 1]:
-                j += 1
-            groups.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    if len(groups) <= 1:
-        return [(start, end)]
-    cuts = []
-    for (_, g1_end), (g2_start, _) in zip(groups, groups[1:]):
-        valley = run[g1_end + 1 : g2_start]
-        cuts.append(g1_end + 1 + int(np.argmin(valley)) + start)
-    pieces = []
-    lo = start
-    for cut in cuts:
-        pieces.append((lo, cut - 1))
-        lo = cut
-    pieces.append((lo, end))
-    return pieces
+    _, peak_starts, peak_ends = _runs(run[None] > run.max() / 2.0)
+    bounds = [start]
+    for valley_start, valley_end in zip(peak_ends[:-1].tolist(), peak_starts[1:].tolist()):
+        bounds.append(start + valley_start + int(np.argmin(run[valley_start:valley_end])))
+    bounds.append(end + 1)
+    return [(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def label_components(img: np.ndarray):
     """8-connected component labeling. Returns (labels int array, count).
 
     Labels are assigned in raster-scan order of each component's first pixel,
-    starting at 1; background stays 0.
+    starting at 1; background stays 0. Works on row runs (He, Chao & Suzuki,
+    2008): a run links to the runs of the next row that overlap it widened by
+    one column. Links hook the larger root under the smaller until no link
+    joins two roots, so each component's root is its first raster run.
     """
     img = _check_binary(img)
-    h, w = img.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    current = 0
-    for r in range(h):
-        row = img[r]
-        for c in range(w):
-            if not row[c] or labels[r, c]:
-                continue
-            current += 1
-            stack = [(r, c)]
-            labels[r, c] = current
-            while stack:
-                y, x = stack.pop()
-                y0, y1 = max(y - 1, 0), min(y + 2, h)
-                x0, x1 = max(x - 1, 0), min(x + 2, w)
-                for ny in range(y0, y1):
-                    for nx in range(x0, x1):
-                        if img[ny, nx] and not labels[ny, nx]:
-                            labels[ny, nx] = current
-                            stack.append((ny, nx))
-    return labels, current
+    rows, starts, ends = _runs(img)
+    width = img.shape[1] + 2  # exceeds every run start and end in a row
+    key = rows * width
+    # the next row's runs that touch a run form one slice [lo, hi)
+    lo = np.searchsorted(key + ends, key + width + starts, side="left")
+    hi = np.searchsorted(key + starts, key + width + ends, side="right")
+    links = np.maximum(hi - lo, 0)
+    runs = np.arange(len(starts))
+    upper = np.repeat(runs, links)
+    lower = np.arange(len(upper)) - np.repeat(np.cumsum(links) - links - lo, links)
+    parent = runs.copy()
+    while True:
+        root_u, root_l = parent[upper], parent[lower]
+        if np.array_equal(root_u, root_l):
+            break
+        low = np.minimum(root_u, root_l)
+        np.minimum.at(parent, root_u, low)
+        np.minimum.at(parent, root_l, low)
+        parent = parent[parent]
+    is_root = parent == runs
+    labels = np.zeros(img.shape, dtype=np.int32)
+    labels[img] = np.repeat(np.cumsum(is_root, dtype=np.int32)[parent], ends - starts)
+    return labels, int(is_root.sum())
 
 
-def segment_characters(line: np.ndarray, min_area: int = MIN_COMPONENT_AREA) -> list[CharacterRecord]:
+def segment_characters(line: np.ndarray) -> list[CharacterRecord]:
     """Extract connected components of a line strip as raw character records.
 
-    Components smaller than `min_area` pixels are dropped as noise. Records
-    hold the tight bounding box and the component's own pixels; `normalized`
-    and `skeleton` are filled by the caller. Ordered by left edge, then top.
+    Components smaller than MIN_COMPONENT_AREA pixels are dropped as noise.
+    Records hold the tight bounding box and the component's own pixels;
+    `normalized` and `skeleton` are filled by the caller. Ordered by left
+    edge, then top.
     """
     line = _check_binary(line)
     labels, count = label_components(line)
+    areas = np.bincount(labels.ravel(), minlength=count + 1)
     records = []
-    for lab in range(1, count + 1):
+    for lab in np.flatnonzero(areas[1:] >= MIN_COMPONENT_AREA) + 1:
         mask = labels == lab
-        area = int(mask.sum())
-        if area < min_area:
-            continue
         rows = np.flatnonzero(mask.any(axis=1))
         cols = np.flatnonzero(mask.any(axis=0))
         top, bottom = int(rows[0]), int(rows[-1])
@@ -434,17 +419,20 @@ def _protect_vanishing(img: np.ndarray, deletions: np.ndarray) -> np.ndarray:
     """Keep one pixel of any component the pass would delete entirely.
 
     Classic Zhang-Suen erases isolated 2x2 squares; retaining the component's
-    first raster pixel keeps the component count invariant.
+    first raster pixel keeps the component count invariant. A deleted pixel
+    with a surviving 8-neighbour lies in that survivor's component, so a
+    component can vanish only if some deleted pixel has no surviving
+    neighbour. Components are labelled only in that case.
     """
-    if not deletions.any():
+    survivors = img & ~deletions
+    near = np.logical_or.reduce(_neighbors(np.pad(survivors, 1)))
+    if not np.any(deletions & ~near):
         return deletions
     labels, count = label_components(img)
-    for lab in range(1, count + 1):
-        mask = labels == lab
-        if np.array_equal(mask & deletions, mask):
-            anchor = np.flatnonzero(mask.ravel())[0]
-            deletions = deletions.copy()
-            deletions.ravel()[anchor] = False
+    alive = np.bincount(labels[survivors], minlength=count + 1)
+    deletions = deletions.copy()
+    for lab in np.flatnonzero(alive[1:] == 0) + 1:
+        deletions.ravel()[np.argmax(labels.ravel() == lab)] = False
     return deletions
 
 
@@ -517,11 +505,9 @@ def preprocess_character(gray: np.ndarray) -> CharacterRecord:
     filtered = median_filter(gray)
     _, binary = otsu_binarize(filtered)
     labels, count = label_components(binary)
-    keep = np.zeros_like(binary)
-    for lab in range(1, count + 1):
-        mask = labels == lab
-        if int(mask.sum()) >= MIN_COMPONENT_AREA:
-            keep |= mask
+    kept = np.bincount(labels.ravel(), minlength=count + 1) >= MIN_COMPONENT_AREA
+    kept[0] = False
+    keep = kept[labels]
     if not keep.any():
         raise EmptyCropError("no component of sufficient area")
     rows = np.flatnonzero(keep.any(axis=1))

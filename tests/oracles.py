@@ -9,7 +9,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy import ndimage
 
+from glyphsvm.preprocess import _zhang_suen_pass
 from glyphsvm.svm import decision_value, kernel_eval
 
 GRID_POINTS = 11  # {0, C/10, ..., C}
@@ -210,3 +212,33 @@ def reference_label(model, values):
         if scores[k] > scores[best]:
             best = k
     return model.class_ids[best]
+
+
+def reference_protect_vanishing(img, deletions):
+    """Keep the first raster pixel of any component a thinning pass would
+    delete entirely, checking every component's mask against the deletions."""
+    if not deletions.any():
+        return deletions
+    labels, count = ndimage.label(img, np.ones((3, 3)))
+    for lab in range(1, count + 1):
+        mask = labels == lab
+        if np.array_equal(mask & deletions, mask):
+            anchor = np.flatnonzero(mask.ravel())[0]
+            deletions = deletions.copy()
+            deletions.ravel()[anchor] = False
+    return deletions
+
+
+def reference_thin(img):
+    """Zhang-Suen to fixpoint: the package's deletion pass, the reference
+    vanishing guard."""
+    img = img.copy()
+    while True:
+        changed = False
+        for second in (False, True):
+            deletions = reference_protect_vanishing(img, _zhang_suen_pass(img, second))
+            if deletions.any():
+                img[deletions] = False
+                changed = True
+        if not changed:
+            return img

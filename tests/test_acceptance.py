@@ -281,7 +281,7 @@ def test_criterion_08_skew_roundtrip():
     page[95:105, 30:80] = False
     errors = {}
     for theta in (-12.0, -5.0, 0.0, 5.0, 12.0):
-        rotated = rotate_bicubic(page, theta, enlarge=True) if theta else page
+        rotated = rotate_bicubic(page, theta) if theta else page
         errors[theta] = abs(detect_skew(rotated) - theta)
     ok = all(err <= 0.5 for err in errors.values())
     report(8, "skew detected within 0.5 degrees for -12/-5/0/5/12",

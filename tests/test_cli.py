@@ -225,6 +225,28 @@ def test_bad_kernel_parameter_is_one_line_error(dataset_dir, tmp_path, capsys):
     assert not (tmp_path / "g.gsvm").exists()
 
 
+@pytest.mark.parametrize(
+    "args, category",
+    [
+        (["gridsearch", "--c-grid", "abc"], "InvalidConfig"),
+        (["gridsearch", "--kernel", "poly", "--degree-grid", "2.5"], "InvalidConfig"),
+        (["gridsearch", "--c-grid", ","], "InvalidConfig"),
+        (["gridsearch", "--c-grid", "1", "--gamma-grid", "0.5", "--folds", "1"], "BadK"),
+        (["repeat-eval", "--train-frac", "1.5"], "InvalidConfig"),
+        (["repeat-eval", "--repeats", "0"], "InvalidConfig"),
+    ],
+    ids=["c-grid-abc", "degree-grid-2.5", "c-grid-comma", "folds-1", "train-frac-1.5",
+         "repeats-0"],
+)
+def test_bad_sweep_argument_is_one_line_error(dataset_dir, capsys, args, category):
+    rc = main(args + ["--data", str(dataset_dir)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {category}:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_unreadable_input_reports_category(tmp_path, capsys):
     missing = tmp_path / "missing.pgm"
     rc = main(["preprocess", "--input", str(missing), "--out-dir", str(tmp_path / "o")])

@@ -1,4 +1,7 @@
-"""Golden fixture: a seeded run whose saved model and grid CSV are pinned by sha256.
+"""Golden fixture: seeded runs whose outputs are pinned by sha256.
+
+Pinned: a saved model, a grid CSV, the records of a small noisy page and the
+feature rows of single glyphs.
 
 A change that alters training or prediction arithmetic changes one of these
 digests. If that is intended, say so in CHANGES.md and update the digests.
@@ -8,13 +11,18 @@ import hashlib
 
 import numpy as np
 
+from glyphsvm.features import FeatureConfig, extract_features
 from glyphsvm.model_io import save_model
 from glyphsvm.modelsel import Dataset, grid_search
 from glyphsvm.multiclass import train_one_vs_all
+from glyphsvm.preprocess import preprocess_character, preprocess_page, rotate_bicubic
 from glyphsvm.svm import KernelSpec
+from glyphsvm.synth import SynthConfig, render_sample
 
 MODEL_SHA256 = "00bc3f31f7a5ed6d8ec1ac9f747cd0cd60c4f8c713784541673f63a9f3e1e0ef"
 GRID_CSV_SHA256 = "666d15f06315c888201568ec8c958ab0e6cad5fe88ad8a3f7ed50f3fbf01e52e"
+PAGE_RECORDS_SHA256 = "af2a2b39fde6f948085427ce7bcb5c23b82b1abf88ac8a22058067648cd6487b"
+GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597fd2e9ce7a"
 
 
 def golden_dataset() -> Dataset:
@@ -44,3 +52,37 @@ def test_golden_model_bytes(tmp_path):
     path = tmp_path / "golden.gsvm"
     save_model(model, path)
     assert sha256(path.read_bytes()) == MODEL_SHA256
+
+
+def golden_page() -> np.ndarray:
+    """Two lines of four synthetic glyphs, skewed 2 degrees, 1% salt and pepper."""
+    config = SynthConfig(classes=8, per_class=1, seed=11, noise_rate=0.0)
+    ink = np.zeros((2 * 80 + 32, 4 * 68 + 32), dtype=bool)
+    for k in range(8):
+        top, left = 16 + (k // 4) * 80, 16 + (k % 4) * 68
+        ink[top : top + 64, left : left + 64] = render_sample(config, k, k) == 0
+    gray = np.where(rotate_bicubic(ink, 2.0), 0, 255).astype(np.uint8)
+    rng = np.random.default_rng(11)
+    noisy = rng.random(gray.shape) < 0.01
+    gray[noisy] = rng.integers(0, 2, size=int(noisy.sum())).astype(np.uint8) * 255
+    return gray
+
+
+def test_golden_page_records():
+    digest = hashlib.sha256()
+    for rec in preprocess_page(golden_page()):
+        box = rec.bbox
+        digest.update(np.array([box.left, box.top, box.width, box.height], np.int64).tobytes())
+        digest.update(np.packbits(rec.crop).tobytes())
+        digest.update(np.packbits(rec.skeleton).tobytes())
+    assert digest.hexdigest() == PAGE_RECORDS_SHA256
+
+
+def test_golden_glyph_features():
+    config = SynthConfig(classes=10, per_class=2, seed=5)
+    rows = [
+        extract_features(preprocess_character(render_sample(config, c, i)), FeatureConfig()).values
+        for c in range(10)
+        for i in range(2)
+    ]
+    assert sha256(np.array(rows).tobytes()) == GLYPH_FEATURES_SHA256

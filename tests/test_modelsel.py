@@ -6,6 +6,8 @@ from glyphsvm.errors import (
     DegenerateSplitError,
     DimensionMismatchError,
     FoldDegenerateError,
+    InvalidConfigError,
+    NonFiniteInputError,
 )
 from glyphsvm.modelsel import (
     Dataset,
@@ -68,6 +70,14 @@ def test_split_fraction_bounds():
     data = separable_dataset(np.random.default_rng(4), n_per_class=2)
     with pytest.raises(ValueError):
         split_train_test(data, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_vectors(bad):
+    vectors = np.zeros((4, 3))
+    vectors[2, 1] = bad
+    with pytest.raises(NonFiniteInputError):
+        Dataset(vectors, [0, 0, 1, 1])
 
 
 def test_split_stratified_balances_classes():
@@ -195,6 +205,14 @@ def test_grid_error_cells_recorded_not_fatal():
     for entry in report.entries:
         assert entry.accuracy == 0.0
         assert entry.error == "FoldDegenerate"
+
+
+def test_grid_bad_k_raises_before_any_cell():
+    data = separable_dataset(np.random.default_rng(25), n_per_class=4)
+    with pytest.raises(BadKError):
+        grid_search(data, "linear", c_grid=[1.0, 2.0], k=1, seed=0)
+    with pytest.raises(BadKError):
+        grid_search(data, "linear", c_grid=[1.0], k=9, seed=0)
 
 
 def test_grid_loose_tol_recorded_not_fatal():
@@ -326,3 +344,36 @@ def test_repeat_table_shape():
     assert "linear C=10" in table
     error_table = report.error_table()
     assert error_table.splitlines()[0].startswith("Class")
+
+
+def test_repeat_bad_repetitions_or_seeds():
+    data = separable_dataset(np.random.default_rng(26), n_per_class=10)
+    with pytest.raises(InvalidConfigError):
+        repeat_evaluate(data, LINEAR, 10.0, repetitions=0)
+    with pytest.raises(InvalidConfigError):
+        repeat_evaluate(data, LINEAR, 10.0, repetitions=3, seeds=[1, 2])
+
+
+def test_repeat_pooled_confusion_sums_repetitions_by_class_id():
+    rng = np.random.default_rng(27)
+    base = separable_dataset(rng, n_per_class=10, classes=3)
+    data = Dataset(  # class 3 has two samples, so some test split misses it
+        np.vstack([base.vectors, [[18.0, 0.0], [18.5, 0.3]]]), base.labels + [3, 3]
+    )
+    seeds = [0, 1, 2, 3, 4, 5]
+    pooled = repeat_evaluate(data, LINEAR, 10.0, repetitions=len(seeds), seeds=seeds)
+    summed = {}
+    missing = 0
+    for rep_seed in seeds:
+        train_part, test_part = split_train_test(data, 0.8, rep_seed)
+        missing += 3 not in test_part.labels
+        report = evaluate(trained_model(train_part), test_part)
+        for a, true_cls in enumerate(report.class_ids):
+            for b, pred_cls in enumerate(report.class_ids):
+                key = (true_cls, pred_cls)
+                summed[key] = summed.get(key, 0) + int(report.confusion[a, b])
+    assert missing >= 1
+    assert pooled.class_ids == [0, 1, 2, 3]
+    for a, true_cls in enumerate(pooled.class_ids):
+        for b, pred_cls in enumerate(pooled.class_ids):
+            assert pooled.confusion[a, b] == summed.get((true_cls, pred_cls), 0)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from oracles import reference_decision_matrix, reference_label
 
-from glyphsvm.errors import InvalidConfigError, NoConvergenceError, SingleClassError
+from glyphsvm.errors import (
+    InvalidConfigError,
+    NoConvergenceError,
+    NonFiniteInputError,
+    SingleClassError,
+)
 from glyphsvm.multiclass import (
     BinaryModel,
     MinMaxScaling,
@@ -215,6 +220,24 @@ def test_scaling_constant_dimension_maps_to_zero():
     out = scaling.transform(np.array([[0.5, 2.0], [1.0, 2.0]]))
     np.testing.assert_allclose(out[:, 1], [0.0, 0.0])
     np.testing.assert_allclose(out[:, 0], [0.5, 1.0])
+
+
+@pytest.mark.parametrize("train", [train_one_vs_all, train_one_vs_one])
+def test_training_rejects_non_finite_input(train):
+    X, labels = clustered_data(np.random.default_rng(31), 3)
+    X[4, 0] = np.nan
+    with pytest.raises(NonFiniteInputError):
+        train(X, labels, LINEAR, 1.0)
+
+
+def test_prediction_rejects_non_finite_input():
+    X, labels = clustered_data(np.random.default_rng(32), 3)
+    model = train_one_vs_all(X, labels, LINEAR, 1.0)
+    for bad in ([[np.nan, 0.0]], [[0.0, np.inf]], [[np.nan, 0.0], [np.inf, 0.0]]):
+        with pytest.raises(NonFiniteInputError):
+            predict_batch(model, bad)
+    with pytest.raises(NonFiniteInputError):
+        predict(model, [0.0, -np.inf])
 
 
 def test_no_convergence_tagged_with_class():

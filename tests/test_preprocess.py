@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
+from hypothesis.strategies import booleans, integers, tuples
+from scipy import ndimage
 
+from glyphsvm import preprocess
 from glyphsvm.errors import (
     AngleOutOfRangeError,
     EmptyCropError,
@@ -24,6 +29,8 @@ from glyphsvm.preprocess import (
     zhang_suen,
     _cubic_kernel,
 )
+
+from oracles import reference_thin
 
 # --- independent oracles ----------------------------------------------------
 
@@ -226,7 +233,7 @@ def test_detect_skew_horizontal_is_zero():
 
 @pytest.mark.parametrize("theta", [-12.0, -5.0, 5.0, 12.0])
 def test_detect_skew_roundtrip(theta):
-    rotated = rotate_bicubic(bar_page(), theta, enlarge=True)
+    rotated = rotate_bicubic(bar_page(), theta)
     assert abs(detect_skew(rotated) - theta) <= 0.5
 
 
@@ -247,7 +254,7 @@ def test_deskew_out_of_range():
 
 def test_deskew_roundtrip_iou():
     page = bar_page()
-    rotated = rotate_bicubic(page, 10.0, enlarge=True)
+    rotated = rotate_bicubic(page, 10.0)
     restored = deskew(rotated, detect_skew(rotated))
     # align by foreground centroid before comparing
     def centered(img, shape):
@@ -344,6 +351,76 @@ def test_segment_matches_flood_fill_oracle():
         assert kept == set().union(*oracle) if oracle else not kept
 
 
+# --- connected components -----------------------------------------------------
+
+def assert_labels_match_scipy(img):
+    labels, count = label_components(img)
+    expected, expected_count = ndimage.label(img, np.ones((3, 3)))
+    assert labels.dtype == np.int32
+    assert count == expected_count
+    assert np.array_equal(labels, expected)
+
+
+def serpentine(h, w):
+    """One stroke snaking across every other row, joined at alternate ends."""
+    img = np.zeros((h, w), dtype=bool)
+    img[::2] = True
+    for r in range(1, h, 2):
+        img[r, -1 if r % 4 == 1 else 0] = True
+    return img
+
+
+def square_spiral(n):
+    """One 1-pixel stroke spiralling inwards with 1-pixel gaps between turns."""
+    img = np.zeros((n, n), dtype=bool)
+    r = c = 0
+    dr, dc = 0, 1
+    img[0, 0] = True
+    while True:
+        for _ in range(2):
+            nr, nc, ar, ac = r + dr, c + dc, r + 2 * dr, c + 2 * dc
+            ahead_free = not (0 <= ar < n and 0 <= ac < n and img[ar, ac])
+            if 0 <= nr < n and 0 <= nc < n and not img[nr, nc] and ahead_free:
+                r, c = nr, nc
+                img[r, c] = True
+                break
+            dr, dc = dc, -dr
+        else:
+            return img
+
+
+@pytest.mark.parametrize(
+    "img",
+    [
+        np.zeros((0, 7), dtype=bool),
+        np.zeros((7, 0), dtype=bool),
+        np.zeros((6, 9), dtype=bool),
+        np.ones((6, 9), dtype=bool),
+        np.ones((1, 12), dtype=bool),
+        np.ones((12, 1), dtype=bool),
+        np.eye(10, dtype=bool),
+        np.eye(10, dtype=bool)[::-1],
+        serpentine(64, 1215),
+        square_spiral(200),
+    ],
+    ids=["0xN", "Nx0", "background", "ink", "1xN", "Nx1", "diagonal", "antidiagonal",
+         "serpentine", "spiral"],
+)
+def test_label_components_fixed_cases_match_scipy(img):
+    assert_labels_match_scipy(img)
+
+
+def test_label_components_long_paths_are_one_component():
+    assert label_components(serpentine(64, 1215))[1] == 1
+    assert label_components(square_spiral(200))[1] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, tuples(integers(0, 24), integers(0, 24)), elements=booleans()))
+def test_label_components_matches_scipy(img):
+    assert_labels_match_scipy(img)
+
+
 # --- normalization -----------------------------------------------------------
 
 def test_cubic_kernel_hand_values():
@@ -430,6 +507,25 @@ def test_thin_preserves_2x2_square_component():
     _, count = label_components(out)
     assert count == 1
     assert not np.any(out & ~img)
+
+
+def test_thin_matches_reference_guard_on_vanishing_squares(monkeypatch):
+    labelled = []
+
+    def counting_label_components(img):
+        labelled.append(img.shape)
+        return label_components(img)
+
+    monkeypatch.setattr(preprocess, "label_components", counting_label_components)
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        img = random_blob(rng)
+        for _ in range(3):
+            r, c = rng.integers(1, 29, 2)
+            if not img[r - 1 : r + 3, c - 1 : c + 3].any():
+                img[r : r + 2, c : c + 2] = True
+        assert np.array_equal(thin(img), reference_thin(img))
+    assert labelled  # the labelling fallback ran
 
 
 def test_zhang_suen_matches_oracle_on_blobs():
