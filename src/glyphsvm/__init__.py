@@ -22,6 +22,7 @@ from .multiclass import (
     predict,
     predict_ova,
     predict_ovo,
+    train_multiclass,
     train_one_vs_all,
     train_one_vs_one,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "split_train_test",
     "thin",
     "train_binary",
+    "train_multiclass",
     "train_one_vs_all",
     "train_one_vs_one",
 ]

@@ -23,15 +23,9 @@ from .modelsel import (
     grid_search,
     repeat_evaluate,
 )
-from .multiclass import train_one_vs_all, train_one_vs_one
+from .multiclass import train_multiclass
 from .pgm import read_pgm, write_binary_pgm
-from .preprocess import (
-    deskew,
-    detect_skew,
-    median_filter,
-    otsu_binarize,
-    preprocess_page,
-)
+from .preprocess import clean_page, segment_page
 from .svm import KernelSpec
 from .synth import SynthConfig, generate_synthetic_dataset
 
@@ -94,18 +88,14 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    gray = read_pgm(args.input)
+    threshold, binary, angle, page = clean_page(read_pgm(args.input))
+    if args.dump_binarized:
+        write_binary_pgm(binary, args.dump_binarized)
+    if args.dump_deskewed:
+        write_binary_pgm(page, args.dump_deskewed)
     if args.dump_binarized or args.dump_deskewed:
-        filtered = median_filter(gray)
-        threshold, binary = otsu_binarize(filtered)
-        if args.dump_binarized:
-            write_binary_pgm(binary, args.dump_binarized)
-        angle = detect_skew(binary)
-        page = deskew(binary, angle)
-        if args.dump_deskewed:
-            write_binary_pgm(page, args.dump_deskewed)
         print(f"otsu threshold {threshold}, skew {angle:+.1f} degrees")
-    records = preprocess_page(gray)
+    records = segment_page(page)
     os.makedirs(args.out_dir, exist_ok=True)
     for idx, rec in enumerate(records):
         source = {"crop": rec.crop, "normalized": rec.normalized,
@@ -127,8 +117,7 @@ def cmd_features(args) -> int:
 def cmd_train(parser, args) -> int:
     kernel = _kernel_from_args(parser, args)
     data = _load(args)
-    trainer = train_one_vs_all if args.strategy == "ova" else train_one_vs_one
-    model = trainer(data.vectors, data.labels, kernel, args.c)
+    model = train_multiclass(data.vectors, data.labels, args.strategy, kernel, args.c)
     save_model(model, args.model)
     print(
         f"trained {args.strategy} model on {len(data)} samples, "

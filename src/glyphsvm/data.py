@@ -62,13 +62,9 @@ def load_csv_dataset(path) -> Dataset:
     return Dataset(matrix, labels)
 
 
-def load_dataset(path, mode: str | None = None, config: FeatureConfig | None = None) -> Dataset:
-    """Dispatch on `mode` ('image-dir' or 'feature-csv'), inferring it from
-    the path when omitted (directory vs file)."""
-    if mode is None:
-        mode = "image-dir" if os.path.isdir(str(path)) else "feature-csv"
-    if mode == "image-dir":
+def load_dataset(path, config: FeatureConfig | None = None) -> Dataset:
+    """Load an image directory (`load_image_dataset`) or, when `path` is not
+    a directory, a feature CSV (`load_csv_dataset`)."""
+    if os.path.isdir(str(path)):
         return load_image_dataset(path, config)
-    if mode == "feature-csv":
-        return load_csv_dataset(path)
-    raise ValueError(f"unknown dataset mode {mode!r}")
+    return load_csv_dataset(path)

@@ -21,17 +21,14 @@ class FeatureConfig:
     """
 
     cell_px: int = 4
-    image_px: int = NORMALIZED_SIZE
 
     def __post_init__(self):
-        if self.image_px != NORMALIZED_SIZE:
-            raise ValueError(f"image_px is fixed at {NORMALIZED_SIZE}")
         if self.cell_px not in VALID_CELL_SIZES:
             raise ValueError(f"cell_px must be one of {VALID_CELL_SIZES}")
 
     @property
     def cells_per_side(self) -> int:
-        return self.image_px // self.cell_px
+        return NORMALIZED_SIZE // self.cell_px
 
     @property
     def local_count(self) -> int:
@@ -158,6 +155,8 @@ def read_features_csv(path):
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise UnreadableFileError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableFileError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise UnreadableFileError(f"{path}: empty CSV")
     header = lines[0].split(",")

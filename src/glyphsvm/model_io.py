@@ -122,7 +122,10 @@ class _Reader:
         return line
 
     def next_value(self, expect: str) -> str:
-        return self.next(expect).split(" ", 1)[1]
+        value = self.next(expect)[len(expect) + 1 :]
+        if not value.strip():
+            raise CorruptBlockError(f"{self.path}: '{expect}' has no value")
+        return value
 
     def next_floats(self, expect: str, count: int) -> np.ndarray:
         raw = self.next_value(expect).split()
@@ -174,6 +177,8 @@ def load_model(path) -> MulticlassModel:
             lines = [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise IoFailureError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise BadMagicError(f"{path}: not a UTF-8 text model: {exc}") from None
     lines = [ln for ln in lines if ln.strip()]
     if not lines or lines[0] != MAGIC:
         raise BadMagicError(f"{path}: missing magic {MAGIC!r}")
@@ -186,13 +191,18 @@ def load_model(path) -> MulticlassModel:
     if strategy not in ("ova", "ovo"):
         raise CorruptBlockError(f"{path}: unknown strategy {strategy!r}")
     label_kind = reader.next_value("label_kind")
+    if label_kind not in ("int", "str"):
+        raise CorruptBlockError(f"{path}: unknown label_kind {label_kind!r}")
     n_classes = _parse_int(reader, "classes")
     if n_classes < 2:
         raise CorruptBlockError(f"{path}: needs >= 2 classes, found {n_classes}")
     class_ids = []
     for _ in range(n_classes):
-        raw = reader.next_value("class")
-        class_ids.append(int(raw) if label_kind == "int" else raw)
+        class_ids.append(
+            _parse_int(reader, "class") if label_kind == "int" else reader.next_value("class")
+        )
+    if len(set(class_ids)) != n_classes:
+        raise CorruptBlockError(f"{path}: class ids repeat: {class_ids!r}")
     kernel = _parse_kernel(reader.next("kernel"), path)
     dims = _parse_int(reader, "dims")
     if dims < 1:

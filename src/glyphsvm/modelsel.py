@@ -16,11 +16,11 @@ from .errors import (
     NonFiniteInputError,
 )
 from .multiclass import (
+    STRATEGIES,
     MulticlassModel,
     ordered_classes,
     predict_batch,
-    train_one_vs_all,
-    train_one_vs_one,
+    train_multiclass,
 )
 from .svm import KernelSpec
 
@@ -109,14 +109,6 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     return folds
 
 
-def _train_multiclass(vectors, labels, strategy, kernel, C, tol, max_iter):
-    if strategy == "ova":
-        return train_one_vs_all(vectors, labels, kernel, C, tol=tol, max_iter=max_iter)
-    if strategy == "ovo":
-        return train_one_vs_one(vectors, labels, kernel, C, tol=tol, max_iter=max_iter)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def accuracy_of(model: MulticlassModel, data: Dataset) -> float:
     predicted = predict_batch(model, data.vectors)
     return sum(p == lb for p, lb in zip(predicted, data.labels)) / len(data)
@@ -136,7 +128,7 @@ def cross_validate(
     """Mean held-out accuracy over k folds.
 
     Feature scaling is refitted inside every fold on its training side only,
-    which `train_one_vs_*` does by construction, so no statistics leak from
+    which `train_multiclass` does by construction, so no statistics leak from
     the held-out samples. With `return_details` the per-fold accuracies and
     scaling records are returned alongside the mean.
     """
@@ -153,7 +145,7 @@ def cross_validate(
             raise FoldDegenerateError(
                 "a fold leaves fewer than two classes on the training side"
             )
-        model = _train_multiclass(
+        model = train_multiclass(
             train_part.vectors, train_part.labels, strategy, kernel, C, tol, max_iter
         )
         fold_acc.append(accuracy_of(model, test_part))
@@ -229,8 +221,8 @@ def grid_search(
     Scan order is C ascending, then gamma descending / degree ascending; the
     reported best is the first entry attaining the maximum accuracy. A cell
     whose evaluation raises is recorded with accuracy 0 and its error tag
-    rather than aborting the sweep; a fold count that fits no sweep raises
-    before any cell runs.
+    rather than aborting the sweep; an unknown strategy or a fold count that
+    fits no sweep raises before any cell runs.
     """
     c_values = sorted(float(c) for c in (c_grid if c_grid is not None else DEFAULT_C_GRID))
     if param_grid is None:
@@ -243,6 +235,8 @@ def grid_search(
             params = sorted(int(p) for p in params)
     if not c_values or not params:
         raise InvalidConfigError("grids must be nonempty")
+    if strategy not in STRATEGIES:
+        raise InvalidConfigError(f"unknown strategy {strategy!r}")
     kfold_split(len(data), k, seed)
 
     entries: list[GridEntry] = []
@@ -401,7 +395,7 @@ def repeat_evaluate(
         train_part, test_part = split_train_test(
             data, train_fraction, rep_seed, stratified=stratified
         )
-        model = _train_multiclass(
+        model = train_multiclass(
             train_part.vectors, train_part.labels, strategy, kernel, C, tol, max_iter
         )
         guess = predict_batch(model, test_part.vectors)

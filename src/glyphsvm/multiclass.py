@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,18 @@ from .errors import (
     NonFiniteInputError,
     SingleClassError,
 )
-from .svm import BinaryModel, KernelCache, KernelSpec, decision_values, train_binary
+from .svm import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    BinaryModel,
+    KernelSpec,
+    decision_values,
+    gram_matrix,
+    train_binary,
+)
+
+
+STRATEGIES = ("ova", "ovo")
 
 
 def class_sort_key(label):
@@ -86,7 +98,25 @@ class MulticlassModel:
             raise InvalidConfigError("classifiers of one model must share one kernel")
 
 
-def _prepare(data_vectors, data_labels):
+def train_multiclass(
+    data_vectors,
+    data_labels,
+    strategy: str,
+    kernel: KernelSpec,
+    C: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> MulticlassModel:
+    """Train every binary problem of a one-vs-all ("ova") or one-vs-one
+    ("ovo") reduction over one kernel matrix of the scaled samples.
+
+    Feature scaling is fitted on the full training set and shared by every
+    binary problem (and recorded in the model for prediction time). One-vs-all
+    problems use the whole matrix, one-vs-one problems the slice of their two
+    classes' rows.
+    """
+    if strategy not in STRATEGIES:
+        raise InvalidConfigError(f"unknown strategy {strategy!r}")
     X = np.asarray(data_vectors, dtype=np.float64)
     labels = list(data_labels)
     if X.ndim != 2 or X.shape[0] != len(labels):
@@ -94,7 +124,39 @@ def _prepare(data_vectors, data_labels):
     classes = ordered_classes(labels)
     if len(classes) < 2:
         raise SingleClassError("need at least two classes")
-    return X, labels, classes
+    scaling = MinMaxScaling.fit(X)
+    Xs = scaling.transform(X)
+    gram = gram_matrix(kernel, Xs)
+    index = {cls: k for k, cls in enumerate(classes)}
+    class_idx = np.array([index[lb] for lb in labels])
+    if strategy == "ova":
+        pairs, problems = None, [(c, None) for c in range(len(classes))]
+    else:
+        pairs = problems = list(itertools.combinations(range(len(classes)), 2))
+    classifiers = []
+    for i, j in problems:
+        if j is None:  # class i against the rest: every row, the whole matrix
+            member_class, sub_x, sub_gram = class_idx, Xs, gram
+        else:
+            rows = np.flatnonzero((class_idx == i) | (class_idx == j))
+            member_class, sub_x, sub_gram = class_idx[rows], Xs[rows], gram[np.ix_(rows, rows)]
+        y = np.where(member_class == i, 1.0, -1.0)
+        try:
+            classifiers.append(
+                train_binary(sub_x, y, kernel, C, tol=tol, max_iter=max_iter, gram=sub_gram)
+            )
+        except NoConvergenceError as exc:
+            context = classes[i] if j is None else (classes[i], classes[j])
+            what = f"class {context!r} vs rest" if j is None else f"class pair {context!r}"
+            raise NoConvergenceError(
+                f"{what}: {exc}",
+                iterations=exc.iterations,
+                violation=exc.violation,
+                context=context,
+            ) from exc
+    model = MulticlassModel(strategy, classes, classifiers, scaling, pairs)
+    model.validate()
+    return model
 
 
 def train_one_vs_all(
@@ -102,37 +164,11 @@ def train_one_vs_all(
     data_labels,
     kernel: KernelSpec,
     C: float,
-    tol: float = 1e-3,
-    max_iter: int = 1_000_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> MulticlassModel:
-    """One binary model per class: +1 for the class, -1 for the rest.
-
-    Feature scaling is fitted on the full training set and shared by every
-    binary problem (and recorded in the model for prediction time).
-    """
-    X, labels, classes = _prepare(data_vectors, data_labels)
-    scaling = MinMaxScaling.fit(X)
-    Xs = scaling.transform(X)
-    cache = KernelCache(kernel, Xs)
-    classifiers = []
-    for cls in classes:
-        y = np.array([1.0 if lb == cls else -1.0 for lb in labels])
-        try:
-            classifiers.append(
-                train_binary(Xs, y, kernel, C, tol=tol, max_iter=max_iter, cache=cache)
-            )
-        except NoConvergenceError as exc:
-            raise NoConvergenceError(
-                f"class {cls!r} vs rest: {exc}",
-                iterations=exc.iterations,
-                violation=exc.violation,
-                context=cls,
-            ) from exc
-    model = MulticlassModel(
-        strategy="ova", class_ids=classes, classifiers=classifiers, scaling=scaling
-    )
-    model.validate()
-    return model
+    """One binary model per class: +1 for the class, -1 for the rest."""
+    return train_multiclass(data_vectors, data_labels, "ova", kernel, C, tol, max_iter)
 
 
 def train_one_vs_one(
@@ -140,42 +176,11 @@ def train_one_vs_one(
     data_labels,
     kernel: KernelSpec,
     C: float,
-    tol: float = 1e-3,
-    max_iter: int = 1_000_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> MulticlassModel:
     """One binary model per unordered class pair (i, j), i < j, +1 = class i."""
-    X, labels, classes = _prepare(data_vectors, data_labels)
-    scaling = MinMaxScaling.fit(X)
-    Xs = scaling.transform(X)
-    classifiers = []
-    pairs = []
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            cls_i, cls_j = classes[i], classes[j]
-            idx = [t for t, lb in enumerate(labels) if lb == cls_i or lb == cls_j]
-            sub_x = Xs[idx]
-            sub_y = np.array([1.0 if labels[t] == cls_i else -1.0 for t in idx])
-            try:
-                classifiers.append(
-                    train_binary(sub_x, sub_y, kernel, C, tol=tol, max_iter=max_iter)
-                )
-            except NoConvergenceError as exc:
-                raise NoConvergenceError(
-                    f"class pair ({classes[i]!r}, {classes[j]!r}): {exc}",
-                    iterations=exc.iterations,
-                    violation=exc.violation,
-                    context=(classes[i], classes[j]),
-                ) from exc
-            pairs.append((i, j))
-    model = MulticlassModel(
-        strategy="ovo",
-        class_ids=classes,
-        classifiers=classifiers,
-        scaling=scaling,
-        pairs=pairs,
-    )
-    model.validate()
-    return model
+    return train_multiclass(data_vectors, data_labels, "ovo", kernel, C, tol, max_iter)
 
 
 def decision_matrix(model: MulticlassModel, X) -> np.ndarray:

@@ -7,7 +7,7 @@ images are 2-D bool where True marks ink (dark foreground).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -327,6 +327,17 @@ def label_components(img: np.ndarray):
     return labels, int(is_root.sum())
 
 
+def _raw_record(mask: np.ndarray) -> CharacterRecord:
+    """The tight bounding box of the ink in `mask` and the crop inside it."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    top, bottom = int(rows[0]), int(rows[-1])
+    left, right = int(cols[0]), int(cols[-1])
+    bbox = BoundingBox(left=left, top=top, width=right - left + 1, height=bottom - top + 1)
+    crop = mask[top : bottom + 1, left : right + 1]
+    return CharacterRecord(bbox=bbox, crop=crop, normalized=None, skeleton=None)
+
+
 def segment_characters(line: np.ndarray) -> list[CharacterRecord]:
     """Extract connected components of a line strip as raw character records.
 
@@ -338,18 +349,8 @@ def segment_characters(line: np.ndarray) -> list[CharacterRecord]:
     line = _check_binary(line)
     labels, count = label_components(line)
     areas = np.bincount(labels.ravel(), minlength=count + 1)
-    records = []
-    for lab in np.flatnonzero(areas[1:] >= MIN_COMPONENT_AREA) + 1:
-        mask = labels == lab
-        rows = np.flatnonzero(mask.any(axis=1))
-        cols = np.flatnonzero(mask.any(axis=0))
-        top, bottom = int(rows[0]), int(rows[-1])
-        left, right = int(cols[0]), int(cols[-1])
-        bbox = BoundingBox(left=left, top=top, width=right - left + 1, height=bottom - top + 1)
-        crop = mask[top : bottom + 1, left : right + 1]
-        records.append(
-            CharacterRecord(bbox=bbox, crop=crop, normalized=None, skeleton=None)
-        )
+    kept = np.flatnonzero(areas[1:] >= MIN_COMPONENT_AREA) + 1
+    records = [_raw_record(labels == lab) for lab in kept]
     records.sort(key=lambda rec: (rec.bbox.left, rec.bbox.top))
     return records
 
@@ -372,8 +373,9 @@ def _resample_axis(values: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     return np.moveaxis(acc, 0, axis)
 
 
-def normalize_size(crop: np.ndarray, size: int = NORMALIZED_SIZE) -> np.ndarray:
-    """Bicubic resample of a binary crop to size x size, re-binarized at 0.5.
+def normalize_size(crop: np.ndarray) -> np.ndarray:
+    """Bicubic resample of a binary crop to NORMALIZED_SIZE pixels square,
+    re-binarized at 0.5.
 
     Each axis scales independently; the aspect ratio is intentionally not
     preserved (it survives separately as a global feature).
@@ -382,8 +384,8 @@ def normalize_size(crop: np.ndarray, size: int = NORMALIZED_SIZE) -> np.ndarray:
     if crop.size == 0 or not crop.any():
         raise EmptyCropError("cannot normalize an empty crop")
     field = crop.astype(np.float64)
-    field = _resample_axis(field, size, axis=0)
-    field = _resample_axis(field, size, axis=1)
+    field = _resample_axis(field, NORMALIZED_SIZE, axis=0)
+    field = _resample_axis(field, NORMALIZED_SIZE, axis=1)
     return field >= 0.5
 
 
@@ -469,30 +471,37 @@ def finish_record(record: CharacterRecord) -> CharacterRecord:
     return record
 
 
+def clean_page(gray: np.ndarray):
+    """The cleaning stage of the page pipeline: median filter, Otsu, deskew.
+
+    Returns (threshold, binary, angle, page): the Otsu threshold, the ink
+    mask before deskewing, the detected skew in degrees and the deskewed
+    ink mask.
+    """
+    threshold, binary = otsu_binarize(median_filter(gray))
+    angle = detect_skew(binary)
+    return threshold, binary, angle, deskew(binary, angle)
+
+
+def segment_page(page: np.ndarray) -> list[CharacterRecord]:
+    """The segmenting stage of the page pipeline: lines, characters, then
+    normalize and thin each one. Bounding boxes refer to `page`."""
+    records: list[CharacterRecord] = []
+    for top, bottom in segment_lines(page):
+        strip = page[top : bottom + 1]
+        for rec in segment_characters(strip):
+            rec.bbox = replace(rec.bbox, top=rec.bbox.top + top)
+            records.append(finish_record(rec))
+    return records
+
+
 def preprocess_page(gray: np.ndarray) -> list[CharacterRecord]:
     """Run the full page pipeline: median filter, Otsu, deskew, segment, thin.
 
     Returns fully populated character records in reading order; bounding
     boxes refer to the deskewed page.
     """
-    filtered = median_filter(gray)
-    _, binary = otsu_binarize(filtered)
-    if not binary.any():
-        return []
-    angle = detect_skew(binary)
-    page = deskew(binary, angle)
-    records: list[CharacterRecord] = []
-    for top, bottom in segment_lines(page):
-        strip = page[top : bottom + 1]
-        for rec in segment_characters(strip):
-            rec.bbox = BoundingBox(
-                left=rec.bbox.left,
-                top=rec.bbox.top + top,
-                width=rec.bbox.width,
-                height=rec.bbox.height,
-            )
-            records.append(finish_record(rec))
-    return records
+    return segment_page(clean_page(gray)[3])
 
 
 def preprocess_character(gray: np.ndarray) -> CharacterRecord:
@@ -510,14 +519,4 @@ def preprocess_character(gray: np.ndarray) -> CharacterRecord:
     keep = kept[labels]
     if not keep.any():
         raise EmptyCropError("no component of sufficient area")
-    rows = np.flatnonzero(keep.any(axis=1))
-    cols = np.flatnonzero(keep.any(axis=0))
-    bbox = BoundingBox(
-        left=int(cols[0]),
-        top=int(rows[0]),
-        width=int(cols[-1] - cols[0] + 1),
-        height=int(rows[-1] - rows[0] + 1),
-    )
-    crop = keep[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-    record = CharacterRecord(bbox=bbox, crop=crop, normalized=None, skeleton=None)
-    return finish_record(record)
+    return finish_record(_raw_record(keep))

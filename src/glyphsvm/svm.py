@@ -8,7 +8,6 @@ models.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,8 @@ KERNEL_PARAMS = {
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000
 CURVATURE_FLOOR = 1e-12
+# Largest kernel matrix one training may hold: n <= 11,585 samples.
+GRAM_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -120,30 +121,27 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(kernel_against(spec, x.reshape(1, -1), y)[0])
 
 
-class KernelCache:
-    """Lazily computed kernel rows with LRU eviction.
+def gram_matrix(spec: KernelSpec, samples) -> np.ndarray:
+    """The exactly symmetric kernel matrix of the rows of `samples`.
 
-    Pure memoization over a fixed sample matrix: results never depend on the
-    cache size. One cache can be shared by several binary trainings over the
-    same samples (one-vs-all reuses every row N times).
+    Only the upper triangle is computed, row i through the single-probe form
+    of `kernel_against` over rows i..n-1, and mirrored into column i. The
+    matrix may take at most GRAM_BUDGET_BYTES; a larger training set raises
+    InvalidConfigError before anything is allocated.
     """
-
-    def __init__(self, spec: KernelSpec, samples: np.ndarray, max_rows: int = 4096):
-        self.spec = spec
-        self.samples = np.asarray(samples, dtype=np.float64)
-        self.max_rows = max(int(max_rows), 1)
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def row(self, i: int) -> np.ndarray:
-        cached = self._rows.get(i)
-        if cached is not None:
-            self._rows.move_to_end(i)
-            return cached
-        value = kernel_against(self.spec, self.samples, self.samples[i])
-        self._rows[i] = value
-        if len(self._rows) > self.max_rows:
-            self._rows.popitem(last=False)
-        return value
+    n = len(samples)
+    if n * n * 8 > GRAM_BUDGET_BYTES:
+        raise InvalidConfigError(
+            f"a {n}x{n} kernel matrix needs {n * n * 8} bytes, "
+            f"over the budget of {GRAM_BUDGET_BYTES}"
+        )
+    X = np.asarray(samples, dtype=np.float64)
+    gram = np.empty((n, n))
+    for i in range(n):
+        row = kernel_against(spec, X[i:], X[i])
+        gram[i, i:] = row
+        gram[i:, i] = row
+    return gram
 
 
 @dataclass
@@ -187,14 +185,15 @@ def train_binary(
     C: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    cache: KernelCache | None = None,
+    gram: np.ndarray | None = None,
 ) -> BinaryModel:
     """Solve the soft-margin dual by SMO and package the resulting model.
 
     Stops once the maximal KKT violation drops to `tol`; raises
     NoConvergenceError with diagnostics if `max_iter` pair updates are not
     enough. The bias averages y_i - u_i over unbounded support vectors,
-    falling back to the midpoint of the feasible interval.
+    falling back to the midpoint of the feasible interval. `gram` is the
+    kernel matrix of `samples` (see `gram_matrix`), built here when omitted.
     """
     X, y = _validate_training_input(samples, labels)
     if not C > 0:
@@ -202,10 +201,12 @@ def train_binary(
     if not tol > 0:
         raise InvalidConfigError("tol must be positive")
     n = X.shape[0]
-    if cache is None:
-        cache = KernelCache(kernel, X)
-    elif cache.samples.shape != X.shape or cache.spec != kernel:
-        raise ValueError("cache does not match the training samples/kernel")
+    if gram is None:
+        gram = gram_matrix(kernel, X)
+    elif np.shape(gram) != (n, n):
+        raise DimensionMismatchError(
+            f"kernel matrix has shape {np.shape(gram)}, {n} samples need ({n}, {n})"
+        )
 
     alpha = np.zeros(n)
     grad = np.ones(n)  # dW/dalpha_i at alpha = 0
@@ -233,8 +234,8 @@ def train_binary(
                 iterations=iterations,
                 violation=violation,
             )
-        k_i = cache.row(i)
-        k_j = cache.row(j)
+        k_i = gram[i]
+        k_j = gram[j]
         curvature = max(k_i[i] + k_j[j] - 2.0 * k_i[j], CURVATURE_FLOOR)
         step = min(
             upper[i] - ya[i],

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from glyphsvm.preprocess import _zhang_suen_pass
-from glyphsvm.svm import decision_value, kernel_eval
+from glyphsvm.svm import decision_value, kernel_against, kernel_eval
 
 GRID_POINTS = 11  # {0, C/10, ..., C}
 
@@ -24,6 +24,14 @@ def kernel_matrix(spec, X):
         for j in range(n):
             K[i, j] = kernel_eval(spec, X[i], X[j])
     return K
+
+
+def reference_gram(spec, X):
+    """The kernel matrix SMO read before the symmetric Gram matrix: row i is
+    `kernel_against(spec, X, X[i])` over all of X, so it need not be
+    symmetric bit for bit (one-vs-one built it per class pair)."""
+    X = np.asarray(X, dtype=np.float64)
+    return np.array([kernel_against(spec, X, x) for x in X]).reshape(len(X), len(X))
 
 
 def dual_objective(alpha, y, K):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from glyphsvm import cli, preprocess
 from glyphsvm.cli import main
 from glyphsvm.features import read_features_csv
-from glyphsvm.model_io import load_model
+from glyphsvm.model_io import load_model, save_model
+from glyphsvm.multiclass import train_one_vs_all
 from glyphsvm.pgm import read_pgm, write_pgm
+from glyphsvm.svm import KernelSpec
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +199,34 @@ def test_preprocess_debug_dumps(tmp_path):
     assert (tmp_path / "desk.pgm").exists()
 
 
+def test_preprocess_dumps_clean_the_page_once(tmp_path, monkeypatch):
+    page = np.full((80, 120), 255, np.uint8)
+    page[30:50, 20:40] = 0
+    page[30:50, 60:100] = 0
+    page_path = tmp_path / "page.pgm"
+    write_pgm(page, page_path)
+    base = ["preprocess", "--input", str(page_path)]
+    assert main(base + ["--out-dir", str(tmp_path / "plain")]) == 0
+
+    calls = {"detect_skew": 0, "median_filter": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(preprocess, name)):
+            calls[_name] += 1
+            return _real(*args)
+        # count calls made through a name imported into the CLI as well
+        for module in (preprocess, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    dumps = ["--dump-binarized", str(tmp_path / "bin.pgm"),
+             "--dump-deskewed", str(tmp_path / "desk.pgm")]
+    assert main(base + ["--out-dir", str(tmp_path / "dumped")] + dumps) == 0
+    assert calls == {"detect_skew": 1, "median_filter": 1}
+    plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert plain == sorted(p.name for p in (tmp_path / "dumped").iterdir()) and plain
+    for name in plain:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "dumped" / name).read_bytes()
+
+
 def test_sigmoid_requires_slope_and_offset(dataset_dir, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(
@@ -253,6 +284,46 @@ def test_unreadable_input_reports_category(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: UnreadableFile:")
+
+
+def assert_one_line_error(capsys, category):
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {category}:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "old, new, category",
+    [
+        (b"strategy ova", b"strategy", "CorruptBlock"),
+        (b"\nclass 1\n", b"\nclass \xff\n", "BadMagic"),
+        (b"\nclass 1\n", b"\nclass zz\n", "CorruptBlock"),
+        (b"label_kind int", b"label_kind float", "CorruptBlock"),
+        (b"\nclass 1\n", b"\nclass \n", "CorruptBlock"),
+        (b"\nclass 1\n", b"\nclass 0\n", "CorruptBlock"),
+    ],
+    ids=["header-without-value", "not-utf8", "int-label-zz", "label-kind-float",
+         "empty-class-id", "repeated-class-id"],
+)
+def test_bad_model_file_is_one_line_error(dataset_dir, tmp_path, capsys, old, new, category):
+    X = np.array([[0.0, 0.0], [0.1, 0.2], [1.0, 1.0], [0.9, 1.1]])
+    model_path = tmp_path / "m.gsvm"
+    save_model(train_one_vs_all(X, [0, 0, 1, 1], KernelSpec(kind="linear"), 1.0), model_path)
+    text = model_path.read_bytes()
+    assert old in text
+    model_path.write_bytes(text.replace(old, new))
+    rc = main(["evaluate", "--model", str(model_path), "--data", str(dataset_dir)])
+    assert rc == 1
+    assert_one_line_error(capsys, category)
+
+
+def test_non_utf8_feature_csv_is_one_line_error(tmp_path, capsys):
+    csv_path = tmp_path / "feats.csv"
+    csv_path.write_bytes(b"label,v1,v2,v3,v4,whr,ep,cp,bp\n\xff,1,2,3,4,1,0,0,0\n")
+    rc = main(["cv", "--data", str(csv_path), "--folds", "2"])
+    assert rc == 1
+    assert_one_line_error(capsys, "UnreadableFile")
 
 
 def test_console_script_installed():

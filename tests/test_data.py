@@ -47,7 +47,7 @@ def test_empty_class_dir(tmp_path):
 
 def test_no_class_dirs(tmp_path):
     with pytest.raises(EmptyClassError):
-        load_dataset(tmp_path, mode="image-dir")
+        load_dataset(tmp_path)
 
 
 def test_uniform_image_is_unreadable(tmp_path):
@@ -69,7 +69,3 @@ def test_csv_mode_inferred(tmp_path, image_root):
     assert np.array_equal(reloaded.vectors, data.vectors)
     assert reloaded.labels == data.labels
 
-
-def test_unknown_mode(tmp_path):
-    with pytest.raises(ValueError):
-        load_dataset(tmp_path, mode="parquet")

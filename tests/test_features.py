@@ -70,8 +70,6 @@ def test_config_counts(cell, n_local, total):
 def test_config_rejects_bad_cell():
     with pytest.raises(ValueError):
         FeatureConfig(cell_px=5)
-    with pytest.raises(ValueError):
-        FeatureConfig(cell_px=4, image_px=64)
 
 
 def test_zones_empty():

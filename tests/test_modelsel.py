@@ -215,6 +215,12 @@ def test_grid_bad_k_raises_before_any_cell():
         grid_search(data, "linear", c_grid=[1.0], k=9, seed=0)
 
 
+def test_grid_unknown_strategy_raises_before_any_cell():
+    data = separable_dataset(np.random.default_rng(25), n_per_class=4)
+    with pytest.raises(InvalidConfigError):
+        grid_search(data, "linear", c_grid=[1.0, 2.0], strategy="ovr", k=2, seed=0)
+
+
 def test_grid_loose_tol_recorded_not_fatal():
     data = separable_dataset(np.random.default_rng(24), n_per_class=8)
     report = grid_search(data, "rbf", c_grid=[1.0], param_grid=[0.5, 2.0], k=4, seed=0, tol=10.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import reference_decision_matrix, reference_label
+from oracles import reference_decision_matrix, reference_gram, reference_label
 
 from glyphsvm.errors import (
     InvalidConfigError,
@@ -19,6 +19,7 @@ from glyphsvm.multiclass import (
     predict_batch,
     predict_ova,
     predict_ovo,
+    train_multiclass,
     train_one_vs_all,
     train_one_vs_one,
 )
@@ -310,3 +311,54 @@ def test_predict_batch_tie_probes_match_per_row_predict():
         assert batch == [predict(model, p) for p in probes]
         reference = reference_decision_matrix(model, probes)
         assert batch == [reference_label(model, v) for v in reference]
+
+
+# --- one kernel matrix against per-problem kernel rows ---------------------------------------
+
+def reference_classifiers(X, labels, strategy, kernel, C):
+    """Every binary problem trained on kernel rows computed over its own
+    samples (`reference_gram`), as before one matrix served all problems."""
+    Xs = MinMaxScaling.fit(X).transform(X)
+    classes = ordered_classes(labels)
+    labels = np.array(labels)
+    if strategy == "ova":
+        problems = [(labels == c, np.ones(len(labels), bool)) for c in classes]
+    else:
+        problems = [
+            (labels == classes[i], (labels == classes[i]) | (labels == classes[j]))
+            for i in range(len(classes))
+            for j in range(i + 1, len(classes))
+        ]
+    out = []
+    for positive, rows in problems:
+        sub_x = Xs[rows]
+        y = np.where(positive[rows], 1.0, -1.0)
+        out.append(train_binary(sub_x, y, kernel, C, gram=reference_gram(kernel, sub_x)))
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
+def test_training_matches_per_problem_kernel_rows(kernel, strategy):
+    rng = np.random.default_rng(22)
+    X = np.vstack([rng.normal(size=(10, 6)) + 1.5 * c for c in range(4)])
+    labels = [c for c in range(4) for _ in range(10)]
+    model = train_multiclass(X, labels, strategy, kernel, 10.0)
+    reference = reference_classifiers(X, labels, strategy, kernel, 10.0)
+    assert len(model.classifiers) == len(reference)
+    for got, want in zip(model.classifiers, reference):
+        assert np.array_equal(got.support_vectors, want.support_vectors)
+        if kernel.kind == "rbf":  # the symmetric matrix repeats its arithmetic exactly
+            assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
+            assert got.bias == want.bias
+            assert got.meta == want.meta
+        else:
+            np.testing.assert_allclose(got.dual_coeffs, want.dual_coeffs, rtol=0, atol=1e-12)
+            assert got.bias == pytest.approx(want.bias, rel=0, abs=1e-12)
+
+
+def test_unknown_strategy_is_invalid_config():
+    rng = np.random.default_rng(23)
+    X, labels = clustered_data(rng, 3, per_class=4)
+    with pytest.raises(InvalidConfigError):
+        train_multiclass(X, labels, "ovr", LINEAR, 1.0)

@@ -1,13 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import booleans, integers, sampled_from
 
 from oracles import dual_objective, kernel_matrix, max_kkt_violation, oracle_best_dual, recover_alpha
 
-from glyphsvm.errors import DimensionMismatchError, NoConvergenceError, SingleClassError
+from glyphsvm.errors import (
+    DimensionMismatchError,
+    InvalidConfigError,
+    NoConvergenceError,
+    SingleClassError,
+)
 from glyphsvm.svm import (
-    KernelCache,
     KernelSpec,
     decision_value,
+    gram_matrix,
+    kernel_against,
     kernel_eval,
     predict_binary,
     train_binary,
@@ -167,25 +177,53 @@ def test_decision_dimension_mismatch():
 
 # --- solver invariants ----------------------------------------------------------------
 
-def test_box_and_equality_constraints():
-    rng = np.random.default_rng(3)
-    for _ in range(15):
-        X, y = random_problem(rng, int(rng.integers(4, 25)))
-        C = float(rng.choice([0.5, 1.0, 10.0, 100.0]))
-        model = train_binary(X, y, KernelSpec(kind="rbf", gamma=0.8), C=C)
-        alpha = np.abs(model.dual_coeffs)
-        assert np.all(alpha >= 0.0) and np.all(alpha <= C)  # exact box
-        assert abs(model.dual_coeffs.sum()) <= 1e-6
-        assert len(model.dual_coeffs) >= 1
+ALL_KERNELS = [
+    LINEAR,
+    KernelSpec(kind="poly", degree=3),
+    KernelSpec(kind="rbf", gamma=0.8),
+    KernelSpec(kind="sigmoid", slope=0.5, offset=-0.2),
+]
 
 
-def test_kkt_within_tolerance():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        X, y = random_problem(rng, 15)
-        for spec in (LINEAR, KernelSpec(kind="rbf", gamma=0.6)):
-            model = train_binary(X, y, spec, C=10.0, tol=1e-3)
-            assert max_kkt_violation(model, X, y, 10.0) <= 1e-3 + 1e-9
+def smo_problem(seed, n, sliced, spec):
+    """A random problem and the kernel matrix to train it with: built from its
+    own samples, or sliced from a larger set's matrix as one-vs-one does."""
+    rng = np.random.default_rng(seed)
+    if not sliced:
+        X, y = random_problem(rng, n)
+        return X, y, gram_matrix(spec, X)
+    X_all, _ = random_problem(rng, 2 * n)
+    rows = np.sort(rng.choice(2 * n, size=n, replace=False))
+    _, y = random_problem(rng, n)
+    return X_all[rows], y, gram_matrix(spec, X_all)[np.ix_(rows, rows)]
+
+
+SMO_CASES = dict(
+    seed=integers(0, 2**32 - 1),
+    n=integers(4, 24),
+    sliced=booleans(),
+    spec=sampled_from(ALL_KERNELS),
+    C=sampled_from([0.5, 1.0, 10.0, 100.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SMO_CASES)
+def test_box_and_equality_constraints(seed, n, sliced, spec, C):
+    X, y, gram = smo_problem(seed, n, sliced, spec)
+    model = train_binary(X, y, spec, C=C, gram=gram)
+    alpha = np.abs(model.dual_coeffs)
+    assert np.all(alpha > 0.0) and np.all(alpha <= C)  # exact box
+    assert abs(model.dual_coeffs.sum()) <= 1e-9 * C * n
+    assert len(model.dual_coeffs) >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SMO_CASES)
+def test_kkt_within_tolerance(seed, n, sliced, spec, C):
+    X, y, gram = smo_problem(seed, n, sliced, spec)
+    model = train_binary(X, y, spec, C=C, tol=1e-3, gram=gram)
+    assert max_kkt_violation(model, X, y, C) <= 1e-3 + 1e-9
 
 
 def test_separable_margin_matches_analytic():
@@ -231,14 +269,32 @@ def test_training_deterministic():
     assert m1.bias == m2.bias
 
 
-def test_cache_size_does_not_change_result():
-    rng = np.random.default_rng(8)
-    X, y = random_problem(rng, 16)
-    spec = KernelSpec(kind="rbf", gamma=0.9)
-    small = train_binary(X, y, spec, C=2.0, cache=KernelCache(spec, X, max_rows=2))
-    large = train_binary(X, y, spec, C=2.0, cache=KernelCache(spec, X, max_rows=1000))
-    assert np.array_equal(small.dual_coeffs, large.dual_coeffs)
-    assert small.bias == large.bias
+# --- kernel matrix ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda k: k.kind)
+def test_gram_matrix_is_symmetric_and_matches_rows(spec):
+    X = np.random.default_rng(8).normal(size=(17, 3))
+    gram = gram_matrix(spec, X)
+    assert np.array_equal(gram, gram.T)
+    for i in range(len(X)):
+        np.testing.assert_allclose(gram[i], kernel_against(spec, X, X[i]), rtol=1e-14, atol=1e-14)
+
+
+def test_gram_budget_refuses_before_allocating():
+    X = np.zeros((11_586, 1))  # 11,586^2 * 8 bytes is just over 1 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfigError):
+            gram_matrix(LINEAR, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_train_rejects_gram_of_wrong_shape():
+    with pytest.raises(DimensionMismatchError):
+        train_binary(XOR_X, XOR_Y, LINEAR, C=1.0, gram=np.eye(3))
 
 
 def test_predict_sign_rule():
