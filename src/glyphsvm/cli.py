@@ -71,7 +71,7 @@ def _write_text(path, text) -> None:
         raise IoFailureError(f"{path}: {exc}") from exc
 
 
-def cmd_datagen(args) -> int:
+def cmd_datagen(parser, args) -> int:
     config = SynthConfig(
         classes=args.classes,
         per_class=args.per_class,
@@ -87,7 +87,7 @@ def cmd_datagen(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(parser, args) -> int:
     threshold, binary, angle, page = clean_page(read_pgm(args.input))
     if args.dump_binarized:
         write_binary_pgm(binary, args.dump_binarized)
@@ -105,7 +105,7 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_features(args) -> int:
+def cmd_features(parser, args) -> int:
     config = FeatureConfig(cell_px=args.grid_cell)
     data = load_dataset(args.data, config=config)
     vectors = [row for row in data.vectors]
@@ -163,7 +163,7 @@ def cmd_gridsearch(parser, args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(parser, args) -> int:
     model = load_model(args.model)
     config = config_for_dimension(model.scaling.dimension, args.model)
     data = load_dataset(args.data, config=config)
@@ -218,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate a synthetic glyph dataset")
+    p.set_defaults(run=cmd_datagen)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--per-class", type=int, default=100)
@@ -229,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translation", type=float, default=3.0)
 
     p = sub.add_parser("preprocess", help="segment a page image into character PGMs")
+    p.set_defaults(run=cmd_preprocess)
     p.add_argument("--input", required=True, help="page image (PGM P2/P5)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--emit", choices=("crop", "normalized", "skeleton"), default="crop")
@@ -236,16 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-deskewed", default=None, help="debug dump path")
 
     p = sub.add_parser("features", help="extract features into a CSV")
+    p.set_defaults(run=cmd_features)
     _add_data_args(p)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("train", help="train a multiclass model")
+    p.set_defaults(run=cmd_train)
     _add_data_args(p)
     _add_kernel_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--strategy", choices=("ova", "ovo"), default="ova")
 
     p = sub.add_parser("gridsearch", help="cross-validated hyperparameter sweep")
+    p.set_defaults(run=cmd_gridsearch)
     _add_data_args(p)
     p.add_argument("--kernel", choices=("linear", "poly", "rbf", "sigmoid"), default="rbf")
     p.add_argument("--c-grid", default=None, help="comma-separated C values")
@@ -258,12 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text-out", default=None)
 
     p = sub.add_parser("evaluate", help="score a saved model on a test set")
+    p.set_defaults(run=cmd_evaluate)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report", default=None, help="write the report here too")
     p.add_argument("--label", default=None, help="row label in the report")
 
     p = sub.add_parser("repeat-eval", help="repeated split/train/test protocol")
+    p.set_defaults(run=cmd_repeat_eval)
     _add_data_args(p)
     _add_kernel_args(p)
     p.add_argument("--strategy", choices=("ova", "ovo"), default="ova")
@@ -274,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("cv", help="k-fold cross-validation of one configuration")
+    p.set_defaults(run=cmd_cv)
     _add_data_args(p)
     _add_kernel_args(p)
     p.add_argument("--strategy", choices=("ova", "ovo"), default="ova")
@@ -287,30 +295,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "datagen":
-            return cmd_datagen(args)
-        if args.command == "preprocess":
-            return cmd_preprocess(args)
-        if args.command == "features":
-            return cmd_features(args)
-        if args.command == "train":
-            return cmd_train(parser, args)
-        if args.command == "gridsearch":
-            return cmd_gridsearch(parser, args)
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
-        if args.command == "repeat-eval":
-            return cmd_repeat_eval(parser, args)
-        if args.command == "cv":
-            return cmd_cv(parser, args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(parser, args)
     except GlyphSvmError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: IoFailure: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MixedDimensionsError, UnreadableFileError, WrongDimensionsError
-from .preprocess import NORMALIZED_SIZE, BoundingBox, CharacterRecord
+from .preprocess import NORMALIZED_SIZE, BoundingBox, CharacterRecord, _neighbors
 
 VALID_CELL_SIZES = (16, 8, 4, 2)
 GLOBAL_FEATURE_COUNT = 4
@@ -82,16 +82,7 @@ def crossing_number(skeleton: np.ndarray) -> np.ndarray:
     circular 8-neighborhood. Background pixels get 0."""
     skeleton = np.asarray(skeleton, dtype=bool)
     padded = np.pad(skeleton, 1, mode="constant", constant_values=False).astype(np.int8)
-    ring = (
-        padded[:-2, 1:-1],
-        padded[:-2, 2:],
-        padded[1:-1, 2:],
-        padded[2:, 2:],
-        padded[2:, 1:-1],
-        padded[2:, :-2],
-        padded[1:-1, :-2],
-        padded[:-2, :-2],
-    )
+    ring = _neighbors(padded)
     t = np.zeros(skeleton.shape, dtype=np.int32)
     for i in range(8):
         t += (ring[i] == 0) & (ring[(i + 1) % 8] == 1)

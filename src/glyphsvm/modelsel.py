@@ -99,14 +99,7 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     if k < 2 or k > n:
         raise BadKError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        folds.append(np.sort(perm[start : start + size]))
-        start += size
-    return folds
+    return [np.sort(fold) for fold in np.array_split(perm, k)]
 
 
 def accuracy_of(model: MulticlassModel, data: Dataset) -> float:
@@ -202,7 +195,11 @@ def default_param_grid(kernel_kind: str):
         return list(DEFAULT_DEGREE_GRID)
     if kernel_kind == "linear":
         return [None]
-    raise ValueError("sigmoid has no default parameter grid; pass (slope, offset) pairs")
+    if kernel_kind == "sigmoid":
+        raise InvalidConfigError(
+            "sigmoid has no default parameter grid; pass (slope, offset) pairs"
+        )
+    raise InvalidConfigError(f"unknown kernel kind {kernel_kind!r}")
 
 
 def grid_search(
@@ -221,29 +218,28 @@ def grid_search(
     Scan order is C ascending, then gamma descending / degree ascending; the
     reported best is the first entry attaining the maximum accuracy. A cell
     whose evaluation raises is recorded with accuracy 0 and its error tag
-    rather than aborting the sweep; an unknown strategy or a fold count that
-    fits no sweep raises before any cell runs.
+    rather than aborting the sweep; an unknown strategy or kernel kind, a
+    kernel parameter of the wrong form, or a fold count that fits no sweep
+    raises before any cell runs.
     """
     c_values = sorted(float(c) for c in (c_grid if c_grid is not None else DEFAULT_C_GRID))
-    if param_grid is None:
-        params = default_param_grid(kernel_kind)
-    else:
-        params = list(param_grid)
-        if kernel_kind == "rbf":
-            params = sorted((float(p) for p in params), reverse=True)
-        elif kernel_kind == "poly":
-            params = sorted(int(p) for p in params)
+    params = default_param_grid(kernel_kind) if param_grid is None else list(param_grid)
     if not c_values or not params:
         raise InvalidConfigError("grids must be nonempty")
     if strategy not in STRATEGIES:
         raise InvalidConfigError(f"unknown strategy {strategy!r}")
     kfold_split(len(data), k, seed)
+    specs = [KernelSpec.from_param(kernel_kind, p) for p in params]
+    if kernel_kind == "rbf":
+        params = sorted((spec.gamma for spec in specs), reverse=True)
+    elif kernel_kind == "poly":
+        params = sorted(spec.degree for spec in specs)
 
     entries: list[GridEntry] = []
     for C in c_values:
         for param in params:
+            spec = KernelSpec.from_param(kernel_kind, param)
             try:
-                spec = KernelSpec.from_param(kernel_kind, param)
                 acc = cross_validate(
                     data, spec, C, strategy=strategy, k=k, seed=seed,
                     tol=tol, max_iter=max_iter,

@@ -63,19 +63,36 @@ class KernelSpec:
     @classmethod
     def from_param(cls, kind: str, param=None) -> "KernelSpec":
         """Build a spec from its one tunable parameter: gamma (rbf), degree
-        (poly), a (slope, offset) pair (sigmoid) or None (linear)."""
+        (poly), a (slope, offset) pair (sigmoid) or None (linear). A gamma,
+        slope or offset that is not a number, or a degree that is not a whole
+        number, is InvalidConfigError."""
         if kind == "rbf":
-            return cls(kind, gamma=float(param))
+            return cls(kind, gamma=_number(param, float))
         if kind == "poly":
-            return cls(kind, degree=int(param))
+            return cls(kind, degree=_number(param, int))
         if kind == "sigmoid":
             slope, offset = param
-            return cls(kind, slope=float(slope), offset=float(offset))
+            return cls(kind, slope=_number(slope, float), offset=_number(offset, float))
         return cls(kind)
 
     def describe(self) -> str:
         params = [f"{n}={getattr(self, n)}" for n in KERNEL_PARAMS[self.kind]]
         return " ".join([self.kind] + params)
+
+
+def _number(value, cast):
+    """`cast(value)` for `cast` float or int; InvalidConfigError unless the
+    result equals the value, so text that is no number and a fractional
+    degree are refused rather than truncated."""
+    try:
+        number = cast(value)
+        exact = number == float(value)
+    except (TypeError, ValueError):
+        exact = False
+    if not exact:
+        kind = "a whole number" if cast is int else "a number"
+        raise InvalidConfigError(f"kernel parameter {value!r} is not {kind}")
+    return number
 
 
 def kernel_against(spec: KernelSpec, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:

@@ -11,7 +11,12 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from glyphsvm.preprocess import _zhang_suen_pass
+from glyphsvm.preprocess import (
+    MAX_SKEW_DEG,
+    _inverse_map,
+    _rotated_extent,
+    _zhang_suen_pass,
+)
 from glyphsvm.svm import decision_value, kernel_against, kernel_eval
 
 GRID_POINTS = 11  # {0, C/10, ..., C}
@@ -250,3 +255,42 @@ def reference_thin(img):
                 changed = True
         if not changed:
             return img
+
+
+def _rotate_nearest(img, angle_deg):
+    """Rotate a binary image about its center, nearest-neighbor sampling."""
+    src_y, src_x = _inverse_map(img.shape, img.shape, angle_deg)
+    iy = np.rint(src_y).astype(np.int64)
+    ix = np.rint(src_x).astype(np.int64)
+    inside = (iy >= 0) & (iy < img.shape[0]) & (ix >= 0) & (ix < img.shape[1])
+    out = np.zeros(img.shape, dtype=bool)
+    out[inside] = img[iy[inside], ix[inside]]
+    return out
+
+
+def reference_detect_skew(page):
+    """Skew by rotating the whole page: pad it to its 15-degree extent, undo
+    each candidate angle with nearest-neighbour sampling and maximize the
+    variance of the row profile. Same sweeps and tie order as the package."""
+    pad_shape = _rotated_extent(*page.shape, MAX_SKEW_DEG)
+    canvas = np.zeros(pad_shape, dtype=bool)
+    oy = (pad_shape[0] - page.shape[0]) // 2
+    ox = (pad_shape[1] - page.shape[1]) // 2
+    canvas[oy : oy + page.shape[0], ox : ox + page.shape[1]] = page
+
+    def score(tenths):
+        rotated = _rotate_nearest(canvas, -tenths / 10.0)
+        return float(np.var(rotated.sum(axis=1, dtype=np.int64)))
+
+    def sweep(candidates):
+        ordered = sorted(candidates, key=lambda t: (abs(t), t >= 0 and t != 0))
+        best, best_score = None, -1.0
+        for t in ordered:
+            s = score(t)
+            if s > best_score:
+                best, best_score = t, s
+        return best
+
+    coarse = sweep(range(-150, 151, 5))
+    fine = sweep(range(max(coarse - 5, -150), min(coarse + 5, 150) + 1))
+    return fine / 10.0

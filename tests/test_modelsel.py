@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glyphsvm import modelsel
 from glyphsvm.errors import (
     BadKError,
     DegenerateSplitError,
@@ -266,6 +267,27 @@ def test_grid_sigmoid_needs_explicit_pairs():
     )
     assert len(report.entries) == 1
     assert report.entries[0].param == (0.01, -0.5)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("rbg", None),
+        ("rbg", [0.5]),
+        ("sigmoid", None),
+        ("rbf", ["abc"]),
+        ("rbf", [0.5, None]),
+        ("poly", [2.5]),
+        ("poly", [3, "two"]),
+    ],
+)
+def test_grid_bad_kernel_raises_before_any_cell(kind, params, monkeypatch):
+    data = separable_dataset(np.random.default_rng(26), n_per_class=4)
+    cells = []
+    monkeypatch.setattr(modelsel, "cross_validate", lambda *args, **kw: cells.append(args))
+    with pytest.raises(InvalidConfigError):
+        grid_search(data, kind, c_grid=[1.0], param_grid=params, k=2, seed=0)
+    assert cells == []
 
 
 # --- evaluation -----------------------------------------------------------------------

@@ -29,8 +29,9 @@ from glyphsvm.preprocess import (
     zhang_suen,
     _cubic_kernel,
 )
+from glyphsvm.synth import SynthConfig, render_sample
 
-from oracles import reference_thin
+from oracles import reference_detect_skew, reference_thin
 
 # --- independent oracles ----------------------------------------------------
 
@@ -235,6 +236,36 @@ def test_detect_skew_horizontal_is_zero():
 def test_detect_skew_roundtrip(theta):
     rotated = rotate_bicubic(bar_page(), theta)
     assert abs(detect_skew(rotated) - theta) <= 0.5
+
+
+def glyph_page(seed):
+    """Two lines of five seeded glyphs, rotated by a seeded angle in +/-10
+    degrees; returns the page and the angle."""
+    rng = np.random.default_rng(seed)
+    config = SynthConfig(classes=10, per_class=1, seed=seed, noise_rate=0.0)
+    ink = np.zeros((2 * 80 + 32, 5 * 68 + 32), dtype=bool)
+    for k in range(10):
+        top, left = 16 + (k // 5) * 80, 16 + (k % 5) * 68
+        ink[top : top + 64, left : left + 64] = render_sample(config, int(rng.integers(10)), k) == 0
+    theta = float(rng.uniform(-10.0, 10.0))
+    return rotate_bicubic(ink, theta), theta
+
+
+def assert_skew_as_close_as_reference(page, theta):
+    """The ink projection may land on another 0.1-degree step than rotating
+    the whole page, but never more than 0.2 degrees farther from the truth."""
+    found, reference = detect_skew(page), reference_detect_skew(page)
+    assert abs(found - theta) <= abs(reference - theta) + 0.2 + 1e-9, (found, reference)
+
+
+@pytest.mark.parametrize("theta", [0.0, -5.0, 5.0, -10.0, 10.0, -12.0, 12.0])
+def test_detect_skew_bar_page_against_reference(theta):
+    assert_skew_as_close_as_reference(rotate_bicubic(bar_page(), theta), theta)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_detect_skew_glyph_page_against_reference(seed):
+    assert_skew_as_close_as_reference(*glyph_page(seed))
 
 
 def test_detect_skew_empty_page():
