@@ -131,7 +131,7 @@ class InvalidConfigError(GlyphSvmError, ValueError):
 
 
 class NonFiniteInputError(GlyphSvmError, ValueError):
-    """A feature vector holds NaN or infinity (also a ValueError)."""
+    """A feature vector or an image holds NaN or infinity (also a ValueError)."""
 
     category = "NonFiniteInput"
 

@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MixedDimensionsError, UnreadableFileError, WrongDimensionsError
-from .preprocess import NORMALIZED_SIZE, BoundingBox, CharacterRecord, _neighbors
+from .preprocess import (
+    NORMALIZED_SIZE, TRANSITIONS, BoundingBox, CharacterRecord, neighbor_codes
+)
 
 VALID_CELL_SIZES = (16, 8, 4, 2)
 GLOBAL_FEATURE_COUNT = 4
@@ -81,13 +83,7 @@ def crossing_number(skeleton: np.ndarray) -> np.ndarray:
     """Rutovitz crossing number per pixel: 0-to-1 transitions around the
     circular 8-neighborhood. Background pixels get 0."""
     skeleton = np.asarray(skeleton, dtype=bool)
-    padded = np.pad(skeleton, 1, mode="constant", constant_values=False).astype(np.int8)
-    ring = _neighbors(padded)
-    t = np.zeros(skeleton.shape, dtype=np.int32)
-    for i in range(8):
-        t += (ring[i] == 0) & (ring[(i + 1) % 8] == 1)
-    t[~skeleton] = 0
-    return t
+    return np.where(skeleton, TRANSITIONS[neighbor_codes(skeleton)], 0)
 
 
 def skeleton_topology(skeleton: np.ndarray) -> tuple[int, int, int]:
@@ -96,13 +92,8 @@ def skeleton_topology(skeleton: np.ndarray) -> tuple[int, int, int]:
     A foreground pixel is an endpoint at crossing number 1, a branch point
     at 3, and a cross point at 4 or more.
     """
-    skeleton = _check_skeleton(skeleton)
-    t = crossing_number(skeleton)
-    fg = skeleton
-    endpoints = int(np.count_nonzero(fg & (t == 1)))
-    branch_points = int(np.count_nonzero(fg & (t == 3)))
-    cross_points = int(np.count_nonzero(fg & (t >= 4)))
-    return endpoints, branch_points, cross_points
+    counts = np.bincount(crossing_number(_check_skeleton(skeleton)).ravel(), minlength=5)
+    return int(counts[1]), int(counts[3]), int(counts[4:].sum())
 
 
 def extract_features(record: CharacterRecord, config: FeatureConfig) -> FeatureVector:

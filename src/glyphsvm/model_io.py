@@ -134,9 +134,12 @@ class _Reader:
                 f"{self.path}: '{expect}' holds {len(raw)} values, expected {count}"
             )
         try:
-            return np.array([float(v) for v in raw], dtype=np.float64)
+            values = np.array([float(v) for v in raw], dtype=np.float64)
         except ValueError:
             raise CorruptBlockError(f"{self.path}: non-numeric value in '{expect}'") from None
+        if not np.isfinite(values).all():
+            raise CorruptBlockError(f"{self.path}: non-finite value in '{expect}'")
+        return values
 
 
 def _parse_int(reader: _Reader, expect: str) -> int:

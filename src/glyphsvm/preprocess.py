@@ -16,6 +16,7 @@ from .errors import (
     AngleOutOfRangeError,
     EmptyCropError,
     EmptyPageError,
+    NonFiniteInputError,
     UniformImageError,
     WrongDimensionsError,
 )
@@ -64,7 +65,9 @@ def _check_gray(img: np.ndarray) -> np.ndarray:
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise WrongDimensionsError("expected a 2-D grayscale image")
     if img.dtype != np.uint8:
-        if img.size and (img.min() < 0 or img.max() > 255):
+        if not np.isfinite(img).all():
+            raise NonFiniteInputError("intensities must be finite")
+        if img.min() < 0 or img.max() > 255:
             raise ValueError("intensities must lie in [0, 255]")
         img = img.astype(np.uint8)
     return img
@@ -153,29 +156,25 @@ def _inverse_map(out_shape, in_shape, angle_deg: float):
     return src_y, src_x
 
 
+def _taps(centers: np.ndarray):
+    """(unclamped index, Keys kernel weight) of each of the 4 taps around `centers`."""
+    base = np.floor(centers).astype(np.int64)
+    for tap in range(-1, 3):
+        idx = base + tap
+        yield idx, _cubic_kernel(centers - idx)
+
+
 def _bicubic_gather(src: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) -> np.ndarray:
     """Evaluate Keys bicubic interpolation of `src` (float) at fractional coords.
 
-    Samples outside the source read as 0 (background).
+    Samples outside the source read as 0: taps clamp onto a ring of zeros.
     """
-    pad = 2
-    padded = np.pad(src, pad, mode="constant", constant_values=0.0)
-    base_y = np.floor(src_y).astype(np.int64)
-    base_x = np.floor(src_x).astype(np.int64)
+    padded = np.pad(src, 1)
     acc = np.zeros(src_y.shape, dtype=np.float64)
-    for dy in range(-1, 3):
-        ty = base_y + dy
-        wy = _cubic_kernel(src_y - ty)
-        pyv = np.clip(ty + pad, 0, padded.shape[0] - 1)
-        row_ok = (ty + pad >= 0) & (ty + pad <= padded.shape[0] - 1)
-        for dx in range(-1, 3):
-            tx = base_x + dx
-            wx = _cubic_kernel(src_x - tx)
-            pxv = np.clip(tx + pad, 0, padded.shape[1] - 1)
-            col_ok = (tx + pad >= 0) & (tx + pad <= padded.shape[1] - 1)
-            vals = padded[pyv, pxv]
-            vals = np.where(row_ok & col_ok, vals, 0.0)
-            acc += wy * wx * vals
+    for ty, wy in _taps(src_y):
+        rows = np.clip(ty, -1, src.shape[0]) + 1
+        for tx, wx in _taps(src_x):
+            acc += wy * wx * padded[rows, np.clip(tx, -1, src.shape[1]) + 1]
     return acc
 
 
@@ -351,12 +350,9 @@ def _resample_axis(values: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     in_len = values.shape[axis]
     scale = in_len / out_len
     centers = (np.arange(out_len) + 0.5) * scale - 0.5
-    base = np.floor(centers).astype(np.int64)
     moved = np.moveaxis(values, axis, 0)
     acc = np.zeros((out_len,) + moved.shape[1:], dtype=np.float64)
-    for tap in range(-1, 3):
-        idx = base + tap
-        w = _cubic_kernel(centers - idx)
+    for idx, w in _taps(centers):
         idx = np.clip(idx, 0, in_len - 1)
         acc += w.reshape((-1,) + (1,) * (moved.ndim - 1)) * moved[idx]
     return np.moveaxis(acc, 0, axis)
@@ -378,32 +374,41 @@ def normalize_size(crop: np.ndarray) -> np.ndarray:
     return field >= 0.5
 
 
-def _neighbors(padded: np.ndarray):
-    """The 8 neighbor planes in circular order N, NE, E, SE, S, SW, W, NW."""
-    return (
-        padded[:-2, 1:-1],
-        padded[:-2, 2:],
-        padded[1:-1, 2:],
-        padded[2:, 2:],
-        padded[2:, 1:-1],
-        padded[2:, :-2],
-        padded[1:-1, :-2],
-        padded[:-2, :-2],
-    )
+# (row, column) of the neighbors N, NE, E, SE, S, SW, W, NW in a 3x3 window
+_RING = ((0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0))
+
+
+def neighbor_codes(img: np.ndarray) -> np.ndarray:
+    """One uint8 per pixel whose bit k is set when neighbor k of `_RING` is
+    ink. Neighbors off the image count as background."""
+    h, w = img.shape
+    canvas = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    canvas[1:-1, 1:-1] = img
+    return sum(canvas[r : r + h, c : c + w] << k for k, (r, c) in enumerate(_RING))
+
+
+def _rule_tables():
+    """Every 8-neighborhood rule, evaluated once over all 256 codes.
+
+    TRANSITIONS[code] is the Rutovitz crossing number, the 0-to-1 transitions
+    around the circular neighborhood; _DELETABLE[second][code] is the
+    Zhang-Suen deletion test of the first or second subiteration.
+    """
+    p2, p3, p4, p5, p6, p7, p8, p9 = bits = (np.arange(256) >> np.arange(8)[:, None]) & 1
+    transitions = ((bits == 0) & (np.roll(bits, -1, axis=0) == 1)).sum(axis=0, dtype=np.int32)
+    b = bits.sum(axis=0)
+    thinnable = (b >= 2) & (b <= 6) & (transitions == 1)
+    first = thinnable & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    second = thinnable & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    return transitions, (first, second)
+
+
+TRANSITIONS, _DELETABLE = _rule_tables()
 
 
 def _zhang_suen_pass(img: np.ndarray, second: bool) -> np.ndarray:
     """Deletion mask for one Zhang-Suen subiteration."""
-    padded = np.pad(img, 1, mode="constant", constant_values=False).astype(np.uint8)
-    p2, p3, p4, p5, p6, p7, p8, p9 = _neighbors(padded)
-    seq = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
-    b = sum(int_plane.astype(np.int32) for int_plane in seq[:-1])
-    a = sum(((seq[i] == 0) & (seq[i + 1] == 1)).astype(np.int32) for i in range(8))
-    if not second:
-        cond = (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-    else:
-        cond = (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-    return img & (b >= 2) & (b <= 6) & (a == 1) & cond
+    return img & _DELETABLE[second][neighbor_codes(img)]
 
 
 def _protect_vanishing(img: np.ndarray, deletions: np.ndarray) -> np.ndarray:
@@ -416,8 +421,7 @@ def _protect_vanishing(img: np.ndarray, deletions: np.ndarray) -> np.ndarray:
     neighbour. Components are labelled only in that case.
     """
     survivors = img & ~deletions
-    near = np.logical_or.reduce(_neighbors(np.pad(survivors, 1)))
-    if not np.any(deletions & ~near):
+    if not np.any(deletions & (neighbor_codes(survivors) == 0)):
         return deletions
     labels, count = label_components(img)
     alive = np.bincount(labels[survivors], minlength=count + 1)

@@ -227,6 +227,55 @@ def reference_label(model, values):
     return model.class_ids[best]
 
 
+# (row, column) of the neighbours N, NE, E, SE, S, SW, W, NW in a 3x3 window
+RING_OFFSETS = ((0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0))
+
+
+def neighborhood_images():
+    """(code, image) for every 3x3 image: bit k of `code` inks neighbour k of
+    RING_OFFSETS, and each code comes with the centre clear, then inked."""
+    for code in range(256):
+        for centre in (False, True):
+            img = np.zeros((3, 3), dtype=bool)
+            for k, (r, c) in enumerate(RING_OFFSETS):
+                img[r, c] = bool(code >> k & 1)
+            img[1, 1] = centre
+            yield code, img
+
+
+def _neighbour_planes(img):
+    """The 8 neighbour planes of a binary image as uint8, zero off the image."""
+    padded = np.pad(img, 1, mode="constant", constant_values=False).astype(np.uint8)
+    h, w = img.shape
+    return tuple(padded[r : r + h, c : c + w] for r, c in RING_OFFSETS)
+
+
+def reference_zhang_suen_pass(img, second):
+    """Zhang-Suen deletion mask by whole-image arithmetic on the neighbour
+    planes: 2 <= B <= 6 ink neighbours, A == 1 0-to-1 transitions, and the
+    two products of the subiteration."""
+    p2, p3, p4, p5, p6, p7, p8, p9 = _neighbour_planes(img)
+    seq = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
+    b = sum(plane.astype(np.int32) for plane in seq[:-1])
+    a = sum(((seq[i] == 0) & (seq[i + 1] == 1)).astype(np.int32) for i in range(8))
+    if not second:
+        cond = (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    else:
+        cond = (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    return img & (b >= 2) & (b <= 6) & (a == 1) & cond
+
+
+def reference_crossing_number(skeleton):
+    """Rutovitz crossing number per ink pixel by summing the transitions of
+    adjacent neighbour planes; background pixels get 0."""
+    ring = _neighbour_planes(skeleton)
+    t = np.zeros(skeleton.shape, dtype=np.int32)
+    for i in range(8):
+        t += (ring[i] == 0) & (ring[(i + 1) % 8] == 1)
+    t[~skeleton] = 0
+    return t
+
+
 def reference_protect_vanishing(img, deletions):
     """Keep the first raster pixel of any component a thinning pass would
     delete entirely, checking every component's mask against the deletions."""

@@ -318,6 +318,26 @@ def test_bad_model_file_is_one_line_error(dataset_dir, tmp_path, capsys, old, ne
     assert_one_line_error(capsys, category)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sv", "nan"), ("coeffs", "nan"), ("bias", "nan"), ("scaling_max", "nan"),
+     ("scaling_min", "-inf"), ("C", "inf")],
+)
+def test_non_finite_model_value_is_one_line_error(dataset_dir, tmp_path, capsys, field, value):
+    # a NaN coefficient used to load and make every decision value NaN
+    model_path = tmp_path / "m.gsvm"
+    args = ["--data", str(dataset_dir), "--model", str(model_path)]
+    assert main(["train", "--kernel", "linear", "--c", "4"] + args) == 0
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(field + " "))
+    tokens = lines[row].split()
+    lines[row] = " ".join([field, value] + tokens[2:])
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate"] + args) == 1
+    assert_one_line_error(capsys, "CorruptBlock")
+
+
 def test_non_utf8_feature_csv_is_one_line_error(tmp_path, capsys):
     csv_path = tmp_path / "feats.csv"
     csv_path.write_bytes(b"label,v1,v2,v3,v4,whr,ep,cp,bp\n\xff,1,2,3,4,1,0,0,0\n")

@@ -6,6 +6,7 @@ from glyphsvm.features import (
     FeatureConfig,
     FeatureVector,
     aspect_ratio,
+    crossing_number,
     csv_header,
     extract_features,
     local_zone_features,
@@ -14,6 +15,8 @@ from glyphsvm.features import (
     write_features_csv,
 )
 from glyphsvm.preprocess import BoundingBox, CharacterRecord, thin, zhang_suen
+
+from oracles import neighborhood_images, reference_crossing_number
 
 
 def crossing_number_oracle(img, r, c):
@@ -176,6 +179,22 @@ def test_topology_matches_oracle_on_random_curves():
     for _ in range(50):
         img = random_thin_curve(rng)
         assert skeleton_topology(img) == topology_oracle(img)
+
+
+def test_crossing_number_table_matches_references():
+    rng = np.random.default_rng(43)
+    images = [img for _, img in neighborhood_images()]
+    images += [rng.random((32, 32)) < density for density in np.linspace(0.05, 0.95, 10)]
+    for img in images:
+        t = crossing_number(img)
+        assert t.dtype == np.int32
+        assert np.array_equal(t, reference_crossing_number(img))
+        rows, cols = img.shape
+        expected = [
+            [crossing_number_oracle(img, r, c) if img[r, c] else 0 for c in range(cols)]
+            for r in range(rows)
+        ]
+        assert np.array_equal(t, expected)
 
 
 # --- assembled vector ------------------------------------------------------------

@@ -10,6 +10,7 @@ from glyphsvm.errors import (
     AngleOutOfRangeError,
     EmptyCropError,
     EmptyPageError,
+    NonFiniteInputError,
     UniformImageError,
     WrongDimensionsError,
 )
@@ -19,6 +20,7 @@ from glyphsvm.preprocess import (
     detect_skew,
     label_components,
     median_filter,
+    neighbor_codes,
     normalize_size,
     otsu_binarize,
     preprocess_page,
@@ -27,11 +29,18 @@ from glyphsvm.preprocess import (
     segment_lines,
     thin,
     zhang_suen,
+    _bicubic_gather,
     _cubic_kernel,
+    _zhang_suen_pass,
 )
 from glyphsvm.synth import SynthConfig, render_sample
 
-from oracles import reference_detect_skew, reference_thin
+from oracles import (
+    neighborhood_images,
+    reference_detect_skew,
+    reference_thin,
+    reference_zhang_suen_pass,
+)
 
 # --- independent oracles ----------------------------------------------------
 
@@ -183,6 +192,17 @@ def test_median_no_new_intensities():
     img = rng.choice(np.array([3, 90, 200], np.uint8), size=(10, 10))
     out = median_filter(img)
     assert set(np.unique(out)) <= set(np.unique(img))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stage", [median_filter, otsu_binarize, preprocess_page])
+def test_non_finite_pixel_is_rejected(stage, bad):
+    # a NaN used to cast to uint8 with only a RuntimeWarning and read as ink
+    gray = np.full((6, 6), 200.0)
+    gray[1:4, 1:4] = 20.0
+    gray[2, 2] = bad
+    with pytest.raises(NonFiniteInputError):
+        stage(gray)
 
 
 # --- otsu -------------------------------------------------------------------
@@ -491,6 +511,14 @@ def test_normalize_empty_crop():
         normalize_size(np.zeros((5, 5), dtype=bool))
 
 
+def test_bicubic_gather_far_outside_reads_zero():
+    src = np.ones((5, 7))
+    ys = np.array([[-50.0, 1e4, 2.0, -50.0, 1e4, 2.0, -2.0]])
+    xs = np.array([[3.0, 3.0, -50.0, 1e4, 1e4, 3.0, 3.0]])
+    expected = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+    assert np.array_equal(_bicubic_gather(src, ys, xs), expected)
+
+
 # --- thinning ----------------------------------------------------------------
 
 def test_thin_requires_32x32():
@@ -571,6 +599,22 @@ def test_zhang_suen_matches_oracle_on_blobs():
         assert np.array_equal(zhang_suen(img), oracle)
         checked += 1
     assert checked >= 20
+
+
+def test_neighbor_codes_read_each_neighbourhood():
+    for code, img in neighborhood_images():
+        assert neighbor_codes(img).dtype == np.uint8
+        assert neighbor_codes(img)[1, 1] == code
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_deletion_table_matches_plane_arithmetic(second):
+    rng = np.random.default_rng(41)
+    images = [img for _, img in neighborhood_images()]
+    images += [rng.random((32, 32)) < density for density in np.linspace(0.05, 0.95, 40)]
+    for img in images:
+        expected = reference_zhang_suen_pass(img, second)
+        assert np.array_equal(_zhang_suen_pass(img, second), expected)
 
 
 # --- page pipeline ------------------------------------------------------------
