@@ -212,6 +212,8 @@ def load_model(path) -> MulticlassModel:
         raise CorruptBlockError(f"{path}: bad dims {dims}")
     mins = reader.next_floats("scaling_min", dims)
     maxs = reader.next_floats("scaling_max", dims)
+    if np.any(maxs < mins):
+        raise CorruptBlockError(f"{path}: scaling_max is below scaling_min")
     n_classifiers = _parse_int(reader, "classifiers")
     expected = n_classes if strategy == "ova" else n_classes * (n_classes - 1) // 2
     if n_classifiers != expected:

@@ -21,6 +21,7 @@ from .multiclass import (
     ordered_classes,
     predict_batch,
     train_multiclass,
+    train_multiclass_c_grid,
 )
 from .svm import KernelSpec
 
@@ -107,6 +108,38 @@ def accuracy_of(model: MulticlassModel, data: Dataset) -> float:
     return sum(p == lb for p, lb in zip(predicted, data.labels)) / len(data)
 
 
+def _fold_parts(data: Dataset, k: int, seed: int):
+    """(training side, held-out side) of each of the k seeded folds, in order."""
+    all_idx = np.arange(len(data))
+    for fold in kfold_split(len(data), k, seed):
+        held = np.zeros(len(data), dtype=bool)
+        held[fold] = True
+        yield data.subset(all_idx[~held]), data.subset(all_idx[held])
+
+
+def _fold_results(train_part, test_part, strategy, kernel, c_values, tol, max_iter) -> list:
+    """Train on one fold's training side at every C of `c_values` over one
+    kernel matrix and score each model on the held-out side.
+
+    Gives, per C, (accuracy, SMO pair updates, scaling record) or the
+    GlyphSvmError its training raised. Each C's model is dropped before the
+    next one is packaged.
+    """
+    if len(set(train_part.labels)) < 2:
+        raise FoldDegenerateError("a fold leaves fewer than two classes on the training side")
+    results = []
+    for model in train_multiclass_c_grid(
+        train_part.vectors, train_part.labels, strategy, kernel, c_values, tol, max_iter
+    ):
+        if isinstance(model, GlyphSvmError):
+            results.append(model)
+        else:
+            iterations = sum(clf.meta.iterations for clf in model.classifiers)
+            results.append((accuracy_of(model, test_part), iterations, model.scaling))
+        del model
+    return results
+
+
 def cross_validate(
     data: Dataset,
     kernel: KernelSpec,
@@ -121,28 +154,19 @@ def cross_validate(
     """Mean held-out accuracy over k folds.
 
     Feature scaling is refitted inside every fold on its training side only,
-    which `train_multiclass` does by construction, so no statistics leak from
-    the held-out samples. With `return_details` the per-fold accuracies and
-    scaling records are returned alongside the mean.
+    which `train_multiclass_c_grid` does by construction, so no statistics
+    leak from the held-out samples. With `return_details` the per-fold
+    accuracies and scaling records are returned alongside the mean.
     """
-    folds = kfold_split(len(data), k, seed)
-    all_idx = np.arange(len(data))
     fold_acc = []
     fold_scaling = []
-    for fold in folds:
-        held = np.zeros(len(data), dtype=bool)
-        held[fold] = True
-        train_part = data.subset(all_idx[~held])
-        test_part = data.subset(all_idx[held])
-        if len(set(train_part.labels)) < 2:
-            raise FoldDegenerateError(
-                "a fold leaves fewer than two classes on the training side"
-            )
-        model = train_multiclass(
-            train_part.vectors, train_part.labels, strategy, kernel, C, tol, max_iter
-        )
-        fold_acc.append(accuracy_of(model, test_part))
-        fold_scaling.append(model.scaling)
+    for train_part, test_part in _fold_parts(data, k, seed):
+        (result,) = _fold_results(train_part, test_part, strategy, kernel, [C], tol, max_iter)
+        if isinstance(result, GlyphSvmError):
+            raise result
+        accuracy, _, scaling = result
+        fold_acc.append(accuracy)
+        fold_scaling.append(scaling)
     mean = float(np.mean(fold_acc))
     if return_details:
         return mean, fold_acc, fold_scaling
@@ -160,6 +184,8 @@ class GridEntry:
     param: object
     accuracy: float
     error: str | None = None
+    # SMO pair updates summed over the cell's folds and binary problems
+    iterations: int = 0
 
 
 @dataclass
@@ -229,26 +255,46 @@ def grid_search(
     if strategy not in STRATEGIES:
         raise InvalidConfigError(f"unknown strategy {strategy!r}")
     kfold_split(len(data), k, seed)
-    specs = [KernelSpec.from_param(kernel_kind, p) for p in params]
+    specs = [KernelSpec.from_param(kernel_kind, param) for param in params]
     if kernel_kind == "rbf":
         params = sorted((spec.gamma for spec in specs), reverse=True)
     elif kernel_kind == "poly":
         params = sorted(spec.degree for spec in specs)
 
-    entries: list[GridEntry] = []
-    for C in c_values:
-        for param in params:
-            spec = KernelSpec.from_param(kernel_kind, param)
+    # one kernel matrix per (param, fold) serves every C of the grid; a cell
+    # stops training at its first failing fold and keeps that fold's error
+    cells = {}
+    for p, param in enumerate(params):
+        spec = KernelSpec.from_param(kernel_kind, param)
+        fold_acc = [[] for _ in c_values]
+        iterations = [0] * len(c_values)
+        errors: list[str | None] = [None] * len(c_values)
+        for train_part, test_part in _fold_parts(data, k, seed):
+            alive = [c for c, error in enumerate(errors) if error is None]
+            if not alive:
+                break
             try:
-                acc = cross_validate(
-                    data, spec, C, strategy=strategy, k=k, seed=seed,
-                    tol=tol, max_iter=max_iter,
+                results = _fold_results(
+                    train_part, test_part, strategy, spec,
+                    [c_values[c] for c in alive], tol, max_iter,
                 )
-                entries.append(GridEntry(C=C, param=param, accuracy=acc))
             except GlyphSvmError as exc:
-                entries.append(
-                    GridEntry(C=C, param=param, accuracy=0.0, error=exc.category)
+                results = [exc] * len(alive)
+            for c, result in zip(alive, results):
+                if isinstance(result, GlyphSvmError):
+                    errors[c] = result.category
+                else:
+                    fold_acc[c].append(result[0])
+                    iterations[c] += result[1]
+        for c, C in enumerate(c_values):
+            if errors[c] is None:
+                cells[c, p] = GridEntry(
+                    C=C, param=param, accuracy=float(np.mean(fold_acc[c])),
+                    iterations=iterations[c],
                 )
+            else:
+                cells[c, p] = GridEntry(C=C, param=param, accuracy=0.0, error=errors[c])
+    entries = [cells[c, p] for c in range(len(c_values)) for p in range(len(params))]
     best = entries[0]
     for e in entries[1:]:
         if e.accuracy > best.accuracy:

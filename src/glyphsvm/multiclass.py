@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    GlyphSvmError,
     InvalidConfigError,
     NoConvergenceError,
     NonFiniteInputError,
@@ -19,9 +21,10 @@ from .svm import (
     DEFAULT_TOL,
     BinaryModel,
     KernelSpec,
+    binary_model,
     decision_values,
     gram_matrix,
-    train_binary,
+    solve_smo,
 )
 
 
@@ -108,12 +111,37 @@ def train_multiclass(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> MulticlassModel:
     """Train every binary problem of a one-vs-all ("ova") or one-vs-one
-    ("ovo") reduction over one kernel matrix of the scaled samples.
+    ("ovo") reduction over one kernel matrix of the scaled samples: a
+    one-C call of `train_multiclass_c_grid`."""
+    (model,) = train_multiclass_c_grid(
+        data_vectors, data_labels, strategy, kernel, [C], tol, max_iter
+    )
+    if isinstance(model, GlyphSvmError):
+        raise model
+    return model
+
+
+def train_multiclass_c_grid(
+    data_vectors,
+    data_labels,
+    strategy: str,
+    kernel: KernelSpec,
+    c_values,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> Iterator[MulticlassModel | GlyphSvmError]:
+    """Train the reduction at every C of `c_values` over one kernel matrix.
 
     Feature scaling is fitted on the full training set and shared by every
-    binary problem (and recorded in the model for prediction time). One-vs-all
-    problems use the whole matrix, one-vs-one problems the slice of their two
-    classes' rows.
+    binary problem (and recorded in the model for prediction time). The
+    problems that share a matrix are solved together by `solve_smo`:
+    one-vs-all's classes x `c_values` on the whole matrix, and each one-vs-one
+    class pair x `c_values` on the slice of its two classes' rows.
+
+    The result gives, for each C in order, its model or the GlyphSvmError
+    its first failing problem (in class order) raised. A model is packaged
+    only when the iterator reaches it, so a caller that drops each model
+    before asking for the next holds one at a time.
     """
     if strategy not in STRATEGIES:
         raise InvalidConfigError(f"unknown strategy {strategy!r}")
@@ -124,39 +152,66 @@ def train_multiclass(
     classes = ordered_classes(labels)
     if len(classes) < 2:
         raise SingleClassError("need at least two classes")
+    c_values = [float(C) for C in c_values]
+    valid_c = [C for C in c_values if C > 0]
     scaling = MinMaxScaling.fit(X)
     Xs = scaling.transform(X)
     gram = gram_matrix(kernel, Xs)
     index = {cls: k for k, cls in enumerate(classes)}
     class_idx = np.array([index[lb] for lb in labels])
+    # (class pair or (class, None), training rows or None for all, one solution per C)
+    problems = []
     if strategy == "ova":
-        pairs, problems = None, [(c, None) for c in range(len(classes))]
+        pairs = None
+        Y = np.where(class_idx == np.arange(len(classes))[:, None], 1.0, -1.0)
+        solved = solve_smo(
+            gram, np.repeat(Y, len(valid_c), axis=0), valid_c * len(classes), tol, max_iter
+        )
+        for c in range(len(classes)):
+            problems.append(((c, None), None, solved[c * len(valid_c):(c + 1) * len(valid_c)]))
     else:
-        pairs = problems = list(itertools.combinations(range(len(classes)), 2))
-    classifiers = []
-    for i, j in problems:
-        if j is None:  # class i against the rest: every row, the whole matrix
-            member_class, sub_x, sub_gram = class_idx, Xs, gram
-        else:
+        pairs = list(itertools.combinations(range(len(classes)), 2))
+        for i, j in pairs:
             rows = np.flatnonzero((class_idx == i) | (class_idx == j))
-            member_class, sub_x, sub_gram = class_idx[rows], Xs[rows], gram[np.ix_(rows, rows)]
-        y = np.where(member_class == i, 1.0, -1.0)
-        try:
-            classifiers.append(
-                train_binary(sub_x, y, kernel, C, tol=tol, max_iter=max_iter, gram=sub_gram)
+            y = np.where(class_idx[rows] == i, 1.0, -1.0)
+            solved = solve_smo(
+                gram[np.ix_(rows, rows)], np.tile(y, (len(valid_c), 1)), valid_c, tol, max_iter
             )
-        except NoConvergenceError as exc:
-            context = classes[i] if j is None else (classes[i], classes[j])
-            what = f"class {context!r} vs rest" if j is None else f"class pair {context!r}"
-            raise NoConvergenceError(
-                f"{what}: {exc}",
-                iterations=exc.iterations,
-                violation=exc.violation,
-                context=context,
-            ) from exc
-    model = MulticlassModel(strategy, classes, classifiers, scaling, pairs)
-    model.validate()
-    return model
+            problems.append(((i, j), rows, solved))
+
+    def package(k: int) -> MulticlassModel:
+        classifiers = []
+        for (i, j), rows, solved in problems:
+            try:
+                classifiers.append(
+                    binary_model(solved[k], Xs if rows is None else Xs[rows], kernel, tol)
+                )
+            except NoConvergenceError as exc:
+                context = classes[i] if j is None else (classes[i], classes[j])
+                what = f"class {context!r} vs rest" if j is None else f"class pair {context!r}"
+                raise NoConvergenceError(
+                    f"{what}: {exc}",
+                    iterations=exc.iterations,
+                    violation=exc.violation,
+                    context=context,
+                ) from exc
+        model = MulticlassModel(strategy, classes, classifiers, scaling, pairs)
+        model.validate()
+        return model
+
+    def models():
+        k = 0  # index among the solved, positive values of C
+        for C in c_values:
+            if not C > 0:
+                yield InvalidConfigError("C must be positive")
+                continue
+            try:
+                yield package(k)
+            except GlyphSvmError as exc:
+                yield exc
+            k += 1
+
+    return models()
 
 
 def train_one_vs_all(

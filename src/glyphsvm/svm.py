@@ -3,7 +3,8 @@
 The solver is sequential minimal optimization over the maximal
 KKT-violating pair (Keerthi's working-set selection), deterministic with
 lowest-index tie-breaking, so identical inputs always produce identical
-models.
+models. Binary problems that share a kernel matrix are solved in lockstep,
+each with its own arithmetic.
 """
 
 from __future__ import annotations
@@ -179,6 +180,22 @@ class BinaryModel:
     meta: TrainingMeta = field(default_factory=lambda: TrainingMeta(0, 0.0))
 
 
+@dataclass
+class DualSolution:
+    """Where SMO left one binary problem: labels, multipliers, y_i times the
+    dual gradient, pair updates made and the last maximal KKT violation.
+    `converged` is False when the updates ran out before the violation
+    dropped to the tolerance."""
+
+    y: np.ndarray
+    C: float
+    alpha: np.ndarray
+    yg: np.ndarray
+    iterations: int
+    violation: float
+    converged: bool
+
+
 def _validate_training_input(samples, labels):
     X = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -195,6 +212,146 @@ def _validate_training_input(samples, labels):
     return X, y
 
 
+def solve_smo(
+    gram: np.ndarray,
+    Y,
+    C,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[DualSolution]:
+    """Solve the soft-margin duals of several binary problems over one
+    kernel matrix by SMO, in lockstep.
+
+    Row p of the (problems, n) array `Y` holds problem p's labels in +-1 and
+    `C[p]` its box bound. Each trip takes every unfinished problem through
+    one pair update as array operations over all of them: its own maximal
+    KKT-violating pair (Keerthi's rule, lowest index on ties), the curvature
+    floor, the step clipped to the box, the snap onto the box and the
+    gradient update. Each problem's arithmetic is that of solving it alone,
+    so its solution is too. A problem leaves the block once its violation
+    drops to `tol`, or unconverged after `max_iter` updates.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64).reshape(len(Y))
+    if not np.all(C > 0):
+        raise InvalidConfigError("C must be positive")
+    if not tol > 0:
+        raise InvalidConfigError("tol must be positive")
+    gram = np.asarray(gram, dtype=np.float64)
+    n = len(gram)
+    diag = np.diagonal(gram).copy()
+    flat_gram = gram.ravel()
+    alpha = np.zeros(Y.shape)
+    pos = Y > 0
+    upper = np.where(pos, C[:, None], 0.0)  # bounds on y_i * alpha_i
+    lower = np.where(pos, 0.0, -C[:, None])
+    # y_i * dW/dalpha_i where y_i * alpha_i can rise (up) or fall (low), and
+    # -inf / +inf where it cannot. Every sample is in at least one of the two,
+    # and an update changes that only for its own pair, so the gradient
+    # itself need not be kept apart (its value at alpha = 0 is y).
+    up = np.where(0.0 < upper, Y, -np.inf)
+    low = np.where(0.0 > lower, Y, np.inf)
+    # keep the box constraint exact despite rounding in the update
+    snap = 1e-12 * np.maximum(1.0, C)
+    top = C - snap
+    live = np.arange(len(Y))  # the problem each row of the block state belongs to
+    solutions: list[DualSolution | None] = [None] * len(Y)
+    iterations = 0
+    while live.size:
+        count = live.size
+        row_start = np.arange(count) * n
+        # the pair (i, j) of every row side by side: i first, then j
+        pair_sign = np.repeat([1.0, -1.0], count)
+        pair_snap, pair_top, pair_C = (np.tile(a, 2) for a in (snap, top, C))
+        while True:
+            i = np.argmax(up, axis=1)
+            j = np.argmin(low, axis=1)
+            flat_i = row_start + i
+            flat_j = row_start + j
+            violation = up.take(flat_i) - low.take(flat_j)
+            done = violation <= tol
+            if iterations >= max_iter:
+                done[:] = True
+            if done.any():
+                break
+            flat = np.concatenate((flat_i, flat_j))
+            y = Y.take(flat)
+            pair_alpha = alpha.take(flat)
+            ya = y * pair_alpha
+            curvature = np.maximum(
+                diag.take(i) + diag.take(j) - 2.0 * flat_gram.take(i * n + j), CURVATURE_FLOOR
+            )
+            step = np.minimum(
+                np.minimum(upper.take(flat_i) - ya[:count], ya[count:] - lower.take(flat_j)),
+                violation / curvature,
+            )
+            delta = gram.take(i, axis=0)
+            delta -= gram.take(j, axis=0)
+            delta *= step[:, None]
+            up -= delta
+            low -= delta
+            # the pair's own gradients: i could rise and j could fall before the step
+            pair_yg = np.concatenate((up.take(flat_i), low.take(flat_j)))
+            moved = pair_alpha + pair_sign * y * np.tile(step, 2)
+            moved = np.where(moved < pair_snap, 0.0, np.where(moved > pair_top, pair_C, moved))
+            alpha.put(flat, moved)
+            ya = y * moved
+            up.put(flat, np.where(ya < upper.take(flat), pair_yg, -np.inf))
+            low.put(flat, np.where(ya > lower.take(flat), pair_yg, np.inf))
+            iterations += 1
+        for r in np.flatnonzero(done):
+            solutions[live[r]] = DualSolution(
+                y=Y[r].copy(), C=float(C[r]), alpha=alpha[r].copy(),
+                yg=np.where(up[r] > -np.inf, up[r], low[r]),
+                iterations=iterations, violation=float(violation[r]),
+                converged=bool(violation[r] <= tol),
+            )
+        keep = ~done
+        Y, C, alpha, up, low, upper, lower, snap, top, live = (
+            a[keep] for a in (Y, C, alpha, up, low, upper, lower, snap, top, live)
+        )
+    return solutions
+
+
+def binary_model(solution: DualSolution, samples, kernel: KernelSpec, tol: float) -> BinaryModel:
+    """Package a solved problem over the rows of `samples` as a model.
+
+    The bias averages y_i - u_i over unbounded support vectors, falling back
+    to the midpoint of the feasible interval. An unconverged solution is
+    NoConvergenceError with its diagnostics.
+    """
+    s = solution
+    if not s.converged:
+        raise NoConvergenceError(
+            f"no convergence after {s.iterations} pair updates "
+            f"(KKT violation {s.violation:.3e} > tol {tol:.3e})",
+            iterations=s.iterations,
+            violation=s.violation,
+        )
+    pos = s.y > 0
+    ya = s.y * s.alpha
+    in_up = ya < np.where(pos, s.C, 0.0)
+    in_low = ya > np.where(pos, 0.0, -s.C)
+    unbounded = (s.alpha > 0) & (s.alpha < s.C)
+    if unbounded.any():
+        bias = float(np.mean(s.yg[unbounded]))
+    else:
+        m = float(np.max(np.where(in_up, s.yg, -np.inf)))
+        big_m = float(np.min(np.where(in_low, s.yg, np.inf)))
+        bias = (m + big_m) / 2.0
+    support = s.alpha > 0
+    if not support.any():
+        raise InvalidConfigError(f"tol {tol} is too loose; no support vectors survived")
+    return BinaryModel(
+        kernel=kernel,
+        support_vectors=np.asarray(samples, dtype=np.float64)[support],
+        dual_coeffs=s.alpha[support] * s.y[support],
+        bias=bias,
+        C=s.C,
+        meta=TrainingMeta(iterations=s.iterations, kkt_violation=max(s.violation, 0.0)),
+    )
+
+
 def train_binary(
     samples,
     labels,
@@ -204,19 +361,15 @@ def train_binary(
     max_iter: int = DEFAULT_MAX_ITER,
     gram: np.ndarray | None = None,
 ) -> BinaryModel:
-    """Solve the soft-margin dual by SMO and package the resulting model.
+    """Solve one soft-margin dual by SMO (a one-problem `solve_smo`) and
+    package the resulting model.
 
     Stops once the maximal KKT violation drops to `tol`; raises
     NoConvergenceError with diagnostics if `max_iter` pair updates are not
-    enough. The bias averages y_i - u_i over unbounded support vectors,
-    falling back to the midpoint of the feasible interval. `gram` is the
-    kernel matrix of `samples` (see `gram_matrix`), built here when omitted.
+    enough. `gram` is the kernel matrix of `samples` (see `gram_matrix`),
+    built here when omitted.
     """
     X, y = _validate_training_input(samples, labels)
-    if not C > 0:
-        raise InvalidConfigError("C must be positive")
-    if not tol > 0:
-        raise InvalidConfigError("tol must be positive")
     n = X.shape[0]
     if gram is None:
         gram = gram_matrix(kernel, X)
@@ -224,71 +377,8 @@ def train_binary(
         raise DimensionMismatchError(
             f"kernel matrix has shape {np.shape(gram)}, {n} samples need ({n}, {n})"
         )
-
-    alpha = np.zeros(n)
-    grad = np.ones(n)  # dW/dalpha_i at alpha = 0
-    yg = y * grad
-    pos = y > 0
-    upper = np.where(pos, C, 0.0)  # bound on y_i * alpha_i
-    lower = np.where(pos, 0.0, -C)
-
-    iterations = 0
-    while True:
-        ya = y * alpha
-        in_up = ya < upper
-        in_low = ya > lower
-        up_scores = np.where(in_up, yg, -np.inf)
-        low_scores = np.where(in_low, yg, np.inf)
-        i = int(np.argmax(up_scores))
-        j = int(np.argmin(low_scores))
-        violation = float(up_scores[i] - low_scores[j])
-        if violation <= tol:
-            break
-        if iterations >= max_iter:
-            raise NoConvergenceError(
-                f"no convergence after {iterations} pair updates "
-                f"(KKT violation {violation:.3e} > tol {tol:.3e})",
-                iterations=iterations,
-                violation=violation,
-            )
-        k_i = gram[i]
-        k_j = gram[j]
-        curvature = max(k_i[i] + k_j[j] - 2.0 * k_i[j], CURVATURE_FLOOR)
-        step = min(
-            upper[i] - ya[i],
-            ya[j] - lower[j],
-            violation / curvature,
-        )
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        # keep the box constraint exact despite rounding in the update
-        snap = 1e-12 * max(1.0, C)
-        for idx in (i, j):
-            if alpha[idx] < snap:
-                alpha[idx] = 0.0
-            elif alpha[idx] > C - snap:
-                alpha[idx] = C
-        yg -= step * (k_i - k_j)
-        iterations += 1
-
-    m = float(np.max(np.where(in_up, yg, -np.inf)))
-    big_m = float(np.min(np.where(in_low, yg, np.inf)))
-    unbounded = (alpha > 0) & (alpha < C)
-    if unbounded.any():
-        bias = float(np.mean(yg[unbounded]))
-    else:
-        bias = (m + big_m) / 2.0
-    support = alpha > 0
-    if not support.any():
-        raise InvalidConfigError(f"tol {tol} is too loose; no support vectors survived")
-    return BinaryModel(
-        kernel=kernel,
-        support_vectors=X[support].copy(),
-        dual_coeffs=(alpha[support] * y[support]).copy(),
-        bias=bias,
-        C=float(C),
-        meta=TrainingMeta(iterations=iterations, kkt_violation=max(violation, 0.0)),
-    )
+    (solution,) = solve_smo(gram, y[None], [C], tol, max_iter)
+    return binary_model(solution, X, kernel, tol)
 
 
 def decision_values(model: BinaryModel, X) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Nothing here shares code paths with the package: the dual oracle works from
 raw objective evaluations (grid enumeration plus pairwise polish), and the
-KKT check recomputes every decision value from scratch.
+KKT check recomputes every decision value from scratch. The scalar SMO loop
+that the package's lockstep solver replaced is kept as its bit-for-bit
+reference.
 """
 
 import itertools
@@ -17,7 +19,18 @@ from glyphsvm.preprocess import (
     _rotated_extent,
     _zhang_suen_pass,
 )
-from glyphsvm.svm import decision_value, kernel_against, kernel_eval
+from glyphsvm.errors import NoConvergenceError
+from glyphsvm.svm import (
+    CURVATURE_FLOOR,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    BinaryModel,
+    KernelSpec,
+    TrainingMeta,
+    decision_value,
+    kernel_against,
+    kernel_eval,
+)
 
 GRID_POINTS = 11  # {0, C/10, ..., C}
 
@@ -37,6 +50,94 @@ def reference_gram(spec, X):
     symmetric bit for bit (one-vs-one built it per class pair)."""
     X = np.asarray(X, dtype=np.float64)
     return np.array([kernel_against(spec, X, x) for x in X]).reshape(len(X), len(X))
+
+
+def reference_train_binary(
+    samples,
+    labels,
+    kernel: KernelSpec,
+    C: float,
+    gram: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> BinaryModel:
+    """The scalar SMO loop that `solve_smo` runs in lockstep: one problem,
+    one pair update per trip, the model packaged at the end.
+
+    Stops once the maximal KKT violation drops to `tol`; raises
+    NoConvergenceError with diagnostics if `max_iter` pair updates are not
+    enough. The bias averages y_i - u_i over unbounded support vectors,
+    falling back to the midpoint of the feasible interval. `gram` is the
+    kernel matrix of `samples`.
+    """
+    X = np.asarray(samples, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n = X.shape[0]
+
+    alpha = np.zeros(n)
+    grad = np.ones(n)  # dW/dalpha_i at alpha = 0
+    yg = y * grad
+    pos = y > 0
+    upper = np.where(pos, C, 0.0)  # bound on y_i * alpha_i
+    lower = np.where(pos, 0.0, -C)
+
+    iterations = 0
+    while True:
+        ya = y * alpha
+        in_up = ya < upper
+        in_low = ya > lower
+        up_scores = np.where(in_up, yg, -np.inf)
+        low_scores = np.where(in_low, yg, np.inf)
+        i = int(np.argmax(up_scores))
+        j = int(np.argmin(low_scores))
+        violation = float(up_scores[i] - low_scores[j])
+        if violation <= tol:
+            break
+        if iterations >= max_iter:
+            raise NoConvergenceError(
+                f"no convergence after {iterations} pair updates "
+                f"(KKT violation {violation:.3e} > tol {tol:.3e})",
+                iterations=iterations,
+                violation=violation,
+            )
+        k_i = gram[i]
+        k_j = gram[j]
+        curvature = max(k_i[i] + k_j[j] - 2.0 * k_i[j], CURVATURE_FLOOR)
+        step = min(
+            upper[i] - ya[i],
+            ya[j] - lower[j],
+            violation / curvature,
+        )
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        # keep the box constraint exact despite rounding in the update
+        snap = 1e-12 * max(1.0, C)
+        for idx in (i, j):
+            if alpha[idx] < snap:
+                alpha[idx] = 0.0
+            elif alpha[idx] > C - snap:
+                alpha[idx] = C
+        yg -= step * (k_i - k_j)
+        iterations += 1
+
+    m = float(np.max(np.where(in_up, yg, -np.inf)))
+    big_m = float(np.min(np.where(in_low, yg, np.inf)))
+    unbounded = (alpha > 0) & (alpha < C)
+    if unbounded.any():
+        bias = float(np.mean(yg[unbounded]))
+    else:
+        bias = (m + big_m) / 2.0
+    support = alpha > 0
+    if not support.any():
+        raise ValueError(f"tol {tol} is too loose; no support vectors survived")
+    return BinaryModel(
+        kernel=kernel,
+        support_vectors=X[support].copy(),
+        dual_coeffs=(alpha[support] * y[support]).copy(),
+        bias=bias,
+        C=float(C),
+        meta=TrainingMeta(iterations=iterations, kkt_violation=max(violation, 0.0)),
+    )
 
 
 def dual_objective(alpha, y, K):

@@ -338,6 +338,24 @@ def test_non_finite_model_value_is_one_line_error(dataset_dir, tmp_path, capsys,
     assert_one_line_error(capsys, "CorruptBlock")
 
 
+def test_scaling_max_below_min_is_one_line_error(dataset_dir, tmp_path, capsys):
+    # such a record used to scale every sample to 0, so every prediction was
+    # the first class
+    model_path = tmp_path / "m.gsvm"
+    args = ["--data", str(dataset_dir), "--model", str(model_path)]
+    assert main(["train", "--kernel", "linear", "--c", "4"] + args) == 0
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("scaling_max "))
+    mins = next(line for line in lines if line.startswith("scaling_min ")).split()[1:]
+    maxs = lines[row].split()[1:]
+    maxs[-1] = repr(float(mins[-1]) - 1.0)  # one dimension is enough
+    lines[row] = " ".join(["scaling_max"] + maxs)
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate"] + args) == 1
+    assert_one_line_error(capsys, "CorruptBlock")
+
+
 def test_non_utf8_feature_csv_is_one_line_error(tmp_path, capsys):
     csv_path = tmp_path / "feats.csv"
     csv_path.write_bytes(b"label,v1,v2,v3,v4,whr,ep,cp,bp\n\xff,1,2,3,4,1,0,0,0\n")

@@ -1,7 +1,7 @@
 """Golden fixture: seeded runs whose outputs are pinned by sha256.
 
-Pinned: a saved model, a grid CSV, the records of a small noisy page and the
-feature rows of single glyphs.
+Pinned: a saved model and a grid CSV of each multiclass strategy, the
+records of a small noisy page and the feature rows of single glyphs.
 
 A change that alters training or prediction arithmetic changes one of these
 digests. If that is intended, say so in CHANGES.md and update the digests.
@@ -14,7 +14,7 @@ import numpy as np
 from glyphsvm.features import FeatureConfig, extract_features
 from glyphsvm.model_io import save_model
 from glyphsvm.modelsel import Dataset, grid_search
-from glyphsvm.multiclass import train_one_vs_all
+from glyphsvm.multiclass import train_one_vs_all, train_one_vs_one
 from glyphsvm.preprocess import preprocess_character, preprocess_page, rotate_bicubic
 from glyphsvm.svm import KernelSpec
 from glyphsvm.synth import SynthConfig, render_sample
@@ -23,6 +23,8 @@ MODEL_SHA256 = "00bc3f31f7a5ed6d8ec1ac9f747cd0cd60c4f8c713784541673f63a9f3e1e0ef
 GRID_CSV_SHA256 = "666d15f06315c888201568ec8c958ab0e6cad5fe88ad8a3f7ed50f3fbf01e52e"
 PAGE_RECORDS_SHA256 = "af2a2b39fde6f948085427ce7bcb5c23b82b1abf88ac8a22058067648cd6487b"
 GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597fd2e9ce7a"
+OVO_MODEL_SHA256 = "666ff1960b564c604460fae34e8cb1ceb91c9fcc13cd6cbd720c75b1b4d462ad"
+OVO_GRID_CSV_SHA256 = "a7868ec24927dfc375aba7032d0212f66da66735d984dc1f86fec267ce27fada"
 
 
 def golden_dataset() -> Dataset:
@@ -52,6 +54,23 @@ def test_golden_model_bytes(tmp_path):
     path = tmp_path / "golden.gsvm"
     save_model(model, path)
     assert sha256(path.read_bytes()) == MODEL_SHA256
+
+
+def test_golden_ovo_grid_csv():
+    report = grid_search(
+        golden_dataset(), "rbf", c_grid=[1.0, 16.0], param_grid=[0.5, 0.125],
+        strategy="ovo", k=3, seed=7,
+    )
+    csv = "\n".join(report.csv_lines()) + "\n"
+    assert sha256(csv.encode()) == OVO_GRID_CSV_SHA256, csv
+
+
+def test_golden_ovo_model_bytes(tmp_path):
+    data = golden_dataset()
+    model = train_one_vs_one(data.vectors, data.labels, KernelSpec(kind="rbf", gamma=0.5), 16.0)
+    path = tmp_path / "golden.gsvm"
+    save_model(model, path)
+    assert sha256(path.read_bytes()) == OVO_MODEL_SHA256
 
 
 def golden_page() -> np.ndarray:

@@ -208,6 +208,37 @@ def test_grid_error_cells_recorded_not_fatal():
         assert entry.error == "FoldDegenerate"
 
 
+def test_grid_no_convergence_tags_only_its_own_cells():
+    # overlapping classes: C = 0.25 converges within 100 pair updates per
+    # problem, C = 1024 does not; both share each (fold, gamma) matrix
+    data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
+    report = grid_search(
+        data, "rbf", c_grid=[0.25, 1024.0], param_grid=[0.5, 4.0], k=3, seed=0, max_iter=100
+    )
+    unlimited = grid_search(data, "rbf", c_grid=[0.25], param_grid=[0.5, 4.0], k=3, seed=0)
+    for entry in report.entries:
+        if entry.C == 1024.0:
+            assert (entry.error, entry.accuracy, entry.iterations) == ("NoConvergence", 0.0, 0)
+            continue
+        assert entry.error is None
+        spec = KernelSpec(kind="rbf", gamma=entry.param)
+        assert entry.accuracy == cross_validate(data, spec, entry.C, k=3, seed=0, max_iter=100)
+    assert report.entries[:2] == unlimited.entries
+
+
+def test_grid_iterations_sum_the_cell_models():
+    data = separable_dataset(np.random.default_rng(41), n_per_class=6, classes=3)
+    report = grid_search(data, "linear", c_grid=[1.0, 8.0], k=3, seed=2)
+    for entry in report.entries:
+        expected = 0
+        for fold in kfold_split(len(data), 3, 2):
+            train = data.subset(np.setdiff1d(np.arange(len(data)), fold))
+            model = train_one_vs_all(train.vectors, train.labels, LINEAR, entry.C)
+            expected += sum(clf.meta.iterations for clf in model.classifiers)
+        assert entry.iterations == expected > 0
+    assert report.csv_lines()[1].count(",") == 2  # the CSV does not carry iterations
+
+
 def test_grid_bad_k_raises_before_any_cell():
     data = separable_dataset(np.random.default_rng(25), n_per_class=4)
     with pytest.raises(BadKError):
@@ -284,7 +315,7 @@ def test_grid_sigmoid_needs_explicit_pairs():
 def test_grid_bad_kernel_raises_before_any_cell(kind, params, monkeypatch):
     data = separable_dataset(np.random.default_rng(26), n_per_class=4)
     cells = []
-    monkeypatch.setattr(modelsel, "cross_validate", lambda *args, **kw: cells.append(args))
+    monkeypatch.setattr(modelsel, "_fold_results", lambda *args, **kw: cells.append(args))
     with pytest.raises(InvalidConfigError):
         grid_search(data, kind, c_grid=[1.0], param_grid=params, k=2, seed=0)
     assert cells == []

@@ -250,6 +250,20 @@ def test_no_convergence_tagged_with_class():
     assert "class 0" in str(excinfo.value)
 
 
+def test_no_convergence_tagged_with_the_first_failing_later_class():
+    # class 0 converges, so the error must come from a class solved beside it
+    X, labels = clustered_data(np.random.default_rng(1), 4, per_class=8, spread=2.5)
+    full = [clf.meta.iterations for clf in train_one_vs_all(X, labels, RBF, C=100.0).classifiers]
+    max_iter = full[0]
+    failing = next(c for c, count in enumerate(full) if count > max_iter)
+    assert failing > 0
+    with pytest.raises(NoConvergenceError) as excinfo:
+        train_one_vs_all(X, labels, RBF, C=100.0, max_iter=max_iter)
+    assert excinfo.value.context == failing
+    assert excinfo.value.iterations == max_iter
+    assert str(excinfo.value).startswith(f"class {failing!r} vs rest: no convergence")
+
+
 def test_predict_dispatch():
     rng = np.random.default_rng(15)
     X, labels = clustered_data(rng, 3, per_class=6)

@@ -2,10 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis.strategies import booleans, integers, sampled_from
+from hypothesis import example, given, settings
+from hypothesis.strategies import booleans, integers, lists, sampled_from
 
-from oracles import dual_objective, kernel_matrix, max_kkt_violation, oracle_best_dual, recover_alpha
+from oracles import (
+    dual_objective,
+    kernel_matrix,
+    max_kkt_violation,
+    oracle_best_dual,
+    recover_alpha,
+    reference_train_binary,
+)
 
 from glyphsvm.errors import (
     DimensionMismatchError,
@@ -14,12 +21,15 @@ from glyphsvm.errors import (
     SingleClassError,
 )
 from glyphsvm.svm import (
+    DEFAULT_TOL,
     KernelSpec,
+    binary_model,
     decision_value,
     gram_matrix,
     kernel_against,
     kernel_eval,
     predict_binary,
+    solve_smo,
     train_binary,
 )
 
@@ -224,6 +234,84 @@ def test_kkt_within_tolerance(seed, n, sliced, spec, C):
     X, y, gram = smo_problem(seed, n, sliced, spec)
     model = train_binary(X, y, spec, C=C, tol=1e-3, gram=gram)
     assert max_kkt_violation(model, X, y, C) <= 1e-3 + 1e-9
+
+
+# --- lockstep solver against the scalar loop ------------------------------------------
+
+def block_problem(seed, n, sliced, spec, problems):
+    """`problems` label vectors over one sample set and the kernel matrix they
+    share: built from the samples, or sliced from a larger set's matrix."""
+    X, _, gram = smo_problem(seed, n, sliced, spec)
+    rng = np.random.default_rng(seed + 1)
+    Y = np.where(rng.random((problems, n)) < 0.5, 1.0, -1.0)
+    Y[:, 0], Y[:, 1] = 1.0, -1.0  # both classes in every problem
+    return X, Y, gram
+
+
+def assert_same_model(got, want):
+    assert np.array_equal(got.support_vectors, want.support_vectors)
+    assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
+    assert got.bias == want.bias
+    assert got.C == want.C
+    assert got.meta == want.meta
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=integers(0, 2**32 - 2),
+    n=integers(4, 24),
+    sliced=booleans(),
+    spec=sampled_from(ALL_KERNELS),
+    c_values=lists(sampled_from([0.5, 1.0, 10.0, 100.0]), min_size=1, max_size=12),
+)
+# draws where rounding leaves a multiplier just off its box, so the snap acts
+@example(seed=2116130274, n=14, sliced=False, spec=ALL_KERNELS[0], c_values=[1.0, 10.0])
+@example(
+    seed=1338252685, n=16, sliced=True, spec=ALL_KERNELS[3], c_values=[100.0, 10.0, 100.0, 0.5]
+)
+@example(
+    seed=1208033237, n=6, sliced=False, spec=ALL_KERNELS[3],
+    c_values=[0.5, 10.0, 100.0, 0.5, 10.0, 1.0, 100.0, 100.0, 10.0],
+)
+def test_lockstep_solver_equals_scalar_loop(seed, n, sliced, spec, c_values):
+    # problems with their own C finish on different trips; each must come out
+    # as if solved alone
+    X, Y, gram = block_problem(seed, n, sliced, spec, len(c_values))
+    solutions = solve_smo(gram, Y, c_values)
+    for y, C, solution in zip(Y, c_values, solutions):
+        want = reference_train_binary(X, y, spec, C, gram=gram)
+        assert_same_model(binary_model(solution, X, spec, DEFAULT_TOL), want)
+
+
+def test_lockstep_max_iter_fails_only_the_slow_problems():
+    spec = KernelSpec(kind="rbf", gamma=0.8)
+    X, Y, gram = block_problem(3, 24, False, spec, 8)
+    c_values = [0.5, 100.0, 1.0, 10.0, 100.0, 0.5, 10.0, 1.0]
+    full = [s.iterations for s in solve_smo(gram, Y, c_values)]
+    max_iter = sorted(full)[len(full) // 2]
+    solutions = solve_smo(gram, Y, c_values, max_iter=max_iter)
+    failed = [not s.converged for s in solutions]
+    assert any(failed) and not all(failed)
+    for y, C, solution in zip(Y, c_values, solutions):
+        if solution.converged:
+            want = reference_train_binary(X, y, spec, C, gram=gram)
+            assert_same_model(binary_model(solution, X, spec, DEFAULT_TOL), want)
+            continue
+        with pytest.raises(NoConvergenceError) as expected:
+            reference_train_binary(X, y, spec, C, max_iter=max_iter, gram=gram)
+        with pytest.raises(NoConvergenceError) as got:
+            binary_model(solution, X, spec, DEFAULT_TOL)
+        assert solution.iterations == got.value.iterations == expected.value.iterations == max_iter
+        assert got.value.violation == expected.value.violation
+        assert str(got.value) == str(expected.value)
+
+
+def test_solver_rejects_bad_c_and_tol():
+    X, Y, gram = block_problem(4, 6, False, LINEAR, 2)
+    with pytest.raises(InvalidConfigError):
+        solve_smo(gram, Y, [1.0, 0.0])
+    with pytest.raises(InvalidConfigError):
+        solve_smo(gram, Y, [1.0, 1.0], tol=0.0)
 
 
 def test_separable_margin_matches_analytic():
