@@ -20,8 +20,6 @@ from .multiclass import (
     MinMaxScaling,
     MulticlassModel,
     predict,
-    predict_ova,
-    predict_ovo,
     train_multiclass,
     train_one_vs_all,
     train_one_vs_one,
@@ -44,8 +42,6 @@ from .svm import (
     BinaryModel,
     KernelSpec,
     decision_value,
-    kernel_eval,
-    predict_binary,
     train_binary,
 )
 
@@ -71,16 +67,12 @@ __all__ = [
     "evaluate",
     "extract_features",
     "grid_search",
-    "kernel_eval",
     "kfold_split",
     "load_model",
     "median_filter",
     "normalize_size",
     "otsu_binarize",
     "predict",
-    "predict_binary",
-    "predict_ova",
-    "predict_ovo",
     "preprocess_character",
     "preprocess_page",
     "repeat_evaluate",

@@ -13,8 +13,9 @@ import os
 import sys
 
 from .data import load_dataset
-from .errors import GlyphSvmError, InvalidConfigError, IoFailureError
+from .errors import GlyphSvmError, InvalidConfigError
 from .features import FeatureConfig, config_for_dimension, write_features_csv
+from .fileio import write_atomic
 from .model_io import load_model, save_model
 from .modelsel import (
     Dataset,
@@ -63,14 +64,6 @@ def _load(args) -> Dataset:
     return load_dataset(args.data, config=FeatureConfig(cell_px=args.grid_cell))
 
 
-def _write_text(path, text) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:
-        raise IoFailureError(f"{path}: {exc}") from exc
-
-
 def cmd_datagen(parser, args) -> int:
     config = SynthConfig(
         classes=args.classes,
@@ -108,8 +101,7 @@ def cmd_preprocess(parser, args) -> int:
 def cmd_features(parser, args) -> int:
     config = FeatureConfig(cell_px=args.grid_cell)
     data = load_dataset(args.data, config=config)
-    vectors = [row for row in data.vectors]
-    write_features_csv(args.output, data.labels, vectors, config)
+    write_features_csv(args.output, data.labels, data.vectors, config)
     print(f"wrote {len(data)} feature rows ({data.dimension} columns) to {args.output}")
     return 0
 
@@ -156,9 +148,9 @@ def cmd_gridsearch(parser, args) -> int:
     )
     text = "\n".join(report.text_lines())
     if args.text_out:
-        _write_text(args.text_out, text)
+        write_atomic(args.text_out, text + "\n")
     if args.csv_out:
-        _write_text(args.csv_out, "\n".join(report.csv_lines()))
+        write_atomic(args.csv_out, "\n".join(report.csv_lines()) + "\n")
     print(text.splitlines()[-1])
     return 0
 
@@ -174,7 +166,7 @@ def cmd_evaluate(parser, args) -> int:
         + report.error_table()
     )
     if args.report:
-        _write_text(args.report, text)
+        write_atomic(args.report, text + "\n")
     print(text)
     return 0
 
@@ -195,7 +187,7 @@ def cmd_repeat_eval(parser, args) -> int:
     label = f"{args.kernel} C={args.c:g}"
     text = report.iteration_table(label) + "\n\n" + report.error_table()
     if args.report:
-        _write_text(args.report, text)
+        write_atomic(args.report, text + "\n")
     print(text)
     return 0
 

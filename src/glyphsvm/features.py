@@ -6,7 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MixedDimensionsError, UnreadableFileError, WrongDimensionsError
+from .errors import (
+    DimensionMismatchError, MixedDimensionsError, UnreadableFileError, WrongDimensionsError
+)
+from .fileio import format_float, write_atomic
 from .preprocess import (
     NORMALIZED_SIZE, TRANSITIONS, BoundingBox, CharacterRecord, neighbor_codes
 )
@@ -116,18 +119,18 @@ def csv_header(config: FeatureConfig) -> str:
     return ",".join(["label"] + names + ["whr", "ep", "cp", "bp"])
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_features_csv(path, labels, vectors, config: FeatureConfig) -> None:
-    """One row per character: label, then the feature values in vector order."""
+    """One row per character: label, then the feature values in vector order.
+    A vector whose length is not `config.total_count` is
+    DimensionMismatchError; the file is replaced atomically."""
     lines = [csv_header(config)]
     for label, vec in zip(labels, vectors):
-        values = vec.values if isinstance(vec, FeatureVector) else np.asarray(vec)
-        lines.append(",".join([str(label)] + [_fmt(v) for v in values]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if len(vec) != config.total_count:
+            raise DimensionMismatchError(
+                f"{path}: a row has {len(vec)} features, the header {config.total_count}"
+            )
+        lines.append(",".join([str(label)] + [format_float(v) for v in vec]))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_features_csv(path):

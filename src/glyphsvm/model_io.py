@@ -25,9 +25,6 @@ decision value bit for bit. The format is line-oriented and diff-able:
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
 from .errors import (
@@ -36,6 +33,7 @@ from .errors import (
     IoFailureError,
     VersionMismatchError,
 )
+from .fileio import format_float, write_atomic
 from .multiclass import MinMaxScaling, MulticlassModel
 from .svm import KERNEL_PARAMS, BinaryModel, KernelSpec, TrainingMeta
 
@@ -43,16 +41,12 @@ MAGIC = "GSVM1"
 VERSION = 1
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _fmt_vec(values) -> str:
-    return " ".join(_fmt(v) for v in np.asarray(values, dtype=np.float64))
+    return " ".join(format_float(v) for v in np.asarray(values, dtype=np.float64))
 
 
 def _kernel_line(spec: KernelSpec) -> str:
-    params = [f"{n}={_fmt(getattr(spec, n))}" for n in KERNEL_PARAMS[spec.kind]]
+    params = [f"{n}={format_float(getattr(spec, n))}" for n in KERNEL_PARAMS[spec.kind]]
     return " ".join(["kernel", spec.kind] + params)
 
 
@@ -80,28 +74,14 @@ def save_model(model: MulticlassModel, path) -> None:
         else:
             i, j = model.pairs[idx]
             lines.append(f"classifier {idx} pair={i},{j}")
-        lines.append(f"C {_fmt(clf.C)}")
-        lines.append(f"bias {_fmt(clf.bias)}")
+        lines.append(f"C {format_float(clf.C)}")
+        lines.append(f"bias {format_float(clf.bias)}")
         lines.append(f"sv_count {len(clf.dual_coeffs)}")
         lines.append("coeffs " + _fmt_vec(clf.dual_coeffs))
         for sv in clf.support_vectors:
             lines.append("sv " + _fmt_vec(sv))
     lines.append("end")
-    payload = "\n".join(lines) + "\n"
-
-    directory = os.path.dirname(os.path.abspath(str(path)))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, str(path))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoFailureError(f"{path}: {exc}") from exc
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 class _Reader:
@@ -151,25 +131,22 @@ def _parse_int(reader: _Reader, expect: str) -> int:
 
 
 def _parse_kernel(line: str, path) -> KernelSpec:
-    parts = line.split()
-    if len(parts) < 2 or parts[0] != "kernel":
+    """The spec of a kernel line, whose parameter names must be exactly those
+    of its kind in KERNEL_PARAMS, each once."""
+    parts = line.split()  # "kernel", the kind, then name=value items
+    kind, items = parts[1] if len(parts) > 1 else None, parts[2:]
+    if kind not in KERNEL_PARAMS or not all("=" in item for item in items):
         raise CorruptBlockError(f"{path}: malformed kernel line {line!r}")
-    kind = parts[1]
-    kv = {}
-    for item in parts[2:]:
-        if "=" not in item:
-            raise CorruptBlockError(f"{path}: malformed kernel parameter {item!r}")
-        key, value = item.split("=", 1)
-        kv[key] = value
+    names = KERNEL_PARAMS[kind]
+    values = dict(item.split("=", 1) for item in items)
+    if len(items) != len(names) or set(values) != set(names):
+        raise CorruptBlockError(
+            f"{path}: {kind} kernel takes parameters ({', '.join(names)}), found {line!r}"
+        )
+    params = [values[name] for name in names]
     try:
-        if kind == "sigmoid":
-            param = (kv["slope"], kv["offset"])
-        elif kind in ("rbf", "poly"):
-            param = kv["gamma" if kind == "rbf" else "degree"]
-        else:
-            param = None
-        return KernelSpec.from_param(kind, param)
-    except (KeyError, ValueError) as exc:
+        return KernelSpec.from_param(kind, params[0] if len(params) == 1 else params)
+    except ValueError as exc:
         raise CorruptBlockError(f"{path}: bad kernel parameters: {exc}") from exc
 
 

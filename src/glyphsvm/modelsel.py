@@ -23,7 +23,7 @@ from .multiclass import (
     train_multiclass,
     train_multiclass_c_grid,
 )
-from .svm import KernelSpec
+from .svm import KERNEL_PARAMS, KernelSpec
 
 
 @dataclass
@@ -127,15 +127,18 @@ def _fold_results(train_part, test_part, strategy, kernel, c_values, tol, max_it
     """
     if len(set(train_part.labels)) < 2:
         raise FoldDegenerateError("a fold leaves fewer than two classes on the training side")
-    results = []
-    for model in train_multiclass_c_grid(
+    package = train_multiclass_c_grid(
         train_part.vectors, train_part.labels, strategy, kernel, c_values, tol, max_iter
-    ):
-        if isinstance(model, GlyphSvmError):
-            results.append(model)
-        else:
-            iterations = sum(clf.meta.iterations for clf in model.classifiers)
-            results.append((accuracy_of(model, test_part), iterations, model.scaling))
+    )
+    results = []
+    for k in range(len(c_values)):
+        try:
+            model = package(k)
+        except GlyphSvmError as exc:
+            results.append(exc)
+            continue
+        iterations = sum(clf.meta.iterations for clf in model.classifiers)
+        results.append((accuracy_of(model, test_part), iterations, model.scaling))
         del model
     return results
 
@@ -202,7 +205,8 @@ class GridSearchReport:
         return lines
 
     def text_lines(self) -> list[str]:
-        name = {"rbf": "gamma", "poly": "degree"}.get(self.kernel_kind, "param")
+        names = KERNEL_PARAMS.get(self.kernel_kind, ())
+        name = names[0] if len(names) == 1 else "param"
         lines = [f"grid search ({self.kernel_kind} kernel, seed {self.seed})"]
         for e in self.entries:
             tag = f"  [{e.error}]" if e.error else ""
@@ -244,28 +248,31 @@ def grid_search(
     Scan order is C ascending, then gamma descending / degree ascending; the
     reported best is the first entry attaining the maximum accuracy. A cell
     whose evaluation raises is recorded with accuracy 0 and its error tag
-    rather than aborting the sweep; an unknown strategy or kernel kind, a
-    kernel parameter of the wrong form, or a fold count that fits no sweep
-    raises before any cell runs.
+    rather than aborting the sweep; an unknown strategy or kernel kind, a C
+    that is not positive, a kernel parameter of the wrong form, or a fold
+    count that fits no sweep raises before any cell runs.
     """
     c_values = sorted(float(c) for c in (c_grid if c_grid is not None else DEFAULT_C_GRID))
     params = default_param_grid(kernel_kind) if param_grid is None else list(param_grid)
     if not c_values or not params:
         raise InvalidConfigError("grids must be nonempty")
+    if not all(C > 0 for C in c_values):
+        raise InvalidConfigError("C must be positive")
     if strategy not in STRATEGIES:
         raise InvalidConfigError(f"unknown strategy {strategy!r}")
     kfold_split(len(data), k, seed)
     specs = [KernelSpec.from_param(kernel_kind, param) for param in params]
     if kernel_kind == "rbf":
-        params = sorted((spec.gamma for spec in specs), reverse=True)
+        specs.sort(key=lambda spec: spec.gamma, reverse=True)
+        params = [spec.gamma for spec in specs]
     elif kernel_kind == "poly":
-        params = sorted(spec.degree for spec in specs)
+        specs.sort(key=lambda spec: spec.degree)
+        params = [spec.degree for spec in specs]
 
     # one kernel matrix per (param, fold) serves every C of the grid; a cell
     # stops training at its first failing fold and keeps that fold's error
     cells = {}
-    for p, param in enumerate(params):
-        spec = KernelSpec.from_param(kernel_kind, param)
+    for p, (param, spec) in enumerate(zip(params, specs)):
         fold_acc = [[] for _ in c_values]
         iterations = [0] * len(c_values)
         errors: list[str | None] = [None] * len(c_values)

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    GlyphSvmError,
     InvalidConfigError,
     NoConvergenceError,
     NonFiniteInputError,
@@ -113,12 +112,9 @@ def train_multiclass(
     """Train every binary problem of a one-vs-all ("ova") or one-vs-one
     ("ovo") reduction over one kernel matrix of the scaled samples: a
     one-C call of `train_multiclass_c_grid`."""
-    (model,) = train_multiclass_c_grid(
+    return train_multiclass_c_grid(
         data_vectors, data_labels, strategy, kernel, [C], tol, max_iter
-    )
-    if isinstance(model, GlyphSvmError):
-        raise model
-    return model
+    )(0)
 
 
 def train_multiclass_c_grid(
@@ -129,7 +125,7 @@ def train_multiclass_c_grid(
     c_values,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> Iterator[MulticlassModel | GlyphSvmError]:
+) -> Callable[[int], MulticlassModel]:
     """Train the reduction at every C of `c_values` over one kernel matrix.
 
     Feature scaling is fitted on the full training set and shared by every
@@ -138,10 +134,11 @@ def train_multiclass_c_grid(
     one-vs-all's classes x `c_values` on the whole matrix, and each one-vs-one
     class pair x `c_values` on the slice of its two classes' rows.
 
-    The result gives, for each C in order, its model or the GlyphSvmError
-    its first failing problem (in class order) raised. A model is packaged
-    only when the iterator reaches it, so a caller that drops each model
-    before asking for the next holds one at a time.
+    A C that is not positive is InvalidConfigError before the matrix is
+    built. The result is a function of k that packages the model of the
+    k-th C, or raises the GlyphSvmError of its first failing problem (in
+    class order). A caller that drops each model before asking for the next
+    holds one at a time.
     """
     if strategy not in STRATEGIES:
         raise InvalidConfigError(f"unknown strategy {strategy!r}")
@@ -153,9 +150,10 @@ def train_multiclass_c_grid(
     if len(classes) < 2:
         raise SingleClassError("need at least two classes")
     c_values = [float(C) for C in c_values]
-    valid_c = [C for C in c_values if C > 0]
     scaling = MinMaxScaling.fit(X)
     Xs = scaling.transform(X)
+    if not all(C > 0 for C in c_values):
+        raise InvalidConfigError("C must be positive")
     gram = gram_matrix(kernel, Xs)
     index = {cls: k for k, cls in enumerate(classes)}
     class_idx = np.array([index[lb] for lb in labels])
@@ -165,17 +163,17 @@ def train_multiclass_c_grid(
         pairs = None
         Y = np.where(class_idx == np.arange(len(classes))[:, None], 1.0, -1.0)
         solved = solve_smo(
-            gram, np.repeat(Y, len(valid_c), axis=0), valid_c * len(classes), tol, max_iter
+            gram, np.repeat(Y, len(c_values), axis=0), c_values * len(classes), tol, max_iter
         )
         for c in range(len(classes)):
-            problems.append(((c, None), None, solved[c * len(valid_c):(c + 1) * len(valid_c)]))
+            problems.append(((c, None), None, solved[c * len(c_values):(c + 1) * len(c_values)]))
     else:
         pairs = list(itertools.combinations(range(len(classes)), 2))
         for i, j in pairs:
             rows = np.flatnonzero((class_idx == i) | (class_idx == j))
             y = np.where(class_idx[rows] == i, 1.0, -1.0)
             solved = solve_smo(
-                gram[np.ix_(rows, rows)], np.tile(y, (len(valid_c), 1)), valid_c, tol, max_iter
+                gram[np.ix_(rows, rows)], np.tile(y, (len(c_values), 1)), c_values, tol, max_iter
             )
             problems.append(((i, j), rows, solved))
 
@@ -199,19 +197,7 @@ def train_multiclass_c_grid(
         model.validate()
         return model
 
-    def models():
-        k = 0  # index among the solved, positive values of C
-        for C in c_values:
-            if not C > 0:
-                yield InvalidConfigError("C must be positive")
-                continue
-            try:
-                yield package(k)
-            except GlyphSvmError as exc:
-                yield exc
-            k += 1
-
-    return models()
+    return package
 
 
 def train_one_vs_all(
@@ -248,7 +234,13 @@ def decision_matrix(model: MulticlassModel, X) -> np.ndarray:
 
 
 def predict_batch(model: MulticlassModel, X) -> list:
-    """Class ids of every row of X, by the rule of `predict_ova` or `predict_ovo`."""
+    """Class ids of every row of X.
+
+    One-vs-all takes the largest decision value, ties to the lowest class id.
+    One-vs-one counts max-wins votes (f >= 0 votes for the pair's first
+    class); vote ties fall back to the signed decision-value sums, then the
+    lowest class id.
+    """
     values = decision_matrix(model, X)
     if model.strategy == "ova":
         winners = np.argmax(values, axis=1)
@@ -267,28 +259,7 @@ def predict_batch(model: MulticlassModel, X) -> list:
     return [model.class_ids[w] for w in winners.tolist()]
 
 
-def class_decision_values(model: MulticlassModel, x) -> np.ndarray:
-    """Per-class decision values of a one-vs-all model (scaled internally)."""
-    if model.strategy != "ova":
-        raise ValueError("per-class decision values need an ova model")
-    return decision_matrix(model, np.reshape(x, (1, -1)))[0]
-
-
 def predict(model: MulticlassModel, x):
     """Class id of one sample: a 1-row call of `predict_batch`."""
     return predict_batch(model, np.reshape(x, (1, -1)))[0]
 
-
-def predict_ova(model: MulticlassModel, x):
-    """Winner-takes-all over per-class decision values; ties pick the lowest id."""
-    if model.strategy != "ova":
-        raise ValueError("predict_ova needs an ova model")
-    return predict(model, x)
-
-
-def predict_ovo(model: MulticlassModel, x):
-    """Max-wins voting; vote ties fall back to the signed decision-value sums,
-    then the lowest class id."""
-    if model.strategy != "ovo":
-        raise ValueError("predict_ovo needs an ovo model")
-    return predict(model, x)

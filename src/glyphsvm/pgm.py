@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
-from .errors import IoFailureError, UnreadableFileError
+from .errors import UnreadableFileError
+from .fileio import write_atomic
 
 
 def _tokens(data: bytes):
@@ -100,20 +98,7 @@ def write_pgm(gray: np.ndarray, path) -> None:
         raise ValueError("write_pgm expects a 2-D array")
     img = img.astype(np.uint8)
     height, width = img.shape
-    payload = b"P5\n%d %d\n255\n" % (width, height) + img.tobytes()
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoFailureError(f"{path}: {exc}") from exc
+    write_atomic(path, b"P5\n%d %d\n255\n" % (width, height) + img.tobytes())
 
 
 def binary_to_gray(binary: np.ndarray) -> np.ndarray:

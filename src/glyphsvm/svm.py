@@ -130,15 +130,6 @@ def kernel_against(spec: KernelSpec, rows: np.ndarray, probes: np.ndarray) -> np
     return np.tanh(spec.slope * dot + spec.offset)
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Scalar kernel evaluation K(x, y)."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"shapes {x.shape} and {y.shape} differ")
-    return float(kernel_against(spec, x.reshape(1, -1), y)[0])
-
-
 def gram_matrix(spec: KernelSpec, samples) -> np.ndarray:
     """The exactly symmetric kernel matrix of the rows of `samples`.
 
@@ -391,7 +382,3 @@ def decision_value(model: BinaryModel, x) -> float:
     """f(x) of one sample: a 1-row call of `decision_values`."""
     return float(decision_values(model, np.reshape(x, (1, -1)))[0])
 
-
-def predict_binary(model: BinaryModel, x) -> int:
-    """Sign of the decision value; exactly zero maps to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1

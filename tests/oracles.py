@@ -29,7 +29,6 @@ from glyphsvm.svm import (
     TrainingMeta,
     decision_value,
     kernel_against,
-    kernel_eval,
 )
 
 GRID_POINTS = 11  # {0, C/10, ..., C}
@@ -40,7 +39,7 @@ def kernel_matrix(spec, X):
     K = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            K[i, j] = kernel_eval(spec, X[i], X[j])
+            K[i, j] = kernel_against(spec, X[i][None], X[j])[0]
     return K
 
 

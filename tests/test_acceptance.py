@@ -31,8 +31,7 @@ from glyphsvm.modelsel import (
 )
 from glyphsvm.multiclass import (
     predict,
-    predict_ova,
-    predict_ovo,
+    predict_batch,
     train_one_vs_all,
     train_one_vs_one,
 )
@@ -44,7 +43,7 @@ from glyphsvm.preprocess import (
     thin,
     zhang_suen,
 )
-from glyphsvm.svm import KernelSpec, decision_value, predict_binary, train_binary
+from glyphsvm.svm import KernelSpec, decision_value, decision_values, train_binary
 from glyphsvm.synth import SynthConfig, generate_synthetic_dataset
 
 LINEAR = KernelSpec(kind="linear")
@@ -261,12 +260,8 @@ def test_criterion_07_multiclass_counts_and_equivalence():
     y = np.array([1.0 if lb == 0 else -1.0 for lb in labels])
     direct = train_binary(scaled, y, spec, 10.0)
     probes = rng.normal(size=(200, 2)) * 2
-    equiv_ok = all(
-        predict_ova(ova, p)
-        == predict_ovo(ovo, p)
-        == (0 if predict_binary(direct, ova.scaling.transform(p)) == 1 else 1)
-        for p in probes
-    )
+    direct_labels = np.where(decision_values(direct, ova.scaling.transform(probes)) >= 0.0, 0, 1)
+    equiv_ok = predict_batch(ova, probes) == predict_batch(ovo, probes) == direct_labels.tolist()
     report(7, "ova N / ovo N(N-1)/2 classifier counts; N=2 paths agree on 200 probes",
            counts_ok and equiv_ok)
 

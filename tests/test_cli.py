@@ -262,12 +262,13 @@ def test_bad_kernel_parameter_is_one_line_error(dataset_dir, tmp_path, capsys):
         (["gridsearch", "--c-grid", "abc"], "InvalidConfig"),
         (["gridsearch", "--kernel", "poly", "--degree-grid", "2.5"], "InvalidConfig"),
         (["gridsearch", "--c-grid", ","], "InvalidConfig"),
+        (["gridsearch", "--c-grid=-1,4"], "InvalidConfig"),
         (["gridsearch", "--c-grid", "1", "--gamma-grid", "0.5", "--folds", "1"], "BadK"),
         (["repeat-eval", "--train-frac", "1.5"], "InvalidConfig"),
         (["repeat-eval", "--repeats", "0"], "InvalidConfig"),
     ],
-    ids=["c-grid-abc", "degree-grid-2.5", "c-grid-comma", "folds-1", "train-frac-1.5",
-         "repeats-0"],
+    ids=["c-grid-abc", "degree-grid-2.5", "c-grid-comma", "c-grid-negative", "folds-1",
+         "train-frac-1.5", "repeats-0"],
 )
 def test_bad_sweep_argument_is_one_line_error(dataset_dir, capsys, args, category):
     rc = main(args + ["--data", str(dataset_dir)])

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from glyphsvm.errors import MixedDimensionsError, UnreadableFileError, WrongDimensionsError
+from glyphsvm.errors import (
+    DimensionMismatchError,
+    MixedDimensionsError,
+    UnreadableFileError,
+    WrongDimensionsError,
+)
 from glyphsvm.features import (
     FeatureConfig,
     FeatureVector,
@@ -266,6 +271,16 @@ def test_csv_roundtrip(tmp_path):
     assert got_labels == labels
     assert got_cfg.cell_px == 4
     np.testing.assert_array_equal(matrix, np.array(vectors))
+
+
+def test_csv_writer_rejects_a_row_of_the_wrong_length(tmp_path):
+    # a 10-value row under a 68-feature header used to write a file that
+    # read_features_csv then refused
+    cfg = FeatureConfig(cell_px=4)
+    path = tmp_path / "feats.csv"
+    with pytest.raises(DimensionMismatchError):
+        write_features_csv(path, ["1", "2"], [np.zeros(cfg.total_count), np.zeros(10)], cfg)
+    assert not path.exists()
 
 
 def test_csv_rejects_ragged_rows(tmp_path):

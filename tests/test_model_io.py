@@ -8,7 +8,7 @@ from glyphsvm.errors import (
     VersionMismatchError,
 )
 from glyphsvm.model_io import load_model, save_model
-from glyphsvm.multiclass import class_decision_values, predict, train_one_vs_all, train_one_vs_one
+from glyphsvm.multiclass import decision_matrix, predict, train_one_vs_all, train_one_vs_one
 from glyphsvm.svm import KernelSpec
 
 
@@ -36,11 +36,7 @@ def test_roundtrip_decisions_exact(strategy, tmp_path):
     assert loaded.class_ids == model.class_ids
     for p in probes:
         assert predict(loaded, p) == predict(model, p)
-    if strategy == "ova":
-        for p in probes:
-            np.testing.assert_array_equal(
-                class_decision_values(loaded, p), class_decision_values(model, p)
-            )
+    np.testing.assert_array_equal(decision_matrix(loaded, probes), decision_matrix(model, probes))
 
 
 @pytest.mark.parametrize(
@@ -162,3 +158,38 @@ def test_box_constraint_checked_on_load(tmp_path):
     path.write_text("\n".join(lines))
     with pytest.raises(CorruptBlockError):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "kernel rbf gamma=0.5 bogus=1",
+        "kernel rbf gamma=9 gamma=0.5",
+        "kernel rbf gamma=0.5 degree=3",
+        "kernel rbf",
+        "kernel rbf degree=3",
+        "kernel rbf gamma",
+        "kernel linear gamma=0.5",
+        "kernel laplace gamma=0.5",
+        "kernel",
+    ],
+)
+def test_kernel_line_names_exactly_its_parameters(line, tmp_path):
+    model, _ = small_model()
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    text = path.read_text()
+    assert "\nkernel rbf gamma=0.5\n" in text
+    path.write_text(text.replace("\nkernel rbf gamma=0.5\n", f"\n{line}\n", 1))
+    with pytest.raises(CorruptBlockError):
+        load_model(path)
+
+
+def test_kernel_line_parameters_load_in_any_order(tmp_path):
+    kernel = KernelSpec(kind="sigmoid", slope=0.01, offset=-0.25)
+    model, _ = small_model(kernel=kernel)
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    text = path.read_text()
+    path.write_text(text.replace("slope=0.01 offset=-0.25", "offset=-0.25 slope=0.01", 1))
+    assert load_model(path).classifiers[0].kernel == kernel

@@ -321,6 +321,16 @@ def test_grid_bad_kernel_raises_before_any_cell(kind, params, monkeypatch):
     assert cells == []
 
 
+@pytest.mark.parametrize("c_grid", [[-1.0, 1.0], [1.0, 0.0], [float("nan")]])
+def test_grid_non_positive_c_raises_before_any_cell(c_grid, monkeypatch):
+    data = separable_dataset(np.random.default_rng(27), n_per_class=4)
+    cells = []
+    monkeypatch.setattr(modelsel, "_fold_results", lambda *args, **kw: cells.append(args))
+    with pytest.raises(InvalidConfigError):
+        grid_search(data, "linear", c_grid=c_grid, k=2, seed=0)
+    assert cells == []
+
+
 # --- evaluation -----------------------------------------------------------------------
 
 def trained_model(data):

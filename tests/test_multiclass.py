@@ -8,22 +8,21 @@ from glyphsvm.errors import (
     NonFiniteInputError,
     SingleClassError,
 )
+from glyphsvm import multiclass
 from glyphsvm.multiclass import (
     BinaryModel,
     MinMaxScaling,
     MulticlassModel,
-    class_decision_values,
     decision_matrix,
     ordered_classes,
     predict,
     predict_batch,
-    predict_ova,
-    predict_ovo,
     train_multiclass,
+    train_multiclass_c_grid,
     train_one_vs_all,
     train_one_vs_one,
 )
-from glyphsvm.svm import KernelSpec, TrainingMeta, predict_binary, train_binary
+from glyphsvm.svm import KernelSpec, TrainingMeta, decision_values, train_binary
 
 LINEAR = KernelSpec(kind="linear")
 RBF = KernelSpec(kind="rbf", gamma=0.5)
@@ -116,9 +115,8 @@ def test_two_class_paths_coincide():
     y = np.array([1.0 if lb == 0 else -1.0 for lb in labels])
     direct = train_binary(scaled, y, RBF, C=10.0)
     probes = rng.normal(size=(200, 2)) * 2
-    for p in probes:
-        d = 0 if predict_binary(direct, ova.scaling.transform(p)) == 1 else 1
-        assert predict_ova(ova, p) == predict_ovo(ovo, p) == d
+    d = np.where(decision_values(direct, ova.scaling.transform(probes)) >= 0.0, 0, 1).tolist()
+    assert predict_batch(ova, probes) == predict_batch(ovo, probes) == d
 
 
 # --- prediction rules ----------------------------------------------------------------
@@ -135,29 +133,29 @@ def ova_from_values(values):
 
 def test_ova_argmax():
     model = ova_from_values([0.5, -0.2, 0.1])
-    assert predict_ova(model, [1.0]) == 1
+    assert predict(model, [1.0]) == 1
 
 
 def test_ova_tie_lowest_class():
     model = ova_from_values([0.3, 0.3, -1.0])
-    assert predict_ova(model, [1.0]) == 1
+    assert predict(model, [1.0]) == 1
 
 
 def test_ova_all_negative_still_argmax():
     model = ova_from_values([-0.9, -0.4, -0.7])
-    assert predict_ova(model, [1.0]) == 2
+    assert predict(model, [1.0]) == 2
 
 
 def test_ova_decision_values_exposed():
     model = ova_from_values([0.25, -0.5, 1.5])
-    np.testing.assert_allclose(class_decision_values(model, [1.0]), [0.25, -0.5, 1.5])
+    np.testing.assert_allclose(decision_matrix(model, [[1.0]]), [[0.25, -0.5, 1.5]])
 
 
 def test_ova_rescaling_invariance():
     values = [0.2, -0.8, 0.9, 0.15]
     base = ova_from_values(values)
     scaled = ova_from_values([4.0 * v for v in values])
-    assert predict_ova(base, [1.0]) == predict_ova(scaled, [1.0])
+    assert predict(base, [1.0]) == predict(scaled, [1.0])
 
 
 def ovo_from_values(pair_values, n_classes=3):
@@ -174,25 +172,25 @@ def ovo_from_values(pair_values, n_classes=3):
 def test_ovo_plurality():
     # pairs (A,B), (A,C), (B,C): A beats both, B beats C -> votes A:2 B:1 C:0
     model = ovo_from_values([0.9, 0.8, 0.7])
-    assert predict_ovo(model, [1.0]) == "A"
+    assert predict(model, [1.0]) == "A"
 
 
 def test_ovo_cycle_resolved_by_score_sums():
     # cycle: A>B (0.9), C>A (-0.7 on (A,C)), B>C (0.8): one vote each.
     # sums: A: +0.9-0.7=0.2, B: -0.9+0.8=-0.1, C: -0.8+0.7=-0.1 -> A wins.
     model = ovo_from_values([0.9, -0.7, 0.8])
-    assert predict_ovo(model, [1.0]) == "A"
+    assert predict(model, [1.0]) == "A"
 
 
 def test_ovo_cycle_score_tie_prefers_lowest_class():
     # symmetric cycle: every class one vote, all sums zero -> lowest id "A"
     model = ovo_from_values([0.5, -0.5, 0.5])
-    assert predict_ovo(model, [1.0]) == "A"
+    assert predict(model, [1.0]) == "A"
 
 
 def test_ovo_zero_decision_votes_first_class():
     model = ovo_from_values([0.0], n_classes=2)
-    assert predict_ovo(model, [1.0]) == "A"
+    assert predict(model, [1.0]) == "A"
 
 
 # --- invariances ------------------------------------------------------------------------
@@ -264,14 +262,41 @@ def test_no_convergence_tagged_with_the_first_failing_later_class():
     assert str(excinfo.value).startswith(f"class {failing!r} vs rest: no convergence")
 
 
+def test_c_grid_rejects_non_positive_c_before_the_kernel_matrix(monkeypatch):
+    X, labels = clustered_data(np.random.default_rng(24), 3, per_class=4)
+    built = []
+    monkeypatch.setattr(multiclass, "gram_matrix", lambda *args: built.append(args))
+    for c_values in ([1.0, 0.0], [-1.0], [float("nan")]):
+        with pytest.raises(InvalidConfigError):
+            train_multiclass_c_grid(X, labels, "ova", LINEAR, c_values)
+    assert built == []
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_c_grid_packages_a_model_or_raises_per_c(strategy):
+    X, labels = clustered_data(np.random.default_rng(1), 3, per_class=8, spread=2.5)
+    full = train_multiclass_c_grid(X, labels, strategy, RBF, [0.25, 1024.0])
+    small, large = (max(clf.meta.iterations for clf in full(k).classifiers) for k in (0, 1))
+    assert small < large
+    package = train_multiclass_c_grid(X, labels, strategy, RBF, [1024.0, 0.25], max_iter=small)
+    with pytest.raises(NoConvergenceError):
+        package(0)
+    for got, want in zip(package(1).classifiers, full(0).classifiers):
+        assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
+        assert got.bias == want.bias
+    with pytest.raises(NoConvergenceError):
+        package(0)
+
+
 def test_predict_dispatch():
     rng = np.random.default_rng(15)
     X, labels = clustered_data(rng, 3, per_class=6)
     ova = train_one_vs_all(X, labels, LINEAR, C=10.0)
     ovo = train_one_vs_one(X, labels, LINEAR, C=10.0)
-    probe = X[0]
-    assert predict(ova, probe) == predict_ova(ova, probe)
-    assert predict(ovo, probe) == predict_ovo(ovo, probe)
+    for model in (ova, ovo):
+        for probe in X[:3]:
+            values = reference_decision_matrix(model, [probe])[0]
+            assert predict(model, probe) == reference_label(model, values)
 
 
 def test_validate_rejects_mixed_kernels():

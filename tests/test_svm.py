@@ -20,15 +20,15 @@ from glyphsvm.errors import (
     NoConvergenceError,
     SingleClassError,
 )
+from glyphsvm.multiclass import MinMaxScaling, MulticlassModel, predict_batch
 from glyphsvm.svm import (
     DEFAULT_TOL,
     KernelSpec,
     binary_model,
     decision_value,
+    decision_values,
     gram_matrix,
     kernel_against,
-    kernel_eval,
-    predict_binary,
     solve_smo,
     train_binary,
 )
@@ -48,23 +48,23 @@ def random_problem(rng, n, gap=0.0):
 # --- kernels ------------------------------------------------------------------
 
 def test_kernel_linear():
-    assert kernel_eval(LINEAR, [1.0, 2.0], [1.0, 2.0]) == 5.0
+    assert kernel_against(LINEAR, [[1.0, 2.0]], [1.0, 2.0])[0] == 5.0
 
 
 def test_kernel_rbf_self_is_one():
     spec = KernelSpec(kind="rbf", gamma=3.7)
     for x in ([0.0, 0.0], [2.5, -1.0], [100.0]):
-        assert kernel_eval(spec, x, x) == 1.0
+        assert kernel_against(spec, [x], x)[0] == 1.0
 
 
 def test_kernel_poly():
     spec = KernelSpec(kind="poly", degree=2)
-    assert kernel_eval(spec, [1.0, 0.0], [1.0, 0.0]) == 4.0
+    assert kernel_against(spec, [[1.0, 0.0]], [1.0, 0.0])[0] == 4.0
 
 
 def test_kernel_sigmoid_orthogonal():
     spec = KernelSpec(kind="sigmoid", slope=1.0, offset=0.0)
-    assert kernel_eval(spec, [1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert kernel_against(spec, [[1.0, 0.0]], [0.0, 1.0])[0] == 0.0
 
 
 def test_kernel_symmetry():
@@ -78,12 +78,15 @@ def test_kernel_symmetry():
     for _ in range(25):
         x, y = rng.normal(size=(2, 4))
         for spec in specs:
-            assert kernel_eval(spec, x, y) == pytest.approx(kernel_eval(spec, y, x), rel=1e-15)
+            xy = kernel_against(spec, [x], y)[0]
+            assert xy == pytest.approx(kernel_against(spec, [y], x)[0], rel=1e-15)
 
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        kernel_eval(LINEAR, [1.0, 2.0], [1.0, 2.0, 3.0])
+        kernel_against(LINEAR, [[1.0, 2.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatchError):
+        kernel_against(LINEAR, [[1.0, 2.0]], [[1.0, 2.0, 3.0]])
 
 
 def test_kernel_spec_validation():
@@ -145,13 +148,13 @@ XOR_Y = np.array([1.0, 1.0, -1.0, -1.0])
 
 def test_xor_linear_not_separable():
     model = train_binary(XOR_X, XOR_Y, LINEAR, C=10.0)
-    acc = np.mean([predict_binary(model, x) == t for x, t in zip(XOR_X, XOR_Y)])
+    acc = np.mean(np.where(decision_values(model, XOR_X) >= 0.0, 1.0, -1.0) == XOR_Y)
     assert acc <= 0.75
 
 
 def test_xor_rbf_separates():
     model = train_binary(XOR_X, XOR_Y, KernelSpec(kind="rbf", gamma=1.0), C=10.0)
-    assert [predict_binary(model, x) for x in XOR_X] == [1, 1, -1, -1]
+    assert np.array_equal(np.where(decision_values(model, XOR_X) >= 0.0, 1.0, -1.0), XOR_Y)
 
 
 # --- error paths -------------------------------------------------------------------
@@ -343,9 +346,9 @@ def test_prediction_invariant_under_permutation():
     perm = rng.permutation(len(y))
     model_b = train_binary(X[perm], y[perm], KernelSpec(kind="rbf", gamma=0.5), C=10.0)
     probes = rng.normal(size=(50, 2))
-    preds_a = [predict_binary(model_a, p) for p in probes]
-    preds_b = [predict_binary(model_b, p) for p in probes]
-    assert preds_a == preds_b
+    assert np.array_equal(
+        decision_values(model_a, probes) >= 0.0, decision_values(model_b, probes) >= 0.0
+    )
 
 
 def test_training_deterministic():
@@ -386,7 +389,10 @@ def test_train_rejects_gram_of_wrong_shape():
 
 
 def test_predict_sign_rule():
+    # as one class pair, f = 0 votes for the first class, the +1 side
     model, _, _ = two_point_model()
-    assert predict_binary(model, [2.0, 0.0]) == 1   # f = +1
-    assert predict_binary(model, [0.0, 0.0]) == -1  # f = -1
-    assert predict_binary(model, [1.0, 0.0]) == 1   # f = 0 maps to +1
+    pair = MulticlassModel(
+        "ovo", ["+1", "-1"], [model], MinMaxScaling(np.zeros(2), np.ones(2)), [(0, 1)]
+    )
+    probes = [[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # f = +1, -1, 0
+    assert predict_batch(pair, probes) == ["+1", "-1", "+1"]
