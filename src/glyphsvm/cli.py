@@ -283,9 +283,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+GRID_OPTIONS = ("--c-grid", "--gamma-grid", "--degree-grid")
+
+
+def _attach_grid_values(argv: list[str]) -> list[str]:
+    """Write `--c-grid -1,4` as `--c-grid=-1,4` for every grid option, since
+    argparse takes a separate value that starts with '-' for an option; the
+    grid check then sees it. A following `--option` is left alone."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in GRID_OPTIONS and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.run(parser, args)
     except GlyphSvmError as exc:

@@ -129,10 +129,11 @@ def train_multiclass_c_grid(
     """Train the reduction at every C of `c_values` over one kernel matrix.
 
     Feature scaling is fitted on the full training set and shared by every
-    binary problem (and recorded in the model for prediction time). The
-    problems that share a matrix are solved together by `solve_smo`:
-    one-vs-all's classes x `c_values` on the whole matrix, and each one-vs-one
-    class pair x `c_values` on the slice of its two classes' rows.
+    binary problem (and recorded in the model for prediction time). Every
+    problem of the reduction at every C is one lockstep `solve_smo` block on
+    that matrix: one-vs-all's classes x `c_values` over all of its rows, and
+    one-vs-one's class pairs x `c_values` each over its two classes' rows,
+    read from the matrix through `members` rather than copied out.
 
     A C that is not positive is InvalidConfigError before the matrix is
     built. The result is a function of k that packages the model of the
@@ -157,25 +158,31 @@ def train_multiclass_c_grid(
     gram = gram_matrix(kernel, Xs)
     index = {cls: k for k, cls in enumerate(classes)}
     class_idx = np.array([index[lb] for lb in labels])
-    # (class pair or (class, None), training rows or None for all, one solution per C)
-    problems = []
     if strategy == "ova":
         pairs = None
+        keys = [(c, None) for c in range(len(classes))]
+        rows_of = [None] * len(classes)  # every problem trains on all rows
+        members = None
         Y = np.where(class_idx == np.arange(len(classes))[:, None], 1.0, -1.0)
-        solved = solve_smo(
-            gram, np.repeat(Y, len(c_values), axis=0), c_values * len(classes), tol, max_iter
-        )
-        for c in range(len(classes)):
-            problems.append(((c, None), None, solved[c * len(c_values):(c + 1) * len(c_values)]))
     else:
-        pairs = list(itertools.combinations(range(len(classes)), 2))
-        for i, j in pairs:
-            rows = np.flatnonzero((class_idx == i) | (class_idx == j))
-            y = np.where(class_idx[rows] == i, 1.0, -1.0)
-            solved = solve_smo(
-                gram[np.ix_(rows, rows)], np.tile(y, (len(c_values), 1)), c_values, tol, max_iter
-            )
-            problems.append(((i, j), rows, solved))
+        pairs = keys = list(itertools.combinations(range(len(classes)), 2))
+        rows_of = [np.flatnonzero((class_idx == i) | (class_idx == j)) for i, j in pairs]
+        # each pair's rows of the matrix, padded with label 0 to the longest pair
+        members = np.zeros((len(pairs), max(map(len, rows_of))), dtype=np.intp)
+        Y = np.zeros(members.shape)
+        for p, ((i, _), rows) in enumerate(zip(pairs, rows_of)):
+            members[p, : len(rows)] = rows
+            Y[p, : len(rows)] = np.where(class_idx[rows] == i, 1.0, -1.0)
+        members = np.repeat(members, len(c_values), axis=0)
+    # one block: every problem at every C, problem-major
+    solved = solve_smo(
+        gram, np.repeat(Y, len(c_values), axis=0), c_values * len(keys), tol, max_iter, members
+    )
+    # (class pair or (class, None), training rows or None for all, one solution per C)
+    problems = [
+        (key, rows, solved[p * len(c_values):(p + 1) * len(c_values)])
+        for p, (key, rows) in enumerate(zip(keys, rows_of))
+    ]
 
     def package(k: int) -> MulticlassModel:
         classifiers = []

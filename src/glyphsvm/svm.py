@@ -209,6 +209,7 @@ def solve_smo(
     C,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    members=None,
 ) -> list[DualSolution]:
     """Solve the soft-margin duals of several binary problems over one
     kernel matrix by SMO, in lockstep.
@@ -221,6 +222,12 @@ def solve_smo(
     gradient update. Each problem's arithmetic is that of solving it alone,
     so its solution is too. A problem leaves the block once its violation
     drops to `tol`, or unconverged after `max_iter` updates.
+
+    Without `members` every problem trains on all rows of `gram`. With it,
+    row p of the integer (problems, m) array `members` lists the rows
+    of `gram` that problem p trains on, labelled by `Y[p]`; a label of 0
+    marks padding after the problem's real samples, which never enters a
+    pair. Each solution covers its problem's real samples only.
     """
     Y = np.asarray(Y, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64).reshape(len(Y))
@@ -230,18 +237,34 @@ def solve_smo(
         raise InvalidConfigError("tol must be positive")
     gram = np.asarray(gram, dtype=np.float64)
     n = len(gram)
+    if gram.shape != (n, n):
+        raise DimensionMismatchError(f"kernel matrix has shape {gram.shape}, not square")
+    if members is None:
+        if Y.ndim != 2 or Y.shape[1] != n:
+            raise DimensionMismatchError(f"labels of shape {Y.shape} over {n} kernel rows")
+    else:
+        members = np.asarray(members)
+        if members.shape != Y.shape or Y.ndim != 2 or members.dtype.kind not in "iu":
+            raise DimensionMismatchError(
+                f"members must be integer rows of the labels' shape {Y.shape}, "
+                f"got {members.dtype} of shape {members.shape}"
+            )
+        if members.size and (members.min() < 0 or members.max() >= n):
+            raise DimensionMismatchError(f"members must be rows of the {n}x{n} kernel matrix")
+        members = members.astype(np.intp, copy=False)  # flat offsets must not overflow
+    width = Y.shape[1]
+    sizes = np.count_nonzero(Y, axis=1)
     diag = np.diagonal(gram).copy()
     flat_gram = gram.ravel()
     alpha = np.zeros(Y.shape)
-    pos = Y > 0
-    upper = np.where(pos, C[:, None], 0.0)  # bounds on y_i * alpha_i
-    lower = np.where(pos, 0.0, -C[:, None])
     # y_i * dW/dalpha_i where y_i * alpha_i can rise (up) or fall (low), and
-    # -inf / +inf where it cannot. Every sample is in at least one of the two,
-    # and an update changes that only for its own pair, so the gradient
-    # itself need not be kept apart (its value at alpha = 0 is y).
-    up = np.where(0.0 < upper, Y, -np.inf)
-    low = np.where(0.0 > lower, Y, np.inf)
+    # -inf / +inf where it cannot: at alpha = 0 it can rise only for y = +1 and
+    # fall only for y = -1, and padding can do neither. Every real sample is in
+    # at least one of the two, and an update changes that only for its own
+    # pair, so the gradient itself need not be kept apart (its value at
+    # alpha = 0 is y).
+    up = np.where(Y > 0, Y, -np.inf)
+    low = np.where(Y < 0, Y, np.inf)
     # keep the box constraint exact despite rounding in the update
     snap = 1e-12 * np.maximum(1.0, C)
     top = C - snap
@@ -250,7 +273,7 @@ def solve_smo(
     iterations = 0
     while live.size:
         count = live.size
-        row_start = np.arange(count) * n
+        row_start = np.arange(count) * width
         # the pair (i, j) of every row side by side: i first, then j
         pair_sign = np.repeat([1.0, -1.0], count)
         pair_snap, pair_top, pair_C = (np.tile(a, 2) for a in (snap, top, C))
@@ -265,19 +288,30 @@ def solve_smo(
                 done[:] = True
             if done.any():
                 break
+            # the pair's rows of the kernel matrix, and its kernel values
+            # against the problem's own samples
+            if members is None:
+                gi, gj = i, j
+                delta = gram.take(i, axis=0)
+                delta -= gram.take(j, axis=0)
+            else:
+                gi, gj = members.take(flat_i), members.take(flat_j)
+                delta = flat_gram.take(gi[:, None] * n + members)
+                delta -= flat_gram.take(gj[:, None] * n + members)
             flat = np.concatenate((flat_i, flat_j))
             y = Y.take(flat)
+            bound = y * pair_C  # y_i * alpha_i lies in [min(bound, 0), max(bound, 0)]
+            upper = np.maximum(bound, 0.0)
+            lower = np.minimum(bound, 0.0)
             pair_alpha = alpha.take(flat)
             ya = y * pair_alpha
             curvature = np.maximum(
-                diag.take(i) + diag.take(j) - 2.0 * flat_gram.take(i * n + j), CURVATURE_FLOOR
+                diag.take(gi) + diag.take(gj) - 2.0 * flat_gram.take(gi * n + gj), CURVATURE_FLOOR
             )
             step = np.minimum(
-                np.minimum(upper.take(flat_i) - ya[:count], ya[count:] - lower.take(flat_j)),
+                np.minimum(upper[:count] - ya[:count], ya[count:] - lower[count:]),
                 violation / curvature,
             )
-            delta = gram.take(i, axis=0)
-            delta -= gram.take(j, axis=0)
             delta *= step[:, None]
             up -= delta
             low -= delta
@@ -287,20 +321,23 @@ def solve_smo(
             moved = np.where(moved < pair_snap, 0.0, np.where(moved > pair_top, pair_C, moved))
             alpha.put(flat, moved)
             ya = y * moved
-            up.put(flat, np.where(ya < upper.take(flat), pair_yg, -np.inf))
-            low.put(flat, np.where(ya > lower.take(flat), pair_yg, np.inf))
+            up.put(flat, np.where(ya < upper, pair_yg, -np.inf))
+            low.put(flat, np.where(ya > lower, pair_yg, np.inf))
             iterations += 1
         for r in np.flatnonzero(done):
+            real = slice(sizes[live[r]])
             solutions[live[r]] = DualSolution(
-                y=Y[r].copy(), C=float(C[r]), alpha=alpha[r].copy(),
-                yg=np.where(up[r] > -np.inf, up[r], low[r]),
+                y=Y[r, real].copy(), C=float(C[r]), alpha=alpha[r, real].copy(),
+                yg=np.where(up[r, real] > -np.inf, up[r, real], low[r, real]),
                 iterations=iterations, violation=float(violation[r]),
                 converged=bool(violation[r] <= tol),
             )
         keep = ~done
-        Y, C, alpha, up, low, upper, lower, snap, top, live = (
-            a[keep] for a in (Y, C, alpha, up, low, upper, lower, snap, top, live)
+        Y, C, alpha, up, low, snap, top, live = (
+            a[keep] for a in (Y, C, alpha, up, low, snap, top, live)
         )
+        if members is not None:
+            members = members[keep]
     return solutions
 
 

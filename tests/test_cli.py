@@ -263,11 +263,14 @@ def test_bad_kernel_parameter_is_one_line_error(dataset_dir, tmp_path, capsys):
         (["gridsearch", "--kernel", "poly", "--degree-grid", "2.5"], "InvalidConfig"),
         (["gridsearch", "--c-grid", ","], "InvalidConfig"),
         (["gridsearch", "--c-grid=-1,4"], "InvalidConfig"),
+        (["gridsearch", "--c-grid", "-1,4"], "InvalidConfig"),
+        (["gridsearch", "--gamma-grid", "-0.5,1"], "InvalidConfig"),
         (["gridsearch", "--c-grid", "1", "--gamma-grid", "0.5", "--folds", "1"], "BadK"),
         (["repeat-eval", "--train-frac", "1.5"], "InvalidConfig"),
         (["repeat-eval", "--repeats", "0"], "InvalidConfig"),
     ],
-    ids=["c-grid-abc", "degree-grid-2.5", "c-grid-comma", "c-grid-negative", "folds-1",
+    ids=["c-grid-abc", "degree-grid-2.5", "c-grid-comma", "c-grid-negative",
+         "c-grid-negative-spaced", "gamma-grid-negative-spaced", "folds-1",
          "train-frac-1.5", "repeats-0"],
 )
 def test_bad_sweep_argument_is_one_line_error(dataset_dir, capsys, args, category):

@@ -1,7 +1,8 @@
 """Golden fixture: seeded runs whose outputs are pinned by sha256.
 
-Pinned: a saved model and a grid CSV of each multiclass strategy, the
-records of a small noisy page and the feature rows of single glyphs.
+Pinned: a saved model and a grid CSV of each multiclass strategy, the SMO
+work of the one-vs-one grid, the records of a small noisy page and the
+feature rows of single glyphs.
 
 A change that alters training or prediction arithmetic changes one of these
 digests. If that is intended, say so in CHANGES.md and update the digests.
@@ -25,6 +26,8 @@ PAGE_RECORDS_SHA256 = "af2a2b39fde6f948085427ce7bcb5c23b82b1abf88ac8a22058067648
 GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597fd2e9ce7a"
 OVO_MODEL_SHA256 = "666ff1960b564c604460fae34e8cb1ceb91c9fcc13cd6cbd720c75b1b4d462ad"
 OVO_GRID_CSV_SHA256 = "a7868ec24927dfc375aba7032d0212f66da66735d984dc1f86fec267ce27fada"
+# SMO pair updates summed over each cell's folds and pairs, in entry order
+OVO_GRID_ITERATIONS = [164, 121, 400, 203]
 
 
 def golden_dataset() -> Dataset:
@@ -63,6 +66,7 @@ def test_golden_ovo_grid_csv():
     )
     csv = "\n".join(report.csv_lines()) + "\n"
     assert sha256(csv.encode()) == OVO_GRID_CSV_SHA256, csv
+    assert [e.iterations for e in report.entries] == OVO_GRID_ITERATIONS
 
 
 def test_golden_ovo_model_bytes(tmp_path):

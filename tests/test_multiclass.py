@@ -22,7 +22,7 @@ from glyphsvm.multiclass import (
     train_one_vs_all,
     train_one_vs_one,
 )
-from glyphsvm.svm import KernelSpec, TrainingMeta, decision_values, train_binary
+from glyphsvm.svm import KernelSpec, TrainingMeta, decision_values, solve_smo, train_binary
 
 LINEAR = KernelSpec(kind="linear")
 RBF = KernelSpec(kind="rbf", gamma=0.5)
@@ -260,6 +260,37 @@ def test_no_convergence_tagged_with_the_first_failing_later_class():
     assert excinfo.value.context == failing
     assert excinfo.value.iterations == max_iter
     assert str(excinfo.value).startswith(f"class {failing!r} vs rest: no convergence")
+
+
+def test_no_convergence_tagged_with_the_first_failing_class_pair():
+    # the first pair converges, so the error must come from a pair solved beside it
+    X, labels = clustered_data(np.random.default_rng(1), 4, per_class=8, spread=2.5)
+    model = train_one_vs_one(X, labels, RBF, C=100.0)
+    full = [clf.meta.iterations for clf in model.classifiers]
+    max_iter = full[0]
+    failing = next(p for p, count in enumerate(full) if count > max_iter)
+    assert failing > 0
+    with pytest.raises(NoConvergenceError) as excinfo:
+        train_one_vs_one(X, labels, RBF, C=100.0, max_iter=max_iter)
+    i, j = model.pairs[failing]
+    context = (model.class_ids[i], model.class_ids[j])
+    assert excinfo.value.context == context
+    assert excinfo.value.iterations == max_iter
+    assert str(excinfo.value).startswith(f"class pair {context!r}: no convergence")
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_c_grid_is_one_solver_block(monkeypatch, strategy):
+    X, labels = clustered_data(np.random.default_rng(25), 4, per_class=6)
+    blocks = []
+
+    def counting(gram, Y, *args, **kwargs):
+        blocks.append(len(Y))
+        return solve_smo(gram, Y, *args, **kwargs)
+
+    monkeypatch.setattr(multiclass, "solve_smo", counting)
+    model = train_multiclass_c_grid(X, labels, strategy, RBF, [1.0, 4.0, 16.0])(2)
+    assert blocks == [len(model.classifiers) * 3]
 
 
 def test_c_grid_rejects_non_positive_c_before_the_kernel_matrix(monkeypatch):

@@ -309,6 +309,122 @@ def test_lockstep_max_iter_fails_only_the_slow_problems():
         assert str(got.value) == str(expected.value)
 
 
+# --- member blocks: problems over their own rows of one matrix ----------------------------
+
+def member_block(seed, n, sliced, spec, cuts):
+    """`len(cuts)` problems over one n-row kernel matrix, in `solve_smo`'s
+    members form. Problem p trains on a sorted subset of the rows that keeps
+    rows 0 and 1 (one of each class) and drops `cuts[p] % (n - 3)` others;
+    problem 0 keeps every row. Labels past a problem's rows are 0 (padding)."""
+    X, Y, gram = block_problem(seed, n, sliced, spec, len(cuts))
+    rng = np.random.default_rng(seed + 2)
+    members = np.zeros(Y.shape, dtype=np.intp)
+    labels = np.zeros(Y.shape)
+    subsets = []
+    for p, cut in enumerate(cuts):
+        kept = n - 2 - (0 if p == 0 else cut % (n - 3))
+        rows = np.sort(np.concatenate(([0, 1], rng.choice(np.arange(2, n), kept, replace=False))))
+        members[p, : len(rows)] = rows
+        labels[p, : len(rows)] = Y[p, rows]
+        subsets.append(rows)
+    return X, gram, members, labels, subsets
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=integers(0, 2**32 - 3),
+    n=integers(4, 24),
+    sliced=booleans(),
+    spec=sampled_from(ALL_KERNELS),
+    c_values=lists(sampled_from([0.5, 1.0, 10.0, 100.0]), min_size=1, max_size=12),
+    cuts=lists(integers(0, 20), min_size=12, max_size=12),
+)
+# the snap draws of the lockstep test: the problems whose multiplier snaps onto
+# its box keep every row, the others train on fewer
+@example(
+    seed=2116130274, n=14, sliced=False, spec=ALL_KERNELS[0], c_values=[1.0, 10.0],
+    cuts=[0, 5] + [0] * 10,
+)
+@example(
+    seed=1338252685, n=16, sliced=True, spec=ALL_KERNELS[3], c_values=[100.0, 10.0, 100.0, 0.5],
+    cuts=[0, 0, 7, 3] + [0] * 8,
+)
+@example(
+    seed=1208033237, n=6, sliced=False, spec=ALL_KERNELS[3],
+    c_values=[0.5, 10.0, 100.0, 0.5, 10.0, 1.0, 100.0, 100.0, 10.0],
+    cuts=[0, 1, 0, 2, 1, 2, 0, 1, 2, 0, 0, 0],
+)
+def test_member_block_equals_scalar_loop_on_each_subset(seed, n, sliced, spec, c_values, cuts):
+    X, gram, members, Y, subsets = member_block(seed, n, sliced, spec, cuts[: len(c_values)])
+    solutions = solve_smo(gram, Y, c_values, members=members)
+    for rows, y, C, solution in zip(subsets, Y, c_values, solutions):
+        assert len(solution.alpha) == len(rows)
+        sub_gram = gram[np.ix_(rows, rows)]
+        want = reference_train_binary(X[rows], y[: len(rows)], spec, C, gram=sub_gram)
+        assert_same_model(binary_model(solution, X[rows], spec, DEFAULT_TOL), want)
+
+
+def one_vs_one_block(spec, c_values):
+    """Every class pair of four overlapping 2-D clusters x `c_values` as one
+    members block over the kernel matrix of all 40 samples."""
+    rng = np.random.default_rng(11)
+    X = np.vstack([rng.normal(size=(10, 2)) + 0.8 * c for c in range(4)])
+    classes = np.repeat(np.arange(4), 10)
+    gram = gram_matrix(spec, X)
+    members = np.zeros((6 * len(c_values), 20), dtype=np.intp)
+    Y = np.zeros(members.shape)
+    subsets = []
+    for p, (a, b) in enumerate((a, b) for a in range(4) for b in range(a + 1, 4)):
+        rows = np.flatnonzero((classes == a) | (classes == b))
+        for k in range(len(c_values)):
+            members[p * len(c_values) + k] = rows
+            Y[p * len(c_values) + k] = np.where(classes[rows] == a, 1.0, -1.0)
+            subsets.append(rows)
+    return X, gram, members, Y, subsets, c_values * 6
+
+
+def test_member_block_max_iter_fails_only_the_slow_pairs():
+    spec = KernelSpec(kind="rbf", gamma=0.8)
+    X, gram, members, Y, subsets, C_all = one_vs_one_block(spec, [0.5, 100.0])
+    full = [s.iterations for s in solve_smo(gram, Y, C_all, members=members)]
+    max_iter = sorted(full)[len(full) // 2]
+    solutions = solve_smo(gram, Y, C_all, max_iter=max_iter, members=members)
+    failed = [not s.converged for s in solutions]
+    assert any(failed) and not all(failed)
+    for rows, y, C, solution in zip(subsets, Y, C_all, solutions):
+        sub = dict(samples=X[rows], labels=y, kernel=spec, C=C, gram=gram[np.ix_(rows, rows)])
+        if solution.converged:
+            assert_same_model(
+                binary_model(solution, X[rows], spec, DEFAULT_TOL), reference_train_binary(**sub)
+            )
+            continue
+        with pytest.raises(NoConvergenceError) as expected:
+            reference_train_binary(**sub, max_iter=max_iter)
+        with pytest.raises(NoConvergenceError) as got:
+            binary_model(solution, X[rows], spec, DEFAULT_TOL)
+        assert solution.iterations == got.value.iterations == expected.value.iterations == max_iter
+        assert got.value.violation == expected.value.violation
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "case", ["members-not-labels-shape", "member-past-last-row", "negative-member",
+             "fractional-members", "gram-not-square", "gram-not-square-without-members"],
+)
+def test_solver_checks_members_and_matrix_shape(case):
+    _, gram, members, Y, _ = member_block(4, 8, False, LINEAR, [0, 3])
+    bad = {
+        "members-not-labels-shape": (gram, Y, members[:, :-1]),
+        "member-past-last-row": (gram, Y, np.where(members == 7, 8, members)),
+        "negative-member": (gram, Y, members - 1),
+        "fractional-members": (gram, Y, members + 0.5),
+        "gram-not-square": (gram[:, :-1], Y, members),
+        "gram-not-square-without-members": (gram[:, :-1], np.where(Y == 0, 1.0, Y), None),
+    }[case]
+    with pytest.raises(DimensionMismatchError):
+        solve_smo(*bad[:2], [1.0, 1.0], members=bad[2])
+
+
 def test_solver_rejects_bad_c_and_tol():
     X, Y, gram = block_problem(4, 6, False, LINEAR, 2)
     with pytest.raises(InvalidConfigError):
