@@ -151,12 +151,14 @@ def read_features_csv(path):
     config = config_for_dimension(width - 1, path)
     labels = []
     rows = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
         if len(parts) != width:
             raise MixedDimensionsError(
                 f"{path}: row has {len(parts)} columns, header has {width}"
             )
+        if not parts[0].strip():
+            raise UnreadableFileError(f"{path}: data row {row} has an empty label")
         labels.append(parts[0])
         try:
             rows.append([float(p) for p in parts[1:]])

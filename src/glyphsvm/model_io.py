@@ -53,7 +53,8 @@ def _kernel_line(spec: KernelSpec) -> str:
 def save_model(model: MulticlassModel, path) -> None:
     """Validate, serialize and atomically replace `path`."""
     model.validate()
-    label_kind = "int" if all(isinstance(c, int) for c in model.class_ids) else "str"
+    integer = all(isinstance(c, (int, np.integer)) for c in model.class_ids)
+    label_kind = "int" if integer else "str"
     lines = [
         MAGIC,
         f"version {VERSION}",
@@ -61,7 +62,7 @@ def save_model(model: MulticlassModel, path) -> None:
         f"label_kind {label_kind}",
         f"classes {len(model.class_ids)}",
     ]
-    lines.extend(f"class {c}" for c in model.class_ids)
+    lines.extend(f"class {int(c) if integer else c}" for c in model.class_ids)
     lines.append(_kernel_line(model.classifiers[0].kernel))
     dims = model.scaling.dimension
     lines.append(f"dims {dims}")

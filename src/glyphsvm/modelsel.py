@@ -23,7 +23,7 @@ from .multiclass import (
     train_multiclass,
     train_multiclass_c_grid,
 )
-from .svm import KERNEL_PARAMS, KernelSpec
+from .svm import KERNEL_PARAMS, KernelSpec, validate_c
 
 
 @dataclass
@@ -103,44 +103,68 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(fold) for fold in np.array_split(perm, k)]
 
 
-def accuracy_of(model: MulticlassModel, data: Dataset) -> float:
-    predicted = predict_batch(model, data.vectors)
-    return sum(p == lb for p, lb in zip(predicted, data.labels)) / len(data)
+@dataclass
+class _FoldedC:
+    """One C's cross-validation: each fold's held-out accuracy and scaling
+    record, pair updates summed over the folds, and its first fold's error."""
+
+    C: float
+    accuracies: list = field(default_factory=list)
+    scalings: list = field(default_factory=list)
+    iterations: int = 0
+    error: GlyphSvmError | None = None
+
+    def fail(self, error: GlyphSvmError) -> None:
+        """Keep `error` without the tracebacks of its chain, whose frames
+        would keep the failing fold's models alive."""
+        self.error = error
+        while error is not None:
+            error.__traceback__ = None
+            error = error.__cause__ or error.__context__
 
 
-def _fold_parts(data: Dataset, k: int, seed: int):
-    """(training side, held-out side) of each of the k seeded folds, in order."""
-    all_idx = np.arange(len(data))
-    for fold in kfold_split(len(data), k, seed):
-        held = np.zeros(len(data), dtype=bool)
-        held[fold] = True
-        yield data.subset(all_idx[~held]), data.subset(all_idx[held])
-
-
-def _fold_results(train_part, test_part, strategy, kernel, c_values, tol, max_iter) -> list:
-    """Train on one fold's training side at every C of `c_values` over one
-    kernel matrix and score each model on the held-out side.
-
-    Gives, per C, (accuracy, SMO pair updates, scaling record) or the
-    GlyphSvmError its training raised. Each C's model is dropped before the
-    next one is packaged.
-    """
-    if len(set(train_part.labels)) < 2:
-        raise FoldDegenerateError("a fold leaves fewer than two classes on the training side")
-    package = train_multiclass_c_grid(
-        train_part.vectors, train_part.labels, strategy, kernel, c_values, tol, max_iter
-    )
-    results = []
-    for k in range(len(c_values)):
+def _fold_results(train_part, test_part, strategy, kernel, folded, tol, max_iter) -> None:
+    """Train one fold at the C of every entry of `folded` over one kernel
+    matrix and add each model's held-out score to its entry, or the error
+    its training raised (to every entry, if raised before any model is
+    packaged). Each model dies before the next one is packaged, and the
+    fold's training state when this returns."""
+    try:
+        if len(set(train_part.labels)) < 2:
+            raise FoldDegenerateError("a fold leaves fewer than two classes on the training side")
+        package = train_multiclass_c_grid(
+            train_part.vectors, train_part.labels, strategy, kernel,
+            [entry.C for entry in folded], tol, max_iter,
+        )
+    except GlyphSvmError as exc:
+        for entry in folded:
+            entry.fail(exc)
+        return
+    for k, entry in enumerate(folded):
         try:
             model = package(k)
         except GlyphSvmError as exc:
-            results.append(exc)
+            entry.fail(exc)
             continue
-        iterations = sum(clf.meta.iterations for clf in model.classifiers)
-        results.append((accuracy_of(model, test_part), iterations, model.scaling))
+        predicted = predict_batch(model, test_part.vectors)
+        hits = sum(p == lb for p, lb in zip(predicted, test_part.labels))
+        entry.accuracies.append(hits / len(test_part))
+        entry.scalings.append(model.scaling)
+        entry.iterations += sum(clf.meta.iterations for clf in model.classifiers)
         del model
-    return results
+
+
+def _cross_validate(data, folds, kernel, c_values, strategy, tol, max_iter) -> list[_FoldedC]:
+    """Cross-validate every C of `c_values` over `folds` (held-out rows of
+    `data`); a C trains no more after its first failing fold."""
+    folded = [_FoldedC(C) for C in c_values]
+    for fold in folds:
+        alive = [entry for entry in folded if entry.error is None]
+        if not alive:
+            break
+        train_part = data.subset(np.delete(np.arange(len(data)), fold))
+        _fold_results(train_part, data.subset(fold), strategy, kernel, alive, tol, max_iter)
+    return folded
 
 
 def cross_validate(
@@ -159,21 +183,15 @@ def cross_validate(
     Feature scaling is refitted inside every fold on its training side only,
     which `train_multiclass_c_grid` does by construction, so no statistics
     leak from the held-out samples. With `return_details` the per-fold
-    accuracies and scaling records are returned alongside the mean.
+    accuracies and scaling records are returned alongside the mean. The
+    error of the first failing fold is raised.
     """
-    fold_acc = []
-    fold_scaling = []
-    for train_part, test_part in _fold_parts(data, k, seed):
-        (result,) = _fold_results(train_part, test_part, strategy, kernel, [C], tol, max_iter)
-        if isinstance(result, GlyphSvmError):
-            raise result
-        accuracy, _, scaling = result
-        fold_acc.append(accuracy)
-        fold_scaling.append(scaling)
-    mean = float(np.mean(fold_acc))
-    if return_details:
-        return mean, fold_acc, fold_scaling
-    return mean
+    folds = kfold_split(len(data), k, seed)
+    (cv,) = _cross_validate(data, folds, kernel, [C], strategy, tol, max_iter)
+    if cv.error is not None:
+        raise cv.error
+    mean = float(np.mean(cv.accuracies))
+    return (mean, cv.accuracies, cv.scalings) if return_details else mean
 
 
 DEFAULT_GAMMA_GRID = tuple(2.0 ** p for p in range(4, -11, -1))
@@ -249,18 +267,16 @@ def grid_search(
     reported best is the first entry attaining the maximum accuracy. A cell
     whose evaluation raises is recorded with accuracy 0 and its error tag
     rather than aborting the sweep; an unknown strategy or kernel kind, a C
-    that is not positive, a kernel parameter of the wrong form, or a fold
-    count that fits no sweep raises before any cell runs.
+    that is not a positive finite number, a kernel parameter of the wrong
+    form, or a fold count that fits no sweep raises before any cell runs.
     """
-    c_values = sorted(float(c) for c in (c_grid if c_grid is not None else DEFAULT_C_GRID))
+    c_values = sorted(validate_c(c_grid if c_grid is not None else DEFAULT_C_GRID))
     params = default_param_grid(kernel_kind) if param_grid is None else list(param_grid)
     if not c_values or not params:
         raise InvalidConfigError("grids must be nonempty")
-    if not all(C > 0 for C in c_values):
-        raise InvalidConfigError("C must be positive")
     if strategy not in STRATEGIES:
         raise InvalidConfigError(f"unknown strategy {strategy!r}")
-    kfold_split(len(data), k, seed)
+    folds = kfold_split(len(data), k, seed)
     specs = [KernelSpec.from_param(kernel_kind, param) for param in params]
     if kernel_kind == "rbf":
         specs.sort(key=lambda spec: spec.gamma, reverse=True)
@@ -269,43 +285,18 @@ def grid_search(
         specs.sort(key=lambda spec: spec.degree)
         params = [spec.degree for spec in specs]
 
-    # one kernel matrix per (param, fold) serves every C of the grid; a cell
-    # stops training at its first failing fold and keeps that fold's error
+    # one kernel matrix per (param, fold) serves every C of the grid
     cells = {}
     for p, (param, spec) in enumerate(zip(params, specs)):
-        fold_acc = [[] for _ in c_values]
-        iterations = [0] * len(c_values)
-        errors: list[str | None] = [None] * len(c_values)
-        for train_part, test_part in _fold_parts(data, k, seed):
-            alive = [c for c, error in enumerate(errors) if error is None]
-            if not alive:
-                break
-            try:
-                results = _fold_results(
-                    train_part, test_part, strategy, spec,
-                    [c_values[c] for c in alive], tol, max_iter,
-                )
-            except GlyphSvmError as exc:
-                results = [exc] * len(alive)
-            for c, result in zip(alive, results):
-                if isinstance(result, GlyphSvmError):
-                    errors[c] = result.category
-                else:
-                    fold_acc[c].append(result[0])
-                    iterations[c] += result[1]
-        for c, C in enumerate(c_values):
-            if errors[c] is None:
-                cells[c, p] = GridEntry(
-                    C=C, param=param, accuracy=float(np.mean(fold_acc[c])),
-                    iterations=iterations[c],
-                )
+        column = _cross_validate(data, folds, spec, c_values, strategy, tol, max_iter)
+        for c, cv in enumerate(column):
+            if cv.error is None:
+                accuracy = float(np.mean(cv.accuracies))
+                cells[c, p] = GridEntry(cv.C, param, accuracy, iterations=cv.iterations)
             else:
-                cells[c, p] = GridEntry(C=C, param=param, accuracy=0.0, error=errors[c])
+                cells[c, p] = GridEntry(cv.C, param, 0.0, error=cv.error.category)
     entries = [cells[c, p] for c in range(len(c_values)) for p in range(len(params))]
-    best = entries[0]
-    for e in entries[1:]:
-        if e.accuracy > best.accuracy:
-            best = e
+    best = max(entries, key=lambda e: e.accuracy)  # the first of equals
     return GridSearchReport(kernel_kind=kernel_kind, entries=entries, best=best, seed=seed)
 
 

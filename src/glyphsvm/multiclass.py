@@ -24,6 +24,7 @@ from .svm import (
     decision_values,
     gram_matrix,
     solve_smo,
+    validate_c,
 )
 
 
@@ -135,11 +136,11 @@ def train_multiclass_c_grid(
     one-vs-one's class pairs x `c_values` each over its two classes' rows,
     read from the matrix through `members` rather than copied out.
 
-    A C that is not positive is InvalidConfigError before the matrix is
-    built. The result is a function of k that packages the model of the
-    k-th C, or raises the GlyphSvmError of its first failing problem (in
-    class order). A caller that drops each model before asking for the next
-    holds one at a time.
+    A C that is not a positive finite number is InvalidConfigError before
+    the matrix is built. The result is a function of k that packages the
+    model of the k-th C, or raises the GlyphSvmError of its first failing
+    problem (in class order). A caller that drops each model before asking
+    for the next holds one at a time.
     """
     if strategy not in STRATEGIES:
         raise InvalidConfigError(f"unknown strategy {strategy!r}")
@@ -150,11 +151,9 @@ def train_multiclass_c_grid(
     classes = ordered_classes(labels)
     if len(classes) < 2:
         raise SingleClassError("need at least two classes")
-    c_values = [float(C) for C in c_values]
+    c_values = validate_c(c_values)
     scaling = MinMaxScaling.fit(X)
     Xs = scaling.transform(X)
-    if not all(C > 0 for C in c_values):
-        raise InvalidConfigError("C must be positive")
     gram = gram_matrix(kernel, Xs)
     index = {cls: k for k, cls in enumerate(classes)}
     class_idx = np.array([index[lb] for lb in labels])

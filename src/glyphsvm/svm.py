@@ -37,9 +37,9 @@ class KernelSpec:
 
     linear:   x . y
     poly:     (x . y + 1)^degree
-    rbf:      exp(-gamma * ||x - y||^2), gamma > 0
+    rbf:      exp(-gamma * ||x - y||^2), gamma > 0 and finite
     sigmoid:  tanh(slope * (x . y) + offset); slope and offset have no
-              defaults and must be given explicitly
+              defaults, must be given explicitly and must be finite
     """
 
     kind: str
@@ -52,14 +52,16 @@ class KernelSpec:
         if self.kind not in KERNEL_PARAMS:
             raise InvalidConfigError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.gamma is None or not self.gamma > 0:
-                raise InvalidConfigError("rbf kernel requires gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < np.inf:
+                raise InvalidConfigError("rbf kernel requires a finite gamma > 0")
         if self.kind == "poly":
-            if int(self.degree) != self.degree or self.degree < 1:
+            if _number(self.degree, int) != self.degree or self.degree < 1:
                 raise InvalidConfigError("poly kernel requires integer degree >= 1")
         if self.kind == "sigmoid":
             if self.slope is None or self.offset is None:
                 raise InvalidConfigError("sigmoid kernel requires explicit slope and offset")
+            if not np.isfinite([self.slope, self.offset]).all():
+                raise InvalidConfigError("sigmoid kernel requires a finite slope and offset")
 
     @classmethod
     def from_param(cls, kind: str, param=None) -> "KernelSpec":
@@ -88,12 +90,21 @@ def _number(value, cast):
     try:
         number = cast(value)
         exact = number == float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
         kind = "a whole number" if cast is int else "a number"
         raise InvalidConfigError(f"kernel parameter {value!r} is not {kind}")
     return number
+
+
+def validate_c(c_values) -> list[float]:
+    """The box bounds C as floats; InvalidConfigError unless every one is a
+    positive finite number."""
+    c_values = [float(C) for C in c_values]
+    if not all(0 < C < np.inf for C in c_values):
+        raise InvalidConfigError("C must be a positive finite number")
+    return c_values
 
 
 def kernel_against(spec: KernelSpec, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -230,9 +241,7 @@ def solve_smo(
     pair. Each solution covers its problem's real samples only.
     """
     Y = np.asarray(Y, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64).reshape(len(Y))
-    if not np.all(C > 0):
-        raise InvalidConfigError("C must be positive")
+    C = np.array(validate_c(np.ravel(C))).reshape(len(Y))
     if not tol > 0:
         raise InvalidConfigError("tol must be positive")
     gram = np.asarray(gram, dtype=np.float64)

@@ -241,7 +241,3 @@ def generate_synthetic_dataset(config: SynthConfig, out_dir) -> int:
             write_pgm(gray, path)
             written += 1
     return written
-
-
-def glyph_names() -> list[str]:
-    return [name for name, _ in GLYPH_LIBRARY]

@@ -1,13 +1,17 @@
 """The package's public names, and the functions the benchmark's tracer
-wraps, exist: deleting one of them fails here, not in a benchmark run."""
+wraps, exist: deleting one of them fails here, not in a benchmark run. And
+every module-level function or class of the package is used somewhere."""
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import glyphsvm
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def traced_functions():
@@ -30,3 +34,20 @@ def test_every_traced_function_exists():
 
 def test_every_public_name_resolves():
     assert [name for name in glyphsvm.__all__ if not hasattr(glyphsvm, name)] == []
+
+
+def test_no_unused_helpers():
+    """A module-level function or class that is not public must be named
+    somewhere in the package or the benchmark besides its own definition."""
+    sources = sorted((ROOT / "src" / "glyphsvm").glob("*.py"))
+    text = "\n".join(p.read_text() for p in sources + sorted((ROOT / "perfbench").glob("*.py")))
+    unused = []
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in glyphsvm.__all__:
+                continue
+            if len(re.findall(rf"\b{node.name}\b", text)) < 2:
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []

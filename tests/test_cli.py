@@ -378,3 +378,47 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "datagen" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["train", "--c", "inf"],
+        ["train", "--c", "nan"],
+        ["train", "--kernel", "rbf", "--gamma", "inf"],
+        ["train", "--kernel", "sigmoid", "--slope", "inf", "--offset", "0"],
+        ["cv", "--c", "inf", "--folds", "2"],
+        ["gridsearch", "--c-grid", "1,inf", "--gamma-grid", "0.5", "--folds", "2"],
+    ],
+    ids=["train-c-inf", "train-c-nan", "train-gamma-inf", "train-slope-inf", "cv-c-inf",
+         "gridsearch-c-grid-inf"],
+)
+def test_non_finite_hyperparameter_is_one_line_error(dataset_dir, tmp_path, capsys, args):
+    # C = inf used to end in "no support vectors survived" after a RuntimeWarning,
+    # gamma = inf in a training run that did not finish
+    model_path = tmp_path / "m.gsvm"
+    extra = ["--model", str(model_path)] if args[0] == "train" else []
+    assert main(args + ["--data", str(dataset_dir)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: InvalidConfig:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out
+    assert "Warning" not in captured.err
+    assert not model_path.exists()
+
+
+def test_empty_label_in_feature_csv_is_one_line_error(tmp_path, capsys):
+    # such a row used to train a model that `evaluate` then refused
+    csv_path = tmp_path / "feats.csv"
+    csv_path.write_text(
+        "label,v1,v2,v3,v4,whr,ep,cp,bp\n"
+        "a,1,2,3,4,1,0,0,0\n"
+        "b,2,1,3,4,1,0,0,0\n"
+        ",1,2,3,4,1,0,0,0\n"
+    )
+    rc = main(["train", "--data", str(csv_path), "--model", str(tmp_path / "m.gsvm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnreadableFile:") and "data row 3" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "m.gsvm").exists()

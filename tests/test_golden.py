@@ -1,8 +1,8 @@
 """Golden fixture: seeded runs whose outputs are pinned by sha256.
 
-Pinned: a saved model and a grid CSV of each multiclass strategy, the SMO
-work of the one-vs-one grid, the records of a small noisy page and the
-feature rows of single glyphs.
+Pinned: a saved model, a grid CSV and the cross-validation details of each
+multiclass strategy, the SMO work of the one-vs-one grid, the records of a
+small noisy page and the feature rows of single glyphs.
 
 A change that alters training or prediction arithmetic changes one of these
 digests. If that is intended, say so in CHANGES.md and update the digests.
@@ -11,10 +11,11 @@ digests. If that is intended, say so in CHANGES.md and update the digests.
 import hashlib
 
 import numpy as np
+import pytest
 
 from glyphsvm.features import FeatureConfig, extract_features
 from glyphsvm.model_io import save_model
-from glyphsvm.modelsel import Dataset, grid_search
+from glyphsvm.modelsel import Dataset, cross_validate, grid_search
 from glyphsvm.multiclass import train_one_vs_all, train_one_vs_one
 from glyphsvm.preprocess import preprocess_character, preprocess_page, rotate_bicubic
 from glyphsvm.svm import KernelSpec
@@ -28,6 +29,11 @@ OVO_MODEL_SHA256 = "666ff1960b564c604460fae34e8cb1ceb91c9fcc13cd6cbd720c75b1b4d4
 OVO_GRID_CSV_SHA256 = "a7868ec24927dfc375aba7032d0212f66da66735d984dc1f86fec267ce27fada"
 # SMO pair updates summed over each cell's folds and pairs, in entry order
 OVO_GRID_ITERATIONS = [164, 121, 400, 203]
+# mean and fold accuracies, then each fold's scaling mins and maxs
+CV_DETAILS_SHA256 = {
+    "ova": "a58372d3407d2011be43062c3fcae089fd9893e108410d1906b41816881e12b2",
+    "ovo": "2584dfa5ce8b667136218c5a61fa9ab1e2a6e02d762c7b1c0ac652d4f4fc1971",
+}
 
 
 def golden_dataset() -> Dataset:
@@ -67,6 +73,19 @@ def test_golden_ovo_grid_csv():
     csv = "\n".join(report.csv_lines()) + "\n"
     assert sha256(csv.encode()) == OVO_GRID_CSV_SHA256, csv
     assert [e.iterations for e in report.entries] == OVO_GRID_ITERATIONS
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_golden_cross_validation_details(strategy):
+    mean, accuracies, scalings = cross_validate(
+        golden_dataset(), KernelSpec("rbf", gamma=0.5), 16.0, strategy=strategy, k=3, seed=7,
+        return_details=True,
+    )
+    digest = hashlib.sha256(np.array([mean] + accuracies).tobytes())
+    for scaling in scalings:
+        digest.update(scaling.mins.tobytes())
+        digest.update(scaling.maxs.tobytes())
+    assert digest.hexdigest() == CV_DETAILS_SHA256[strategy], accuracies
 
 
 def test_golden_ovo_model_bytes(tmp_path):

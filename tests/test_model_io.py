@@ -8,6 +8,7 @@ from glyphsvm.errors import (
     VersionMismatchError,
 )
 from glyphsvm.model_io import load_model, save_model
+from glyphsvm.modelsel import Dataset, evaluate
 from glyphsvm.multiclass import decision_matrix, predict, train_one_vs_all, train_one_vs_one
 from glyphsvm.svm import KernelSpec
 
@@ -193,3 +194,34 @@ def test_kernel_line_parameters_load_in_any_order(tmp_path):
     text = path.read_text()
     path.write_text(text.replace("slope=0.01 offset=-0.25", "offset=-0.25 slope=0.01", 1))
     assert load_model(path).classifiers[0].kernel == kernel
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["kernel rbf gamma=inf", "kernel rbf gamma=nan", "kernel sigmoid slope=inf offset=0",
+     "kernel sigmoid slope=0.01 offset=-inf"],
+)
+def test_kernel_line_with_a_non_finite_parameter_is_corrupt(line, tmp_path):
+    # gamma=inf used to load, and every decision value was then the bias
+    model, _ = small_model()
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    path.write_text(path.read_text().replace("\nkernel rbf gamma=0.5\n", f"\n{line}\n", 1))
+    with pytest.raises(CorruptBlockError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_numpy_integer_class_ids_survive_save_and_load(strategy, tmp_path):
+    # they used to be saved as label_kind str and reload as '0', '1', '2'
+    model, X = small_model(strategy, labels=list(np.arange(3)))
+    assert all(isinstance(c, np.int64) for c in model.class_ids)
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    assert "\nlabel_kind int\n" in path.read_text()
+    loaded = load_model(path)
+    assert loaded.class_ids == [0, 1, 2]
+    assert all(type(c) is int for c in loaded.class_ids)
+    data = Dataset(X, np.repeat(np.arange(3), 8))
+    accuracy = evaluate(model, data).overall_accuracy
+    assert evaluate(loaded, data).overall_accuracy == accuracy > 0.9

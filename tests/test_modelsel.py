@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from glyphsvm.errors import (
     DimensionMismatchError,
     FoldDegenerateError,
     InvalidConfigError,
+    NoConvergenceError,
     NonFiniteInputError,
 )
 from glyphsvm.modelsel import (
@@ -21,7 +25,7 @@ from glyphsvm.modelsel import (
     split_train_test,
     _report_from_confusion,
 )
-from glyphsvm.multiclass import train_one_vs_all
+from glyphsvm.multiclass import train_multiclass_c_grid, train_one_vs_all
 from glyphsvm.svm import KernelSpec
 
 LINEAR = KernelSpec(kind="linear")
@@ -321,7 +325,7 @@ def test_grid_bad_kernel_raises_before_any_cell(kind, params, monkeypatch):
     assert cells == []
 
 
-@pytest.mark.parametrize("c_grid", [[-1.0, 1.0], [1.0, 0.0], [float("nan")]])
+@pytest.mark.parametrize("c_grid", [[-1.0, 1.0], [1.0, 0.0], [float("nan")], [float("inf")]])
 def test_grid_non_positive_c_raises_before_any_cell(c_grid, monkeypatch):
     data = separable_dataset(np.random.default_rng(27), n_per_class=4)
     cells = []
@@ -329,6 +333,52 @@ def test_grid_non_positive_c_raises_before_any_cell(c_grid, monkeypatch):
     with pytest.raises(InvalidConfigError):
         grid_search(data, "linear", c_grid=c_grid, k=2, seed=0)
     assert cells == []
+
+
+def count_live_folds(monkeypatch) -> list:
+    """Have each fold's training first note how many earlier folds' trained
+    packages are still alive."""
+    packages, alive_at_start = [], []
+
+    def tracked(*args):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in packages))
+        package = train_multiclass_c_grid(*args)
+        packages.append(weakref.ref(package))
+        return package
+
+    monkeypatch.setattr(modelsel, "train_multiclass_c_grid", tracked)
+    return alive_at_start
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_each_fold_releases_its_models_before_the_next_fold_trains(strategy, monkeypatch):
+    data = separable_dataset(np.random.default_rng(42), n_per_class=8, classes=3, distance=2.0)
+    alive_at_start = count_live_folds(monkeypatch)
+    grid_search(
+        data, "rbf", c_grid=[0.5, 4.0], param_grid=[1.0, 0.25], strategy=strategy, k=3, seed=0
+    )
+    cross_validate(data, KernelSpec(kind="rbf", gamma=0.5), 2.0, strategy=strategy, k=4, seed=1)
+    assert alive_at_start == [0] * (2 * 3 + 4)
+
+
+def test_a_failing_c_releases_its_fold_before_the_next_fold_trains(monkeypatch):
+    # the kept error of a C that stops early used to hold its fold's models
+    data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
+    alive_at_start = count_live_folds(monkeypatch)
+    report = grid_search(
+        data, "rbf", c_grid=[0.25, 1024.0], param_grid=[0.5, 4.0], k=3, seed=0, max_iter=100
+    )
+    assert [e.error for e in report.entries] == [None, None, "NoConvergence", "NoConvergence"]
+    assert alive_at_start == [0] * 6
+
+
+def test_cv_raises_the_error_of_its_first_failing_fold():
+    data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
+    with pytest.raises(NoConvergenceError) as excinfo:
+        cross_validate(data, KernelSpec(kind="rbf", gamma=0.5), 1024.0, k=3, seed=0, max_iter=100)
+    assert excinfo.value.iterations == 100
+    assert isinstance(excinfo.value.__cause__, NoConvergenceError)
 
 
 # --- evaluation -----------------------------------------------------------------------

@@ -432,3 +432,12 @@ def test_unknown_strategy_is_invalid_config():
     X, labels = clustered_data(rng, 3, per_class=4)
     with pytest.raises(InvalidConfigError):
         train_multiclass(X, labels, "ovr", LINEAR, 1.0)
+
+
+def test_c_grid_rejects_infinite_c_before_the_kernel_matrix(monkeypatch):
+    X, labels = clustered_data(np.random.default_rng(24), 3, per_class=4)
+    built = []
+    monkeypatch.setattr(multiclass, "gram_matrix", lambda *args: built.append(args))
+    with pytest.raises(InvalidConfigError, match="positive finite"):
+        train_multiclass_c_grid(X, labels, "ova", LINEAR, [1.0, float("inf")])
+    assert built == []

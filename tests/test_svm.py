@@ -31,6 +31,7 @@ from glyphsvm.svm import (
     kernel_against,
     solve_smo,
     train_binary,
+    validate_c,
 )
 
 LINEAR = KernelSpec(kind="linear")
@@ -100,6 +101,41 @@ def test_kernel_spec_validation():
         KernelSpec(kind="sigmoid", slope=1.0)  # offset must be explicit
     with pytest.raises(ValueError):
         KernelSpec(kind="laplace")
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("rbf", {"gamma": float("inf")}),
+        ("rbf", {"gamma": float("nan")}),
+        ("sigmoid", {"slope": float("inf"), "offset": 0.0}),
+        ("sigmoid", {"slope": 0.01, "offset": float("-inf")}),
+        ("sigmoid", {"slope": float("nan"), "offset": 0.0}),
+    ],
+)
+def test_kernel_spec_refuses_non_finite_parameters(kind, params):
+    # gamma = inf used to put NaN on the Gram matrix diagonal
+    with pytest.raises(InvalidConfigError):
+        KernelSpec(kind=kind, **params)
+
+
+@pytest.mark.parametrize("degree", [float("inf"), float("nan")])
+def test_kernel_spec_refuses_a_degree_that_is_no_number(degree):
+    # inf used to raise a bare OverflowError
+    with pytest.raises(InvalidConfigError):
+        KernelSpec.from_param("poly", degree)
+    with pytest.raises(InvalidConfigError):
+        KernelSpec(kind="poly", degree=degree)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -2.0])
+def test_c_must_be_a_positive_finite_number(bad):
+    assert validate_c([1, 2.5]) == [1.0, 2.5]
+    with pytest.raises(InvalidConfigError, match="positive finite"):
+        validate_c([1.0, bad])
+    X, Y, gram = block_problem(4, 6, False, LINEAR, 2)
+    with pytest.raises(InvalidConfigError, match="positive finite"):
+        solve_smo(gram, Y, [1.0, bad])
 
 
 # --- analytic two-point problem -------------------------------------------------
