@@ -283,16 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-GRID_OPTIONS = ("--c-grid", "--gamma-grid", "--degree-grid")
-
-
-def _attach_grid_values(argv: list[str]) -> list[str]:
-    """Write `--c-grid -1,4` as `--c-grid=-1,4` for every grid option, since
-    argparse takes a separate value that starts with '-' for an option; the
-    grid check then sees it. A following `--option` is left alone."""
+def _attach_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Write `--c -inf` as `--c=-inf` for every option of the subcommand that
+    takes a value, since argparse takes a separate value that starts with '-'
+    (other than a plain negative number) for an option; the option's own
+    check then sees it. Flags and a following `--option` are left alone."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices.get(argv[0]) if argv else None
+    if command is None:
+        return argv
+    takes_value = {opt for a in command._actions if a.nargs != 0 for opt in a.option_strings}
     out = []
     for tok in argv:
-        if out and out[-1] in GRID_OPTIONS and not tok.startswith("--"):
+        if out and out[-1] in takes_value and not tok.startswith("--"):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -301,7 +304,8 @@ def _attach_grid_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_values(parser, argv))
     try:
         return args.run(parser, args)
     except GlyphSvmError as exc:

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AngleOutOfRangeError,
@@ -80,12 +79,27 @@ def _check_binary(img: np.ndarray) -> np.ndarray:
     return img.astype(bool)
 
 
+# Paeth's median-of-9 network (Graphics Gems, 1990): after these
+# compare-exchanges of the 3x3 window, slot 4 holds its fifth smallest value
+_MEDIAN9 = (
+    (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8),
+    (0, 3), (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4), (4, 2),
+)
+
+
 def median_filter(img: np.ndarray) -> np.ndarray:
-    """3x3 median with replicate (edge) padding; output keeps input dimensions."""
+    """3x3 median with replicate (edge) padding; output keeps input dimensions.
+
+    Selects each window's median with a fixed network of elementwise
+    min/max exchanges over the nine shifted planes.
+    """
     img = _check_gray(img)
+    h, w = img.shape
     padded = np.pad(img, 1, mode="edge")
-    windows = sliding_window_view(padded, (3, 3))
-    return np.median(windows, axis=(2, 3)).astype(np.uint8)
+    planes = [padded[r : r + h, c : c + w] for r in range(3) for c in range(3)]
+    for i, j in _MEDIAN9:
+        planes[i], planes[j] = np.minimum(planes[i], planes[j]), np.maximum(planes[i], planes[j])
+    return planes[4]
 
 
 def otsu_binarize(img: np.ndarray):
@@ -139,17 +153,17 @@ def _rotated_extent(h: int, w: int, angle_deg: float):
     return int(math.ceil(h * c + w * s)), int(math.ceil(w * c + h * s))
 
 
-def _inverse_map(out_shape, in_shape, angle_deg: float):
-    """Destination pixel centers mapped back into source coordinates."""
+def _inverse_map(out_shape, in_shape, angle_deg: float, rows: slice = slice(None)):
+    """Destination pixel centers of the output `rows` mapped back into source
+    coordinates."""
     rad = math.radians(angle_deg)
     cos, sin = math.cos(rad), math.sin(rad)
     out_h, out_w = out_shape
     in_h, in_w = in_shape
     cy_out, cx_out = (out_h - 1) / 2.0, (out_w - 1) / 2.0
     cy_in, cx_in = (in_h - 1) / 2.0, (in_w - 1) / 2.0
-    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
-    dy = ys - cy_out
-    dx = xs - cx_out
+    dy = np.arange(out_h, dtype=np.float64)[rows, None] - cy_out
+    dx = np.arange(out_w, dtype=np.float64) - cx_out
     # content rotates by +angle; sample source with the inverse rotation
     src_x = cos * dx + sin * dy + cx_in
     src_y = -sin * dx + cos * dy + cy_in
@@ -164,30 +178,47 @@ def _taps(centers: np.ndarray):
         yield idx, _cubic_kernel(centers - idx)
 
 
-def _bicubic_gather(src: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) -> np.ndarray:
-    """Evaluate Keys bicubic interpolation of `src` (float) at fractional coords.
+def _bicubic_gather(src: np.ndarray, src_y: np.ndarray, src_x: np.ndarray,
+                    padded: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate Keys bicubic interpolation of `src` at fractional coords.
 
     Samples outside the source read as 0: taps clamp onto a ring of zeros.
+    `padded` is `src` with that ring, for callers that gather from one
+    source several times; it may be bool, which reads as 1.0 and 0.0.
     """
-    padded = np.pad(src, 1)
+    if padded is None:
+        padded = np.pad(src, 1)
+    cols = [(np.clip(tx, -1, src.shape[1]) + 1, wx) for tx, wx in _taps(src_x)]
     acc = np.zeros(src_y.shape, dtype=np.float64)
     for ty, wy in _taps(src_y):
         rows = np.clip(ty, -1, src.shape[0]) + 1
-        for tx, wx in _taps(src_x):
-            acc += wy * wx * padded[rows, np.clip(tx, -1, src.shape[1]) + 1]
+        for col, wx in cols:
+            acc += wy * wx * padded[rows, col]
     return acc
+
+
+# output rows sampled at once: the 16 taps' temporaries take about 150 bytes
+# per sampled pixel, so a band bounds them where the whole canvas would not
+_BAND_ROWS = 32
 
 
 def rotate_bicubic(img: np.ndarray, angle_deg: float) -> np.ndarray:
     """Rotate a binary image with bicubic interpolation, re-binarized at 0.5.
 
-    The output canvas is enlarged to hold all rotated content.
+    The output canvas is enlarged to hold all rotated content. It is sampled
+    in bands of output rows, so the interpolation's temporaries scale with a
+    band rather than with the canvas.
     """
     img = _check_binary(img)
-    out_shape = _rotated_extent(*img.shape, angle_deg)
-    src_y, src_x = _inverse_map(out_shape, img.shape, angle_deg)
-    values = _bicubic_gather(img.astype(np.float64), src_y, src_x)
-    return values >= 0.5
+    if not math.isfinite(angle_deg):
+        raise AngleOutOfRangeError(f"rotation angle {angle_deg} is not finite")
+    out = np.empty(_rotated_extent(*img.shape, angle_deg), dtype=bool)
+    padded = np.pad(img, 1)
+    for top in range(0, out.shape[0], _BAND_ROWS):
+        band = slice(top, top + _BAND_ROWS)
+        src_y, src_x = _inverse_map(out.shape, img.shape, angle_deg, band)
+        out[band] = _bicubic_gather(img, src_y, src_x, padded) >= 0.5
+    return out
 
 
 def detect_skew(page: np.ndarray) -> float:

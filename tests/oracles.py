@@ -4,19 +4,22 @@ Nothing here shares code paths with the package: the dual oracle works from
 raw objective evaluations (grid enumeration plus pairwise polish), and the
 KKT check recomputes every decision value from scratch. The scalar SMO loop
 that the package's lockstep solver replaced is kept as its bit-for-bit
-reference.
+reference, and so are the full-canvas bicubic rotation and the float median
+that the package's banded rotation and selection median replaced.
 """
 
 import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from glyphsvm.preprocess import (
     MAX_SKEW_DEG,
     _inverse_map,
     _rotated_extent,
+    _taps,
     _zhang_suen_pass,
 )
 from glyphsvm.errors import NoConvergenceError
@@ -443,3 +446,51 @@ def reference_detect_skew(page):
     coarse = sweep(range(-150, 151, 5))
     fine = sweep(range(max(coarse - 5, -150), min(coarse + 5, 150) + 1))
     return fine / 10.0
+
+
+def reference_median_filter(img):
+    """3x3 edge-padded median as `np.median` over sliding windows, a float64
+    result cast back to uint8."""
+    padded = np.pad(img, 1, mode="edge")
+    windows = sliding_window_view(padded, (3, 3))
+    return np.median(windows, axis=(2, 3)).astype(np.uint8)
+
+
+def _full_canvas_inverse_map(out_shape, in_shape, angle_deg):
+    """Every destination pixel centre mapped back into source coordinates."""
+    rad = math.radians(angle_deg)
+    cos, sin = math.cos(rad), math.sin(rad)
+    out_h, out_w = out_shape
+    in_h, in_w = in_shape
+    cy_out, cx_out = (out_h - 1) / 2.0, (out_w - 1) / 2.0
+    cy_in, cx_in = (in_h - 1) / 2.0, (in_w - 1) / 2.0
+    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
+    dy = ys - cy_out
+    dx = xs - cx_out
+    # content rotates by +angle; sample source with the inverse rotation
+    src_x = cos * dx + sin * dy + cx_in
+    src_y = -sin * dx + cos * dy + cy_in
+    return src_y, src_x
+
+
+def _full_canvas_gather(src, src_y, src_x):
+    """Keys bicubic interpolation of a float source at every coordinate at
+    once: 16 taps, each a full-canvas index, weight and value array."""
+    padded = np.pad(src, 1)
+    acc = np.zeros(src_y.shape, dtype=np.float64)
+    for ty, wy in _taps(src_y):
+        rows = np.clip(ty, -1, src.shape[0]) + 1
+        for tx, wx in _taps(src_x):
+            acc += wy * wx * padded[rows, np.clip(tx, -1, src.shape[1]) + 1]
+    return acc
+
+
+def reference_rotate_bicubic(img, angle_deg):
+    """Bicubic rotation of a binary image over the whole output canvas in
+    one pass, re-binarized at 0.5; the output is enlarged to hold all
+    rotated content."""
+    img = np.asarray(img).astype(bool)
+    out_shape = _rotated_extent(*img.shape, angle_deg)
+    src_y, src_x = _full_canvas_inverse_map(out_shape, img.shape, angle_deg)
+    values = _full_canvas_gather(img.astype(np.float64), src_y, src_x)
+    return values >= 0.5

@@ -389,9 +389,14 @@ def test_console_script_installed():
         ["train", "--kernel", "sigmoid", "--slope", "inf", "--offset", "0"],
         ["cv", "--c", "inf", "--folds", "2"],
         ["gridsearch", "--c-grid", "1,inf", "--gamma-grid", "0.5", "--folds", "2"],
+        ["train", "--c", "-inf"],
+        ["train", "--kernel", "rbf", "--gamma", "-inf"],
+        ["train", "--kernel", "sigmoid", "--slope", "-inf", "--offset", "0"],
+        ["train", "--kernel", "sigmoid", "--slope", "1", "--offset", "-inf"],
     ],
     ids=["train-c-inf", "train-c-nan", "train-gamma-inf", "train-slope-inf", "cv-c-inf",
-         "gridsearch-c-grid-inf"],
+         "gridsearch-c-grid-inf", "train-c-minus-inf-spaced", "train-gamma-minus-inf-spaced",
+         "train-slope-minus-inf-spaced", "train-offset-minus-inf-spaced"],
 )
 def test_non_finite_hyperparameter_is_one_line_error(dataset_dir, tmp_path, capsys, args):
     # C = inf used to end in "no support vectors survived" after a RuntimeWarning,
@@ -405,6 +410,22 @@ def test_non_finite_hyperparameter_is_one_line_error(dataset_dir, tmp_path, caps
     assert "Traceback" not in captured.err + captured.out
     assert "Warning" not in captured.err
     assert not model_path.exists()
+
+
+def test_negative_offset_written_apart_still_trains(dataset_dir, tmp_path):
+    model_path = tmp_path / "m.gsvm"
+    args = ["train", "--data", str(dataset_dir), "--model", str(model_path),
+            "--kernel", "sigmoid", "--slope", "0.5", "--offset", "-2"]
+    assert main(args) == 0
+    assert load_model(model_path).classifiers[0].kernel.offset == -2.0
+
+
+def test_values_attach_only_to_options_that_take_one():
+    parser = cli.build_parser()
+    argv = ["repeat-eval", "--stratified", "-x", "--c", "-inf", "--seed", "--report", "r"]
+    assert cli._attach_values(parser, argv) == [
+        "repeat-eval", "--stratified", "-x", "--c=-inf", "--seed", "--report=r"]
+    assert cli._attach_values(parser, ["--help"]) == ["--help"]
 
 
 def test_empty_label_in_feature_csv_is_one_line_error(tmp_path, capsys):

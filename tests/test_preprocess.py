@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.extra.numpy import arrays
-from hypothesis.strategies import booleans, integers, tuples
+from hypothesis.strategies import booleans, floats, integers, sampled_from, tuples
 from scipy import ndimage
 
 from glyphsvm import preprocess
@@ -38,6 +40,8 @@ from glyphsvm.synth import SynthConfig, render_sample
 from oracles import (
     neighborhood_images,
     reference_detect_skew,
+    reference_median_filter,
+    reference_rotate_bicubic,
     reference_thin,
     reference_zhang_suen_pass,
 )
@@ -187,6 +191,24 @@ def test_median_random_matches_oracle():
         assert np.array_equal(median_filter(img), median_oracle(img))
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.uint8, tuples(integers(1, 20), integers(1, 20))))
+@example(np.arange(7, dtype=np.uint8)[None])
+@example(np.arange(7, dtype=np.uint8)[:, None])
+@example(np.array([[9]], dtype=np.uint8))
+def test_median_equals_float_median(img):
+    # in a one-pixel-wide image every window repeats its one row or column
+    assert np.array_equal(median_filter(img), reference_median_filter(img))
+
+
+def test_median_of_every_binary_window():
+    # 0-1 principle: a compare-exchange network that selects the median of
+    # every 0/1 input selects it for every input
+    for code in range(512):
+        window = ((code >> np.arange(9)) & 1).astype(np.uint8).reshape(3, 3) * 255
+        assert median_filter(window)[1, 1] == np.sort(window, axis=None)[4]
+
+
 def test_median_no_new_intensities():
     rng = np.random.default_rng(8)
     img = rng.choice(np.array([3, 90, 200], np.uint8), size=(10, 10))
@@ -301,6 +323,50 @@ def test_deskew_identity():
 def test_deskew_out_of_range():
     with pytest.raises(AngleOutOfRangeError):
         deskew(bar_page(), 90.0)
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_deskew_non_finite_angle(angle):
+    # NaN passed the range check and failed in `int(math.ceil(nan))`
+    with pytest.raises(AngleOutOfRangeError):
+        deskew(bar_page(), angle)
+
+
+BAND = preprocess._BAND_ROWS
+BAND_HEIGHTS = [0, 1, BAND - 1, BAND, BAND + 1, 3 * BAND + 5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    height=sampled_from(BAND_HEIGHTS) | integers(0, 3 * BAND),
+    width=integers(0, 40),
+    angle=sampled_from([0.0, 15.0, -15.0]) | integers(-150, 150).map(lambda t: t / 10.0),
+    fill=floats(0.0, 1.0),
+    seed=integers(0, 2**32 - 1),
+)
+@example(height=BAND - 1, width=9, angle=0.0, fill=0.5, seed=1)
+@example(height=BAND, width=9, angle=0.0, fill=0.5, seed=2)
+@example(height=BAND + 1, width=9, angle=0.0, fill=0.5, seed=3)
+@example(height=3 * BAND, width=30, angle=15.0, fill=0.3, seed=4)
+@example(height=0, width=5, angle=-15.0, fill=1.0, seed=5)
+@example(height=1, width=40, angle=0.0, fill=0.5, seed=6)
+@example(height=2 * BAND + 1, width=17, angle=-7.3, fill=0.2, seed=7)
+def test_banded_rotation_equals_full_canvas(height, width, angle, fill, seed):
+    img = np.random.default_rng(seed).random((height, width)) < fill
+    assert np.array_equal(rotate_bicubic(img, angle), reference_rotate_bicubic(img, angle))
+
+
+def test_deskew_peak_memory():
+    # the full-canvas rotation peaked at 145.6 MB on this page: 16 taps of
+    # index, weight and value arrays over all 852x1234 output pixels
+    page = np.random.default_rng(3).random((800, 1200)) < 0.1
+    tracemalloc.start()
+    try:
+        deskew(page, 2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 145.6e6 / 4
 
 
 def test_deskew_roundtrip_iou():
