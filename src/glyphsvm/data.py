@@ -16,15 +16,17 @@ from .features import FeatureConfig, extract_features, read_features_csv
 from .modelsel import Dataset
 from .multiclass import class_sort_key
 from .pgm import read_pgm
-from .preprocess import preprocess_character
+from .preprocess import _THIN_BATCH, CharacterRecord, normalize_character, thin_records
 
 
 def load_image_dataset(root, config: FeatureConfig | None = None) -> Dataset:
     """Build a Dataset from `<root>/<class_label>/*.pgm`.
 
-    Each file holds one pre-segmented character and runs through the full
-    single-glyph pipeline (median filter, Otsu, speck removal, normalize,
-    thin, features). Class labels are the directory names.
+    Each file holds one pre-segmented character. Every class directory is
+    listed before any file is read. Files are cleaned and normalized one at
+    a time (median filter, Otsu, speck removal, normalize), so an error names
+    its file; each batch of `_THIN_BATCH` glyphs is then thinned as one stack
+    and reduced to features. Class labels are the directory names.
     """
     config = config or FeatureConfig()
     root = str(root)
@@ -38,23 +40,26 @@ def load_image_dataset(root, config: FeatureConfig | None = None) -> Dataset:
     if not entries:
         raise EmptyClassError(f"{root}: no class directories")
 
-    vectors = []
-    labels = []
+    files = []
     for label in entries:
         class_dir = os.path.join(root, label)
-        files = sorted(f for f in os.listdir(class_dir) if f.lower().endswith(".pgm"))
-        if not files:
+        names = sorted(f for f in os.listdir(class_dir) if f.lower().endswith(".pgm"))
+        if not names:
             raise EmptyClassError(f"{class_dir}: no .pgm files")
-        for name in files:
-            path = os.path.join(class_dir, name)
-            gray = read_pgm(path)
-            try:
-                record = preprocess_character(gray)
-            except (EmptyCropError, UniformImageError) as exc:
-                raise UnreadableFileError(f"{path}: {exc}") from exc
-            vectors.append(extract_features(record, config).values)
-            labels.append(label)
-    return Dataset(np.array(vectors), labels)
+        files += [(label, os.path.join(class_dir, name)) for name in names]
+    vectors = []
+    for start in range(0, len(files), _THIN_BATCH):
+        records = [_normalized_glyph(path) for _, path in files[start : start + _THIN_BATCH]]
+        vectors += [extract_features(record, config).values for record in thin_records(records)]
+    return Dataset(np.array(vectors), [label for label, _ in files])
+
+
+def _normalized_glyph(path) -> CharacterRecord:
+    gray = read_pgm(path)
+    try:
+        return normalize_character(gray)
+    except (EmptyCropError, UniformImageError) as exc:
+        raise UnreadableFileError(f"{path}: {exc}") from exc
 
 
 def load_csv_dataset(path) -> Dataset:

@@ -171,11 +171,11 @@ def _inverse_map(out_shape, in_shape, angle_deg: float, rows: slice = slice(None
 
 
 def _taps(centers: np.ndarray):
-    """(unclamped index, Keys kernel weight) of each of the 4 taps around `centers`."""
+    """(unclamped index, Keys kernel weight) of each of the 4 taps around
+    `centers`, left to right. One kernel call weighs all four taps at once."""
     base = np.floor(centers).astype(np.int64)
-    for tap in range(-1, 3):
-        idx = base + tap
-        yield idx, _cubic_kernel(centers - idx)
+    idx = base + np.arange(-1, 3).reshape((4,) + (1,) * base.ndim)
+    return zip(idx, _cubic_kernel(centers - idx))
 
 
 def _bicubic_gather(src: np.ndarray, src_y: np.ndarray, src_x: np.ndarray,
@@ -411,11 +411,23 @@ _RING = ((0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0))
 
 def neighbor_codes(img: np.ndarray) -> np.ndarray:
     """One uint8 per pixel whose bit k is set when neighbor k of `_RING` is
-    ink. Neighbors off the image count as background."""
-    h, w = img.shape
-    canvas = np.zeros((h + 2, w + 2), dtype=np.uint8)
-    canvas[1:-1, 1:-1] = img
-    return sum(canvas[r : r + h, c : c + w] << k for k, (r, c) in enumerate(_RING))
+    ink. Neighbors off the image count as background. The last two axes are
+    the image; leading axes stack independent images."""
+    *lead, h, w = img.shape
+    canvas = np.zeros((*lead, h + 2, w + 2), dtype=np.uint8)
+    canvas[..., 1:-1, 1:-1] = img
+    # on the flattened canvas neighbour (r, c) lies a fixed offset away, and
+    # each image's ring of zeros keeps its pixels from reading another image
+    pixels = canvas.reshape(-1)
+    row = w + 2
+    lo = row + 1
+    hi = max(lo, pixels.size - row - 1)
+    codes = np.zeros_like(canvas)
+    window = codes.reshape(-1)[lo:hi]
+    for k, (r, c) in enumerate(_RING):
+        offset = (r - 1) * row + c - 1
+        window |= pixels[lo + offset : hi + offset] << k
+    return codes[..., 1:-1, 1:-1]
 
 
 def _rule_tables():
@@ -442,57 +454,89 @@ def _zhang_suen_pass(img: np.ndarray, second: bool) -> np.ndarray:
     return img & _DELETABLE[second][neighbor_codes(img)]
 
 
-def _protect_vanishing(img: np.ndarray, deletions: np.ndarray) -> np.ndarray:
-    """Keep one pixel of any component the pass would delete entirely.
+def _protect_vanishing(imgs: np.ndarray, deletions: np.ndarray) -> np.ndarray:
+    """Keep one pixel of any component the pass would delete entirely, in
+    every image of a (k, h, w) stack; `deletions` is updated in place.
 
     Classic Zhang-Suen erases isolated 2x2 squares; retaining the component's
     first raster pixel keeps the component count invariant. A deleted pixel
     with a surviving 8-neighbour lies in that survivor's component, so a
     component can vanish only if some deleted pixel has no surviving
-    neighbour. Components are labelled only in that case.
+    neighbour. One test over the stack finds the images where that happens,
+    and only their components are labelled.
     """
-    survivors = img & ~deletions
-    if not np.any(deletions & (neighbor_codes(survivors) == 0)):
-        return deletions
-    labels, count = label_components(img)
-    alive = np.bincount(labels[survivors], minlength=count + 1)
-    deletions = deletions.copy()
-    for lab in np.flatnonzero(alive[1:] == 0) + 1:
-        deletions.ravel()[np.argmax(labels.ravel() == lab)] = False
+    survivors = imgs & ~deletions
+    at_risk = (deletions & (neighbor_codes(survivors) == 0)).any(axis=(1, 2))
+    for g in at_risk.nonzero()[0]:
+        labels, count = label_components(imgs[g])
+        alive = np.bincount(labels[survivors[g]], minlength=count + 1)
+        for lab in np.flatnonzero(alive[1:] == 0) + 1:
+            deletions[g].flat[np.argmax(labels.ravel() == lab)] = False
     return deletions
+
+
+def _zhang_suen_stack(stack: np.ndarray) -> np.ndarray:
+    """Zhang-Suen two-subiteration thinning to fixpoint of every image of a
+    (k, h, w) stack, stepped in lockstep.
+
+    Each subiteration computes one deletion mask for the live images. An
+    image leaves the live stack after a full iteration deletes nothing, where
+    thinning it alone would stop, so every image gets the passes it would get
+    alone and later passes cover only the images still changing.
+    """
+    out = np.empty_like(stack)
+    imgs = stack.copy()
+    live = np.arange(len(stack))
+    while len(live):
+        changed = np.zeros(len(live), dtype=bool)
+        for second in (False, True):
+            deletions = _protect_vanishing(imgs, _zhang_suen_pass(imgs, second))
+            imgs &= ~deletions
+            changed |= deletions.any(axis=(1, 2))
+        if not changed.all():
+            out[live[~changed]] = imgs[~changed]
+            imgs, live = imgs[changed], live[changed]
+    return out
 
 
 def zhang_suen(img: np.ndarray) -> np.ndarray:
     """Zhang-Suen two-subiteration thinning to fixpoint, any image size."""
-    img = _check_binary(img).copy()
-    while True:
-        changed = False
-        for second in (False, True):
-            deletions = _zhang_suen_pass(img, second)
-            deletions = _protect_vanishing(img, deletions)
-            if deletions.any():
-                img[deletions] = False
-                changed = True
-        if not changed:
-            return img
+    return _zhang_suen_stack(_check_binary(img)[None])[0]
+
+
+# glyphs thinned at once: the lockstep passes keep about 8.6 KB of
+# temporaries per glyph, so a batch bounds them where a whole dataset would not
+_THIN_BATCH = 128
 
 
 def thin(norm: np.ndarray) -> np.ndarray:
-    """Thin a 32x32 normalized character to a 1-pixel-wide skeleton."""
-    norm = _check_binary(norm)
+    """Thin 32x32 normalized characters to 1-pixel-wide skeletons.
+
+    Takes one 32x32 image or a (k, 32, 32) stack and returns the same shape.
+    A stack is thinned in lockstep, in batches of at most `_THIN_BATCH`
+    glyphs.
+    """
+    norm = np.asarray(norm, dtype=bool)
     n = NORMALIZED_SIZE
-    if norm.shape != (n, n):
-        raise WrongDimensionsError(f"thin expects {n}x{n}, got {norm.shape}")
-    return zhang_suen(norm)
+    if norm.ndim not in (2, 3) or norm.shape[-2:] != (n, n):
+        raise WrongDimensionsError(f"thin expects {n}x{n} images, got {norm.shape}")
+    stack = norm.reshape(-1, n, n)
+    out = np.empty_like(stack)
+    for start in range(0, len(stack), _THIN_BATCH):
+        batch = slice(start, start + _THIN_BATCH)
+        out[batch] = _zhang_suen_stack(stack[batch])
+    return out.reshape(norm.shape)
 
 
 # --- full pipeline ---------------------------------------------------------
 
-def finish_record(record: CharacterRecord) -> CharacterRecord:
-    """Fill the normalized and skeleton bitmaps of a segmented record."""
-    record.normalized = normalize_size(record.crop)
-    record.skeleton = thin(record.normalized)
-    return record
+def thin_records(records: list[CharacterRecord]) -> list[CharacterRecord]:
+    """Fill the skeletons of normalized records with one `thin` call."""
+    n = NORMALIZED_SIZE
+    stack = np.array([rec.normalized for rec in records], dtype=bool).reshape(-1, n, n)
+    for rec, skeleton in zip(records, thin(stack)):
+        rec.skeleton = skeleton
+    return records
 
 
 def clean_page(gray: np.ndarray):
@@ -509,14 +553,16 @@ def clean_page(gray: np.ndarray):
 
 def segment_page(page: np.ndarray) -> list[CharacterRecord]:
     """The segmenting stage of the page pipeline: lines, characters, then
-    normalize and thin each one. Bounding boxes refer to `page`."""
+    normalize each one and thin them all with one `thin` call. Bounding
+    boxes refer to `page`."""
     records: list[CharacterRecord] = []
     for top, bottom in segment_lines(page):
         strip = page[top : bottom + 1]
         for rec in segment_characters(strip):
             rec.bbox = replace(rec.bbox, top=rec.bbox.top + top)
-            records.append(finish_record(rec))
-    return records
+            rec.normalized = normalize_size(rec.crop)
+            records.append(rec)
+    return thin_records(records)
 
 
 def preprocess_page(gray: np.ndarray) -> list[CharacterRecord]:
@@ -529,11 +575,20 @@ def preprocess_page(gray: np.ndarray) -> list[CharacterRecord]:
 
 
 def preprocess_character(gray: np.ndarray) -> CharacterRecord:
-    """Pipeline for a single pre-segmented character image.
+    """Pipeline for a single pre-segmented character image: the record of
+    `normalize_character`, thinned."""
+    record = normalize_character(gray)
+    record.skeleton = thin(record.normalized)
+    return record
+
+
+def normalize_character(gray: np.ndarray) -> CharacterRecord:
+    """A single pre-segmented character image up to its normalized bitmap.
 
     Median filter and Otsu as on pages, then drop sub-threshold specks, take
-    the tight box around the remaining ink, and normalize + thin it. Skew
-    and line segmentation do not apply to isolated glyphs.
+    the tight box around the remaining ink, and normalize it; `skeleton` is
+    left to the caller. Skew and line segmentation do not apply to isolated
+    glyphs.
     """
     filtered = median_filter(gray)
     _, binary = otsu_binarize(filtered)
@@ -543,4 +598,6 @@ def preprocess_character(gray: np.ndarray) -> CharacterRecord:
     keep = kept[labels]
     if not keep.any():
         raise EmptyCropError("no component of sufficient area")
-    return finish_record(_raw_record(keep))
+    record = _raw_record(keep)
+    record.normalized = normalize_size(record.crop)
+    return record

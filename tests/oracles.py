@@ -5,7 +5,9 @@ raw objective evaluations (grid enumeration plus pairwise polish), and the
 KKT check recomputes every decision value from scratch. The scalar SMO loop
 that the package's lockstep solver replaced is kept as its bit-for-bit
 reference, and so are the full-canvas bicubic rotation and the float median
-that the package's banded rotation and selection median replaced.
+that the package's banded rotation and selection median replaced. The
+rotation reads its own copy of the tap-at-a-time Keys weights that the
+package's four-tap table replaced.
 """
 
 import itertools
@@ -19,7 +21,6 @@ from glyphsvm.preprocess import (
     MAX_SKEW_DEG,
     _inverse_map,
     _rotated_extent,
-    _taps,
     _zhang_suen_pass,
 )
 from glyphsvm.errors import NoConvergenceError
@@ -471,6 +472,25 @@ def _full_canvas_inverse_map(out_shape, in_shape, angle_deg):
     src_x = cos * dx + sin * dy + cx_in
     src_y = -sin * dx + cos * dy + cy_in
     return src_y, src_x
+
+
+def _cubic_kernel(x: np.ndarray) -> np.ndarray:
+    """Keys bicubic convolution kernel with a = -0.5 (4-point support)."""
+    x = np.abs(x)
+    out = np.zeros_like(x)
+    near = x <= 1.0
+    far = (x > 1.0) & (x < 2.0)
+    out[near] = 1.5 * x[near] ** 3 - 2.5 * x[near] ** 2 + 1.0
+    out[far] = -0.5 * x[far] ** 3 + 2.5 * x[far] ** 2 - 4.0 * x[far] + 2.0
+    return out
+
+
+def _taps(centers: np.ndarray):
+    """(unclamped index, Keys kernel weight) of each of the 4 taps around `centers`."""
+    base = np.floor(centers).astype(np.int64)
+    for tap in range(-1, 3):
+        idx = base + tap
+        yield idx, _cubic_kernel(centers - idx)
 
 
 def _full_canvas_gather(src, src_y, src_x):

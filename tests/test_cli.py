@@ -9,6 +9,8 @@ from glyphsvm.multiclass import train_one_vs_all
 from glyphsvm.pgm import read_pgm, write_pgm
 from glyphsvm.svm import KernelSpec
 
+from test_data import write_dataset_with_late_bad_file
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -295,6 +297,33 @@ def assert_one_line_error(capsys, category):
     assert captured.err.startswith(f"error: {category}:")
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_features_names_a_later_bad_file(tmp_path, capsys):
+    bad = write_dataset_with_late_bad_file(tmp_path / "data")
+    rc = main(["features", "--data", str(tmp_path / "data"), "--output", str(tmp_path / "f.csv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: UnreadableFile:")
+    assert str(bad) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_preprocess_page_of_specks(tmp_path, capsys):
+    # each 2x3 block survives the median filter as 2 pixels, under
+    # MIN_COMPONENT_AREA, so the page has ink but no character
+    page = np.full((60, 90), 255, np.uint8)
+    for top, left in ((10, 10), (30, 40), (45, 70), (20, 75)):
+        page[top : top + 2, left : left + 3] = 0
+    assert preprocess.clean_page(page)[3].any()
+    page_path = tmp_path / "specks.pgm"
+    write_pgm(page, page_path)
+    out_dir = tmp_path / "chars"
+    assert main(["preprocess", "--input", str(page_path), "--out-dir", str(out_dir)]) == 0
+    assert "segmented 0 characters" in capsys.readouterr().out
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize(

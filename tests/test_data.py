@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,21 @@ def test_uniform_image_is_unreadable(tmp_path):
         os.makedirs(tmp_path / cls)
         write_pgm(np.full((20, 20), 255, np.uint8), tmp_path / cls / "a.pgm")
     with pytest.raises(UnreadableFileError):
+        load_dataset(tmp_path)
+
+
+def write_dataset_with_late_bad_file(root):
+    """Two classes of good glyphs, then a uniform `1/b.pgm` read last."""
+    generate_synthetic_dataset(SynthConfig(classes=2, per_class=3, seed=2), root)
+    bad = root / "1" / "b.pgm"
+    write_pgm(np.full((20, 20), 255, np.uint8), bad)
+    return bad
+
+
+def test_later_bad_file_is_named(tmp_path):
+    bad = write_dataset_with_late_bad_file(tmp_path)
+    assert sorted(os.listdir(tmp_path / "1"))[-1] == "b.pgm"
+    with pytest.raises(UnreadableFileError, match=re.escape(str(bad))):
         load_dataset(tmp_path)
 
 

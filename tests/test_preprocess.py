@@ -29,14 +29,17 @@ from glyphsvm.preprocess import (
     rotate_bicubic,
     segment_characters,
     segment_lines,
+    segment_page,
     thin,
     zhang_suen,
     _bicubic_gather,
     _cubic_kernel,
+    _taps,
     _zhang_suen_pass,
 )
 from glyphsvm.synth import SynthConfig, render_sample
 
+from oracles import _neighbour_planes, _taps as reference_taps
 from oracles import (
     neighborhood_images,
     reference_detect_skew,
@@ -577,6 +580,23 @@ def test_normalize_empty_crop():
         normalize_size(np.zeros((5, 5), dtype=bool))
 
 
+def test_taps_match_tap_at_a_time_weights():
+    rng = np.random.default_rng(19)
+    centers = [
+        rng.uniform(-40.0, 40.0, 200),
+        np.arange(-6.0, 6.5, 0.5),  # whole and half-integer, negative too
+        rng.uniform(-3.0, 70.0, (9, 11)),
+        (np.arange(32) + 0.5) * (45 / 32) - 0.5,  # a resample's centres
+    ]
+    for c in centers:
+        got = list(_taps(c))
+        expected = list(reference_taps(c))
+        assert len(got) == len(expected) == 4
+        for (idx, w), (ref_idx, ref_w) in zip(got, expected):
+            assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+            assert w.dtype == ref_w.dtype and np.array_equal(w, ref_w)
+
+
 def test_bicubic_gather_far_outside_reads_zero():
     src = np.ones((5, 7))
     ys = np.array([[-50.0, 1e4, 2.0, -50.0, 1e4, 2.0, -2.0]])
@@ -644,13 +664,104 @@ def test_thin_matches_reference_guard_on_vanishing_squares(monkeypatch):
     monkeypatch.setattr(preprocess, "label_components", counting_label_components)
     rng = np.random.default_rng(29)
     for _ in range(50):
-        img = random_blob(rng)
-        for _ in range(3):
-            r, c = rng.integers(1, 29, 2)
-            if not img[r - 1 : r + 3, c - 1 : c + 3].any():
-                img[r : r + 2, c : c + 2] = True
+        img = sprinkle_squares(rng, random_blob(rng))
         assert np.array_equal(thin(img), reference_thin(img))
     assert labelled  # the labelling fallback ran
+
+
+def sprinkle_squares(rng, img, tries=3):
+    """Add isolated 2x2 squares, which plain Zhang-Suen would erase."""
+    for _ in range(tries):
+        r, c = rng.integers(1, 29, 2)
+        if not img[r - 1 : r + 3, c - 1 : c + 3].any():
+            img[r : r + 2, c : c + 2] = True
+    return img
+
+
+def thinning_stack():
+    """An empty and an all-ink glyph, bars that take different numbers of
+    iterations, noise of several densities, and blobs of which every other
+    one is sprinkled with isolated 2x2 squares."""
+    rng = np.random.default_rng(53)
+    glyphs = [np.zeros((32, 32), dtype=bool), np.ones((32, 32), dtype=bool)]
+    glyphs += [embed(np.ones((rows, 20), dtype=bool)) for rows in (1, 3, 7, 13)]
+    glyphs += [rng.random((32, 32)) < density for density in (0.3, 0.5, 0.7, 0.9)]
+    for i in range(16):
+        blob = random_blob(rng)
+        glyphs.append(sprinkle_squares(rng, blob) if i % 2 else blob)
+    return np.array(glyphs)
+
+
+def test_thin_stack_equals_reference_per_glyph(monkeypatch):
+    stack = thinning_stack()
+    labelled = []
+    live_sizes = []
+
+    def counting_label_components(img):
+        labelled.append(img.shape)
+        return label_components(img)
+
+    def recording_pass(imgs, second):
+        live_sizes.append(len(imgs))
+        return _zhang_suen_pass(imgs, second)
+
+    monkeypatch.setattr(preprocess, "label_components", counting_label_components)
+    per_glyph_labelled = []
+    for img in stack:
+        labelled.clear()
+        assert np.array_equal(thin(img[None])[0], reference_thin(img))
+        per_glyph_labelled.append(len(labelled))
+    # the labelled fallback runs for some glyphs and not for others
+    assert min(per_glyph_labelled) == 0 and max(per_glyph_labelled) > 0
+
+    labelled.clear()
+    monkeypatch.setattr(preprocess, "_zhang_suen_pass", recording_pass)
+    out = thin(stack)
+    assert out.shape == stack.shape and out.dtype == bool
+    for g, img in enumerate(stack):
+        assert np.array_equal(out[g], reference_thin(img))
+    # one screen per pass sends only the flagged glyphs to the fallback
+    assert len(labelled) == sum(per_glyph_labelled)
+    # glyphs leave the live stack as they converge, at different iterations
+    assert live_sizes[0] == len(stack)
+    assert live_sizes == sorted(live_sizes, reverse=True)
+    assert len(set(live_sizes)) > 3
+
+
+def test_thin_stack_of_one_and_empty_stack():
+    img = embed(np.ones((5, 12), dtype=bool))
+    assert np.array_equal(thin(img[None]), thin(img)[None])
+    assert np.array_equal(thin(img), reference_thin(img))
+    empty = thin(np.zeros((0, 32, 32), dtype=bool))
+    assert empty.shape == (0, 32, 32) and empty.dtype == bool
+
+
+@pytest.mark.parametrize("shape", [(3, 16, 16), (2, 32, 16), (2, 2, 32, 32), (32,)])
+def test_thin_stack_of_wrong_dimensions(shape):
+    with pytest.raises(WrongDimensionsError):
+        thin(np.zeros(shape, dtype=bool))
+
+
+def test_thin_peak_memory():
+    """Thinning 2,000 glyphs through `thin` keeps its temporaries to one
+    batch.
+
+    The output takes 2,000 x 1,024 bytes. Each lockstep pass keeps about
+    8.6 KB of temporaries per glyph of its stack (measured for stacks of
+    128 and 2,000 glyphs), so a batch of 128 glyphs adds about 1.1 MB: the
+    whole call peaked at 3.2 MB. The bound allows the output plus 256
+    glyphs at 10 KB each, 4.6 MB; one stack of all 2,000 glyphs peaked at
+    19.2 MB.
+    """
+    rng = np.random.default_rng(61)
+    stack = np.array([random_blob(rng) for _ in range(2000)])
+    tracemalloc.start()
+    try:
+        thin(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 1024 + 256 * 10_000
 
 
 def test_zhang_suen_matches_oracle_on_blobs():
@@ -671,6 +782,20 @@ def test_neighbor_codes_read_each_neighbourhood():
     for code, img in neighborhood_images():
         assert neighbor_codes(img).dtype == np.uint8
         assert neighbor_codes(img)[1, 1] == code
+
+
+@pytest.mark.parametrize(
+    "shape", [(6, 9, 13), (3, 1, 7), (2, 7, 1), (2, 0, 5), (0, 32, 32), (5, 3), (1, 1), (0, 4)]
+)
+def test_neighbor_codes_of_a_stack_equal_per_image_codes(shape):
+    stack = np.random.default_rng(43).random(shape) < 0.5
+    codes = neighbor_codes(stack)
+    assert codes.shape == stack.shape and codes.dtype == np.uint8
+    images = stack if stack.ndim == 3 else stack[None]
+    for img, img_codes in zip(images, codes if stack.ndim == 3 else codes[None]):
+        planes = _neighbour_planes(img)
+        assert np.array_equal(img_codes, sum(plane << k for k, plane in enumerate(planes)))
+        assert np.array_equal(img_codes, neighbor_codes(img))
 
 
 @pytest.mark.parametrize("second", [False, True])
@@ -716,6 +841,14 @@ def test_preprocess_page_blank_after_binarize():
     page[20:30, 10:50] = 180
     records = preprocess_page(page)
     assert len(records) == 1
+
+
+def test_page_of_specks_has_no_records():
+    page = np.zeros((60, 80), dtype=bool)
+    page[10:12, 10:12] = True  # 4 pixels, under MIN_COMPONENT_AREA
+    page[30, 40:44] = True
+    page[50, 70] = True
+    assert segment_page(page) == []
 
 
 def test_bounding_box_validation():
