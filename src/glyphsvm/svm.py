@@ -29,6 +29,8 @@ DEFAULT_MAX_ITER = 1_000_000
 CURVATURE_FLOOR = 1e-12
 # Largest kernel matrix one training may hold: n <= 11,585 samples.
 GRAM_BUDGET_BYTES = 1 << 30
+# Rows of the kernel matrix that `gram_matrix` builds per `kernel_against` call.
+_GRAM_BAND_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -108,32 +110,23 @@ def validate_c(c_values) -> list[float]:
 
 
 def kernel_against(spec: KernelSpec, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Kernel values of probes against a stack of rows.
+    """Kernel values of a 2-D block of probes against a 2-D stack of rows,
+    as a (probes, rows) matrix. Any other shape is DimensionMismatchError.
 
-    A 1-D probe gives one value per row (the form SMO uses). A 2-D block of
-    probes gives a (probes, rows) matrix.
+    RBF is expanded as ||p||^2 + ||r||^2 - 2 p.r, clipped at 0, as LIBSVM
+    computes it, so memory stays probes x rows, not probes x rows x dimension.
     """
     rows = np.asarray(rows, dtype=np.float64)
     probes = np.asarray(probes, dtype=np.float64)
-    if rows.shape[1] != probes.shape[-1]:
-        raise DimensionMismatchError(
-            f"vectors have dimension {rows.shape[1]}, probe has {probes.shape[-1]}"
-        )
-    single = probes.ndim == 1
+    if rows.ndim != 2 or probes.ndim != 2 or rows.shape[1] != probes.shape[1]:
+        raise DimensionMismatchError(f"kernel of {rows.shape} rows against {probes.shape} probes")
+    dot = probes @ rows.T
     if spec.kind == "rbf":
-        if single:
-            diff = rows - probes
-            sq_dist = np.einsum("ij,ij->i", diff, diff)
-        else:
-            # expanded so memory stays probes x rows, not probes x rows x dimension
-            sq_dist = (
-                np.einsum("ij,ij->i", probes, probes)[:, None]
-                + np.einsum("ij,ij->i", rows, rows)
-                - 2.0 * (probes @ rows.T)
-            )
-            np.maximum(sq_dist, 0.0, out=sq_dist)
-        return np.exp(-spec.gamma * sq_dist)
-    dot = rows @ probes if single else probes @ rows.T
+        sq_dist = np.einsum("ij,ij->i", probes, probes)[:, None] + np.einsum("ij,ij->i", rows, rows)
+        sq_dist -= 2.0 * dot
+        np.maximum(sq_dist, 0.0, out=sq_dist)
+        sq_dist *= -spec.gamma
+        return np.exp(sq_dist, out=sq_dist)
     if spec.kind == "linear":
         return dot
     if spec.kind == "poly":
@@ -144,10 +137,13 @@ def kernel_against(spec: KernelSpec, rows: np.ndarray, probes: np.ndarray) -> np
 def gram_matrix(spec: KernelSpec, samples) -> np.ndarray:
     """The exactly symmetric kernel matrix of the rows of `samples`.
 
-    Only the upper triangle is computed, row i through the single-probe form
-    of `kernel_against` over rows i..n-1, and mirrored into column i. The
-    matrix may take at most GRAM_BUDGET_BYTES; a larger training set raises
-    InvalidConfigError before anything is allocated.
+    Only the upper triangle is computed, `_GRAM_BAND_ROWS` rows per
+    `kernel_against` call (rows s..e-1 against rows s..n-1), and each band
+    is mirrored into the lower triangle, its diagonal block included, so the
+    matrix is symmetric whatever the BLAS does. The RBF diagonal is exactly
+    1.0, K(x, x) at distance 0. Temporaries scale with a band, not the
+    matrix. The matrix may take at most GRAM_BUDGET_BYTES; a larger training
+    set raises InvalidConfigError before anything is allocated.
     """
     n = len(samples)
     if n * n * 8 > GRAM_BUDGET_BYTES:
@@ -157,10 +153,15 @@ def gram_matrix(spec: KernelSpec, samples) -> np.ndarray:
         )
     X = np.asarray(samples, dtype=np.float64)
     gram = np.empty((n, n))
-    for i in range(n):
-        row = kernel_against(spec, X[i:], X[i])
-        gram[i, i:] = row
-        gram[i:, i] = row
+    for s in range(0, n, _GRAM_BAND_ROWS):
+        e = min(s + _GRAM_BAND_ROWS, n)
+        gram[s:e, s:] = kernel_against(spec, X[s:], X[s:e])
+        gram[e:, s:e] = gram[s:e, e:].T
+        block = gram[s:e, s:e]
+        lower = np.tril_indices(e - s, -1)
+        block[lower] = block.T[lower]
+    if spec.kind == "rbf":
+        np.fill_diagonal(gram, 1.0)
     return gram
 
 
@@ -284,7 +285,6 @@ def solve_smo(
         count = live.size
         row_start = np.arange(count) * width
         # the pair (i, j) of every row side by side: i first, then j
-        pair_sign = np.repeat([1.0, -1.0], count)
         pair_snap, pair_top, pair_C = (np.tile(a, 2) for a in (snap, top, C))
         while True:
             i = np.argmax(up, axis=1)
@@ -326,7 +326,7 @@ def solve_smo(
             low -= delta
             # the pair's own gradients: i could rise and j could fall before the step
             pair_yg = np.concatenate((up.take(flat_i), low.take(flat_j)))
-            moved = pair_alpha + pair_sign * y * np.tile(step, 2)
+            moved = pair_alpha + y * np.concatenate((step, -step))
             moved = np.where(moved < pair_snap, 0.0, np.where(moved > pair_top, pair_C, moved))
             alpha.put(flat, moved)
             ya = y * moved

@@ -32,27 +32,14 @@ from glyphsvm.svm import (
     KernelSpec,
     TrainingMeta,
     decision_value,
-    kernel_against,
 )
 
 GRID_POINTS = 11  # {0, C/10, ..., C}
 
 
 def kernel_matrix(spec, X):
-    n = len(X)
-    K = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            K[i, j] = kernel_against(spec, X[i][None], X[j])[0]
-    return K
-
-
-def reference_gram(spec, X):
-    """The kernel matrix SMO read before the symmetric Gram matrix: row i is
-    `kernel_against(spec, X, X[i])` over all of X, so it need not be
-    symmetric bit for bit (one-vs-one built it per class pair)."""
-    X = np.asarray(X, dtype=np.float64)
-    return np.array([kernel_against(spec, X, x) for x in X]).reshape(len(X), len(X))
+    """The kernel matrix of the rows of X, one `reference_kernel` pair at a time."""
+    return np.array([[reference_kernel(spec, a, b) for b in X] for a in X])
 
 
 def reference_train_binary(

@@ -38,7 +38,9 @@ def test_every_public_name_resolves():
 
 def test_no_unused_helpers():
     """A module-level function or class that is not public must be named
-    somewhere in the package or the benchmark besides its own definition."""
+    somewhere in the package or the benchmark besides its own definition.
+    A module-level function of the test oracles must be named in a test
+    file, or called by an oracle that is."""
     sources = sorted((ROOT / "src" / "glyphsvm").glob("*.py"))
     text = "\n".join(p.read_text() for p in sources + sorted((ROOT / "perfbench").glob("*.py")))
     unused = []
@@ -50,4 +52,15 @@ def test_no_unused_helpers():
                 continue
             if len(re.findall(rf"\b{node.name}\b", text)) < 2:
                 unused.append(f"{path.stem}.{node.name}")
+    oracles = ROOT / "tests" / "oracles.py"
+    tests = "\n".join(p.read_text() for p in sorted(oracles.parent.glob("test_*.py")))
+    calls = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in ast.parse(oracles.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    used = {name for name in calls if re.search(rf"\b{name}\b", tests)}
+    while reached := set().union(*(calls[name] for name in used)) & calls.keys() - used:
+        used |= reached
+    unused += [f"oracles.{name}" for name in calls if name not in used]
     assert unused == []

@@ -21,14 +21,14 @@ from glyphsvm.preprocess import preprocess_character, preprocess_page, rotate_bi
 from glyphsvm.svm import KernelSpec
 from glyphsvm.synth import SynthConfig, render_sample
 
-MODEL_SHA256 = "00bc3f31f7a5ed6d8ec1ac9f747cd0cd60c4f8c713784541673f63a9f3e1e0ef"
+MODEL_SHA256 = "d40189fb22563085845e42e66c7ca334b5dcfed45b88634b1ed72df20d4d8186"
 GRID_CSV_SHA256 = "666d15f06315c888201568ec8c958ab0e6cad5fe88ad8a3f7ed50f3fbf01e52e"
 PAGE_RECORDS_SHA256 = "af2a2b39fde6f948085427ce7bcb5c23b82b1abf88ac8a22058067648cd6487b"
 GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597fd2e9ce7a"
-OVO_MODEL_SHA256 = "666ff1960b564c604460fae34e8cb1ceb91c9fcc13cd6cbd720c75b1b4d462ad"
+OVO_MODEL_SHA256 = "74d7c22162bc2bc0598a002130365e03b4a3092a775c47bc41341e7471e78b7e"
 OVO_GRID_CSV_SHA256 = "a7868ec24927dfc375aba7032d0212f66da66735d984dc1f86fec267ce27fada"
 # SMO pair updates summed over each cell's folds and pairs, in entry order
-OVO_GRID_ITERATIONS = [164, 121, 400, 203]
+OVO_GRID_ITERATIONS = [150, 121, 416, 209]
 # mean and fold accuracies, then each fold's scaling mins and maxs
 CV_DETAILS_SHA256 = {
     "ova": "a58372d3407d2011be43062c3fcae089fd9893e108410d1906b41816881e12b2",

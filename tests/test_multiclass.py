@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import reference_decision_matrix, reference_gram, reference_label
+from oracles import reference_decision_matrix, reference_label
 
 from glyphsvm.errors import (
     InvalidConfigError,
@@ -22,7 +22,14 @@ from glyphsvm.multiclass import (
     train_one_vs_all,
     train_one_vs_one,
 )
-from glyphsvm.svm import KernelSpec, TrainingMeta, decision_values, solve_smo, train_binary
+from glyphsvm.svm import (
+    KernelSpec,
+    TrainingMeta,
+    decision_values,
+    gram_matrix,
+    solve_smo,
+    train_binary,
+)
 
 LINEAR = KernelSpec(kind="linear")
 RBF = KernelSpec(kind="rbf", gamma=0.5)
@@ -383,12 +390,13 @@ def test_predict_batch_tie_probes_match_per_row_predict():
         assert batch == [reference_label(model, v) for v in reference]
 
 
-# --- one kernel matrix against per-problem kernel rows ---------------------------------------
+# --- one kernel matrix against per-problem training ------------------------------------------
 
 def reference_classifiers(X, labels, strategy, kernel, C):
-    """Every binary problem trained on kernel rows computed over its own
-    samples (`reference_gram`), as before one matrix served all problems."""
+    """Every binary problem trained alone by `train_binary` on its own rows'
+    block of the training set's kernel matrix."""
     Xs = MinMaxScaling.fit(X).transform(X)
+    gram = gram_matrix(kernel, Xs)
     classes = ordered_classes(labels)
     labels = np.array(labels)
     if strategy == "ova":
@@ -403,7 +411,7 @@ def reference_classifiers(X, labels, strategy, kernel, C):
     for positive, rows in problems:
         sub_x = Xs[rows]
         y = np.where(positive[rows], 1.0, -1.0)
-        out.append(train_binary(sub_x, y, kernel, C, gram=reference_gram(kernel, sub_x)))
+        out.append(train_binary(sub_x, y, kernel, C, gram=gram[np.ix_(rows, rows)]))
     return out
 
 
@@ -418,13 +426,9 @@ def test_training_matches_per_problem_kernel_rows(kernel, strategy):
     assert len(model.classifiers) == len(reference)
     for got, want in zip(model.classifiers, reference):
         assert np.array_equal(got.support_vectors, want.support_vectors)
-        if kernel.kind == "rbf":  # the symmetric matrix repeats its arithmetic exactly
-            assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
-            assert got.bias == want.bias
-            assert got.meta == want.meta
-        else:
-            np.testing.assert_allclose(got.dual_coeffs, want.dual_coeffs, rtol=0, atol=1e-12)
-            assert got.bias == pytest.approx(want.bias, rel=0, abs=1e-12)
+        assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
+        assert got.bias == want.bias
+        assert got.meta == want.meta
 
 
 def test_unknown_strategy_is_invalid_config():

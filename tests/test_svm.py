@@ -49,23 +49,23 @@ def random_problem(rng, n, gap=0.0):
 # --- kernels ------------------------------------------------------------------
 
 def test_kernel_linear():
-    assert kernel_against(LINEAR, [[1.0, 2.0]], [1.0, 2.0])[0] == 5.0
+    assert kernel_against(LINEAR, [[1.0, 2.0]], [[1.0, 2.0]])[0, 0] == 5.0
 
 
 def test_kernel_rbf_self_is_one():
     spec = KernelSpec(kind="rbf", gamma=3.7)
     for x in ([0.0, 0.0], [2.5, -1.0], [100.0]):
-        assert kernel_against(spec, [x], x)[0] == 1.0
+        assert kernel_against(spec, [x], [x])[0, 0] == 1.0
 
 
 def test_kernel_poly():
     spec = KernelSpec(kind="poly", degree=2)
-    assert kernel_against(spec, [[1.0, 0.0]], [1.0, 0.0])[0] == 4.0
+    assert kernel_against(spec, [[1.0, 0.0]], [[1.0, 0.0]])[0, 0] == 4.0
 
 
 def test_kernel_sigmoid_orthogonal():
     spec = KernelSpec(kind="sigmoid", slope=1.0, offset=0.0)
-    assert kernel_against(spec, [[1.0, 0.0]], [0.0, 1.0])[0] == 0.0
+    assert kernel_against(spec, [[1.0, 0.0]], [[0.0, 1.0]])[0, 0] == 0.0
 
 
 def test_kernel_symmetry():
@@ -79,15 +79,19 @@ def test_kernel_symmetry():
     for _ in range(25):
         x, y = rng.normal(size=(2, 4))
         for spec in specs:
-            xy = kernel_against(spec, [x], y)[0]
-            assert xy == pytest.approx(kernel_against(spec, [y], x)[0], rel=1e-15)
+            xy = kernel_against(spec, [x], [y])[0, 0]
+            assert xy == pytest.approx(kernel_against(spec, [y], [x])[0, 0], rel=1e-15)
 
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        kernel_against(LINEAR, [[1.0, 2.0]], [1.0, 2.0, 3.0])
-    with pytest.raises(DimensionMismatchError):
         kernel_against(LINEAR, [[1.0, 2.0]], [[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("probes", [[1.0, 2.0], [[[1.0, 2.0]]]], ids=["1d", "3d"])
+def test_kernel_probes_must_be_a_2d_block(probes):
+    with pytest.raises(DimensionMismatchError):
+        kernel_against(LINEAR, [[1.0, 2.0]], probes)
 
 
 def test_kernel_spec_validation():
@@ -516,11 +520,33 @@ def test_training_deterministic():
 
 @pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda k: k.kind)
 def test_gram_matrix_is_symmetric_and_matches_rows(spec):
-    X = np.random.default_rng(8).normal(size=(17, 3))
-    gram = gram_matrix(spec, X)
-    assert np.array_equal(gram, gram.T)
-    for i in range(len(X)):
-        np.testing.assert_allclose(gram[i], kernel_against(spec, X, X[i]), rtol=1e-14, atol=1e-14)
+    for n in (17, 64, 150):  # below, at and not a multiple of the 64-row band
+        X = np.random.default_rng(8).normal(size=(n, 3))
+        gram = gram_matrix(spec, X)
+        assert np.array_equal(gram, gram.T)
+        if spec.kind == "rbf":
+            assert np.all(np.diagonal(gram) == 1.0)
+        np.testing.assert_allclose(gram, kernel_matrix(spec, X), rtol=1e-12)
+
+
+def test_gram_matrix_temporaries_scale_with_a_band():
+    """The `tracemalloc` peak of a 2,000-row RBF matrix stays within the
+    matrix itself (32 MB) plus 8 MB.
+
+    Each band holds at most three (64, n) float64 temporaries at once (the
+    dot products, the squared distances and twice the dot products being
+    subtracted): 3 x 64 x 2,000 x 8 bytes, about 3.1 MB. A whole-matrix
+    `kernel_against` call would hold about three n x n temporaries, 96 MB
+    more.
+    """
+    X = np.random.default_rng(9).normal(size=(2000, 68))
+    tracemalloc.start()
+    try:
+        gram = gram_matrix(KernelSpec(kind="rbf", gamma=0.01), X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gram.nbytes + (8 << 20)
 
 
 def test_gram_budget_refuses_before_allocating():
