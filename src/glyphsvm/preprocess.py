@@ -178,46 +178,51 @@ def _taps(centers: np.ndarray):
     return zip(idx, _cubic_kernel(centers - idx))
 
 
-def _bicubic_gather(src: np.ndarray, src_y: np.ndarray, src_x: np.ndarray,
-                    padded: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate Keys bicubic interpolation of `src` at fractional coords.
+def _bicubic_gather(padded: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) -> np.ndarray:
+    """Evaluate Keys bicubic interpolation at fractional source coords.
 
-    Samples outside the source read as 0: taps clamp onto a ring of zeros.
-    `padded` is `src` with that ring, for callers that gather from one
-    source several times; it may be bool, which reads as 1.0 and 0.0.
+    `padded` is the source with a ring of zeros; it may be bool, which reads
+    as 1.0 and 0.0. Samples outside the source read as 0: taps clamp onto
+    the ring.
     """
-    if padded is None:
-        padded = np.pad(src, 1)
-    cols = [(np.clip(tx, -1, src.shape[1]) + 1, wx) for tx, wx in _taps(src_x)]
+    cols = [(np.clip(tx + 1, 0, padded.shape[1] - 1), wx) for tx, wx in _taps(src_x)]
     acc = np.zeros(src_y.shape, dtype=np.float64)
     for ty, wy in _taps(src_y):
-        rows = np.clip(ty, -1, src.shape[0]) + 1
+        rows = np.clip(ty + 1, 0, padded.shape[0] - 1)
         for col, wx in cols:
             acc += wy * wx * padded[rows, col]
     return acc
 
 
-# output rows sampled at once: the 16 taps' temporaries take about 150 bytes
-# per sampled pixel, so a band bounds them where the whole canvas would not
+# output rows mapped at once: a band bounds the coordinate arrays and the 16
+# taps' temporaries (about 150 bytes per active pixel) where a canvas would not
 _BAND_ROWS = 32
 
 
 def rotate_bicubic(img: np.ndarray, angle_deg: float) -> np.ndarray:
     """Rotate a binary image with bicubic interpolation, re-binarized at 0.5.
 
-    The output canvas is enlarged to hold all rotated content. It is sampled
-    in bands of output rows, so the interpolation's temporaries scale with a
-    band rather than with the canvas.
+    The output canvas is enlarged to hold all rotated content. It is mapped
+    in bands of rows, and only pixels whose 4x4 source tap window holds ink
+    are interpolated (active): an empty window's 16 products are +-0, so its
+    pixel is exactly False without being computed.
     """
     img = _check_binary(img)
     if not math.isfinite(angle_deg):
         raise AngleOutOfRangeError(f"rotation angle {angle_deg} is not finite")
-    out = np.empty(_rotated_extent(*img.shape, angle_deg), dtype=bool)
+    out = np.zeros(_rotated_extent(*img.shape, angle_deg), dtype=bool)
     padded = np.pad(img, 1)
+    # inked[by + 3, bx + 3]: ink in rows by-1..by+2, columns bx-1..bx+2
+    inked = np.pad(img, 4)
+    inked = inked[:-3] | inked[1:-2] | inked[2:-1] | inked[3:]
+    inked = inked[:, :-3] | inked[:, 1:-2] | inked[:, 2:-1] | inked[:, 3:]
     for top in range(0, out.shape[0], _BAND_ROWS):
         band = slice(top, top + _BAND_ROWS)
         src_y, src_x = _inverse_map(out.shape, img.shape, angle_deg, band)
-        out[band] = _bicubic_gather(img, src_y, src_x, padded) >= 0.5
+        by = np.clip(np.floor(src_y), -3, img.shape[0] + 1).astype(np.intp) + 3
+        bx = np.clip(np.floor(src_x), -3, img.shape[1] + 1).astype(np.intp) + 3
+        active = inked[by, bx]
+        out[band][active] = _bicubic_gather(padded, src_y[active], src_x[active]) >= 0.5
     return out
 
 
@@ -267,7 +272,8 @@ def deskew(page: np.ndarray, angle_deg: float) -> np.ndarray:
     """Undo a detected skew by rotating the page by -angle with bicubic sampling.
 
     The output canvas is enlarged to hold all rotated content; regions the
-    source never covered are background.
+    source never covered are background. Only pixels whose 4x4 source window
+    holds ink are interpolated; the rest would sum to +-0 (`rotate_bicubic`).
     """
     page = _check_binary(page)
     if abs(angle_deg) > MAX_SKEW_DEG:

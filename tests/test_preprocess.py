@@ -41,6 +41,7 @@ from glyphsvm.synth import SynthConfig, render_sample
 
 from oracles import _neighbour_planes, _taps as reference_taps
 from oracles import (
+    _full_canvas_inverse_map,
     neighborhood_images,
     reference_detect_skew,
     reference_median_filter,
@@ -354,6 +355,20 @@ BAND_HEIGHTS = [0, 1, BAND - 1, BAND, BAND + 1, 3 * BAND + 5]
 @example(height=0, width=5, angle=-15.0, fill=1.0, seed=5)
 @example(height=1, width=40, angle=0.0, fill=0.5, seed=6)
 @example(height=2 * BAND + 1, width=17, angle=-7.3, fill=0.2, seed=7)
+# ink at the source's edges, where the ink window meets the zero ring: on a
+# 7x9 source at fill 0.03 these seeds give one ink pixel at the top-left (142),
+# top-right (534), bottom-left (254) and bottom-right (428) corner, and ink
+# only in row 0 (52) or only in the last column (301)
+@example(height=7, width=9, angle=15.0, fill=0.03, seed=142)
+@example(height=7, width=9, angle=-15.0, fill=0.03, seed=534)
+@example(height=7, width=9, angle=-7.3, fill=0.03, seed=254)
+@example(height=7, width=9, angle=0.0, fill=0.03, seed=428)
+@example(height=7, width=9, angle=15.0, fill=0.03, seed=52)
+@example(height=7, width=9, angle=-7.3, fill=0.03, seed=301)
+@example(height=1, width=40, angle=-15.0, fill=0.3, seed=8)
+@example(height=40, width=1, angle=15.0, fill=0.3, seed=9)
+@example(height=BAND + 3, width=40, angle=-7.3, fill=0.0, seed=10)
+@example(height=3 * BAND, width=40, angle=-7.3, fill=0.002, seed=0)
 def test_banded_rotation_equals_full_canvas(height, width, angle, fill, seed):
     img = np.random.default_rng(seed).random((height, width)) < fill
     assert np.array_equal(rotate_bicubic(img, angle), reference_rotate_bicubic(img, angle))
@@ -370,6 +385,47 @@ def test_deskew_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 145.6e6 / 4
+
+
+@pytest.mark.parametrize("angle", [0.0, 2.5, -7.3, 15.0])
+@pytest.mark.parametrize("ink", [(17, 23), (0, 0), (39, 49)], ids=["inside", "top-left", "bottom-right"])
+def test_rotation_interpolates_only_inked_windows(monkeypatch, angle, ink):
+    """Record the coordinates `_bicubic_gather` evaluates.
+
+    A blank source needs none. With one ink pixel at (r, c), a pixel's 4x4
+    tap window holds ink exactly when its base index (floor(src_y),
+    floor(src_x)) lies in [r-2, r+1] x [c-2, c+1], so exactly those pixels
+    are evaluated, in raster order. That is when the pixel's source point
+    lies in the 4x4 square Q = [r-2, r+2) x [c-2, c+2). The inverse map is a
+    rotation plus a shift, so the output pixel centres land on a congruent
+    copy of the unit lattice. Give each lattice point in Q its unit cell (a
+    unit square centred on it, turned with the lattice): the cells do not
+    overlap and each lies within sqrt(2)/2 of Q, so their number is at most
+    the area of Q grown by sqrt(2)/2, 16 + 16 sqrt(2)/2 + pi/2 < 29: no more
+    than 28 pixels are evaluated.
+    """
+    evaluated = []
+    gather = preprocess._bicubic_gather
+
+    def recording_gather(padded, src_y, src_x):
+        evaluated.append((src_y, src_x))
+        return gather(padded, src_y, src_x)
+
+    monkeypatch.setattr(preprocess, "_bicubic_gather", recording_gather)
+    img = np.zeros((40, 50), dtype=bool)
+    rotate_bicubic(img, angle)
+    assert sum(ys.size for ys, _ in evaluated) == 0
+    img[ink] = True
+    evaluated.clear()
+    rotated = rotate_bicubic(img, angle)
+    assert np.array_equal(rotated, reference_rotate_bicubic(img, angle))
+    src_y, src_x = _full_canvas_inverse_map(rotated.shape, img.shape, angle)
+    (r, c), by, bx = ink, np.floor(src_y), np.floor(src_x)
+    inked = (r - 2 <= by) & (by <= r + 1) & (c - 2 <= bx) & (bx <= c + 1)
+    got_y = np.concatenate([ys for ys, _ in evaluated])
+    got_x = np.concatenate([xs for _, xs in evaluated])
+    assert np.array_equal(got_y, src_y[inked]) and np.array_equal(got_x, src_x[inked])
+    assert 0 < got_y.size <= 28
 
 
 def test_deskew_roundtrip_iou():
@@ -602,7 +658,7 @@ def test_bicubic_gather_far_outside_reads_zero():
     ys = np.array([[-50.0, 1e4, 2.0, -50.0, 1e4, 2.0, -2.0]])
     xs = np.array([[3.0, 3.0, -50.0, 1e4, 1e4, 3.0, 3.0]])
     expected = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
-    assert np.array_equal(_bicubic_gather(src, ys, xs), expected)
+    assert np.array_equal(_bicubic_gather(np.pad(src, 1), ys, xs), expected)
 
 
 # --- thinning ----------------------------------------------------------------
