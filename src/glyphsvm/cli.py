@@ -114,7 +114,8 @@ def cmd_train(parser, args) -> int:
     print(
         f"trained {args.strategy} model on {len(data)} samples, "
         f"{len(model.class_ids)} classes, kernel {kernel.describe()}, C={args.c:g}; "
-        f"saved to {args.model}"
+        f"{len(model.support_vectors)} support-vector rows, "
+        f"{int(model.iterations.sum())} SMO iterations; saved to {args.model}"
     )
     return 0
 

@@ -16,17 +16,18 @@ from .features import FeatureConfig, extract_features, read_features_csv
 from .modelsel import Dataset
 from .multiclass import class_sort_key
 from .pgm import read_pgm
-from .preprocess import _THIN_BATCH, CharacterRecord, normalize_character, thin_records
+from .preprocess import _THIN_BATCH, CharacterRecord, crop_character, normalize_records, thin_records
 
 
 def load_image_dataset(root, config: FeatureConfig | None = None) -> Dataset:
     """Build a Dataset from `<root>/<class_label>/*.pgm`.
 
     Each file holds one pre-segmented character. Every class directory is
-    listed before any file is read. Files are cleaned and normalized one at
-    a time (median filter, Otsu, speck removal, normalize), so an error names
-    its file; each batch of `_THIN_BATCH` glyphs is then thinned as one stack
-    and reduced to features. Class labels are the directory names.
+    listed before any file is read. Files are cleaned and cropped one at a
+    time (median filter, Otsu, speck removal, tight box), so an error names
+    its file; each batch of `_THIN_BATCH` glyphs is then normalized with one
+    call, thinned as one stack and reduced to features. Class labels are the
+    directory names.
     """
     config = config or FeatureConfig()
     root = str(root)
@@ -49,15 +50,16 @@ def load_image_dataset(root, config: FeatureConfig | None = None) -> Dataset:
         files += [(label, os.path.join(class_dir, name)) for name in names]
     vectors = []
     for start in range(0, len(files), _THIN_BATCH):
-        records = [_normalized_glyph(path) for _, path in files[start : start + _THIN_BATCH]]
-        vectors += [extract_features(record, config).values for record in thin_records(records)]
+        records = [_cropped_glyph(path) for _, path in files[start : start + _THIN_BATCH]]
+        records = thin_records(normalize_records(records))
+        vectors += [extract_features(record, config).values for record in records]
     return Dataset(np.array(vectors), [label for label, _ in files])
 
 
-def _normalized_glyph(path) -> CharacterRecord:
+def _cropped_glyph(path) -> CharacterRecord:
     gray = read_pgm(path)
     try:
-        return normalize_character(gray)
+        return crop_character(gray)
     except (EmptyCropError, UniformImageError) as exc:
         raise UnreadableFileError(f"{path}: {exc}") from exc
 

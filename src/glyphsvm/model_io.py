@@ -1,10 +1,11 @@
 """Versioned text persistence for multiclass models (magic "GSVM1").
 
 Floats are written with 17 significant digits so a load reproduces every
-decision value bit for bit. The format is line-oriented and diff-able:
+decision value bit for bit. The format is line-oriented and diff-able.
+`save_model` writes version 2, which stores each support vector once:
 
     GSVM1
-    version 1
+    version 2
     strategy ova|ovo
     label_kind int|str
     classes <N>
@@ -13,14 +14,25 @@ decision value bit for bit. The format is line-oriented and diff-able:
     dims <d>
     scaling_min <d floats>
     scaling_max <d floats>
+    support_vectors <n>
+    sv <d floats>           (n lines: the table)
     classifiers <M>
     classifier <idx> target=<i> | pair=<i>,<j>
     C <float>
     bias <float>
+    iterations <int>        (SMO pair updates)
+    kkt_violation <float>
     sv_count <m>
+    sv_index <m ints>       (ascending rows of the table)
     coeffs <m floats>
-    sv <d floats>           (m lines)
     end
+
+Every row of the table is a support vector of at least one classifier.
+`load_model` also reads version 1, which has no table: each classifier
+block holds its own `sv` lines after `coeffs` (and no `iterations`,
+`kkt_violation` or `sv_index`), and its rows are stacked classifier by
+classifier, equal rows kept apart. Version 1 reloads with 0 iterations and
+a KKT violation of 0.
 """
 
 from __future__ import annotations
@@ -38,7 +50,8 @@ from .multiclass import MinMaxScaling, MulticlassModel
 from .svm import KERNEL_PARAMS, BinaryModel, KernelSpec, TrainingMeta
 
 MAGIC = "GSVM1"
-VERSION = 1
+VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 def _fmt_vec(values) -> str:
@@ -51,7 +64,7 @@ def _kernel_line(spec: KernelSpec) -> str:
 
 
 def save_model(model: MulticlassModel, path) -> None:
-    """Validate, serialize and atomically replace `path`."""
+    """Validate, serialize as version 2 and atomically replace `path`."""
     model.validate()
     integer = all(isinstance(c, (int, np.integer)) for c in model.class_ids)
     label_kind = "int" if integer else "str"
@@ -63,24 +76,27 @@ def save_model(model: MulticlassModel, path) -> None:
         f"classes {len(model.class_ids)}",
     ]
     lines.extend(f"class {int(c) if integer else c}" for c in model.class_ids)
-    lines.append(_kernel_line(model.classifiers[0].kernel))
-    dims = model.scaling.dimension
-    lines.append(f"dims {dims}")
+    lines.append(_kernel_line(model.kernel))
+    lines.append(f"dims {model.scaling.dimension}")
     lines.append("scaling_min " + _fmt_vec(model.scaling.mins))
     lines.append("scaling_max " + _fmt_vec(model.scaling.maxs))
-    lines.append(f"classifiers {len(model.classifiers)}")
-    for idx, clf in enumerate(model.classifiers):
+    lines.append(f"support_vectors {len(model.support_vectors)}")
+    lines.extend("sv " + _fmt_vec(sv) for sv in model.support_vectors)
+    lines.append(f"classifiers {model.coeffs.shape[1]}")
+    for idx, col in enumerate(model.coeffs.T):
         if model.strategy == "ova":
             lines.append(f"classifier {idx} target={idx}")
         else:
             i, j = model.pairs[idx]
             lines.append(f"classifier {idx} pair={i},{j}")
-        lines.append(f"C {format_float(clf.C)}")
-        lines.append(f"bias {format_float(clf.bias)}")
-        lines.append(f"sv_count {len(clf.dual_coeffs)}")
-        lines.append("coeffs " + _fmt_vec(clf.dual_coeffs))
-        for sv in clf.support_vectors:
-            lines.append("sv " + _fmt_vec(sv))
+        index = np.flatnonzero(col)
+        lines.append(f"C {format_float(model.C[idx])}")
+        lines.append(f"bias {format_float(model.biases[idx])}")
+        lines.append(f"iterations {int(model.iterations[idx])}")
+        lines.append(f"kkt_violation {format_float(model.kkt_violations[idx])}")
+        lines.append(f"sv_count {len(index)}")
+        lines.append("sv_index " + " ".join(map(str, index.tolist())))
+        lines.append("coeffs " + _fmt_vec(col[index]))
     lines.append("end")
     write_atomic(path, "\n".join(lines) + "\n")
 
@@ -152,7 +168,8 @@ def _parse_kernel(line: str, path) -> KernelSpec:
 
 
 def load_model(path) -> MulticlassModel:
-    """Parse, validate invariants, and return the stored model."""
+    """Parse a version 1 or 2 file, validate invariants, and return the
+    stored model."""
     try:
         with open(str(path), "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -166,8 +183,10 @@ def load_model(path) -> MulticlassModel:
     reader = _Reader(lines, path)
     reader.next()  # magic
     version = _parse_int(reader, "version")
-    if version != VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, supported {VERSION}")
+    if version not in READABLE_VERSIONS:
+        raise VersionMismatchError(
+            f"{path}: version {version}, supported {', '.join(map(str, READABLE_VERSIONS))}"
+        )
     strategy = reader.next_value("strategy")
     if strategy not in ("ova", "ovo"):
         raise CorruptBlockError(f"{path}: unknown strategy {strategy!r}")
@@ -188,10 +207,16 @@ def load_model(path) -> MulticlassModel:
     dims = _parse_int(reader, "dims")
     if dims < 1:
         raise CorruptBlockError(f"{path}: bad dims {dims}")
-    mins = reader.next_floats("scaling_min", dims)
-    maxs = reader.next_floats("scaling_max", dims)
-    if np.any(maxs < mins):
+    scaling = MinMaxScaling(
+        mins=reader.next_floats("scaling_min", dims), maxs=reader.next_floats("scaling_max", dims)
+    )
+    if np.any(scaling.maxs < scaling.mins):
         raise CorruptBlockError(f"{path}: scaling_max is below scaling_min")
+    if version == 2:
+        n_sv = _parse_int(reader, "support_vectors")
+        if n_sv < 1:
+            raise CorruptBlockError(f"{path}: bad support_vectors {n_sv}")
+        table = np.array([reader.next_floats("sv", dims) for _ in range(n_sv)])
     n_classifiers = _parse_int(reader, "classifiers")
     expected = n_classes if strategy == "ova" else n_classes * (n_classes - 1) // 2
     if n_classifiers != expected:
@@ -200,8 +225,8 @@ def load_model(path) -> MulticlassModel:
             f"classifiers, header says {n_classifiers}"
         )
 
-    classifiers = []
     pairs = [] if strategy == "ovo" else None
+    blocks = []
     for idx in range(n_classifiers):
         head = reader.next("classifier").split()
         if len(head) != 3 or head[1] != str(idx):
@@ -220,38 +245,70 @@ def load_model(path) -> MulticlassModel:
             pairs.append((i, j))
         c_value = reader.next_floats("C", 1)[0]
         bias = reader.next_floats("bias", 1)[0]
+        meta = TrainingMeta(iterations=0, kkt_violation=0.0)
+        if version == 2:
+            meta = TrainingMeta(
+                iterations=_parse_int(reader, "iterations"),
+                kkt_violation=float(reader.next_floats("kkt_violation", 1)[0]),
+            )
+            if not 0 <= meta.iterations <= np.iinfo(np.int64).max or meta.kkt_violation < 0:
+                raise CorruptBlockError(f"{path}: classifier {idx} has bad solver metadata")
         sv_count = _parse_int(reader, "sv_count")
         if sv_count < 1:
             raise CorruptBlockError(f"{path}: classifier {idx} has no support vectors")
+        # version 2: the classifier's rows of the table; 1: the vectors themselves
+        if version == 2:
+            support = _parse_index(reader, sv_count, n_sv, idx)
         coeffs = reader.next_floats("coeffs", sv_count)
-        svs = np.empty((sv_count, dims), dtype=np.float64)
-        for row in range(sv_count):
-            svs[row] = reader.next_floats("sv", dims)
+        if version == 1:
+            support = np.array([reader.next_floats("sv", dims) for _ in range(sv_count)])
         _check_dual(coeffs, c_value, path, idx)
-        classifiers.append(
-            BinaryModel(
-                kernel=kernel,
-                support_vectors=svs,
-                dual_coeffs=coeffs,
-                bias=float(bias),
-                C=float(c_value),
-                meta=TrainingMeta(iterations=0, kkt_violation=0.0),
-            )
-        )
+        blocks.append((support, coeffs, float(bias), float(c_value), meta))
     reader.next("end")
+    if version == 1:
+        classifiers = [BinaryModel(kernel, svs, *rest) for svs, *rest in blocks]
+        return MulticlassModel.from_classifiers(strategy, class_ids, classifiers, scaling, pairs)
+    matrix = np.zeros((n_sv, n_classifiers))
+    for p, (support, coeffs, *_) in enumerate(blocks):
+        matrix[support, p] = coeffs
+    if not matrix.any(axis=1).all():
+        unused = int(np.argmin(matrix.any(axis=1)))
+        raise CorruptBlockError(f"{path}: support vector {unused} belongs to no classifier")
+    _, _, biases, c_values, metas = zip(*blocks)
     model = MulticlassModel(
-        strategy=strategy,
-        class_ids=class_ids,
-        classifiers=classifiers,
-        scaling=MinMaxScaling(mins=mins, maxs=maxs),
-        pairs=pairs,
+        strategy, class_ids, kernel, table, matrix, np.array(biases), np.array(c_values),
+        np.array([m.iterations for m in metas], dtype=np.int64),
+        np.array([m.kkt_violation for m in metas]),
+        scaling, pairs,
     )
     model.validate()
     return model
 
 
+def _parse_index(reader: _Reader, count: int, n_sv: int, idx: int) -> np.ndarray:
+    """The `sv_index` line of classifier `idx`: `count` strictly ascending
+    rows of an `n_sv`-row table."""
+    raw = reader.next_value("sv_index").split()
+    try:
+        index = np.array([int(v) for v in raw], dtype=np.intp)
+    except (ValueError, OverflowError):
+        raise CorruptBlockError(f"{reader.path}: bad integer in 'sv_index'") from None
+    if len(index) != count:
+        raise CorruptBlockError(
+            f"{reader.path}: 'sv_index' holds {len(index)} values, expected {count}"
+        )
+    if index[0] < 0 or index[-1] >= n_sv or np.any(np.diff(index) <= 0):
+        raise CorruptBlockError(
+            f"{reader.path}: classifier {idx} needs strictly ascending sv_index "
+            f"rows in 0..{n_sv - 1}"
+        )
+    return index
+
+
 def _check_dual(coeffs: np.ndarray, c_value: float, path, idx: int) -> None:
     alphas = np.abs(coeffs)
+    if np.any(alphas == 0):
+        raise CorruptBlockError(f"{path}: classifier {idx} has a support vector of coefficient 0")
     if np.any(alphas > c_value * (1 + 1e-12)):
         raise CorruptBlockError(f"{path}: classifier {idx} violates the box constraint")
     if abs(coeffs.sum()) > 1e-6:

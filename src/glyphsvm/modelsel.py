@@ -150,7 +150,7 @@ def _fold_results(train_part, test_part, strategy, kernel, folded, tol, max_iter
         hits = sum(p == lb for p, lb in zip(predicted, test_part.labels))
         entry.accuracies.append(hits / len(test_part))
         entry.scalings.append(model.scaling)
-        entry.iterations += sum(clf.meta.iterations for clf in model.classifiers)
+        entry.iterations += int(model.iterations.sum())
         del model
 
 

@@ -20,9 +20,10 @@ from .svm import (
     DEFAULT_TOL,
     BinaryModel,
     KernelSpec,
-    binary_model,
-    decision_values,
+    TrainingMeta,
     gram_matrix,
+    kernel_against,
+    solution_support,
     solve_smo,
     validate_c,
 )
@@ -79,26 +80,90 @@ class MinMaxScaling:
 
 @dataclass
 class MulticlassModel:
-    """Binary models assembled under a one-vs-all or one-vs-one strategy."""
+    """The binary classifiers of a one-vs-all or one-vs-one reduction over
+    one table of support vectors.
+
+    Every classifier shares `kernel` and reads its support vectors from the
+    rows of `support_vectors`, each row stored once: column p of `coeffs`
+    holds classifier p's alpha_i * y_i at its own support vectors and 0 at
+    every other row. `biases`, `C`, `iterations` and `kkt_violations` hold
+    one value per classifier, in classifier order.
+    """
 
     strategy: str
     class_ids: list
-    classifiers: list[BinaryModel]
+    kernel: KernelSpec
+    support_vectors: np.ndarray
+    coeffs: np.ndarray
+    biases: np.ndarray
+    C: np.ndarray
+    iterations: np.ndarray
+    kkt_violations: np.ndarray
     scaling: MinMaxScaling
     pairs: list[tuple[int, int]] | None = None
+
+    @classmethod
+    def from_classifiers(
+        cls, strategy: str, class_ids: list, classifiers: list[BinaryModel],
+        scaling: MinMaxScaling, pairs: list[tuple[int, int]] | None = None,
+    ) -> "MulticlassModel":
+        """Stack the support vectors of `classifiers` in classifier order,
+        each classifier's rows apart (equal rows are not merged). The
+        classifiers must share one kernel (InvalidConfigError)."""
+        if len({clf.kernel for clf in classifiers}) > 1:
+            raise InvalidConfigError("classifiers of one model must share one kernel")
+        counts = [len(clf.dual_coeffs) for clf in classifiers]
+        coeffs = np.zeros((sum(counts), len(classifiers)))
+        owner = np.repeat(np.arange(len(classifiers)), counts)  # each stacked row's classifier
+        coeffs[np.arange(len(owner)), owner] = np.concatenate([clf.dual_coeffs for clf in classifiers])
+        model = cls(
+            strategy, class_ids, classifiers[0].kernel,
+            np.vstack([clf.support_vectors for clf in classifiers]), coeffs,
+            np.array([clf.bias for clf in classifiers]),
+            np.array([clf.C for clf in classifiers]),
+            np.array([clf.meta.iterations for clf in classifiers], dtype=np.int64),
+            np.array([clf.meta.kkt_violation for clf in classifiers]),
+            scaling, pairs,
+        )
+        model.validate()
+        return model
+
+    @property
+    def classifiers(self) -> list[BinaryModel]:
+        """Each classifier as a BinaryModel of its own support vectors, in
+        table order, derived from the table on every access."""
+        return [
+            BinaryModel(
+                kernel=self.kernel,
+                support_vectors=self.support_vectors[col != 0],
+                dual_coeffs=col[col != 0],
+                bias=float(bias),
+                C=float(C),
+                meta=TrainingMeta(iterations=int(iterations), kkt_violation=float(violation)),
+            )
+            for col, bias, C, iterations, violation in zip(
+                self.coeffs.T, self.biases, self.C, self.iterations, self.kkt_violations
+            )
+        ]
 
     def validate(self) -> None:
         n = len(self.class_ids)
         if n < 2:
             raise SingleClassError("multiclass model needs at least two classes")
         expected = n if self.strategy == "ova" else n * (n - 1) // 2
-        if len(self.classifiers) != expected:
+        rows, count = self.coeffs.shape
+        if count != expected:
             raise ValueError(
-                f"{self.strategy} with {n} classes needs {expected} classifiers, "
-                f"got {len(self.classifiers)}"
+                f"{self.strategy} with {n} classes needs {expected} classifiers, got {count}"
             )
-        if len({clf.kernel for clf in self.classifiers}) > 1:
-            raise InvalidConfigError("classifiers of one model must share one kernel")
+        per_classifier = (self.biases, self.C, self.iterations, self.kkt_violations)
+        if self.support_vectors.shape != (rows, self.scaling.dimension) or any(
+            a.shape != (count,) for a in per_classifier
+        ):
+            raise DimensionMismatchError(
+                f"{rows} coefficient rows and {count} classifiers disagree with the "
+                f"support-vector table {self.support_vectors.shape} or a per-classifier array"
+            )
 
 
 def train_multiclass(
@@ -139,8 +204,10 @@ def train_multiclass_c_grid(
     A C that is not a positive finite number is InvalidConfigError before
     the matrix is built. The result is a function of k that packages the
     model of the k-th C, or raises the GlyphSvmError of its first failing
-    problem (in class order). A caller that drops each model before asking
-    for the next holds one at a time.
+    problem (in class order). The model's support-vector table is the union
+    of its problems' support vectors as training rows, each row once, in
+    row order. A caller that drops each model before asking for the next
+    holds one at a time.
     """
     if strategy not in STRATEGIES:
         raise InvalidConfigError(f"unknown strategy {strategy!r}")
@@ -177,19 +244,19 @@ def train_multiclass_c_grid(
     solved = solve_smo(
         gram, np.repeat(Y, len(c_values), axis=0), c_values * len(keys), tol, max_iter, members
     )
-    # (class pair or (class, None), training rows or None for all, one solution per C)
+    # (class pair or (class, None), training rows, one solution per C)
     problems = [
-        (key, rows, solved[p * len(c_values):(p + 1) * len(c_values)])
+        (key, np.arange(len(labels)) if rows is None else rows,
+         solved[p * len(c_values):(p + 1) * len(c_values)])
         for p, (key, rows) in enumerate(zip(keys, rows_of))
     ]
 
     def package(k: int) -> MulticlassModel:
-        classifiers = []
-        for (i, j), rows, solved in problems:
+        solutions = [per_c[k] for _, _, per_c in problems]
+        support_rows, dual, biases = [], [], []
+        for ((i, j), rows, _), s in zip(problems, solutions):
             try:
-                classifiers.append(
-                    binary_model(solved[k], Xs if rows is None else Xs[rows], kernel, tol)
-                )
+                support, bias = solution_support(s, tol)
             except NoConvergenceError as exc:
                 context = classes[i] if j is None else (classes[i], classes[j])
                 what = f"class {context!r} vs rest" if j is None else f"class pair {context!r}"
@@ -199,7 +266,24 @@ def train_multiclass_c_grid(
                     violation=exc.violation,
                     context=context,
                 ) from exc
-        model = MulticlassModel(strategy, classes, classifiers, scaling, pairs)
+            support_rows.append(rows[support])
+            dual.append(s.alpha[support] * s.y[support])
+            biases.append(bias)
+        # the union of the support vectors as training rows, in row order
+        in_table = np.zeros(len(labels), dtype=bool)
+        for rows in support_rows:
+            in_table[rows] = True
+        position = np.cumsum(in_table) - 1  # a table row's index, by training row
+        coeffs = np.zeros((position[-1] + 1, len(problems)))
+        for p, (rows, values) in enumerate(zip(support_rows, dual)):
+            coeffs[position[rows], p] = values
+        model = MulticlassModel(
+            strategy, classes, kernel, Xs[in_table], coeffs, np.array(biases),
+            np.array([s.C for s in solutions]),
+            np.array([s.iterations for s in solutions], dtype=np.int64),
+            np.array([max(s.violation, 0.0) for s in solutions]),
+            scaling, pairs,
+        )
         model.validate()
         return model
 
@@ -232,11 +316,13 @@ def train_one_vs_one(
 
 def decision_matrix(model: MulticlassModel, X) -> np.ndarray:
     """Decision values of every classifier at every row of the 2-D X, shape
-    (rows, classifiers); X is scaled once with the model's scaling record."""
+    (rows, classifiers): one kernel block of X, scaled with the model's
+    scaling record, against the support-vector table, times the coefficient
+    matrix, plus the biases."""
     xs = model.scaling.transform(X)
     if xs.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D block of samples, got shape {xs.shape}")
-    return np.column_stack([decision_values(clf, xs) for clf in model.classifiers])
+    return kernel_against(model.kernel, model.support_vectors, xs) @ model.coeffs + model.biases
 
 
 def predict_batch(model: MulticlassModel, X) -> list:

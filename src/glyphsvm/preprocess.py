@@ -171,11 +171,12 @@ def _inverse_map(out_shape, in_shape, angle_deg: float, rows: slice = slice(None
 
 
 def _taps(centers: np.ndarray):
-    """(unclamped index, Keys kernel weight) of each of the 4 taps around
-    `centers`, left to right. One kernel call weighs all four taps at once."""
+    """(unclamped index, Keys kernel weight) arrays of the 4 taps around
+    `centers`, left to right along a new first axis. One kernel call weighs
+    all four taps at once."""
     base = np.floor(centers).astype(np.int64)
     idx = base + np.arange(-1, 3).reshape((4,) + (1,) * base.ndim)
-    return zip(idx, _cubic_kernel(centers - idx))
+    return idx, _cubic_kernel(centers - idx)
 
 
 def _bicubic_gather(padded: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) -> np.ndarray:
@@ -185,9 +186,9 @@ def _bicubic_gather(padded: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) ->
     as 1.0 and 0.0. Samples outside the source read as 0: taps clamp onto
     the ring.
     """
-    cols = [(np.clip(tx + 1, 0, padded.shape[1] - 1), wx) for tx, wx in _taps(src_x)]
+    cols = [(np.clip(tx + 1, 0, padded.shape[1] - 1), wx) for tx, wx in zip(*_taps(src_x))]
     acc = np.zeros(src_y.shape, dtype=np.float64)
-    for ty, wy in _taps(src_y):
+    for ty, wy in zip(*_taps(src_y)):
         rows = np.clip(ty + 1, 0, padded.shape[0] - 1)
         for col, wx in cols:
             acc += wy * wx * padded[rows, col]
@@ -369,46 +370,101 @@ def segment_characters(line: np.ndarray) -> list[CharacterRecord]:
     Components smaller than MIN_COMPONENT_AREA pixels are dropped as noise.
     Records hold the tight bounding box and the component's own pixels;
     `normalized` and `skeleton` are filled by the caller. Ordered by left
-    edge, then top.
+    edge, then top. One pass over the labelled ink finds every component's
+    row and column extent, and each crop compares only its own box.
     """
     line = _check_binary(line)
     labels, count = label_components(line)
-    areas = np.bincount(labels.ravel(), minlength=count + 1)
-    kept = np.flatnonzero(areas[1:] >= MIN_COMPONENT_AREA) + 1
-    records = [_raw_record(labels == lab) for lab in kept]
+    ys, xs = np.nonzero(labels)
+    owner = labels[ys, xs]
+    areas = np.bincount(owner, minlength=count + 1)
+    top, left = np.full((2, count + 1), max(line.shape))
+    bottom, right = np.full((2, count + 1), -1)
+    np.minimum.at(top, owner, ys)
+    np.maximum.at(bottom, owner, ys)
+    np.minimum.at(left, owner, xs)
+    np.maximum.at(right, owner, xs)
+    records = []
+    for lab in (np.flatnonzero(areas[1:] >= MIN_COMPONENT_AREA) + 1).tolist():
+        t, b, lf, rt = int(top[lab]), int(bottom[lab]), int(left[lab]), int(right[lab])
+        bbox = BoundingBox(left=lf, top=t, width=rt - lf + 1, height=b - t + 1)
+        crop = labels[t : b + 1, lf : rt + 1] == lab
+        records.append(CharacterRecord(bbox=bbox, crop=crop, normalized=None, skeleton=None))
     records.sort(key=lambda rec: (rec.bbox.left, rec.bbox.top))
     return records
 
 
 # --- normalization and thinning -------------------------------------------
 
-def _resample_axis(values: np.ndarray, out_len: int, axis: int) -> np.ndarray:
-    """1-D Keys bicubic resample along one axis with edge-clamped taps."""
-    in_len = values.shape[axis]
-    scale = in_len / out_len
-    centers = (np.arange(out_len) + 0.5) * scale - 0.5
-    moved = np.moveaxis(values, axis, 0)
-    acc = np.zeros((out_len,) + moved.shape[1:], dtype=np.float64)
-    for idx, w in _taps(centers):
-        idx = np.clip(idx, 0, in_len - 1)
-        acc += w.reshape((-1,) + (1,) * (moved.ndim - 1)) * moved[idx]
-    return np.moveaxis(acc, 0, axis)
+# values of the flat layout that `normalize_size` resamples at once: crop
+# pixels plus 32 axis-0 values per crop column. Temporaries take about 40
+# bytes per value, so a block bounds them near 1 MB where a page of crops
+# would take 14 MB; smaller blocks were no faster, larger ones slower.
+_RESAMPLE_BLOCK = 1 << 14
 
 
-def normalize_size(crop: np.ndarray) -> np.ndarray:
-    """Bicubic resample of a binary crop to NORMALIZED_SIZE pixels square,
+def normalize_size(crops):
+    """Bicubic resample of binary crops to NORMALIZED_SIZE pixels square,
     re-binarized at 0.5.
 
-    Each axis scales independently; the aspect ratio is intentionally not
-    preserved (it survives separately as a global feature).
+    Takes one 2-D crop and returns one 32x32 image, or a list or tuple of
+    crops and returns a (k, 32, 32) stack. Each axis scales independently;
+    the aspect ratio is intentionally not preserved (it survives separately
+    as a global feature). An empty or inkless crop is EmptyCropError.
+
+    Consecutive crops are resampled in blocks of about `_RESAMPLE_BLOCK`
+    values (`_resample_block`), so temporaries scale with a block's total
+    crop area, not with the number of crops times the largest one.
     """
-    crop = _check_binary(crop)
-    if crop.size == 0 or not crop.any():
+    single = not isinstance(crops, (list, tuple))
+    crops = [_check_binary(crop) for crop in ([crops] if single else crops)]
+    if any(crop.size == 0 or not crop.any() for crop in crops):
         raise EmptyCropError("cannot normalize an empty crop")
-    field = crop.astype(np.float64)
-    field = _resample_axis(field, NORMALIZED_SIZE, axis=0)
-    field = _resample_axis(field, NORMALIZED_SIZE, axis=1)
-    return field >= 0.5
+    n = NORMALIZED_SIZE
+    out = np.empty((len(crops), n, n), dtype=bool)
+    start, size = 0, 0
+    for end, crop in enumerate(crops, 1):
+        size += crop.size + n * crop.shape[1]
+        if size >= _RESAMPLE_BLOCK or end == len(crops):
+            out[start:end] = _resample_block(crops[start:end])
+            start, size = end, 0
+    return out[0] if single else out
+
+
+def _resample_block(crops: list[np.ndarray]) -> np.ndarray:
+    """Keys resample of non-empty binary crops to a (k, 32, 32) stack.
+
+    Taps with edge-clamped indices run along axis 0, then along axis 1, with
+    the taps of every crop and both axes from one `_taps` call. The crops,
+    and their (32, width) axis-0 results, lie flat end to end. Every output
+    pixel sums its four taps in the order a crop resampled alone would.
+    """
+    n = NORMALIZED_SIZE
+    h, w = np.array([crop.shape for crop in crops]).T
+    # the taps around the output pixel centres, edge-clamped: index and
+    # weight (4, 2, k, n), by tap, axis, crop and output position
+    sizes = np.stack((h, w))[..., None]
+    index, weight = _taps((np.arange(n) + 0.5) * (sizes / n) - 0.5)
+    index = np.minimum(np.maximum(index, 0), sizes - 1)
+    # axis 0: crop g's (n, w_g) result holds, at (r, c), the sum over taps t
+    # of weight[t, 0, g, r] * crop_g[index[t, 0, g, r], c], row after row
+    flat = np.concatenate([crop.ravel() for crop in crops]).astype(np.float64)
+    line_len = np.repeat(w, n)
+    line_start = np.cumsum(line_len) - line_len
+    within = np.arange(line_start[-1] + line_len[-1]) - np.repeat(line_start, line_len)
+    src_rows = ((np.cumsum(h * w) - h * w)[:, None] + index[:, 0] * w[:, None]).reshape(4, -1)
+    mid = np.zeros(len(within))
+    for src, tap_weight in zip(src_rows, weight[:, 0].reshape(4, -1)):
+        values = flat[np.repeat(src, line_len) + within]
+        values *= np.repeat(tap_weight, line_len)
+        mid += values
+    # axis 1: at (g, r, c) the sum over taps t of
+    # weight[t, 1, g, c] * mid_g[r, index[t, 1, g, c]]
+    mid_rows = line_start.reshape(-1, n, 1)
+    out = np.zeros((len(crops), n, n))
+    for cols, tap_weight in zip(index[:, 1], weight[:, 1]):
+        out += tap_weight[:, None, :] * mid[mid_rows + cols[:, None, :]]
+    return out >= 0.5
 
 
 # (row, column) of the neighbors N, NE, E, SE, S, SW, W, NW in a 3x3 window
@@ -536,6 +592,13 @@ def thin(norm: np.ndarray) -> np.ndarray:
 
 # --- full pipeline ---------------------------------------------------------
 
+def normalize_records(records: list[CharacterRecord]) -> list[CharacterRecord]:
+    """Fill the normalized bitmaps of records with one `normalize_size` call."""
+    for rec, normalized in zip(records, normalize_size([rec.crop for rec in records])):
+        rec.normalized = normalized
+    return records
+
+
 def thin_records(records: list[CharacterRecord]) -> list[CharacterRecord]:
     """Fill the skeletons of normalized records with one `thin` call."""
     n = NORMALIZED_SIZE
@@ -559,16 +622,15 @@ def clean_page(gray: np.ndarray):
 
 def segment_page(page: np.ndarray) -> list[CharacterRecord]:
     """The segmenting stage of the page pipeline: lines, characters, then
-    normalize each one and thin them all with one `thin` call. Bounding
-    boxes refer to `page`."""
+    normalize them all with one `normalize_size` call and thin them all with
+    one `thin` call. Bounding boxes refer to `page`."""
     records: list[CharacterRecord] = []
     for top, bottom in segment_lines(page):
         strip = page[top : bottom + 1]
         for rec in segment_characters(strip):
             rec.bbox = replace(rec.bbox, top=rec.bbox.top + top)
-            rec.normalized = normalize_size(rec.crop)
             records.append(rec)
-    return thin_records(records)
+    return thin_records(normalize_records(records))
 
 
 def preprocess_page(gray: np.ndarray) -> list[CharacterRecord]:
@@ -582,19 +644,20 @@ def preprocess_page(gray: np.ndarray) -> list[CharacterRecord]:
 
 def preprocess_character(gray: np.ndarray) -> CharacterRecord:
     """Pipeline for a single pre-segmented character image: the record of
-    `normalize_character`, thinned."""
-    record = normalize_character(gray)
+    `crop_character`, normalized and thinned."""
+    record = crop_character(gray)
+    record.normalized = normalize_size(record.crop)
     record.skeleton = thin(record.normalized)
     return record
 
 
-def normalize_character(gray: np.ndarray) -> CharacterRecord:
-    """A single pre-segmented character image up to its normalized bitmap.
+def crop_character(gray: np.ndarray) -> CharacterRecord:
+    """A single pre-segmented character image up to its crop.
 
-    Median filter and Otsu as on pages, then drop sub-threshold specks, take
-    the tight box around the remaining ink, and normalize it; `skeleton` is
-    left to the caller. Skew and line segmentation do not apply to isolated
-    glyphs.
+    Median filter and Otsu as on pages, then drop sub-threshold specks and
+    take the tight box around the remaining ink; `normalized` and `skeleton`
+    are left to the caller. Skew and line segmentation do not apply to
+    isolated glyphs.
     """
     filtered = median_filter(gray)
     _, binary = otsu_binarize(filtered)
@@ -604,6 +667,4 @@ def normalize_character(gray: np.ndarray) -> CharacterRecord:
     keep = kept[labels]
     if not keep.any():
         raise EmptyCropError("no component of sufficient area")
-    record = _raw_record(keep)
-    record.normalized = normalize_size(record.crop)
-    return record
+    return _raw_record(keep)

@@ -350,12 +350,13 @@ def solve_smo(
     return solutions
 
 
-def binary_model(solution: DualSolution, samples, kernel: KernelSpec, tol: float) -> BinaryModel:
-    """Package a solved problem over the rows of `samples` as a model.
+def solution_support(solution: DualSolution, tol: float) -> tuple[np.ndarray, float]:
+    """The support mask (alpha > 0) and the bias of a solved problem.
 
     The bias averages y_i - u_i over unbounded support vectors, falling back
     to the midpoint of the feasible interval. An unconverged solution is
-    NoConvergenceError with its diagnostics.
+    NoConvergenceError with its diagnostics, and one without a support
+    vector is InvalidConfigError.
     """
     s = solution
     if not s.converged:
@@ -379,6 +380,14 @@ def binary_model(solution: DualSolution, samples, kernel: KernelSpec, tol: float
     support = s.alpha > 0
     if not support.any():
         raise InvalidConfigError(f"tol {tol} is too loose; no support vectors survived")
+    return support, bias
+
+
+def binary_model(solution: DualSolution, samples, kernel: KernelSpec, tol: float) -> BinaryModel:
+    """Package a solved problem over the rows of `samples` as a model, with
+    the support vectors and bias of `solution_support`."""
+    s = solution
+    support, bias = solution_support(s, tol)
     return BinaryModel(
         kernel=kernel,
         support_vectors=np.asarray(samples, dtype=np.float64)[support],

@@ -7,7 +7,8 @@ that the package's lockstep solver replaced is kept as its bit-for-bit
 reference, and so are the full-canvas bicubic rotation and the float median
 that the package's banded rotation and selection median replaced. The
 rotation reads its own copy of the tap-at-a-time Keys weights that the
-package's four-tap table replaced.
+package's four-tap table replaced, and so does the crop-at-a-time resample
+that the package's flat batched one replaced.
 """
 
 import itertools
@@ -19,6 +20,8 @@ from scipy import ndimage
 
 from glyphsvm.preprocess import (
     MAX_SKEW_DEG,
+    MIN_COMPONENT_AREA,
+    NORMALIZED_SIZE,
     _inverse_map,
     _rotated_extent,
     _zhang_suen_pass,
@@ -501,3 +504,44 @@ def reference_rotate_bicubic(img, angle_deg):
     src_y, src_x = _full_canvas_inverse_map(out_shape, img.shape, angle_deg)
     values = _full_canvas_gather(img.astype(np.float64), src_y, src_x)
     return values >= 0.5
+
+
+def _resample_axis(values: np.ndarray, out_len: int, axis: int) -> np.ndarray:
+    """1-D Keys bicubic resample along one axis with edge-clamped taps."""
+    in_len = values.shape[axis]
+    scale = in_len / out_len
+    centers = (np.arange(out_len) + 0.5) * scale - 0.5
+    moved = np.moveaxis(values, axis, 0)
+    acc = np.zeros((out_len,) + moved.shape[1:], dtype=np.float64)
+    for idx, w in _taps(centers):
+        idx = np.clip(idx, 0, in_len - 1)
+        acc += w.reshape((-1,) + (1,) * (moved.ndim - 1)) * moved[idx]
+    return np.moveaxis(acc, 0, axis)
+
+
+def reference_normalize_size(crop):
+    """One binary crop resampled alone to 32x32: axis 0, then axis 1, then
+    re-binarized at 0.5."""
+    field = np.asarray(crop).astype(np.float64)
+    field = _resample_axis(field, NORMALIZED_SIZE, axis=0)
+    field = _resample_axis(field, NORMALIZED_SIZE, axis=1)
+    return field >= 0.5
+
+
+def reference_segment_characters(strip):
+    """(left, top, width, height, crop) of every 8-connected component of at
+    least MIN_COMPONENT_AREA pixels, one whole-strip comparison per
+    component, ordered by left edge, then top, then raster order of the
+    component's first pixel."""
+    labels, count = ndimage.label(strip, structure=np.ones((3, 3)))
+    out = []
+    for lab in range(1, count + 1):
+        mask = labels == lab
+        if mask.sum() < MIN_COMPONENT_AREA:
+            continue
+        rows = np.flatnonzero(mask.any(axis=1))
+        cols = np.flatnonzero(mask.any(axis=0))
+        top, left = rows[0], cols[0]
+        crop = mask[top : rows[-1] + 1, left : cols[-1] + 1]
+        out.append((int(left), int(top), crop.shape[1], crop.shape[0], crop))
+    return sorted(out, key=lambda rec: rec[:2])

@@ -60,6 +60,12 @@ def test_train_then_evaluate(dataset_dir, tmp_path, capsys):
     model = load_model(model_path)
     assert model.strategy == "ova"
     assert len(model.classifiers) == 3
+    # the solver's work is printed and saved
+    assert (
+        f"{len(model.support_vectors)} support-vector rows, "
+        f"{int(model.iterations.sum())} SMO iterations; saved to"
+    ) in capsys.readouterr().out
+    assert model.iterations.min() > 0
 
     report_path = tmp_path / "report.txt"
     rc = main(

@@ -1,31 +1,38 @@
 """Golden fixture: seeded runs whose outputs are pinned by sha256.
 
 Pinned: a saved model, a grid CSV and the cross-validation details of each
-multiclass strategy, the SMO work of the one-vs-one grid, the records of a
-small noisy page and the feature rows of single glyphs.
+multiclass strategy, the version-1 files of the same two models (which must
+still load and predict), the SMO work of the one-vs-one grid, the records of
+a small noisy page and the feature rows of single glyphs.
 
 A change that alters training or prediction arithmetic changes one of these
 digests. If that is intended, say so in CHANGES.md and update the digests.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from glyphsvm.features import FeatureConfig, extract_features
-from glyphsvm.model_io import save_model
+from glyphsvm.model_io import load_model, save_model
 from glyphsvm.modelsel import Dataset, cross_validate, grid_search
-from glyphsvm.multiclass import train_one_vs_all, train_one_vs_one
+from glyphsvm.multiclass import decision_matrix, predict_batch, train_one_vs_all, train_one_vs_one
 from glyphsvm.preprocess import preprocess_character, preprocess_page, rotate_bicubic
 from glyphsvm.svm import KernelSpec
 from glyphsvm.synth import SynthConfig, render_sample
 
-MODEL_SHA256 = "d40189fb22563085845e42e66c7ca334b5dcfed45b88634b1ed72df20d4d8186"
+MODEL_SHA256 = "0335e473ef930063444eaffecafa9dd325a3c6daaaf6a0ecc1172cc2121deb73"
 GRID_CSV_SHA256 = "666d15f06315c888201568ec8c958ab0e6cad5fe88ad8a3f7ed50f3fbf01e52e"
 PAGE_RECORDS_SHA256 = "af2a2b39fde6f948085427ce7bcb5c23b82b1abf88ac8a22058067648cd6487b"
 GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597fd2e9ce7a"
-OVO_MODEL_SHA256 = "74d7c22162bc2bc0598a002130365e03b4a3092a775c47bc41341e7471e78b7e"
+OVO_MODEL_SHA256 = "3e4ad5e4804d5006410fd58b859767c13556c5f69f34e89ad468a3015e72eefc"
+# the same two models as written by the version-1 writer, kept in tests/data
+V1_MODEL_SHA256 = {
+    "ova": "d40189fb22563085845e42e66c7ca334b5dcfed45b88634b1ed72df20d4d8186",
+    "ovo": "74d7c22162bc2bc0598a002130365e03b4a3092a775c47bc41341e7471e78b7e",
+}
 OVO_GRID_CSV_SHA256 = "a7868ec24927dfc375aba7032d0212f66da66735d984dc1f86fec267ce27fada"
 # SMO pair updates summed over each cell's folds and pairs, in entry order
 OVO_GRID_ITERATIONS = [150, 121, 416, 209]
@@ -94,6 +101,27 @@ def test_golden_ovo_model_bytes(tmp_path):
     path = tmp_path / "golden.gsvm"
     save_model(model, path)
     assert sha256(path.read_bytes()) == OVO_MODEL_SHA256
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_golden_version_1_model_reads_as_before(strategy):
+    path = Path(__file__).parent / "data" / f"golden_v1_{strategy}.gsvm"
+    assert sha256(path.read_bytes()) == V1_MODEL_SHA256[strategy]
+    data = golden_dataset()
+    trainer = train_one_vs_all if strategy == "ova" else train_one_vs_one
+    model = trainer(data.vectors, data.labels, KernelSpec(kind="rbf", gamma=0.5), 16.0)
+    loaded = load_model(path)
+    # each classifier's rows stacked apart: as many rows as the file has sv lines
+    assert len(loaded.support_vectors) == path.read_text().count("\nsv ")
+    for got, want in zip(loaded.classifiers, model.classifiers, strict=True):
+        assert np.array_equal(got.support_vectors, want.support_vectors)
+        assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
+        assert (got.bias, got.C, got.meta.iterations) == (want.bias, want.C, 0)
+    probes = np.random.default_rng(3).normal(size=(50, 4)) * 2
+    np.testing.assert_allclose(
+        decision_matrix(loaded, probes), decision_matrix(model, probes), rtol=1e-12, atol=1e-12
+    )
+    assert predict_batch(loaded, probes) == predict_batch(model, probes)
 
 
 def golden_page() -> np.ndarray:

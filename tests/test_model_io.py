@@ -9,7 +9,13 @@ from glyphsvm.errors import (
 )
 from glyphsvm.model_io import load_model, save_model
 from glyphsvm.modelsel import Dataset, evaluate
-from glyphsvm.multiclass import decision_matrix, predict, train_one_vs_all, train_one_vs_one
+from glyphsvm.multiclass import (
+    MulticlassModel,
+    decision_matrix,
+    predict,
+    train_one_vs_all,
+    train_one_vs_one,
+)
 from glyphsvm.svm import KernelSpec
 
 
@@ -56,11 +62,17 @@ def test_roundtrip_all_kernels(kernel, tmp_path):
 
 
 def test_save_rejects_mixed_kernels(tmp_path):
+    # a model holds one kernel, so mixed kernels can only come in as a
+    # classifier list, which the stacking helper refuses before any write
     model, _ = small_model("ova")
-    model.classifiers[1].kernel = KernelSpec(kind="rbf", gamma=2.0)
+    classifiers = model.classifiers
+    classifiers[1].kernel = KernelSpec(kind="rbf", gamma=2.0)
     path = tmp_path / "model.gsvm"
     with pytest.raises(InvalidConfigError):
-        save_model(model, path)
+        save_model(
+            MulticlassModel.from_classifiers("ova", model.class_ids, classifiers, model.scaling),
+            path,
+        )
     assert not path.exists()
 
 
@@ -91,7 +103,7 @@ def test_version_mismatch(tmp_path):
     model, _ = small_model()
     path = tmp_path / "model.gsvm"
     save_model(model, path)
-    text = path.read_text().replace("version 1", "version 99", 1)
+    text = path.read_text().replace("version 2", "version 99", 1)
     path.write_text(text)
     with pytest.raises(VersionMismatchError):
         load_model(path)
@@ -225,3 +237,94 @@ def test_numpy_integer_class_ids_survive_save_and_load(strategy, tmp_path):
     data = Dataset(X, np.repeat(np.arange(3), 8))
     accuracy = evaluate(model, data).overall_accuracy
     assert evaluate(loaded, data).overall_accuracy == accuracy > 0.9
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_solver_metadata_survives_a_reload(strategy, tmp_path):
+    model, _ = small_model(strategy)
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert model.iterations.min() > 0 and model.kkt_violations.max() > 0
+    assert np.array_equal(loaded.iterations, model.iterations)
+    assert np.array_equal(loaded.kkt_violations, model.kkt_violations)
+    assert [c.meta for c in loaded.classifiers] == [c.meta for c in model.classifiers]
+
+
+def test_version_2_stores_each_support_vector_once(tmp_path):
+    model, _ = small_model("ovo")
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    text = path.read_text()
+    assert "\nversion 2\n" in text
+    assert text.count("\nsv ") == len(model.support_vectors)
+    assert len(model.support_vectors) < sum(len(c.dual_coeffs) for c in model.classifiers)
+
+
+def corrupt_line(path, key, edit, occurrence=0):
+    """Replace the `occurrence`-th line that starts with `key` by `edit(line)`."""
+    lines = path.read_text().splitlines()
+    hits = [i for i, line in enumerate(lines) if line.startswith(key + " ")]
+    lines[hits[occurrence]] = edit(lines[hits[occurrence]])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def with_index(edit):
+    """An edit of an `sv_index` line's integers."""
+    return lambda line: "sv_index " + " ".join(map(str, edit([int(v) for v in line.split()[1:]])))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        with_index(lambda idx: idx[:-1] + [10_000]),  # out of range
+        with_index(lambda idx: idx[:-1] + [-1]),
+        with_index(lambda idx: [idx[0]] + idx[:-1]),  # repeated
+        with_index(lambda idx: [idx[1], idx[0]] + idx[2:]),  # unsorted
+        lambda line: line + " 1",  # one index too many
+        lambda line: line + ".5",
+        with_index(lambda idx: idx[:-1] + [10**30]),
+    ],
+    ids=["beyond-table", "negative", "repeated", "unsorted", "count", "non-integer", "huge"],
+)
+def test_sv_index_must_list_ascending_rows_of_the_table(edit, tmp_path):
+    model, _ = small_model("ova")
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    corrupt_line(path, "sv_index", edit, occurrence=1)
+    with pytest.raises(CorruptBlockError):
+        load_model(path)
+
+
+def test_a_table_row_that_no_classifier_uses_is_corrupt(tmp_path):
+    model, _ = small_model("ova")
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    n = len(model.support_vectors)
+    corrupt_line(path, "support_vectors", lambda line: f"support_vectors {n + 1}")
+    corrupt_line(path, "sv", lambda line: line + "\n" + line, occurrence=n - 1)
+    with pytest.raises(CorruptBlockError, match="belongs to no classifier"):
+        load_model(path)
+
+
+def test_a_zero_coefficient_is_corrupt(tmp_path):
+    model, _ = small_model("ova")
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    corrupt_line(path, "coeffs", lambda line: "coeffs 0" + line[line.index(" ", 7):])
+    with pytest.raises(CorruptBlockError, match="coefficient 0"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("iterations", "-1"), ("iterations", str(2**64)), ("iterations", "1.5"),
+     ("kkt_violation", "-0.5"), ("kkt_violation", "nan")],
+)
+def test_bad_solver_metadata_is_corrupt(key, value, tmp_path):
+    model, _ = small_model("ova")
+    path = tmp_path / "model.gsvm"
+    save_model(model, path)
+    corrupt_line(path, key, lambda line: f"{key} {value}")
+    with pytest.raises(CorruptBlockError):
+        load_model(path)

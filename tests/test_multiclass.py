@@ -9,6 +9,7 @@ from glyphsvm.errors import (
     SingleClassError,
 )
 from glyphsvm import multiclass
+from glyphsvm.model_io import load_model, save_model
 from glyphsvm.multiclass import (
     BinaryModel,
     MinMaxScaling,
@@ -130,7 +131,7 @@ def test_two_class_paths_coincide():
 
 def ova_from_values(values):
     """OVA model whose decision values at probe x=[1] equal `values`."""
-    return MulticlassModel(
+    return MulticlassModel.from_classifiers(
         strategy="ova",
         class_ids=list(range(1, len(values) + 1)),
         classifiers=[pinned_binary(v) for v in values],
@@ -167,7 +168,7 @@ def test_ova_rescaling_invariance():
 
 def ovo_from_values(pair_values, n_classes=3):
     pairs = [(i, j) for i in range(n_classes) for j in range(i + 1, n_classes)]
-    return MulticlassModel(
+    return MulticlassModel.from_classifiers(
         strategy="ovo",
         class_ids=["A", "B", "C"][:n_classes],
         classifiers=[pinned_binary(v) for v in pair_values],
@@ -338,10 +339,12 @@ def test_predict_dispatch():
 
 
 def test_validate_rejects_mixed_kernels():
-    model = ova_from_values([0.5, -0.5])
-    model.classifiers[1].kernel = RBF
+    # a model holds one kernel, so the refusal lives where a classifier list
+    # is stacked into one
+    classifiers = ova_from_values([0.5, -0.5]).classifiers
+    classifiers[1].kernel = RBF
     with pytest.raises(InvalidConfigError):
-        model.validate()
+        MulticlassModel.from_classifiers("ova", [1, 2], classifiers, identity_scaling(1))
 
 
 # --- batched prediction against the per-sample oracle ------------------------------------
@@ -417,18 +420,68 @@ def reference_classifiers(X, labels, strategy, kernel, C):
 
 @pytest.mark.parametrize("strategy", ["ova", "ovo"])
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
-def test_training_matches_per_problem_kernel_rows(kernel, strategy):
+def test_training_matches_per_problem_kernel_rows(kernel, strategy, tmp_path):
     rng = np.random.default_rng(22)
     X = np.vstack([rng.normal(size=(10, 6)) + 1.5 * c for c in range(4)])
     labels = [c for c in range(4) for _ in range(10)]
     model = train_multiclass(X, labels, strategy, kernel, 10.0)
+    save_model(model, tmp_path / "model.gsvm")
     reference = reference_classifiers(X, labels, strategy, kernel, 10.0)
-    assert len(model.classifiers) == len(reference)
-    for got, want in zip(model.classifiers, reference):
-        assert np.array_equal(got.support_vectors, want.support_vectors)
-        assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
-        assert got.bias == want.bias
-        assert got.meta == want.meta
+    for derived in (model, load_model(tmp_path / "model.gsvm")):
+        assert len(derived.classifiers) == len(reference)
+        for got, want in zip(derived.classifiers, reference):
+            assert got.kernel == want.kernel
+            assert np.array_equal(got.support_vectors, want.support_vectors)
+            assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
+            assert (got.bias, got.C) == (want.bias, want.C)
+            assert got.meta == want.meta
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_support_vector_table_is_the_union_of_support_rows(strategy):
+    # every problem's support vectors are rows of the one scaled training set:
+    # the table holds each such row once, in training-row order, and exact
+    # duplicate training rows stay apart
+    rng = np.random.default_rng(26)
+    X = np.vstack([rng.normal(size=(10, 3)) + 1.2 * c for c in range(3)])
+    labels = np.array([c for c in range(3) for _ in range(10)])
+    X, labels = np.vstack([X, X[::3]]), np.concatenate([labels, labels[::3]])
+    model = train_multiclass(X, list(labels), strategy, RBF, 10.0)
+    Xs = model.scaling.transform(X)
+    gram = gram_matrix(RBF, Xs)
+    problems = (
+        [(labels == c, np.arange(len(X))) for c in range(3)]
+        if strategy == "ova"
+        else [(labels == i, np.flatnonzero((labels == i) | (labels == j))) for i, j in model.pairs]
+    )
+    support = {}  # (training row, problem) -> alpha_i y_i
+    for p, (positive, rows) in enumerate(problems):
+        y = np.where(positive[rows], 1.0, -1.0)
+        (s,) = solve_smo(gram[np.ix_(rows, rows)], y[None], [10.0])
+        support.update(((r, p), a * yy) for r, a, yy in zip(rows, s.alpha, y) if a > 0)
+    union = sorted({r for r, _ in support})
+    assert np.array_equal(model.support_vectors, Xs[union])
+    expected = np.zeros((len(union), len(problems)))
+    for (r, p), coeff in support.items():
+        expected[union.index(r), p] = coeff
+    assert np.array_equal(model.coeffs, expected)
+    assert len(union) < len(support)  # rows shared between problems are stored once
+    duplicated = [r for r in union if r >= 30 and 3 * (r - 30) in union]
+    assert duplicated  # a row and its exact copy both kept
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
+def test_decision_matrix_stacks_per_classifier_decision_values(kernel, strategy):
+    rng = np.random.default_rng(27)
+    X, labels = clustered_data(rng, 4, per_class=8)
+    model = train_multiclass(X, labels, strategy, kernel, 10.0)
+    probes = rng.normal(size=(40, 2)) * 3
+    xs = model.scaling.transform(probes)
+    columns = np.column_stack([decision_values(clf, xs) for clf in model.classifiers])
+    values = decision_matrix(model, probes)
+    np.testing.assert_allclose(values, columns, rtol=1e-12, atol=1e-12)
+    assert predict_batch(model, probes) == [reference_label(model, v) for v in columns]
 
 
 def test_unknown_strategy_is_invalid_config():

@@ -45,6 +45,8 @@ from oracles import (
     neighborhood_images,
     reference_detect_skew,
     reference_median_filter,
+    reference_normalize_size,
+    reference_segment_characters,
     reference_rotate_bicubic,
     reference_thin,
     reference_zhang_suen_pass,
@@ -527,6 +529,36 @@ def test_segment_matches_flood_fill_oracle():
         assert kept == set().union(*oracle) if oracle else not kept
 
 
+def test_segment_records_equal_per_component_crops():
+    # the one-pass boxes give the records of one whole-strip mask per component
+    rng = np.random.default_rng(23)
+    for shape, fill in [((18, 40), 0.25), ((30, 90), 0.1), ((5, 7), 0.6), ((1, 30), 0.5)]:
+        for _ in range(5):
+            strip = rng.random(shape) < fill
+            got = [
+                (r.bbox.left, r.bbox.top, r.bbox.width, r.bbox.height, r.crop)
+                for r in segment_characters(strip)
+            ]
+            want = reference_segment_characters(strip)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g[:4] == w[:4]
+                assert g[4].dtype == bool and np.array_equal(g[4], w[4])
+
+
+def test_segment_characters_labels_once(monkeypatch):
+    calls = []
+
+    def counting(img):
+        calls.append(img.shape)
+        return label_components(img)
+
+    monkeypatch.setattr(preprocess, "label_components", counting)
+    strip = np.random.default_rng(24).random((20, 60)) < 0.3
+    assert segment_characters(strip)
+    assert calls == [strip.shape]
+
+
 # --- connected components -----------------------------------------------------
 
 def assert_labels_match_scipy(img):
@@ -636,6 +668,83 @@ def test_normalize_empty_crop():
         normalize_size(np.zeros((5, 5), dtype=bool))
 
 
+def random_crops(rng, shapes, fill=0.3):
+    """Random binary crops of the given shapes, each with at least one ink pixel."""
+    crops = []
+    for shape in shapes:
+        crop = rng.random(shape) < fill
+        crop.flat[rng.integers(crop.size)] = True
+        crops.append(crop)
+    return crops
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(1, 1)],
+        [(1, 17), (23, 1), (1, 1), (1, 64), (64, 1)],
+        [(32, 32), (31, 33), (16, 64), (89, 2)],
+        [(60, 1100)] + [(40, 35)] * 20 + [(1, 1), (2, 3), (120, 45)],
+    ],
+    ids=["1x1", "lines", "near-32", "mixed"],
+)
+@pytest.mark.parametrize("block", [1, 1 << 14, 1 << 30], ids=["per-crop", "default", "one"])
+def test_batched_normalize_equals_per_crop_oracle(shapes, block, monkeypatch):
+    monkeypatch.setattr(preprocess, "_RESAMPLE_BLOCK", block)
+    crops = random_crops(np.random.default_rng(len(shapes)), shapes)
+    expected = np.array([reference_normalize_size(crop) for crop in crops])
+    batch = normalize_size(crops)
+    assert batch.shape == (len(crops), 32, 32) and batch.dtype == bool
+    assert np.array_equal(batch, expected)
+    assert np.array_equal(normalize_size(tuple(crops)), expected)
+    for crop, want in zip(crops, expected):
+        assert np.array_equal(normalize_size(crop), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=arrays(np.int64, (12, 2), elements=integers(1, 89)),
+    fill=floats(0.05, 0.9),
+    seed=integers(0, 2**16),
+)
+def test_batched_normalize_equals_per_crop_oracle_on_random_crops(sizes, fill, seed):
+    crops = random_crops(np.random.default_rng(seed), [tuple(s) for s in sizes.tolist()], fill)
+    expected = np.array([reference_normalize_size(crop) for crop in crops])
+    assert np.array_equal(normalize_size(crops), expected)
+
+
+def test_normalize_size_of_no_crops_is_an_empty_stack():
+    assert normalize_size([]).shape == (0, 32, 32)
+
+
+def test_normalize_size_refuses_an_empty_crop_in_a_batch():
+    crops = random_crops(np.random.default_rng(4), [(5, 5), (6, 6)])
+    for bad in (np.zeros((5, 5), dtype=bool), np.zeros((0, 4), dtype=bool)):
+        with pytest.raises(EmptyCropError):
+            normalize_size(crops + [bad])
+
+
+def test_normalize_size_temporaries_scale_with_a_block():
+    """One 60x1,100 crop among 127 glyph-sized ones.
+
+    Consecutive crops are resampled in blocks of about 16,384 values of
+    their flat layout, and the 60x1,100 crop (101,200 values) is a block of
+    its own: the call peaked at 2.4 MB. One block of all 128 crops peaked at
+    11.1 MB, and padding them to the largest crop would take 67.6 MB for the
+    float input alone.
+    """
+    rng = np.random.default_rng(5)
+    crops = random_crops(rng, [tuple(s) for s in rng.integers(20, 60, (127, 2)).tolist()])
+    crops.insert(40, random_crops(rng, [(60, 1100)])[0])
+    tracemalloc.start()
+    try:
+        normalize_size(crops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_taps_match_tap_at_a_time_weights():
     rng = np.random.default_rng(19)
     centers = [
@@ -645,7 +754,7 @@ def test_taps_match_tap_at_a_time_weights():
         (np.arange(32) + 0.5) * (45 / 32) - 0.5,  # a resample's centres
     ]
     for c in centers:
-        got = list(_taps(c))
+        got = list(zip(*_taps(c)))
         expected = list(reference_taps(c))
         assert len(got) == len(expected) == 4
         for (idx, w), (ref_idx, ref_w) in zip(got, expected):

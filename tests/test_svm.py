@@ -569,7 +569,7 @@ def test_train_rejects_gram_of_wrong_shape():
 def test_predict_sign_rule():
     # as one class pair, f = 0 votes for the first class, the +1 side
     model, _, _ = two_point_model()
-    pair = MulticlassModel(
+    pair = MulticlassModel.from_classifiers(
         "ovo", ["+1", "-1"], [model], MinMaxScaling(np.zeros(2), np.ones(2)), [(0, 1)]
     )
     probes = [[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # f = +1, -1, 0
