@@ -24,16 +24,15 @@ from .modelsel import (
     grid_search,
     repeat_evaluate,
 )
-from .multiclass import train_multiclass
+from .multiclass import STRATEGIES, train_multiclass
 from .pgm import read_pgm, write_binary_pgm
 from .preprocess import clean_page, segment_page
-from .svm import KernelSpec
+from .svm import KERNEL_PARAMS, KernelSpec
 from .synth import SynthConfig, generate_synthetic_dataset
 
 
 def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=("linear", "poly", "rbf", "sigmoid"),
-                        default="rbf")
+    parser.add_argument("--kernel", choices=tuple(KERNEL_PARAMS), default="rbf")
     parser.add_argument("--c", type=float, default=64.0, help="soft-margin C")
     parser.add_argument("--gamma", type=float, default=None, help="rbf gamma")
     parser.add_argument("--degree", type=int, default=3, help="poly degree")
@@ -240,16 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_kernel_args(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--strategy", choices=("ova", "ovo"), default="ova")
+    p.add_argument("--strategy", choices=STRATEGIES, default="ova")
 
     p = sub.add_parser("gridsearch", help="cross-validated hyperparameter sweep")
     p.set_defaults(run=cmd_gridsearch)
     _add_data_args(p)
-    p.add_argument("--kernel", choices=("linear", "poly", "rbf", "sigmoid"), default="rbf")
+    p.add_argument("--kernel", choices=tuple(KERNEL_PARAMS), default="rbf")
     p.add_argument("--c-grid", default=None, help="comma-separated C values")
     p.add_argument("--gamma-grid", default=None, help="comma-separated gammas (rbf)")
     p.add_argument("--degree-grid", default=None, help="comma-separated degrees (poly)")
-    p.add_argument("--strategy", choices=("ova", "ovo"), default="ova")
+    p.add_argument("--strategy", choices=STRATEGIES, default="ova")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv-out", default=None)
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_repeat_eval)
     _add_data_args(p)
     _add_kernel_args(p)
-    p.add_argument("--strategy", choices=("ova", "ovo"), default="ova")
+    p.add_argument("--strategy", choices=STRATEGIES, default="ova")
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_cv)
     _add_data_args(p)
     _add_kernel_args(p)
-    p.add_argument("--strategy", choices=("ova", "ovo"), default="ova")
+    p.add_argument("--strategy", choices=STRATEGIES, default="ova")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
 

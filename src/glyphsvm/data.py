@@ -16,7 +16,7 @@ from .features import FeatureConfig, extract_features, read_features_csv
 from .modelsel import Dataset
 from .multiclass import class_sort_key
 from .pgm import read_pgm
-from .preprocess import _THIN_BATCH, CharacterRecord, crop_character, normalize_records, thin_records
+from .preprocess import _THIN_BATCH, CharacterRecord, crop_character, finish_records
 
 
 def load_image_dataset(root, config: FeatureConfig | None = None) -> Dataset:
@@ -51,8 +51,7 @@ def load_image_dataset(root, config: FeatureConfig | None = None) -> Dataset:
     vectors = []
     for start in range(0, len(files), _THIN_BATCH):
         records = [_cropped_glyph(path) for _, path in files[start : start + _THIN_BATCH]]
-        records = thin_records(normalize_records(records))
-        vectors += [extract_features(record, config).values for record in records]
+        vectors += [extract_features(record, config).values for record in finish_records(records)]
     return Dataset(np.array(vectors), [label for label, _ in files])
 
 

@@ -46,8 +46,8 @@ from .errors import (
     VersionMismatchError,
 )
 from .fileio import format_float, write_atomic
-from .multiclass import MinMaxScaling, MulticlassModel
-from .svm import KERNEL_PARAMS, BinaryModel, KernelSpec, TrainingMeta
+from .multiclass import STRATEGIES, MinMaxScaling, MulticlassModel
+from .svm import KERNEL_PARAMS, KernelSpec
 
 MAGIC = "GSVM1"
 VERSION = 2
@@ -188,7 +188,7 @@ def load_model(path) -> MulticlassModel:
             f"{path}: version {version}, supported {', '.join(map(str, READABLE_VERSIONS))}"
         )
     strategy = reader.next_value("strategy")
-    if strategy not in ("ova", "ovo"):
+    if strategy not in STRATEGIES:
         raise CorruptBlockError(f"{path}: unknown strategy {strategy!r}")
     label_kind = reader.next_value("label_kind")
     if label_kind not in ("int", "str"):
@@ -212,11 +212,13 @@ def load_model(path) -> MulticlassModel:
     )
     if np.any(scaling.maxs < scaling.mins):
         raise CorruptBlockError(f"{path}: scaling_max is below scaling_min")
+    # version 2: the table; 1: each classifier's own rows, appended block by block
+    table = []
     if version == 2:
         n_sv = _parse_int(reader, "support_vectors")
         if n_sv < 1:
             raise CorruptBlockError(f"{path}: bad support_vectors {n_sv}")
-        table = np.array([reader.next_floats("sv", dims) for _ in range(n_sv)])
+        table = [reader.next_floats("sv", dims) for _ in range(n_sv)]
     n_classifiers = _parse_int(reader, "classifiers")
     expected = n_classes if strategy == "ova" else n_classes * (n_classes - 1) // 2
     if n_classifiers != expected:
@@ -226,7 +228,7 @@ def load_model(path) -> MulticlassModel:
         )
 
     pairs = [] if strategy == "ovo" else None
-    blocks = []
+    columns = []
     for idx in range(n_classifiers):
         head = reader.next("classifier").split()
         if len(head) != 3 or head[1] != str(idx):
@@ -245,43 +247,29 @@ def load_model(path) -> MulticlassModel:
             pairs.append((i, j))
         c_value = reader.next_floats("C", 1)[0]
         bias = reader.next_floats("bias", 1)[0]
-        meta = TrainingMeta(iterations=0, kkt_violation=0.0)
+        iterations, violation = 0, 0.0
         if version == 2:
-            meta = TrainingMeta(
-                iterations=_parse_int(reader, "iterations"),
-                kkt_violation=float(reader.next_floats("kkt_violation", 1)[0]),
-            )
-            if not 0 <= meta.iterations <= np.iinfo(np.int64).max or meta.kkt_violation < 0:
+            iterations = _parse_int(reader, "iterations")
+            violation = reader.next_floats("kkt_violation", 1)[0]
+            if not 0 <= iterations <= np.iinfo(np.int64).max or violation < 0:
                 raise CorruptBlockError(f"{path}: classifier {idx} has bad solver metadata")
         sv_count = _parse_int(reader, "sv_count")
         if sv_count < 1:
             raise CorruptBlockError(f"{path}: classifier {idx} has no support vectors")
-        # version 2: the classifier's rows of the table; 1: the vectors themselves
         if version == 2:
-            support = _parse_index(reader, sv_count, n_sv, idx)
+            index = _parse_index(reader, sv_count, n_sv, idx)
         coeffs = reader.next_floats("coeffs", sv_count)
         if version == 1:
-            support = np.array([reader.next_floats("sv", dims) for _ in range(sv_count)])
+            index = np.arange(len(table), len(table) + sv_count)
+            table += [reader.next_floats("sv", dims) for _ in range(sv_count)]
         _check_dual(coeffs, c_value, path, idx)
-        blocks.append((support, coeffs, float(bias), float(c_value), meta))
+        columns.append((index, coeffs, bias, c_value, iterations, violation))
     reader.next("end")
-    if version == 1:
-        classifiers = [BinaryModel(kernel, svs, *rest) for svs, *rest in blocks]
-        return MulticlassModel.from_classifiers(strategy, class_ids, classifiers, scaling, pairs)
-    matrix = np.zeros((n_sv, n_classifiers))
-    for p, (support, coeffs, *_) in enumerate(blocks):
-        matrix[support, p] = coeffs
-    if not matrix.any(axis=1).all():
-        unused = int(np.argmin(matrix.any(axis=1)))
-        raise CorruptBlockError(f"{path}: support vector {unused} belongs to no classifier")
-    _, _, biases, c_values, metas = zip(*blocks)
-    model = MulticlassModel(
-        strategy, class_ids, kernel, table, matrix, np.array(biases), np.array(c_values),
-        np.array([m.iterations for m in metas], dtype=np.int64),
-        np.array([m.kkt_violation for m in metas]),
-        scaling, pairs,
+    model = MulticlassModel.from_columns(
+        strategy, class_ids, kernel, np.array(table), columns, scaling, pairs
     )
-    model.validate()
+    if len(model.support_vectors) < len(table):
+        raise CorruptBlockError(f"{path}: a support-vector table row belongs to no classifier")
     return model
 
 

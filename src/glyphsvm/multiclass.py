@@ -103,27 +103,25 @@ class MulticlassModel:
     pairs: list[tuple[int, int]] | None = None
 
     @classmethod
-    def from_classifiers(
-        cls, strategy: str, class_ids: list, classifiers: list[BinaryModel],
-        scaling: MinMaxScaling, pairs: list[tuple[int, int]] | None = None,
+    def from_columns(
+        cls, strategy: str, class_ids: list, kernel: KernelSpec, rows: np.ndarray,
+        columns: list, scaling: MinMaxScaling, pairs: list[tuple[int, int]] | None = None,
     ) -> "MulticlassModel":
-        """Stack the support vectors of `classifiers` in classifier order,
-        each classifier's rows apart (equal rows are not merged). The
-        classifiers must share one kernel (InvalidConfigError)."""
-        if len({clf.kernel for clf in classifiers}) > 1:
-            raise InvalidConfigError("classifiers of one model must share one kernel")
-        counts = [len(clf.dual_coeffs) for clf in classifiers]
-        coeffs = np.zeros((sum(counts), len(classifiers)))
-        owner = np.repeat(np.arange(len(classifiers)), counts)  # each stacked row's classifier
-        coeffs[np.arange(len(owner)), owner] = np.concatenate([clf.dual_coeffs for clf in classifiers])
+        """The validated model whose classifier p is `columns[p]`, a tuple
+        (row indices, coefficients, bias, C, iterations, KKT violation) over
+        the candidate `rows`. The support-vector table keeps the rows that
+        some classifier indexes, each once, in row order."""
+        used = np.zeros(len(rows), dtype=bool)
+        for index, *_ in columns:
+            used[index] = True
+        position = np.cumsum(used) - 1  # a table row's index, by candidate row
+        coeffs = np.zeros((np.count_nonzero(used), len(columns)))
+        for p, (index, values, *_) in enumerate(columns):
+            coeffs[position[index], p] = values
+        _, _, biases, C, iterations, violations = zip(*columns)
         model = cls(
-            strategy, class_ids, classifiers[0].kernel,
-            np.vstack([clf.support_vectors for clf in classifiers]), coeffs,
-            np.array([clf.bias for clf in classifiers]),
-            np.array([clf.C for clf in classifiers]),
-            np.array([clf.meta.iterations for clf in classifiers], dtype=np.int64),
-            np.array([clf.meta.kkt_violation for clf in classifiers]),
-            scaling, pairs,
+            strategy, class_ids, kernel, rows[used], coeffs, np.array(biases), np.array(C),
+            np.array(iterations, dtype=np.int64), np.array(violations), scaling, pairs,
         )
         model.validate()
         return model
@@ -252,9 +250,9 @@ def train_multiclass_c_grid(
     ]
 
     def package(k: int) -> MulticlassModel:
-        solutions = [per_c[k] for _, _, per_c in problems]
-        support_rows, dual, biases = [], [], []
-        for ((i, j), rows, _), s in zip(problems, solutions):
+        columns = []
+        for (i, j), rows, per_c in problems:
+            s = per_c[k]
             try:
                 support, bias = solution_support(s, tol)
             except NoConvergenceError as exc:
@@ -266,26 +264,11 @@ def train_multiclass_c_grid(
                     violation=exc.violation,
                     context=context,
                 ) from exc
-            support_rows.append(rows[support])
-            dual.append(s.alpha[support] * s.y[support])
-            biases.append(bias)
-        # the union of the support vectors as training rows, in row order
-        in_table = np.zeros(len(labels), dtype=bool)
-        for rows in support_rows:
-            in_table[rows] = True
-        position = np.cumsum(in_table) - 1  # a table row's index, by training row
-        coeffs = np.zeros((position[-1] + 1, len(problems)))
-        for p, (rows, values) in enumerate(zip(support_rows, dual)):
-            coeffs[position[rows], p] = values
-        model = MulticlassModel(
-            strategy, classes, kernel, Xs[in_table], coeffs, np.array(biases),
-            np.array([s.C for s in solutions]),
-            np.array([s.iterations for s in solutions], dtype=np.int64),
-            np.array([max(s.violation, 0.0) for s in solutions]),
-            scaling, pairs,
-        )
-        model.validate()
-        return model
+            columns.append((
+                rows[support], s.alpha[support] * s.y[support], bias, s.C, s.iterations,
+                max(s.violation, 0.0),
+            ))
+        return MulticlassModel.from_columns(strategy, classes, kernel, Xs, columns, scaling, pairs)
 
     return package
 

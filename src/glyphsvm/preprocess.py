@@ -47,7 +47,6 @@ class CharacterRecord:
     crop: np.ndarray
     normalized: np.ndarray
     skeleton: np.ndarray
-    label: object = None
 
     def validate(self) -> None:
         n = NORMALIZED_SIZE
@@ -592,19 +591,12 @@ def thin(norm: np.ndarray) -> np.ndarray:
 
 # --- full pipeline ---------------------------------------------------------
 
-def normalize_records(records: list[CharacterRecord]) -> list[CharacterRecord]:
-    """Fill the normalized bitmaps of records with one `normalize_size` call."""
-    for rec, normalized in zip(records, normalize_size([rec.crop for rec in records])):
-        rec.normalized = normalized
-    return records
-
-
-def thin_records(records: list[CharacterRecord]) -> list[CharacterRecord]:
-    """Fill the skeletons of normalized records with one `thin` call."""
-    n = NORMALIZED_SIZE
-    stack = np.array([rec.normalized for rec in records], dtype=bool).reshape(-1, n, n)
-    for rec, skeleton in zip(records, thin(stack)):
-        rec.skeleton = skeleton
+def finish_records(records: list[CharacterRecord]) -> list[CharacterRecord]:
+    """Fill the normalized bitmaps of cropped records with one
+    `normalize_size` call and their skeletons with one `thin` call."""
+    stack = normalize_size([rec.crop for rec in records])
+    for rec, normalized, skeleton in zip(records, stack, thin(stack)):
+        rec.normalized, rec.skeleton = normalized, skeleton
     return records
 
 
@@ -630,7 +622,7 @@ def segment_page(page: np.ndarray) -> list[CharacterRecord]:
         for rec in segment_characters(strip):
             rec.bbox = replace(rec.bbox, top=rec.bbox.top + top)
             records.append(rec)
-    return thin_records(normalize_records(records))
+    return finish_records(records)
 
 
 def preprocess_page(gray: np.ndarray) -> list[CharacterRecord]:
@@ -644,11 +636,8 @@ def preprocess_page(gray: np.ndarray) -> list[CharacterRecord]:
 
 def preprocess_character(gray: np.ndarray) -> CharacterRecord:
     """Pipeline for a single pre-segmented character image: the record of
-    `crop_character`, normalized and thinned."""
-    record = crop_character(gray)
-    record.normalized = normalize_size(record.crop)
-    record.skeleton = thin(record.normalized)
-    return record
+    `crop_character`, normalized and thinned (a one-record `finish_records`)."""
+    return finish_records([crop_character(gray)])[0]
 
 
 def crop_character(gray: np.ndarray) -> CharacterRecord:

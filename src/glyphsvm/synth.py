@@ -83,6 +83,8 @@ MAX_NOISE_RATE = 0.05
 MAX_ROTATION_DEG = 10.0
 SCALE_BOUNDS = (0.8, 1.2)
 MAX_TRANSLATION_PX = 3.0
+CANVAS_PX = 64
+STROKE_PX = 3.0
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,6 @@ class SynthConfig:
     translation_px: float = 3.0
     noise_rate: float = 0.01
     seed: int = 0
-    canvas_px: int = 64
-    stroke_px: float = 3.0
 
     def __post_init__(self):
         if not 2 <= self.classes <= MAX_CLASSES:
@@ -121,21 +121,19 @@ class SynthConfig:
             raise InvalidConfigError(
                 f"translation_px must be in [0, {MAX_TRANSLATION_PX}]"
             )
-        if self.canvas_px < 32:
-            raise InvalidConfigError("canvas_px must be >= 32")
 
 
-def _transform_point(pt, rotation_deg, scale, translate, canvas_px):
+def _transform_point(pt, rotation_deg, scale, translate):
     rad = math.radians(rotation_deg)
     cos, sin = math.cos(rad), math.sin(rad)
     x = pt[0] - 0.5
     y = pt[1] - 0.5
     xr = cos * x - sin * y
     yr = sin * x + cos * y
-    center = (canvas_px - 1) / 2.0
+    center = (CANVAS_PX - 1) / 2.0
     return (
-        xr * scale * canvas_px + center + translate[0],
-        yr * scale * canvas_px + center + translate[1],
+        xr * scale * CANVAS_PX + center + translate[0],
+        yr * scale * CANVAS_PX + center + translate[1],
     )
 
 
@@ -173,34 +171,30 @@ def _arc_distance(px, py, center, radius, start_deg, end_deg):
 
 def render_glyph_mask(
     class_idx: int,
-    canvas_px: int = 64,
-    stroke_px: float = 3.0,
     rotation_deg: float = 0.0,
     scale: float = 1.0,
     translate=(0.0, 0.0),
 ) -> np.ndarray:
-    """Rasterize one glyph as a boolean ink mask; strokes have rounded caps."""
+    """Rasterize one glyph as a boolean ink mask on the CANVAS_PX square;
+    strokes are STROKE_PX wide with rounded caps."""
     _, strokes = GLYPH_LIBRARY[class_idx]
-    ys, xs = np.mgrid[0:canvas_px, 0:canvas_px].astype(np.float64)
-    best = np.full((canvas_px, canvas_px), np.inf)
+    ys, xs = np.mgrid[0:CANVAS_PX, 0:CANVAS_PX].astype(np.float64)
+    best = np.full((CANVAS_PX, CANVAS_PX), np.inf)
     for stroke in strokes:
         if stroke[0] == "poly":
-            pts = [
-                _transform_point(p, rotation_deg, scale, translate, canvas_px)
-                for p in stroke[1]
-            ]
+            pts = [_transform_point(p, rotation_deg, scale, translate) for p in stroke[1]]
             for a, b in zip(pts, pts[1:]):
                 best = np.minimum(best, _segment_distance(xs, ys, a, b))
         else:
             _, cx, cy, r, a0, a1 = stroke
-            center = _transform_point((cx, cy), rotation_deg, scale, translate, canvas_px)
+            center = _transform_point((cx, cy), rotation_deg, scale, translate)
             best = np.minimum(
                 best,
                 _arc_distance(
-                    xs, ys, center, r * scale * canvas_px, a0 + rotation_deg, a1 + rotation_deg
+                    xs, ys, center, r * scale * CANVAS_PX, a0 + rotation_deg, a1 + rotation_deg
                 ),
             )
-    return best <= stroke_px / 2.0
+    return best <= STROKE_PX / 2.0
 
 
 def render_sample(config: SynthConfig, class_idx: int, sample_idx: int) -> np.ndarray:
@@ -212,8 +206,6 @@ def render_sample(config: SynthConfig, class_idx: int, sample_idx: int) -> np.nd
     translate = rng.uniform(-config.translation_px, config.translation_px, 2)
     mask = render_glyph_mask(
         class_idx,
-        canvas_px=config.canvas_px,
-        stroke_px=config.stroke_px,
         rotation_deg=rotation,
         scale=scale,
         translate=(float(translate[0]), float(translate[1])),

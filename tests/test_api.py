@@ -1,6 +1,7 @@
 """The package's public names, and the functions the benchmark's tracer
 wraps, exist: deleting one of them fails here, not in a benchmark run. And
-every module-level function or class of the package is used somewhere."""
+every module-level function or class of the package, and every method or
+property of its classes, is used somewhere."""
 
 import ast
 import importlib
@@ -37,7 +38,8 @@ def test_every_public_name_resolves():
 
 
 def test_no_unused_helpers():
-    """A module-level function or class that is not public must be named
+    """A module-level function or class that is not public, and a method or
+    property (other than a dunder) of a package class, must be named
     somewhere in the package or the benchmark besides its own definition.
     A module-level function of the test oracles must be named in a test
     file, or called by an oracle that is."""
@@ -48,10 +50,15 @@ def test_no_unused_helpers():
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name in glyphsvm.__all__:
-                continue
-            if len(re.findall(rf"\b{node.name}\b", text)) < 2:
-                unused.append(f"{path.stem}.{node.name}")
+            names = [] if node.name in glyphsvm.__all__ else [node.name]
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                ]
+            for name in names:
+                if len(re.findall(rf"\b{name.split('.')[-1]}\b", text)) < 2:
+                    unused.append(f"{path.stem}.{name}")
     oracles = ROOT / "tests" / "oracles.py"
     tests = "\n".join(p.read_text() for p in sorted(oracles.parent.glob("test_*.py")))
     calls = {

@@ -1,16 +1,17 @@
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from glyphsvm.errors import (
     BadMagicError,
     CorruptBlockError,
-    InvalidConfigError,
     VersionMismatchError,
 )
 from glyphsvm.model_io import load_model, save_model
 from glyphsvm.modelsel import Dataset, evaluate
 from glyphsvm.multiclass import (
-    MulticlassModel,
     decision_matrix,
     predict,
     train_one_vs_all,
@@ -59,21 +60,6 @@ def test_roundtrip_all_kernels(kernel, tmp_path):
     path = tmp_path / "model.gsvm"
     save_model(model, path)
     assert load_model(path).classifiers[0].kernel == kernel
-
-
-def test_save_rejects_mixed_kernels(tmp_path):
-    # a model holds one kernel, so mixed kernels can only come in as a
-    # classifier list, which the stacking helper refuses before any write
-    model, _ = small_model("ova")
-    classifiers = model.classifiers
-    classifiers[1].kernel = KernelSpec(kind="rbf", gamma=2.0)
-    path = tmp_path / "model.gsvm"
-    with pytest.raises(InvalidConfigError):
-        save_model(
-            MulticlassModel.from_classifiers("ova", model.class_ids, classifiers, model.scaling),
-            path,
-        )
-    assert not path.exists()
 
 
 def test_roundtrip_string_labels(tmp_path):
@@ -267,6 +253,31 @@ def corrupt_line(path, key, edit, occurrence=0):
     hits = [i for i, line in enumerate(lines) if line.startswith(key + " ")]
     lines[hits[occurrence]] = edit(lines[hits[occurrence]])
     path.write_text("\n".join(lines) + "\n")
+
+
+def golden_v1_copy(strategy, tmp_path):
+    """A writable copy of the golden version-1 model file."""
+    path = tmp_path / "v1.gsvm"
+    shutil.copyfile(Path(__file__).parent / "data" / f"golden_v1_{strategy}.gsvm", path)
+    return path
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+@pytest.mark.parametrize("occurrence", [0, -1], ids=["first", "last"])
+def test_version_1_with_an_sv_line_dropped_is_corrupt(strategy, occurrence, tmp_path):
+    path = golden_v1_copy(strategy, tmp_path)
+    corrupt_line(path, "sv", lambda line: "", occurrence)  # blank lines are skipped
+    with pytest.raises(CorruptBlockError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_version_1_with_a_wrong_sv_count_is_corrupt(strategy, delta, tmp_path):
+    path = golden_v1_copy(strategy, tmp_path)
+    corrupt_line(path, "sv_count", lambda line: f"sv_count {int(line.split()[1]) + delta}")
+    with pytest.raises(CorruptBlockError):
+        load_model(path)
 
 
 def with_index(edit):

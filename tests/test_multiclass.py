@@ -11,7 +11,6 @@ from glyphsvm.errors import (
 from glyphsvm import multiclass
 from glyphsvm.model_io import load_model, save_model
 from glyphsvm.multiclass import (
-    BinaryModel,
     MinMaxScaling,
     MulticlassModel,
     decision_matrix,
@@ -25,7 +24,6 @@ from glyphsvm.multiclass import (
 )
 from glyphsvm.svm import (
     KernelSpec,
-    TrainingMeta,
     decision_values,
     gram_matrix,
     solve_smo,
@@ -45,18 +43,6 @@ def clustered_data(rng, n_classes, per_class=12, spread=0.35):
         vectors.append(center + spread * rng.normal(size=(per_class, 2)))
         labels.extend([c] * per_class)
     return np.vstack(vectors), labels
-
-
-def pinned_binary(f_value_weight, bias=0.0, dim=1):
-    """Hand-built binary model: f(x) = weight * x[0] + bias under linear kernel."""
-    return BinaryModel(
-        kernel=LINEAR,
-        support_vectors=np.ones((1, dim)),
-        dual_coeffs=np.array([f_value_weight]),
-        bias=bias,
-        C=1.0,
-        meta=TrainingMeta(0, 0.0),
-    )
 
 
 def identity_scaling(dim):
@@ -129,13 +115,17 @@ def test_two_class_paths_coincide():
 
 # --- prediction rules ----------------------------------------------------------------
 
+def pinned_columns(weights):
+    """Hand-built classifiers over the one support vector [1]: under the
+    linear kernel, classifier p has f(x) = weights[p] * x[0]."""
+    return [([0], [w], 0.0, 1.0, 0, 0.0) for w in weights]
+
+
 def ova_from_values(values):
     """OVA model whose decision values at probe x=[1] equal `values`."""
-    return MulticlassModel.from_classifiers(
-        strategy="ova",
-        class_ids=list(range(1, len(values) + 1)),
-        classifiers=[pinned_binary(v) for v in values],
-        scaling=identity_scaling(1),
+    return MulticlassModel.from_columns(
+        "ova", list(range(1, len(values) + 1)), LINEAR, np.ones((1, 1)),
+        pinned_columns(values), identity_scaling(1),
     )
 
 
@@ -168,12 +158,9 @@ def test_ova_rescaling_invariance():
 
 def ovo_from_values(pair_values, n_classes=3):
     pairs = [(i, j) for i in range(n_classes) for j in range(i + 1, n_classes)]
-    return MulticlassModel.from_classifiers(
-        strategy="ovo",
-        class_ids=["A", "B", "C"][:n_classes],
-        classifiers=[pinned_binary(v) for v in pair_values],
-        scaling=identity_scaling(1),
-        pairs=pairs,
+    return MulticlassModel.from_columns(
+        "ovo", ["A", "B", "C"][:n_classes], LINEAR, np.ones((1, 1)),
+        pinned_columns(pair_values), identity_scaling(1), pairs,
     )
 
 
@@ -336,15 +323,6 @@ def test_predict_dispatch():
         for probe in X[:3]:
             values = reference_decision_matrix(model, [probe])[0]
             assert predict(model, probe) == reference_label(model, values)
-
-
-def test_validate_rejects_mixed_kernels():
-    # a model holds one kernel, so the refusal lives where a classifier list
-    # is stacked into one
-    classifiers = ova_from_values([0.5, -0.5]).classifiers
-    classifiers[1].kernel = RBF
-    with pytest.raises(InvalidConfigError):
-        MulticlassModel.from_classifiers("ova", [1, 2], classifiers, identity_scaling(1))
 
 
 # --- batched prediction against the per-sample oracle ------------------------------------
