@@ -17,7 +17,7 @@ decision value bit for bit. The format is line-oriented and diff-able.
     support_vectors <n>
     sv <d floats>           (n lines: the table)
     classifiers <M>
-    classifier <idx> target=<i> | pair=<i>,<j>
+    classifier <idx> target=<idx> | pair=<i>,<j>   (the idx-th class pair)
     C <float>
     bias <float>
     iterations <int>        (SMO pair updates)
@@ -28,6 +28,8 @@ decision value bit for bit. The format is line-oriented and diff-able.
     end
 
 Every row of the table is a support vector of at least one classifier.
+One-vs-one's classifiers follow `multiclass.class_pairs` order: (0, 1),
+(0, 2), ..., (N-2, N-1).
 `load_model` also reads version 1, which has no table: each classifier
 block holds its own `sv` lines after `coeffs` (and no `iterations`,
 `kkt_violation` or `sv_index`), and its rows are stacked classifier by
@@ -46,7 +48,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .fileio import format_float, write_atomic
-from .multiclass import STRATEGIES, MinMaxScaling, MulticlassModel
+from .multiclass import STRATEGIES, MinMaxScaling, MulticlassModel, class_pairs
 from .svm import KERNEL_PARAMS, KernelSpec
 
 MAGIC = "GSVM1"
@@ -83,12 +85,9 @@ def save_model(model: MulticlassModel, path) -> None:
     lines.append(f"support_vectors {len(model.support_vectors)}")
     lines.extend("sv " + _fmt_vec(sv) for sv in model.support_vectors)
     lines.append(f"classifiers {model.coeffs.shape[1]}")
+    pairs = model.pairs
     for idx, col in enumerate(model.coeffs.T):
-        if model.strategy == "ova":
-            lines.append(f"classifier {idx} target={idx}")
-        else:
-            i, j = model.pairs[idx]
-            lines.append(f"classifier {idx} pair={i},{j}")
+        lines.append(_classifier_line(idx, pairs))
         index = np.flatnonzero(col)
         lines.append(f"C {format_float(model.C[idx])}")
         lines.append(f"bias {format_float(model.biases[idx])}")
@@ -99,6 +98,13 @@ def save_model(model: MulticlassModel, path) -> None:
         lines.append("coeffs " + _fmt_vec(col[index]))
     lines.append("end")
     write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _classifier_line(idx: int, pairs) -> str:
+    """The head line of classifier `idx`: its target class for one-vs-all
+    (`pairs` None), else `pairs[idx]`, its class pair."""
+    target = f"target={idx}" if pairs is None else "pair={},{}".format(*pairs[idx])
+    return f"classifier {idx} {target}"
 
 
 class _Reader:
@@ -227,24 +233,12 @@ def load_model(path) -> MulticlassModel:
             f"classifiers, header says {n_classifiers}"
         )
 
-    pairs = [] if strategy == "ovo" else None
+    pairs = None if strategy == "ova" else class_pairs(n_classes)
     columns = []
     for idx in range(n_classifiers):
-        head = reader.next("classifier").split()
-        if len(head) != 3 or head[1] != str(idx):
-            raise CorruptBlockError(f"{path}: classifier block {idx} out of order")
-        if strategy == "ova":
-            if head[2] != f"target={idx}":
-                raise CorruptBlockError(f"{path}: classifier {idx} has bad target")
-        else:
-            try:
-                key, value = head[2].split("=")
-                i, j = (int(v) for v in value.split(","))
-            except ValueError:
-                raise CorruptBlockError(f"{path}: classifier {idx} has bad pair") from None
-            if key != "pair" or not 0 <= i < j < n_classes:
-                raise CorruptBlockError(f"{path}: classifier {idx} has bad pair")
-            pairs.append((i, j))
+        head, expected = reader.next("classifier"), _classifier_line(idx, pairs)
+        if head.split() != expected.split():
+            raise CorruptBlockError(f"{path}: expected {expected!r}, found {head!r}")
         c_value = reader.next_floats("C", 1)[0]
         bias = reader.next_floats("bias", 1)[0]
         iterations, violation = 0, 0.0
@@ -266,7 +260,7 @@ def load_model(path) -> MulticlassModel:
         columns.append((index, coeffs, bias, c_value, iterations, violation))
     reader.next("end")
     model = MulticlassModel.from_columns(
-        strategy, class_ids, kernel, np.array(table), columns, scaling, pairs
+        strategy, class_ids, kernel, np.array(table), columns, scaling
     )
     if len(model.support_vectors) < len(table):
         raise CorruptBlockError(f"{path}: a support-vector table row belongs to no classifier")

@@ -123,7 +123,7 @@ class _FoldedC:
             error = error.__cause__ or error.__context__
 
 
-def _fold_results(train_part, test_part, strategy, kernel, folded, tol, max_iter) -> None:
+def _fold_results(train_part, test_part, strategy, kernel, folded) -> None:
     """Train one fold at the C of every entry of `folded` over one kernel
     matrix and add each model's held-out score to its entry, or the error
     its training raised (to every entry, if raised before any model is
@@ -133,8 +133,7 @@ def _fold_results(train_part, test_part, strategy, kernel, folded, tol, max_iter
         if len(set(train_part.labels)) < 2:
             raise FoldDegenerateError("a fold leaves fewer than two classes on the training side")
         package = train_multiclass_c_grid(
-            train_part.vectors, train_part.labels, strategy, kernel,
-            [entry.C for entry in folded], tol, max_iter,
+            train_part.vectors, train_part.labels, strategy, kernel, [entry.C for entry in folded]
         )
     except GlyphSvmError as exc:
         for entry in folded:
@@ -154,7 +153,7 @@ def _fold_results(train_part, test_part, strategy, kernel, folded, tol, max_iter
         del model
 
 
-def _cross_validate(data, folds, kernel, c_values, strategy, tol, max_iter) -> list[_FoldedC]:
+def _cross_validate(data, folds, kernel, c_values, strategy) -> list[_FoldedC]:
     """Cross-validate every C of `c_values` over `folds` (held-out rows of
     `data`); a C trains no more after its first failing fold."""
     folded = [_FoldedC(C) for C in c_values]
@@ -163,7 +162,7 @@ def _cross_validate(data, folds, kernel, c_values, strategy, tol, max_iter) -> l
         if not alive:
             break
         train_part = data.subset(np.delete(np.arange(len(data)), fold))
-        _fold_results(train_part, data.subset(fold), strategy, kernel, alive, tol, max_iter)
+        _fold_results(train_part, data.subset(fold), strategy, kernel, alive)
     return folded
 
 
@@ -174,8 +173,6 @@ def cross_validate(
     strategy: str = "ova",
     k: int = 10,
     seed: int = 0,
-    tol: float = 1e-3,
-    max_iter: int = 1_000_000,
     return_details: bool = False,
 ):
     """Mean held-out accuracy over k folds.
@@ -187,7 +184,7 @@ def cross_validate(
     error of the first failing fold is raised.
     """
     folds = kfold_split(len(data), k, seed)
-    (cv,) = _cross_validate(data, folds, kernel, [C], strategy, tol, max_iter)
+    (cv,) = _cross_validate(data, folds, kernel, [C], strategy)
     if cv.error is not None:
         raise cv.error
     mean = float(np.mean(cv.accuracies))
@@ -258,8 +255,6 @@ def grid_search(
     strategy: str = "ova",
     k: int = 10,
     seed: int = 0,
-    tol: float = 1e-3,
-    max_iter: int = 1_000_000,
 ) -> GridSearchReport:
     """Cross-validated accuracy over the Cartesian (C, param) grid.
 
@@ -288,7 +283,7 @@ def grid_search(
     # one kernel matrix per (param, fold) serves every C of the grid
     cells = {}
     for p, (param, spec) in enumerate(zip(params, specs)):
-        column = _cross_validate(data, folds, spec, c_values, strategy, tol, max_iter)
+        column = _cross_validate(data, folds, spec, c_values, strategy)
         for c, cv in enumerate(column):
             if cv.error is None:
                 accuracy = float(np.mean(cv.accuracies))
@@ -409,35 +404,23 @@ def repeat_evaluate(
     train_fraction: float = 0.8,
     repetitions: int = 5,
     seed: int = 0,
-    seeds=None,
     stratified: bool = False,
-    tol: float = 1e-3,
-    max_iter: int = 1_000_000,
 ) -> EvalReport:
     """Repeat split -> train -> evaluate and pool the results.
 
-    Each repetition draws its own split seed (explicit `seeds` list, or
-    derived deterministically from `seed`). The report lists per-iteration
-    accuracies; overall accuracy and the confusion matrix pool every
-    repetition's test predictions.
+    Each repetition draws its own split seed, derived deterministically from
+    `seed`. The report lists per-iteration accuracies; overall accuracy and
+    the confusion matrix pool every repetition's test predictions.
     """
     if repetitions < 1:
         raise InvalidConfigError(f"repetitions must be >= 1, got {repetitions}")
-    if seeds is None:
-        seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(repetitions)]
-    elif len(seeds) != repetitions:
-        raise InvalidConfigError(
-            f"need exactly one seed per repetition, got {len(seeds)} for {repetitions}"
-        )
 
     classes, truth, predicted, iteration_acc = set(), [], [], []
-    for rep_seed in seeds:
+    for rep_seed in np.random.SeedSequence(seed).generate_state(repetitions).tolist():
         train_part, test_part = split_train_test(
             data, train_fraction, rep_seed, stratified=stratified
         )
-        model = train_multiclass(
-            train_part.vectors, train_part.labels, strategy, kernel, C, tol, max_iter
-        )
+        model = train_multiclass(train_part.vectors, train_part.labels, strategy, kernel, C)
         guess = predict_batch(model, test_part.vectors)
         iteration_acc.append(sum(p == lb for p, lb in zip(guess, test_part.labels)) / len(guess))
         classes.update(model.class_ids, test_part.labels)

@@ -44,6 +44,11 @@ def ordered_classes(labels) -> list:
     return sorted(set(labels), key=class_sort_key)
 
 
+def class_pairs(class_count: int) -> list[tuple[int, int]]:
+    """One-vs-one's class pairs (i, j), i < j, in classifier order."""
+    return list(itertools.combinations(range(class_count), 2))
+
+
 @dataclass(frozen=True)
 class MinMaxScaling:
     """Per-dimension min-max record fitted on training data only.
@@ -100,12 +105,11 @@ class MulticlassModel:
     iterations: np.ndarray
     kkt_violations: np.ndarray
     scaling: MinMaxScaling
-    pairs: list[tuple[int, int]] | None = None
 
     @classmethod
     def from_columns(
         cls, strategy: str, class_ids: list, kernel: KernelSpec, rows: np.ndarray,
-        columns: list, scaling: MinMaxScaling, pairs: list[tuple[int, int]] | None = None,
+        columns: list, scaling: MinMaxScaling,
     ) -> "MulticlassModel":
         """The validated model whose classifier p is `columns[p]`, a tuple
         (row indices, coefficients, bias, C, iterations, KKT violation) over
@@ -121,10 +125,15 @@ class MulticlassModel:
         _, _, biases, C, iterations, violations = zip(*columns)
         model = cls(
             strategy, class_ids, kernel, rows[used], coeffs, np.array(biases), np.array(C),
-            np.array(iterations, dtype=np.int64), np.array(violations), scaling, pairs,
+            np.array(iterations, dtype=np.int64), np.array(violations), scaling,
         )
         model.validate()
         return model
+
+    @property
+    def pairs(self) -> list[tuple[int, int]] | None:
+        """`class_pairs` of a one-vs-one model, None for one-vs-all."""
+        return None if self.strategy == "ova" else class_pairs(len(self.class_ids))
 
     @property
     def classifiers(self) -> list[BinaryModel]:
@@ -170,15 +179,11 @@ def train_multiclass(
     strategy: str,
     kernel: KernelSpec,
     C: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> MulticlassModel:
     """Train every binary problem of a one-vs-all ("ova") or one-vs-one
     ("ovo") reduction over one kernel matrix of the scaled samples: a
     one-C call of `train_multiclass_c_grid`."""
-    return train_multiclass_c_grid(
-        data_vectors, data_labels, strategy, kernel, [C], tol, max_iter
-    )(0)
+    return train_multiclass_c_grid(data_vectors, data_labels, strategy, kernel, [C])(0)
 
 
 def train_multiclass_c_grid(
@@ -187,8 +192,6 @@ def train_multiclass_c_grid(
     strategy: str,
     kernel: KernelSpec,
     c_values,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> Callable[[int], MulticlassModel]:
     """Train the reduction at every C of `c_values` over one kernel matrix.
 
@@ -197,7 +200,8 @@ def train_multiclass_c_grid(
     problem of the reduction at every C is one lockstep `solve_smo` block on
     that matrix: one-vs-all's classes x `c_values` over all of its rows, and
     one-vs-one's class pairs x `c_values` each over its two classes' rows,
-    read from the matrix through `members` rather than copied out.
+    read from the matrix through `members` rather than copied out. Each block
+    stops by the solver's rule, `DEFAULT_TOL` and `DEFAULT_MAX_ITER`.
 
     A C that is not a positive finite number is InvalidConfigError before
     the matrix is built. The result is a function of k that packages the
@@ -223,24 +227,24 @@ def train_multiclass_c_grid(
     index = {cls: k for k, cls in enumerate(classes)}
     class_idx = np.array([index[lb] for lb in labels])
     if strategy == "ova":
-        pairs = None
         keys = [(c, None) for c in range(len(classes))]
         rows_of = [None] * len(classes)  # every problem trains on all rows
         members = None
         Y = np.where(class_idx == np.arange(len(classes))[:, None], 1.0, -1.0)
     else:
-        pairs = keys = list(itertools.combinations(range(len(classes)), 2))
-        rows_of = [np.flatnonzero((class_idx == i) | (class_idx == j)) for i, j in pairs]
+        keys = class_pairs(len(classes))
+        rows_of = [np.flatnonzero((class_idx == i) | (class_idx == j)) for i, j in keys]
         # each pair's rows of the matrix, padded with label 0 to the longest pair
-        members = np.zeros((len(pairs), max(map(len, rows_of))), dtype=np.intp)
+        members = np.zeros((len(keys), max(map(len, rows_of))), dtype=np.intp)
         Y = np.zeros(members.shape)
-        for p, ((i, _), rows) in enumerate(zip(pairs, rows_of)):
+        for p, ((i, _), rows) in enumerate(zip(keys, rows_of)):
             members[p, : len(rows)] = rows
             Y[p, : len(rows)] = np.where(class_idx[rows] == i, 1.0, -1.0)
         members = np.repeat(members, len(c_values), axis=0)
     # one block: every problem at every C, problem-major
     solved = solve_smo(
-        gram, np.repeat(Y, len(c_values), axis=0), c_values * len(keys), tol, max_iter, members
+        gram, np.repeat(Y, len(c_values), axis=0), c_values * len(keys),
+        DEFAULT_TOL, DEFAULT_MAX_ITER, members,
     )
     # (class pair or (class, None), training rows, one solution per C)
     problems = [
@@ -254,7 +258,7 @@ def train_multiclass_c_grid(
         for (i, j), rows, per_c in problems:
             s = per_c[k]
             try:
-                support, bias = solution_support(s, tol)
+                support, bias = solution_support(s, DEFAULT_TOL)
             except NoConvergenceError as exc:
                 context = classes[i] if j is None else (classes[i], classes[j])
                 what = f"class {context!r} vs rest" if j is None else f"class pair {context!r}"
@@ -268,7 +272,7 @@ def train_multiclass_c_grid(
                 rows[support], s.alpha[support] * s.y[support], bias, s.C, s.iterations,
                 max(s.violation, 0.0),
             ))
-        return MulticlassModel.from_columns(strategy, classes, kernel, Xs, columns, scaling, pairs)
+        return MulticlassModel.from_columns(strategy, classes, kernel, Xs, columns, scaling)
 
     return package
 
@@ -278,11 +282,9 @@ def train_one_vs_all(
     data_labels,
     kernel: KernelSpec,
     C: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> MulticlassModel:
     """One binary model per class: +1 for the class, -1 for the rest."""
-    return train_multiclass(data_vectors, data_labels, "ova", kernel, C, tol, max_iter)
+    return train_multiclass(data_vectors, data_labels, "ova", kernel, C)
 
 
 def train_one_vs_one(
@@ -290,11 +292,9 @@ def train_one_vs_one(
     data_labels,
     kernel: KernelSpec,
     C: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> MulticlassModel:
     """One binary model per unordered class pair (i, j), i < j, +1 = class i."""
-    return train_multiclass(data_vectors, data_labels, "ovo", kernel, C, tol, max_iter)
+    return train_multiclass(data_vectors, data_labels, "ovo", kernel, C)
 
 
 def decision_matrix(model: MulticlassModel, X) -> np.ndarray:

@@ -24,8 +24,6 @@ from .errors import (
 KERNEL_PARAMS = {
     "linear": (), "poly": ("degree",), "rbf": ("gamma",), "sigmoid": ("slope", "offset")
 }
-DEFAULT_TOL = 1e-3
-DEFAULT_MAX_ITER = 1_000_000
 CURVATURE_FLOOR = 1e-12
 # Largest kernel matrix one training may hold: n <= 11,585 samples.
 GRAM_BUDGET_BYTES = 1 << 30
@@ -215,6 +213,12 @@ def _validate_training_input(samples, labels):
     return X, y
 
 
+# The SMO stopping rule: done once the maximal KKT violation drops to
+# DEFAULT_TOL (LIBSVM's eps), unconverged after DEFAULT_MAX_ITER pair updates.
+DEFAULT_TOL = 1e-3
+DEFAULT_MAX_ITER = 1_000_000
+
+
 def solve_smo(
     gram: np.ndarray,
     Y,
@@ -275,9 +279,6 @@ def solve_smo(
     # alpha = 0 is y).
     up = np.where(Y > 0, Y, -np.inf)
     low = np.where(Y < 0, Y, np.inf)
-    # keep the box constraint exact despite rounding in the update
-    snap = 1e-12 * np.maximum(1.0, C)
-    top = C - snap
     live = np.arange(len(Y))  # the problem each row of the block state belongs to
     solutions: list[DualSolution | None] = [None] * len(Y)
     iterations = 0
@@ -285,7 +286,10 @@ def solve_smo(
         count = live.size
         row_start = np.arange(count) * width
         # the pair (i, j) of every row side by side: i first, then j
-        pair_snap, pair_top, pair_C = (np.tile(a, 2) for a in (snap, top, C))
+        pair_C = np.tile(C, 2)
+        # keep the box constraint exact despite rounding in the update
+        pair_snap = 1e-12 * np.maximum(1.0, pair_C)
+        pair_top = pair_C - pair_snap
         while True:
             i = np.argmax(up, axis=1)
             j = np.argmin(low, axis=1)
@@ -342,9 +346,7 @@ def solve_smo(
                 converged=bool(violation[r] <= tol),
             )
         keep = ~done
-        Y, C, alpha, up, low, snap, top, live = (
-            a[keep] for a in (Y, C, alpha, up, low, snap, top, live)
-        )
+        Y, C, alpha, up, low, live = (a[keep] for a in (Y, C, alpha, up, low, live))
         if members is not None:
             members = members[keep]
     return solutions

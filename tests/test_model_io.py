@@ -339,3 +339,27 @@ def test_bad_solver_metadata_is_corrupt(key, value, tmp_path):
     corrupt_line(path, key, lambda line: f"{key} {value}")
     with pytest.raises(CorruptBlockError):
         load_model(path)
+
+
+# one-vs-one's classifier p must carry the p-th class pair in combinations order
+PAIR_EDITS = {
+    "repeated": {2: "classifier 2 pair=0,1"},
+    "swapped": {0: "classifier 0 pair=0,2", 1: "classifier 1 pair=0,1"},
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("edit", sorted(PAIR_EDITS))
+def test_pair_lines_out_of_class_pair_order_are_corrupt(version, edit, tmp_path):
+    if version == 1:
+        path = golden_v1_copy("ovo", tmp_path)
+    else:
+        path = tmp_path / "model.gsvm"
+        save_model(small_model("ovo")[0], path)
+    assert [line for line in path.read_text().splitlines() if line.startswith("classifier ")] == [
+        "classifier 0 pair=0,1", "classifier 1 pair=0,2", "classifier 2 pair=1,2"
+    ]
+    for occurrence, line in PAIR_EDITS[edit].items():
+        corrupt_line(path, "classifier", lambda _, line=line: line, occurrence)
+    with pytest.raises(CorruptBlockError, match="expected 'classifier"):
+        load_model(path)

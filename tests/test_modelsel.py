@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from glyphsvm import modelsel
+from glyphsvm import modelsel, multiclass
 from glyphsvm.errors import (
     BadKError,
     DegenerateSplitError,
@@ -212,21 +212,20 @@ def test_grid_error_cells_recorded_not_fatal():
         assert entry.error == "FoldDegenerate"
 
 
-def test_grid_no_convergence_tags_only_its_own_cells():
+def test_grid_no_convergence_tags_only_its_own_cells(monkeypatch):
     # overlapping classes: C = 0.25 converges within 100 pair updates per
     # problem, C = 1024 does not; both share each (fold, gamma) matrix
     data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
-    report = grid_search(
-        data, "rbf", c_grid=[0.25, 1024.0], param_grid=[0.5, 4.0], k=3, seed=0, max_iter=100
-    )
     unlimited = grid_search(data, "rbf", c_grid=[0.25], param_grid=[0.5, 4.0], k=3, seed=0)
+    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 100)
+    report = grid_search(data, "rbf", c_grid=[0.25, 1024.0], param_grid=[0.5, 4.0], k=3, seed=0)
     for entry in report.entries:
         if entry.C == 1024.0:
             assert (entry.error, entry.accuracy, entry.iterations) == ("NoConvergence", 0.0, 0)
             continue
         assert entry.error is None
         spec = KernelSpec(kind="rbf", gamma=entry.param)
-        assert entry.accuracy == cross_validate(data, spec, entry.C, k=3, seed=0, max_iter=100)
+        assert entry.accuracy == cross_validate(data, spec, entry.C, k=3, seed=0)
     assert report.entries[:2] == unlimited.entries
 
 
@@ -257,9 +256,10 @@ def test_grid_unknown_strategy_raises_before_any_cell():
         grid_search(data, "linear", c_grid=[1.0, 2.0], strategy="ovr", k=2, seed=0)
 
 
-def test_grid_loose_tol_recorded_not_fatal():
+def test_grid_loose_tol_recorded_not_fatal(monkeypatch):
     data = separable_dataset(np.random.default_rng(24), n_per_class=8)
-    report = grid_search(data, "rbf", c_grid=[1.0], param_grid=[0.5, 2.0], k=4, seed=0, tol=10.0)
+    monkeypatch.setattr(multiclass, "DEFAULT_TOL", 10.0)
+    report = grid_search(data, "rbf", c_grid=[1.0], param_grid=[0.5, 2.0], k=4, seed=0)
     assert [e.error for e in report.entries] == ["InvalidConfig", "InvalidConfig"]
     assert all(e.accuracy == 0.0 for e in report.entries)
 
@@ -366,17 +366,17 @@ def test_a_failing_c_releases_its_fold_before_the_next_fold_trains(monkeypatch):
     # the kept error of a C that stops early used to hold its fold's models
     data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
     alive_at_start = count_live_folds(monkeypatch)
-    report = grid_search(
-        data, "rbf", c_grid=[0.25, 1024.0], param_grid=[0.5, 4.0], k=3, seed=0, max_iter=100
-    )
+    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 100)
+    report = grid_search(data, "rbf", c_grid=[0.25, 1024.0], param_grid=[0.5, 4.0], k=3, seed=0)
     assert [e.error for e in report.entries] == [None, None, "NoConvergence", "NoConvergence"]
     assert alive_at_start == [0] * 6
 
 
-def test_cv_raises_the_error_of_its_first_failing_fold():
+def test_cv_raises_the_error_of_its_first_failing_fold(monkeypatch):
     data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
+    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 100)
     with pytest.raises(NoConvergenceError) as excinfo:
-        cross_validate(data, KernelSpec(kind="rbf", gamma=0.5), 1024.0, k=3, seed=0, max_iter=100)
+        cross_validate(data, KernelSpec(kind="rbf", gamma=0.5), 1024.0, k=3, seed=0)
     assert excinfo.value.iterations == 100
     assert isinstance(excinfo.value.__cause__, NoConvergenceError)
 
@@ -441,8 +441,8 @@ def test_repeat_single_run():
 
 def test_repeat_deterministic_with_seeds():
     data = separable_dataset(np.random.default_rng(20), n_per_class=10)
-    a = repeat_evaluate(data, LINEAR, 10.0, repetitions=3, seeds=[5, 6, 7])
-    b = repeat_evaluate(data, LINEAR, 10.0, repetitions=3, seeds=[5, 6, 7])
+    a = repeat_evaluate(data, LINEAR, 10.0, repetitions=3, seed=5)
+    b = repeat_evaluate(data, LINEAR, 10.0, repetitions=3, seed=5)
     assert a.iterations == b.iterations
     assert np.array_equal(a.confusion, b.confusion)
 
@@ -469,8 +469,6 @@ def test_repeat_bad_repetitions_or_seeds():
     data = separable_dataset(np.random.default_rng(26), n_per_class=10)
     with pytest.raises(InvalidConfigError):
         repeat_evaluate(data, LINEAR, 10.0, repetitions=0)
-    with pytest.raises(InvalidConfigError):
-        repeat_evaluate(data, LINEAR, 10.0, repetitions=3, seeds=[1, 2])
 
 
 def test_repeat_pooled_confusion_sums_repetitions_by_class_id():
@@ -479,11 +477,10 @@ def test_repeat_pooled_confusion_sums_repetitions_by_class_id():
     data = Dataset(  # class 3 has two samples, so some test split misses it
         np.vstack([base.vectors, [[18.0, 0.0], [18.5, 0.3]]]), base.labels + [3, 3]
     )
-    seeds = [0, 1, 2, 3, 4, 5]
-    pooled = repeat_evaluate(data, LINEAR, 10.0, repetitions=len(seeds), seeds=seeds)
+    pooled = repeat_evaluate(data, LINEAR, 10.0, repetitions=6, seed=0)
     summed = {}
     missing = 0
-    for rep_seed in seeds:
+    for rep_seed in np.random.SeedSequence(0).generate_state(6).tolist():
         train_part, test_part = split_train_test(data, 0.8, rep_seed)
         missing += 3 not in test_part.labels
         report = evaluate(trained_model(train_part), test_part)
@@ -496,3 +493,24 @@ def test_repeat_pooled_confusion_sums_repetitions_by_class_id():
     for a, true_cls in enumerate(pooled.class_ids):
         for b, pred_cls in enumerate(pooled.class_ids):
             assert pooled.confusion[a, b] == summed.get((true_cls, pred_cls), 0)
+
+
+def test_repeat_raises_the_error_of_its_failing_repetition(monkeypatch):
+    # under a cap of 100 pair updates, C = 32 trains the first split and
+    # fails on the second and every later one
+    data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
+    rbf = KernelSpec(kind="rbf", gamma=0.5)
+    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 100)
+    failed = []
+    for rep, rep_seed in enumerate(np.random.SeedSequence(3).generate_state(4).tolist()):
+        train_part, _ = split_train_test(data, 0.8, rep_seed)
+        try:
+            train_one_vs_all(train_part.vectors, train_part.labels, rbf, 32.0)
+        except NoConvergenceError as exc:
+            failed.append((rep, exc))
+    assert [rep for rep, _ in failed] == [1, 2, 3]
+    first = failed[0][1]
+    with pytest.raises(NoConvergenceError) as excinfo:
+        repeat_evaluate(data, rbf, 32.0, repetitions=4, seed=3)
+    assert str(excinfo.value) == str(first)
+    assert (excinfo.value.context, excinfo.value.iterations) == (first.context, 100)

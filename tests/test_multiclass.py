@@ -157,10 +157,9 @@ def test_ova_rescaling_invariance():
 
 
 def ovo_from_values(pair_values, n_classes=3):
-    pairs = [(i, j) for i in range(n_classes) for j in range(i + 1, n_classes)]
     return MulticlassModel.from_columns(
         "ovo", ["A", "B", "C"][:n_classes], LINEAR, np.ones((1, 1)),
-        pinned_columns(pair_values), identity_scaling(1), pairs,
+        pinned_columns(pair_values), identity_scaling(1),
     )
 
 
@@ -234,30 +233,32 @@ def test_prediction_rejects_non_finite_input():
         predict(model, [0.0, -np.inf])
 
 
-def test_no_convergence_tagged_with_class():
+def test_no_convergence_tagged_with_class(monkeypatch):
     rng = np.random.default_rng(14)
     X, labels = clustered_data(rng, 3, per_class=8, spread=2.5)
+    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 1)
     with pytest.raises(NoConvergenceError) as excinfo:
-        train_one_vs_all(X, labels, RBF, C=10.0, max_iter=1)
+        train_one_vs_all(X, labels, RBF, C=10.0)
     assert excinfo.value.context == 0
     assert "class 0" in str(excinfo.value)
 
 
-def test_no_convergence_tagged_with_the_first_failing_later_class():
+def test_no_convergence_tagged_with_the_first_failing_later_class(monkeypatch):
     # class 0 converges, so the error must come from a class solved beside it
     X, labels = clustered_data(np.random.default_rng(1), 4, per_class=8, spread=2.5)
     full = [clf.meta.iterations for clf in train_one_vs_all(X, labels, RBF, C=100.0).classifiers]
     max_iter = full[0]
     failing = next(c for c, count in enumerate(full) if count > max_iter)
     assert failing > 0
+    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", max_iter)
     with pytest.raises(NoConvergenceError) as excinfo:
-        train_one_vs_all(X, labels, RBF, C=100.0, max_iter=max_iter)
+        train_one_vs_all(X, labels, RBF, C=100.0)
     assert excinfo.value.context == failing
     assert excinfo.value.iterations == max_iter
     assert str(excinfo.value).startswith(f"class {failing!r} vs rest: no convergence")
 
 
-def test_no_convergence_tagged_with_the_first_failing_class_pair():
+def test_no_convergence_tagged_with_the_first_failing_class_pair(monkeypatch):
     # the first pair converges, so the error must come from a pair solved beside it
     X, labels = clustered_data(np.random.default_rng(1), 4, per_class=8, spread=2.5)
     model = train_one_vs_one(X, labels, RBF, C=100.0)
@@ -265,8 +266,9 @@ def test_no_convergence_tagged_with_the_first_failing_class_pair():
     max_iter = full[0]
     failing = next(p for p, count in enumerate(full) if count > max_iter)
     assert failing > 0
+    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", max_iter)
     with pytest.raises(NoConvergenceError) as excinfo:
-        train_one_vs_one(X, labels, RBF, C=100.0, max_iter=max_iter)
+        train_one_vs_one(X, labels, RBF, C=100.0)
     i, j = model.pairs[failing]
     context = (model.class_ids[i], model.class_ids[j])
     assert excinfo.value.context == context
@@ -299,12 +301,13 @@ def test_c_grid_rejects_non_positive_c_before_the_kernel_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("strategy", ["ova", "ovo"])
-def test_c_grid_packages_a_model_or_raises_per_c(strategy):
+def test_c_grid_packages_a_model_or_raises_per_c(strategy, monkeypatch):
     X, labels = clustered_data(np.random.default_rng(1), 3, per_class=8, spread=2.5)
     full = train_multiclass_c_grid(X, labels, strategy, RBF, [0.25, 1024.0])
     small, large = (max(clf.meta.iterations for clf in full(k).classifiers) for k in (0, 1))
     assert small < large
-    package = train_multiclass_c_grid(X, labels, strategy, RBF, [1024.0, 0.25], max_iter=small)
+    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", small)
+    package = train_multiclass_c_grid(X, labels, strategy, RBF, [1024.0, 0.25])
     with pytest.raises(NoConvergenceError):
         package(0)
     for got, want in zip(package(1).classifiers, full(0).classifiers):

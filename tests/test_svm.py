@@ -572,7 +572,7 @@ def test_predict_sign_rule():
     column = (np.arange(len(model.dual_coeffs)), model.dual_coeffs, model.bias, model.C, 0, 0.0)
     pair = MulticlassModel.from_columns(
         "ovo", ["+1", "-1"], model.kernel, model.support_vectors, [column],
-        MinMaxScaling(np.zeros(2), np.ones(2)), [(0, 1)],
+        MinMaxScaling(np.zeros(2), np.ones(2)),
     )
     probes = [[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # f = +1, -1, 0
     assert predict_batch(pair, probes) == ["+1", "-1", "+1"]
