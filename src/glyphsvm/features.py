@@ -11,7 +11,7 @@ from .errors import (
 )
 from .fileio import format_float, write_atomic
 from .preprocess import (
-    NORMALIZED_SIZE, TRANSITIONS, BoundingBox, CharacterRecord, neighbor_codes
+    NORMALIZED_SIZE, TRANSITIONS, BoundingBox, CharacterRecord, window_codes
 )
 
 VALID_CELL_SIZES = (16, 8, 4, 2)
@@ -86,7 +86,7 @@ def crossing_number(skeleton: np.ndarray) -> np.ndarray:
     """Rutovitz crossing number per pixel: 0-to-1 transitions around the
     circular 8-neighborhood. Background pixels get 0."""
     skeleton = np.asarray(skeleton, dtype=bool)
-    return np.where(skeleton, TRANSITIONS[neighbor_codes(skeleton)], 0)
+    return TRANSITIONS.take(window_codes(skeleton))
 
 
 def skeleton_topology(skeleton: np.ndarray) -> tuple[int, int, int]:

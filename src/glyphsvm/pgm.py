@@ -73,6 +73,8 @@ def read_pgm(path) -> np.ndarray:
         if len(raster) < count:
             raise UnreadableFileError(f"{path}: raster truncated ({len(raster)} < {count})")
         pixels = np.frombuffer(raster[:count], dtype=np.uint8)
+        if maxval < 255 and pixels.max() > maxval:
+            raise UnreadableFileError(f"{path}: sample outside [0, {maxval}]")
     else:
         values = []
         for _, t in _tokens(data[header_end:]):

@@ -203,26 +203,33 @@ def rotate_bicubic(img: np.ndarray, angle_deg: float) -> np.ndarray:
     """Rotate a binary image with bicubic interpolation, re-binarized at 0.5.
 
     The output canvas is enlarged to hold all rotated content. It is mapped
-    in bands of rows, and only pixels whose 4x4 source tap window holds ink
-    are interpolated (active): an empty window's 16 products are +-0, so its
-    pixel is exactly False without being computed.
+    in bands of rows, and a pixel is decided by the inner 2x2 of its 4x4
+    source taps. Each Keys outer weight lies in [-0.0741, 0] and the two of
+    an axis sum to at least -0.125, so with every inner tap inked the value
+    is at least 1 - 0.125**2 whatever the outer taps hold, and with none
+    inked at most 0.125**2: such pixels are True and False without being
+    computed. Only pixels whose inner taps are mixed are interpolated.
     """
     img = _check_binary(img)
     if not math.isfinite(angle_deg):
         raise AngleOutOfRangeError(f"rotation angle {angle_deg} is not finite")
     out = np.zeros(_rotated_extent(*img.shape, angle_deg), dtype=bool)
     padded = np.pad(img, 1)
-    # inked[by + 3, bx + 3]: ink in rows by-1..by+2, columns bx-1..bx+2
-    inked = np.pad(img, 4)
-    inked = inked[:-3] | inked[1:-2] | inked[2:-1] | inked[3:]
-    inked = inked[:, :-3] | inked[:, 1:-2] | inked[:, 2:-1] | inked[:, 3:]
+    # window[by + 3, bx + 3] classes rows by..by+1, columns bx..bx+1:
+    # 0 no ink, 1 mixed, 2 all ink
+    cells = np.pad(img, 3)
+    some = cells[:-1] | cells[1:]
+    every = cells[:-1] & cells[1:]
+    window = (some[:, :-1] | some[:, 1:]).view(np.uint8) + (every[:, :-1] & every[:, 1:])
     for top in range(0, out.shape[0], _BAND_ROWS):
         band = slice(top, top + _BAND_ROWS)
         src_y, src_x = _inverse_map(out.shape, img.shape, angle_deg, band)
         by = np.clip(np.floor(src_y), -3, img.shape[0] + 1).astype(np.intp) + 3
         bx = np.clip(np.floor(src_x), -3, img.shape[1] + 1).astype(np.intp) + 3
-        active = inked[by, bx]
-        out[band][active] = _bicubic_gather(padded, src_y[active], src_x[active]) >= 0.5
+        cls = window[by, bx]
+        mixed = cls == 1
+        out[band] = cls == 2
+        out[band][mixed] = _bicubic_gather(padded, src_y[mixed], src_x[mixed]) >= 0.5
     return out
 
 
@@ -470,36 +477,35 @@ def _resample_block(crops: list[np.ndarray]) -> np.ndarray:
 _RING = ((0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0))
 
 
-def neighbor_codes(img: np.ndarray) -> np.ndarray:
-    """One uint8 per pixel whose bit k is set when neighbor k of `_RING` is
-    ink. Neighbors off the image count as background. The last two axes are
-    the image; leading axes stack independent images."""
+def window_codes(img: np.ndarray) -> np.ndarray:
+    """One uint16 per pixel whose bit 3r + c is set when cell (r, c) of the
+    pixel's 3x3 window is ink, so bit 4 is the pixel itself. Cells off the
+    image count as background. The last two axes are the image; leading axes
+    stack independent images."""
     *lead, h, w = img.shape
-    canvas = np.zeros((*lead, h + 2, w + 2), dtype=np.uint8)
-    canvas[..., 1:-1, 1:-1] = img
-    # on the flattened canvas neighbour (r, c) lies a fixed offset away, and
-    # each image's ring of zeros keeps its pixels from reading another image
-    pixels = canvas.reshape(-1)
-    row = w + 2
-    lo = row + 1
-    hi = max(lo, pixels.size - row - 1)
-    codes = np.zeros_like(canvas)
-    window = codes.reshape(-1)[lo:hi]
-    for k, (r, c) in enumerate(_RING):
-        offset = (r - 1) * row + c - 1
-        window |= pixels[lo + offset : hi + offset] << k
-    return codes[..., 1:-1, 1:-1]
+    cells = np.zeros((*lead, h, w + 2), dtype=np.uint16)
+    cells[..., 1:-1] = img
+    # bit c of a row code: column c of the window on the pixel's own row
+    rows = cells[..., :-2] | cells[..., 1:-1] << 1 | cells[..., 2:] << 2
+    codes = rows << 3
+    codes[..., 1:, :] |= rows[..., :-1, :]
+    codes[..., :-1, :] |= rows[..., 1:, :] << 6
+    return codes
 
 
 def _rule_tables():
-    """Every 8-neighborhood rule, evaluated once over all 256 codes.
+    """Every 3x3 rule, evaluated once over all 512 window codes.
 
-    TRANSITIONS[code] is the Rutovitz crossing number, the 0-to-1 transitions
-    around the circular neighborhood; _DELETABLE[second][code] is the
-    Zhang-Suen deletion test of the first or second subiteration.
+    TRANSITIONS[code] is the Rutovitz crossing number of an ink centre, the
+    0-to-1 transitions around its circular neighborhood, and 0 for a
+    background centre; _DELETABLE[second][code] is the Zhang-Suen deletion
+    test of the first or second subiteration, true only at an ink centre.
     """
-    p2, p3, p4, p5, p6, p7, p8, p9 = bits = (np.arange(256) >> np.arange(8)[:, None]) & 1
+    codes = np.arange(512)
+    shifts = np.array([3 * r + c for r, c in _RING])[:, None]
+    p2, p3, p4, p5, p6, p7, p8, p9 = bits = codes >> shifts & 1
     transitions = ((bits == 0) & (np.roll(bits, -1, axis=0) == 1)).sum(axis=0, dtype=np.int32)
+    transitions[(codes & 16) == 0] = 0  # bit 4, the centre, is background
     b = bits.sum(axis=0)
     thinnable = (b >= 2) & (b <= 6) & (transitions == 1)
     first = thinnable & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
@@ -512,7 +518,7 @@ TRANSITIONS, _DELETABLE = _rule_tables()
 
 def _zhang_suen_pass(img: np.ndarray, second: bool) -> np.ndarray:
     """Deletion mask for one Zhang-Suen subiteration."""
-    return img & _DELETABLE[second][neighbor_codes(img)]
+    return _DELETABLE[second].take(window_codes(img))
 
 
 def _protect_vanishing(imgs: np.ndarray, deletions: np.ndarray) -> np.ndarray:
@@ -527,7 +533,7 @@ def _protect_vanishing(imgs: np.ndarray, deletions: np.ndarray) -> np.ndarray:
     and only their components are labelled.
     """
     survivors = imgs & ~deletions
-    at_risk = (deletions & (neighbor_codes(survivors) == 0)).any(axis=(1, 2))
+    at_risk = (deletions & (window_codes(survivors) == 0)).any(axis=(1, 2))
     for g in at_risk.nonzero()[0]:
         labels, count = label_components(imgs[g])
         alive = np.bincount(labels[survivors[g]], minlength=count + 1)
@@ -565,7 +571,7 @@ def zhang_suen(img: np.ndarray) -> np.ndarray:
     return _zhang_suen_stack(_check_binary(img)[None])[0]
 
 
-# glyphs thinned at once: the lockstep passes keep about 8.6 KB of
+# glyphs thinned at once: the lockstep passes keep about 14.3 KB of
 # temporaries per glyph, so a batch bounds them where a whole dataset would not
 _THIN_BATCH = 128
 

@@ -298,6 +298,14 @@ def test_unreadable_input_reports_category(tmp_path, capsys):
     assert err.startswith("error: UnreadableFile:")
 
 
+def test_p5_sample_above_maxval_is_one_line_error(tmp_path, capsys):
+    page_path = tmp_path / "over.pgm"
+    page_path.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 200]))
+    rc = main(["preprocess", "--input", str(page_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert_one_line_error(capsys, "UnreadableFile")
+
+
 def assert_one_line_error(capsys, category):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {category}:")

@@ -27,6 +27,20 @@ def test_p2_small_maxval(tmp_path):
     assert read_pgm(path).tolist() == [[0, 50], [100, 25]]
 
 
+@pytest.mark.parametrize("magic, raster", [(b"P2", b"50 200\n"), (b"P5", bytes([50, 200]))])
+def test_sample_above_small_maxval_is_refused(tmp_path, magic, raster):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(magic + b"\n2 1\n100\n" + raster)
+    with pytest.raises(UnreadableFileError, match=r"sample outside \[0, 100\]"):
+        read_pgm(path)
+
+
+def test_p5_small_maxval(tmp_path):
+    path = tmp_path / "small.pgm"
+    path.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 50, 100, 25]))
+    assert read_pgm(path).tolist() == [[0, 50], [100, 25]]
+
+
 def test_rejects_16bit(tmp_path):
     path = tmp_path / "deep.pgm"
     path.write_text("P2\n2 2\n65535\n0 1 2 3\n")

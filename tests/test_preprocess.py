@@ -17,12 +17,12 @@ from glyphsvm.errors import (
     WrongDimensionsError,
 )
 from glyphsvm.preprocess import (
+    TRANSITIONS,
     BoundingBox,
     deskew,
     detect_skew,
     label_components,
     median_filter,
-    neighbor_codes,
     normalize_size,
     otsu_binarize,
     preprocess_page,
@@ -31,7 +31,9 @@ from glyphsvm.preprocess import (
     segment_lines,
     segment_page,
     thin,
+    window_codes,
     zhang_suen,
+    _DELETABLE,
     _bicubic_gather,
     _cubic_kernel,
     _taps,
@@ -39,10 +41,11 @@ from glyphsvm.preprocess import (
 )
 from glyphsvm.synth import SynthConfig, render_sample
 
-from oracles import _neighbour_planes, _taps as reference_taps
+from oracles import RING_OFFSETS, _neighbour_planes, _taps as reference_taps
 from oracles import (
     _full_canvas_inverse_map,
     neighborhood_images,
+    reference_crossing_number,
     reference_detect_skew,
     reference_median_filter,
     reference_normalize_size,
@@ -394,17 +397,17 @@ def test_deskew_peak_memory():
 def test_rotation_interpolates_only_inked_windows(monkeypatch, angle, ink):
     """Record the coordinates `_bicubic_gather` evaluates.
 
-    A blank source needs none. With one ink pixel at (r, c), a pixel's 4x4
-    tap window holds ink exactly when its base index (floor(src_y),
-    floor(src_x)) lies in [r-2, r+1] x [c-2, c+1], so exactly those pixels
-    are evaluated, in raster order. That is when the pixel's source point
-    lies in the 4x4 square Q = [r-2, r+2) x [c-2, c+2). The inverse map is a
+    A blank source needs none. With one ink pixel at (r, c), a pixel's inner
+    2x2 taps are mixed exactly when its base index (floor(src_y),
+    floor(src_x)) lies in [r-1, r] x [c-1, c], so exactly those pixels are
+    evaluated, in raster order. That is when the pixel's source point lies
+    in the 2x2 square Q = [r-1, r+1) x [c-1, c+1). The inverse map is a
     rotation plus a shift, so the output pixel centres land on a congruent
     copy of the unit lattice. Give each lattice point in Q its unit cell (a
     unit square centred on it, turned with the lattice): the cells do not
     overlap and each lies within sqrt(2)/2 of Q, so their number is at most
-    the area of Q grown by sqrt(2)/2, 16 + 16 sqrt(2)/2 + pi/2 < 29: no more
-    than 28 pixels are evaluated.
+    the area of Q grown by sqrt(2)/2, 4 + 4 sqrt(2) + pi/2 < 12: no more
+    than 11 pixels are evaluated.
     """
     evaluated = []
     gather = preprocess._bicubic_gather
@@ -423,11 +426,30 @@ def test_rotation_interpolates_only_inked_windows(monkeypatch, angle, ink):
     assert np.array_equal(rotated, reference_rotate_bicubic(img, angle))
     src_y, src_x = _full_canvas_inverse_map(rotated.shape, img.shape, angle)
     (r, c), by, bx = ink, np.floor(src_y), np.floor(src_x)
-    inked = (r - 2 <= by) & (by <= r + 1) & (c - 2 <= bx) & (bx <= c + 1)
+    mixed = (r - 1 <= by) & (by <= r) & (c - 1 <= bx) & (bx <= c)
     got_y = np.concatenate([ys for ys, _ in evaluated])
     got_x = np.concatenate([xs for _, xs in evaluated])
-    assert np.array_equal(got_y, src_y[inked]) and np.array_equal(got_x, src_x[inked])
-    assert 0 < got_y.size <= 28
+    assert np.array_equal(got_y, src_y[mixed]) and np.array_equal(got_x, src_x[mixed])
+    assert 0 < got_y.size <= 11
+
+
+def test_inner_taps_decide_the_rotated_pixel():
+    """Over a 101 x 101 grid of fractional offsets and every ink pattern of
+    the 12 outer taps, weighed by `_taps`: with all 4 inner taps inked the
+    interpolated value never falls below 0.5, and with none it never reaches
+    0.5, so `rotate_bicubic` may decide those pixels without interpolating."""
+    _, weight = _taps(np.linspace(0.0, 1.0, 101, endpoint=False) + 7.0)
+    inner = np.zeros((4, 4), dtype=bool)
+    inner[1:3, 1:3] = True
+    patterns = (np.arange(4096)[:, None] >> np.arange(12) & 1).astype(np.float64)
+    lowest, highest = np.inf, -np.inf
+    for wy in weight.T:
+        products = wy[:, None, None] * weight[None]  # (4, 4, offsets_x)
+        outer = patterns @ products[~inner]
+        lowest = min(lowest, (products[inner].sum(axis=0) + outer).min())
+        highest = max(highest, outer.max())
+    assert lowest >= 0.5 and highest < 0.5
+    assert lowest >= 1 - 0.125**2 - 1e-12 and highest <= 0.125**2 + 1e-12
 
 
 def test_deskew_roundtrip_iou():
@@ -912,11 +934,10 @@ def test_thin_peak_memory():
     batch.
 
     The output takes 2,000 x 1,024 bytes. Each lockstep pass keeps about
-    8.6 KB of temporaries per glyph of its stack (measured for stacks of
-    128 and 2,000 glyphs), so a batch of 128 glyphs adds about 1.1 MB: the
-    whole call peaked at 3.2 MB. The bound allows the output plus 256
-    glyphs at 10 KB each, 4.6 MB; one stack of all 2,000 glyphs peaked at
-    19.2 MB.
+    14.3 KB of temporaries per glyph of its stack (measured for stacks of
+    128 and 2,000 glyphs), so a batch of 128 glyphs adds about 1.8 MB: the
+    whole call peaked at 3.9 MB. The bound allows the output plus 2.56 MB,
+    4.6 MB; one stack of all 2,000 glyphs peaked at 28.7 MB.
     """
     rng = np.random.default_rng(61)
     stack = np.array([random_blob(rng) for _ in range(2000)])
@@ -945,8 +966,22 @@ def test_zhang_suen_matches_oracle_on_blobs():
 
 def test_neighbor_codes_read_each_neighbourhood():
     for code, img in neighborhood_images():
-        assert neighbor_codes(img).dtype == np.uint8
-        assert neighbor_codes(img)[1, 1] == code
+        ring = sum((code >> k & 1) << 3 * r + c for k, (r, c) in enumerate(RING_OFFSETS))
+        assert window_codes(img).dtype == np.uint16
+        assert window_codes(img)[1, 1] == ring | int(img[1, 1]) << 4
+
+
+def test_window_tables_equal_references_at_every_window():
+    """Over all 512 windows, each table read at the centre's window code gives
+    the references' value at the centre pixel."""
+    codes = []
+    for _, img in neighborhood_images():
+        code = window_codes(img)[1, 1]
+        codes.append(code)
+        for second in (False, True):
+            assert _DELETABLE[second][code] == reference_zhang_suen_pass(img, second)[1, 1]
+        assert TRANSITIONS[code] == reference_crossing_number(img)[1, 1]
+    assert sorted(codes) == list(range(512))
 
 
 @pytest.mark.parametrize(
@@ -954,13 +989,14 @@ def test_neighbor_codes_read_each_neighbourhood():
 )
 def test_neighbor_codes_of_a_stack_equal_per_image_codes(shape):
     stack = np.random.default_rng(43).random(shape) < 0.5
-    codes = neighbor_codes(stack)
-    assert codes.shape == stack.shape and codes.dtype == np.uint8
+    codes = window_codes(stack)
+    assert codes.shape == stack.shape and codes.dtype == np.uint16
     images = stack if stack.ndim == 3 else stack[None]
     for img, img_codes in zip(images, codes if stack.ndim == 3 else codes[None]):
         planes = _neighbour_planes(img)
-        assert np.array_equal(img_codes, sum(plane << k for k, plane in enumerate(planes)))
-        assert np.array_equal(img_codes, neighbor_codes(img))
+        ring = sum(p.astype(np.uint16) << 3 * r + c for p, (r, c) in zip(planes, RING_OFFSETS))
+        assert np.array_equal(img_codes, ring + (img.astype(np.uint16) << 4))
+        assert np.array_equal(img_codes, window_codes(img))
 
 
 @pytest.mark.parametrize("second", [False, True])

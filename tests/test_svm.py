@@ -22,6 +22,7 @@ from glyphsvm.errors import (
 )
 from glyphsvm.multiclass import MinMaxScaling, MulticlassModel, predict_batch
 from glyphsvm.svm import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     KernelSpec,
     binary_model,
@@ -299,6 +300,24 @@ def assert_same_model(got, want):
     assert got.meta == want.meta
 
 
+def assert_same_as_scalar_loop(solution, X, y, spec, C, gram, max_iter=DEFAULT_MAX_ITER):
+    """A lockstep solution comes out as the scalar loop's: the same model when
+    it converged, else the same NoConvergenceError after `max_iter` updates,
+    with the same violation and message. Without an explicit cap this covers
+    draws that neither solver finishes within the default budget."""
+    if solution.converged:
+        want = reference_train_binary(X, y, spec, C, max_iter=max_iter, gram=gram)
+        assert_same_model(binary_model(solution, X, spec, DEFAULT_TOL), want)
+        return
+    with pytest.raises(NoConvergenceError) as expected:
+        reference_train_binary(X, y, spec, C, max_iter=max_iter, gram=gram)
+    with pytest.raises(NoConvergenceError) as got:
+        binary_model(solution, X, spec, DEFAULT_TOL)
+    assert solution.iterations == got.value.iterations == expected.value.iterations == max_iter
+    assert got.value.violation == expected.value.violation
+    assert str(got.value) == str(expected.value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=integers(0, 2**32 - 2),
@@ -322,8 +341,7 @@ def test_lockstep_solver_equals_scalar_loop(seed, n, sliced, spec, c_values):
     X, Y, gram = block_problem(seed, n, sliced, spec, len(c_values))
     solutions = solve_smo(gram, Y, c_values)
     for y, C, solution in zip(Y, c_values, solutions):
-        want = reference_train_binary(X, y, spec, C, gram=gram)
-        assert_same_model(binary_model(solution, X, spec, DEFAULT_TOL), want)
+        assert_same_as_scalar_loop(solution, X, y, spec, C, gram)
 
 
 def test_lockstep_max_iter_fails_only_the_slow_problems():
@@ -336,17 +354,7 @@ def test_lockstep_max_iter_fails_only_the_slow_problems():
     failed = [not s.converged for s in solutions]
     assert any(failed) and not all(failed)
     for y, C, solution in zip(Y, c_values, solutions):
-        if solution.converged:
-            want = reference_train_binary(X, y, spec, C, gram=gram)
-            assert_same_model(binary_model(solution, X, spec, DEFAULT_TOL), want)
-            continue
-        with pytest.raises(NoConvergenceError) as expected:
-            reference_train_binary(X, y, spec, C, max_iter=max_iter, gram=gram)
-        with pytest.raises(NoConvergenceError) as got:
-            binary_model(solution, X, spec, DEFAULT_TOL)
-        assert solution.iterations == got.value.iterations == expected.value.iterations == max_iter
-        assert got.value.violation == expected.value.violation
-        assert str(got.value) == str(expected.value)
+        assert_same_as_scalar_loop(solution, X, y, spec, C, gram, max_iter)
 
 
 # --- member blocks: problems over their own rows of one matrix ----------------------------
@@ -400,8 +408,7 @@ def test_member_block_equals_scalar_loop_on_each_subset(seed, n, sliced, spec, c
     for rows, y, C, solution in zip(subsets, Y, c_values, solutions):
         assert len(solution.alpha) == len(rows)
         sub_gram = gram[np.ix_(rows, rows)]
-        want = reference_train_binary(X[rows], y[: len(rows)], spec, C, gram=sub_gram)
-        assert_same_model(binary_model(solution, X[rows], spec, DEFAULT_TOL), want)
+        assert_same_as_scalar_loop(solution, X[rows], y[: len(rows)], spec, C, sub_gram)
 
 
 def one_vs_one_block(spec, c_values):
@@ -432,19 +439,9 @@ def test_member_block_max_iter_fails_only_the_slow_pairs():
     failed = [not s.converged for s in solutions]
     assert any(failed) and not all(failed)
     for rows, y, C, solution in zip(subsets, Y, C_all, solutions):
-        sub = dict(samples=X[rows], labels=y, kernel=spec, C=C, gram=gram[np.ix_(rows, rows)])
-        if solution.converged:
-            assert_same_model(
-                binary_model(solution, X[rows], spec, DEFAULT_TOL), reference_train_binary(**sub)
-            )
-            continue
-        with pytest.raises(NoConvergenceError) as expected:
-            reference_train_binary(**sub, max_iter=max_iter)
-        with pytest.raises(NoConvergenceError) as got:
-            binary_model(solution, X[rows], spec, DEFAULT_TOL)
-        assert solution.iterations == got.value.iterations == expected.value.iterations == max_iter
-        assert got.value.violation == expected.value.violation
-        assert str(got.value) == str(expected.value)
+        assert_same_as_scalar_loop(
+            solution, X[rows], y, spec, C, gram[np.ix_(rows, rows)], max_iter
+        )
 
 
 @pytest.mark.parametrize(
