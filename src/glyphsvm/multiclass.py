@@ -21,9 +21,10 @@ from .svm import (
     BinaryModel,
     KernelSpec,
     TrainingMeta,
+    block_error,
+    block_support,
     gram_matrix,
     kernel_against,
-    solution_support,
     solve_smo,
     validate_c,
 )
@@ -228,7 +229,7 @@ def train_multiclass_c_grid(
     class_idx = np.array([index[lb] for lb in labels])
     if strategy == "ova":
         keys = [(c, None) for c in range(len(classes))]
-        rows_of = [None] * len(classes)  # every problem trains on all rows
+        rows_of = [np.arange(len(labels))] * len(classes)  # every problem trains on all rows
         members = None
         Y = np.where(class_idx == np.arange(len(classes))[:, None], 1.0, -1.0)
     else:
@@ -242,24 +243,21 @@ def train_multiclass_c_grid(
             Y[p, : len(rows)] = np.where(class_idx[rows] == i, 1.0, -1.0)
         members = np.repeat(members, len(c_values), axis=0)
     # one block: every problem at every C, problem-major
-    solved = solve_smo(
+    block = solve_smo(
         gram, np.repeat(Y, len(c_values), axis=0), c_values * len(keys),
         DEFAULT_TOL, DEFAULT_MAX_ITER, members,
     )
-    # (class pair or (class, None), training rows, one solution per C)
-    problems = [
-        (key, np.arange(len(labels)) if rows is None else rows,
-         solved[p * len(c_values):(p + 1) * len(c_values)])
-        for p, (key, rows) in enumerate(zip(keys, rows_of))
-    ]
+    support, biases, failed = block_support(block)
+    coeffs = block.alpha * block.Y
 
     def package(k: int) -> MulticlassModel:
-        columns = []
-        for (i, j), rows, per_c in problems:
-            s = per_c[k]
-            try:
-                support, bias = solution_support(s, DEFAULT_TOL)
-            except NoConvergenceError as exc:
+        # problem p of this C is row p * len(c_values) + k of the block
+        at_c = range(k, len(block.C), len(c_values))
+        first_failed = next((q for q in at_c if failed[q]), None)
+        if first_failed is not None:
+            exc = block_error(block, first_failed)
+            if isinstance(exc, NoConvergenceError):
+                i, j = keys[first_failed // len(c_values)]
                 context = classes[i] if j is None else (classes[i], classes[j])
                 what = f"class {context!r} vs rest" if j is None else f"class pair {context!r}"
                 raise NoConvergenceError(
@@ -268,9 +266,13 @@ def train_multiclass_c_grid(
                     violation=exc.violation,
                     context=context,
                 ) from exc
+            raise exc
+        columns = []
+        for rows, q in zip(rows_of, at_c):
+            sv = support[q, : len(rows)]
             columns.append((
-                rows[support], s.alpha[support] * s.y[support], bias, s.C, s.iterations,
-                max(s.violation, 0.0),
+                rows[sv], coeffs[q, : len(rows)][sv], float(biases[q]), float(block.C[q]),
+                int(block.iterations[q]), max(float(block.violation[q]), 0.0),
             ))
         return MulticlassModel.from_columns(strategy, classes, kernel, Xs, columns, scaling)
 
@@ -308,6 +310,26 @@ def decision_matrix(model: MulticlassModel, X) -> np.ndarray:
     return kernel_against(model.kernel, model.support_vectors, xs) @ model.coeffs + model.biases
 
 
+def ovo_votes(values, pairs, class_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-vs-one's max-wins votes and signed decision-value sums, each of
+    shape (rows, class_count), from the (rows, pairs) decision values: f >= 0
+    votes for the pair's first class, else for its second, and a class's sum
+    adds f where it is first and -f where it is second, in pair order."""
+    rows = len(values)
+    # the (row, class) bins of every pair's two classes, row by row in pair order
+    base = np.arange(rows)[:, None] * class_count
+    first, second = (base + c for c in np.array(pairs).T)
+    won = np.where(values >= 0.0, first, second)
+    votes = np.bincount(won.ravel(), minlength=rows * class_count)
+    # each bin adds its terms in the order given, so in pair order
+    scores = np.bincount(
+        np.stack((first, second), axis=2).ravel(),
+        np.stack((values, -values), axis=2).ravel(),
+        minlength=rows * class_count,
+    )
+    return votes.reshape(rows, class_count), scores.reshape(rows, class_count)
+
+
 def predict_batch(model: MulticlassModel, X) -> list:
     """Class ids of every row of X.
 
@@ -320,14 +342,7 @@ def predict_batch(model: MulticlassModel, X) -> list:
     if model.strategy == "ova":
         winners = np.argmax(values, axis=1)
     else:
-        votes = np.zeros((len(values), len(model.class_ids)), dtype=np.int64)
-        scores = np.zeros(votes.shape)
-        for f, (i, j) in zip(values.T, model.pairs):
-            wins = f >= 0.0
-            votes[:, i] += wins
-            votes[:, j] += ~wins
-            scores[:, i] += f
-            scores[:, j] -= f
+        votes, scores = ovo_votes(values, model.pairs, len(model.class_ids))
         tied = votes == votes.max(axis=1, keepdims=True)
         # argmax keeps the lowest index on ties
         winners = np.argmax(np.where(tied, scores, -np.inf), axis=1)

@@ -182,19 +182,24 @@ class BinaryModel:
 
 
 @dataclass
-class DualSolution:
-    """Where SMO left one binary problem: labels, multipliers, y_i times the
-    dual gradient, pair updates made and the last maximal KKT violation.
-    `converged` is False when the updates ran out before the violation
-    dropped to the tolerance."""
+class DualBlock:
+    """Where SMO left a block of binary problems, one row per problem: labels
+    in +-1 (0 pads a problem after its real samples), box bounds C,
+    multipliers, y_i times the dual gradient, pair updates made and the last
+    maximal KKT violation. A problem converged when its violation dropped to
+    `tol`; otherwise its updates ran out first."""
 
-    y: np.ndarray
-    C: float
+    Y: np.ndarray
+    C: np.ndarray
     alpha: np.ndarray
     yg: np.ndarray
-    iterations: int
-    violation: float
-    converged: bool
+    iterations: np.ndarray
+    violation: np.ndarray
+    tol: float
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.violation <= self.tol
 
 
 def _validate_training_input(samples, labels):
@@ -226,12 +231,13 @@ def solve_smo(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     members=None,
-) -> list[DualSolution]:
+) -> DualBlock:
     """Solve the soft-margin duals of several binary problems over one
     kernel matrix by SMO, in lockstep.
 
     Row p of the (problems, n) array `Y` holds problem p's labels in +-1 and
-    `C[p]` its box bound. Each trip takes every unfinished problem through
+    `C[p]` its box bound; a C list of another length is
+    DimensionMismatchError. Each trip takes every unfinished problem through
     one pair update as array operations over all of them: its own maximal
     KKT-violating pair (Keerthi's rule, lowest index on ties), the curvature
     floor, the step clipped to the box, the snap onto the box and the
@@ -243,10 +249,17 @@ def solve_smo(
     row p of the integer (problems, m) array `members` lists the rows
     of `gram` that problem p trains on, labelled by `Y[p]`; a label of 0
     marks padding after the problem's real samples, which never enters a
-    pair. Each solution covers its problem's real samples only.
+    pair and keeps alpha 0.
+
+    The result is one DualBlock of the problems in the order of `Y`, which
+    it holds as given. A trip reads the i rows of the kernel matrix for
+    every problem with one take, K[i, j] from them, and the j rows with one
+    more. Each problem's multipliers are updated in place in the
+    block; its gradient, pair updates and violation are written once, when
+    it leaves the block.
     """
     Y = np.asarray(Y, dtype=np.float64)
-    C = np.array(validate_c(np.ravel(C))).reshape(len(Y))
+    C = np.array(validate_c(np.ravel(C)))
     if not tol > 0:
         raise InvalidConfigError("tol must be positive")
     gram = np.asarray(gram, dtype=np.float64)
@@ -266,11 +279,16 @@ def solve_smo(
         if members.size and (members.min() < 0 or members.max() >= n):
             raise DimensionMismatchError(f"members must be rows of the {n}x{n} kernel matrix")
         members = members.astype(np.intp, copy=False)  # flat offsets must not overflow
-    width = Y.shape[1]
-    sizes = np.count_nonzero(Y, axis=1)
+    problems, width = Y.shape
+    if len(C) != problems:
+        raise DimensionMismatchError(f"{len(C)} box bounds C for {problems} problems")
+    block = DualBlock(
+        Y=Y, C=C, alpha=np.zeros(Y.shape), yg=np.empty(Y.shape),
+        iterations=np.zeros(problems, dtype=np.int64), violation=np.empty(problems), tol=tol,
+    )
     diag = np.diagonal(gram).copy()
     flat_gram = gram.ravel()
-    alpha = np.zeros(Y.shape)
+    alpha = block.alpha  # every problem's multipliers, updated in place
     # y_i * dW/dalpha_i where y_i * alpha_i can rise (up) or fall (low), and
     # -inf / +inf where it cannot: at alpha = 0 it can rise only for y = +1 and
     # fall only for y = -1, and padding can do neither. Every real sample is in
@@ -279,48 +297,53 @@ def solve_smo(
     # alpha = 0 is y).
     up = np.where(Y > 0, Y, -np.inf)
     low = np.where(Y < 0, Y, np.inf)
-    live = np.arange(len(Y))  # the problem each row of the block state belongs to
-    solutions: list[DualSolution | None] = [None] * len(Y)
+    live = np.arange(problems)  # the problem each row of the live state belongs to
     iterations = 0
     while live.size:
         count = live.size
-        row_start = np.arange(count) * width
-        # the pair (i, j) of every row side by side: i first, then j
-        pair_C = np.tile(C, 2)
+        # the pair (i, j) of every row side by side: i first, then j, with
+        # the start of its row in the live state (up, low, members) and in
+        # the block (Y, alpha), and its C
+        pair_start, pair_block_start, pair_C = (
+            np.concatenate((a, a)) for a in (np.arange(count) * width, live * width, C[live])
+        )
         # keep the box constraint exact despite rounding in the update
         pair_snap = 1e-12 * np.maximum(1.0, pair_C)
         pair_top = pair_C - pair_snap
         while True:
-            i = np.argmax(up, axis=1)
-            j = np.argmin(low, axis=1)
-            flat_i = row_start + i
-            flat_j = row_start + j
+            ij = np.concatenate((up.argmax(axis=1), low.argmin(axis=1)))
+            flat = pair_start + ij
+            slot = pair_block_start + ij
+            flat_i, flat_j = flat[:count], flat[count:]
             violation = up.take(flat_i) - low.take(flat_j)
             done = violation <= tol
             if iterations >= max_iter:
                 done[:] = True
             if done.any():
                 break
-            # the pair's rows of the kernel matrix, and its kernel values
-            # against the problem's own samples
+            # the i rows of the kernel matrix against each problem's own
+            # samples, K[i, j] read from them, minus the j rows (two takes of
+            # one block each run faster than one take of both)
             if members is None:
-                gi, gj = i, j
-                delta = gram.take(i, axis=0)
-                delta -= gram.take(j, axis=0)
+                g = ij
+                delta = gram.take(ij[:count], axis=0)
+                k_ij = delta.take(flat_j)
+                delta -= gram.take(ij[count:], axis=0)
             else:
-                gi, gj = members.take(flat_i), members.take(flat_j)
-                delta = flat_gram.take(gi[:, None] * n + members)
-                delta -= flat_gram.take(gj[:, None] * n + members)
-            flat = np.concatenate((flat_i, flat_j))
-            y = Y.take(flat)
+                g = members.take(flat)
+                delta = flat_gram.take(g[:count, None] * n + members)
+                k_ij = delta.take(flat_j)
+                delta -= flat_gram.take(g[count:, None] * n + members)
+            pair_diag = diag.take(g)
+            curvature = np.maximum(
+                pair_diag[:count] + pair_diag[count:] - 2.0 * k_ij, CURVATURE_FLOOR
+            )
+            y = Y.take(slot)
             bound = y * pair_C  # y_i * alpha_i lies in [min(bound, 0), max(bound, 0)]
             upper = np.maximum(bound, 0.0)
             lower = np.minimum(bound, 0.0)
-            pair_alpha = alpha.take(flat)
+            pair_alpha = alpha.take(slot)
             ya = y * pair_alpha
-            curvature = np.maximum(
-                diag.take(gi) + diag.take(gj) - 2.0 * flat_gram.take(gi * n + gj), CURVATURE_FLOOR
-            )
             step = np.minimum(
                 np.minimum(upper[:count] - ya[:count], ya[count:] - lower[count:]),
                 violation / curvature,
@@ -332,71 +355,86 @@ def solve_smo(
             pair_yg = np.concatenate((up.take(flat_i), low.take(flat_j)))
             moved = pair_alpha + y * np.concatenate((step, -step))
             moved = np.where(moved < pair_snap, 0.0, np.where(moved > pair_top, pair_C, moved))
-            alpha.put(flat, moved)
+            alpha.put(slot, moved)
             ya = y * moved
             up.put(flat, np.where(ya < upper, pair_yg, -np.inf))
             low.put(flat, np.where(ya > lower, pair_yg, np.inf))
             iterations += 1
-        for r in np.flatnonzero(done):
-            real = slice(sizes[live[r]])
-            solutions[live[r]] = DualSolution(
-                y=Y[r, real].copy(), C=float(C[r]), alpha=alpha[r, real].copy(),
-                yg=np.where(up[r, real] > -np.inf, up[r, real], low[r, real]),
-                iterations=iterations, violation=float(violation[r]),
-                converged=bool(violation[r] <= tol),
-            )
+        finished, finished_up = live[done], up[done]
+        block.yg[finished] = np.where(finished_up > -np.inf, finished_up, low[done])
+        block.iterations[finished] = iterations
+        block.violation[finished] = violation[done]
         keep = ~done
-        Y, C, alpha, up, low, live = (a[keep] for a in (Y, C, alpha, up, low, live))
+        up, low, live = up[keep], low[keep], live[keep]
         if members is not None:
             members = members[keep]
-    return solutions
+    return block
 
 
-def solution_support(solution: DualSolution, tol: float) -> tuple[np.ndarray, float]:
-    """The support mask (alpha > 0) and the bias of a solved problem.
+def block_support(block: DualBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support masks (alpha > 0), the biases and the failures of every
+    problem of a solved block, in one pass over its arrays.
 
-    The bias averages y_i - u_i over unbounded support vectors, falling back
-    to the midpoint of the feasible interval. An unconverged solution is
-    NoConvergenceError with its diagnostics, and one without a support
-    vector is InvalidConfigError.
+    A bias averages y_i - u_i over the problem's unbounded support vectors
+    (`np.mean` over them in row order), falling back to the midpoint of the
+    feasible interval. `failed[p]` holds when problem p did not converge or
+    kept no support vector; `block_error(block, p)` is then its error.
     """
-    s = solution
-    if not s.converged:
-        raise NoConvergenceError(
-            f"no convergence after {s.iterations} pair updates "
-            f"(KKT violation {s.violation:.3e} > tol {tol:.3e})",
-            iterations=s.iterations,
-            violation=s.violation,
+    b = block
+    support = b.alpha > 0
+    below_c = b.alpha < b.C[:, None]
+    pos, neg = b.Y > 0, b.Y < 0
+    # where y_i * alpha_i can rise (up) or fall (low); padding can do neither
+    in_up = (pos & below_c) | (neg & support)
+    in_low = (pos & support) | (neg & below_c)
+    m = np.where(in_up, b.yg, -np.inf).max(axis=1)
+    big_m = np.where(in_low, b.yg, np.inf).min(axis=1)
+    bias = (m + big_m) / 2.0
+    unbounded = support & below_c
+    counts = np.count_nonzero(unbounded, axis=1)
+    # a row of a 2-D mean is summed as np.mean sums it alone, so the problems
+    # with one count of unbounded multipliers share one call
+    for count in set(counts.tolist()) - {0}:
+        rows = counts == count
+        bias[rows] = b.yg[rows][unbounded[rows]].reshape(-1, count).mean(axis=1)
+    failed = ~b.converged | ~support.any(axis=1)
+    return support, bias, failed
+
+
+def block_error(block: DualBlock, p: int) -> NoConvergenceError | InvalidConfigError:
+    """The error of failed problem p of a block: NoConvergenceError with its
+    diagnostics when it did not converge, else InvalidConfigError (no
+    support vector survived)."""
+    if not block.converged[p]:
+        iterations, violation = int(block.iterations[p]), float(block.violation[p])
+        return NoConvergenceError(
+            f"no convergence after {iterations} pair updates "
+            f"(KKT violation {violation:.3e} > tol {block.tol:.3e})",
+            iterations=iterations,
+            violation=violation,
         )
-    pos = s.y > 0
-    ya = s.y * s.alpha
-    in_up = ya < np.where(pos, s.C, 0.0)
-    in_low = ya > np.where(pos, 0.0, -s.C)
-    unbounded = (s.alpha > 0) & (s.alpha < s.C)
-    if unbounded.any():
-        bias = float(np.mean(s.yg[unbounded]))
-    else:
-        m = float(np.max(np.where(in_up, s.yg, -np.inf)))
-        big_m = float(np.min(np.where(in_low, s.yg, np.inf)))
-        bias = (m + big_m) / 2.0
-    support = s.alpha > 0
-    if not support.any():
-        raise InvalidConfigError(f"tol {tol} is too loose; no support vectors survived")
-    return support, bias
+    return InvalidConfigError(f"tol {block.tol} is too loose; no support vectors survived")
 
 
-def binary_model(solution: DualSolution, samples, kernel: KernelSpec, tol: float) -> BinaryModel:
-    """Package a solved problem over the rows of `samples` as a model, with
-    the support vectors and bias of `solution_support`."""
-    s = solution
-    support, bias = solution_support(s, tol)
+def binary_model(block: DualBlock, p: int, samples, kernel: KernelSpec) -> BinaryModel:
+    """Package problem p of a solved block as a model over the rows of
+    `samples`, its real samples in order, with the support vectors and bias
+    of `block_support`; a failed problem raises its `block_error`."""
+    support, bias, failed = block_support(block)
+    if failed[p]:
+        raise block_error(block, p)
+    real = slice(len(samples))
+    support = support[p, real]
     return BinaryModel(
         kernel=kernel,
         support_vectors=np.asarray(samples, dtype=np.float64)[support],
-        dual_coeffs=s.alpha[support] * s.y[support],
-        bias=bias,
-        C=s.C,
-        meta=TrainingMeta(iterations=s.iterations, kkt_violation=max(s.violation, 0.0)),
+        dual_coeffs=block.alpha[p, real][support] * block.Y[p, real][support],
+        bias=float(bias[p]),
+        C=float(block.C[p]),
+        meta=TrainingMeta(
+            iterations=int(block.iterations[p]),
+            kkt_violation=max(float(block.violation[p]), 0.0),
+        ),
     )
 
 
@@ -425,8 +463,7 @@ def train_binary(
         raise DimensionMismatchError(
             f"kernel matrix has shape {np.shape(gram)}, {n} samples need ({n}, {n})"
         )
-    (solution,) = solve_smo(gram, y[None], [C], tol, max_iter)
-    return binary_model(solution, X, kernel, tol)
+    return binary_model(solve_smo(gram, y[None], [C], tol, max_iter), 0, X, kernel)
 
 
 def decision_values(model: BinaryModel, X) -> np.ndarray:

@@ -8,7 +8,10 @@ reference, and so are the full-canvas bicubic rotation and the float median
 that the package's banded rotation and selection median replaced. The
 rotation reads its own copy of the tap-at-a-time Keys weights that the
 package's four-tap table replaced, and so does the crop-at-a-time resample
-that the package's flat batched one replaced.
+that the package's flat batched one replaced. The per-problem support and
+bias arithmetic and the pair-at-a-time one-vs-one vote loop are kept as the
+bit-for-bit references of the package's one pass per solver block and its
+two bincounts.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from glyphsvm.preprocess import (
     _rotated_extent,
     _zhang_suen_pass,
 )
-from glyphsvm.errors import NoConvergenceError
+from glyphsvm.errors import InvalidConfigError, NoConvergenceError
 from glyphsvm.svm import (
     CURVATURE_FLOOR,
     DEFAULT_MAX_ITER,
@@ -131,6 +134,40 @@ def reference_train_binary(
         C=float(C),
         meta=TrainingMeta(iterations=iterations, kkt_violation=max(violation, 0.0)),
     )
+
+
+def reference_solution_support(y, C, alpha, yg, converged, iterations, violation, tol):
+    """The support mask (alpha > 0) and the bias of one solved problem, from
+    its real samples' labels, multipliers and y_i times the dual gradient:
+    the per-problem arithmetic that the package's one pass per block replaced.
+
+    The bias averages y_i - u_i over unbounded support vectors, falling back
+    to the midpoint of the feasible interval. An unconverged problem is
+    NoConvergenceError with its diagnostics, and one without a support
+    vector is InvalidConfigError.
+    """
+    if not converged:
+        raise NoConvergenceError(
+            f"no convergence after {iterations} pair updates "
+            f"(KKT violation {violation:.3e} > tol {tol:.3e})",
+            iterations=iterations,
+            violation=violation,
+        )
+    pos = y > 0
+    ya = y * alpha
+    in_up = ya < np.where(pos, C, 0.0)
+    in_low = ya > np.where(pos, 0.0, -C)
+    unbounded = (alpha > 0) & (alpha < C)
+    if unbounded.any():
+        bias = float(np.mean(yg[unbounded]))
+    else:
+        m = float(np.max(np.where(in_up, yg, -np.inf)))
+        big_m = float(np.min(np.where(in_low, yg, np.inf)))
+        bias = (m + big_m) / 2.0
+    support = alpha > 0
+    if not support.any():
+        raise InvalidConfigError(f"tol {tol} is too loose; no support vectors survived")
+    return support, bias
 
 
 def dual_objective(alpha, y, K):
@@ -319,6 +356,20 @@ def reference_label(model, values):
         if scores[k] > scores[best]:
             best = k
     return model.class_ids[best]
+
+
+def reference_ovo_votes(values, pairs, class_count):
+    """One-vs-one's votes and signed decision-value sums, one pair at a time
+    over every row: the loop that the package's two bincounts replaced."""
+    votes = np.zeros((len(values), class_count), dtype=np.int64)
+    scores = np.zeros(votes.shape)
+    for f, (i, j) in zip(np.asarray(values).T, pairs):
+        wins = f >= 0.0
+        votes[:, i] += wins
+        votes[:, j] += ~wins
+        scores[:, i] += f
+        scores[:, j] -= f
+    return votes, scores
 
 
 # (row, column) of the neighbours N, NE, E, SE, S, SW, W, NW in a 3x3 window

@@ -1,8 +1,18 @@
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
-from oracles import reference_decision_matrix, reference_label
+from oracles import (
+    reference_decision_matrix,
+    reference_label,
+    reference_ovo_votes,
+    reference_solution_support,
+)
 
 from glyphsvm.errors import (
+    GlyphSvmError,
     InvalidConfigError,
     NoConvergenceError,
     NonFiniteInputError,
@@ -13,8 +23,10 @@ from glyphsvm.model_io import load_model, save_model
 from glyphsvm.multiclass import (
     MinMaxScaling,
     MulticlassModel,
+    class_pairs,
     decision_matrix,
     ordered_classes,
+    ovo_votes,
     predict,
     predict_batch,
     train_multiclass,
@@ -24,6 +36,8 @@ from glyphsvm.multiclass import (
 )
 from glyphsvm.svm import (
     KernelSpec,
+    block_error,
+    block_support,
     decision_values,
     gram_matrix,
     solve_smo,
@@ -290,6 +304,55 @@ def test_c_grid_is_one_solver_block(monkeypatch, strategy):
     assert blocks == [len(model.classifiers) * 3]
 
 
+def test_c_grid_does_no_per_problem_work(monkeypatch):
+    # a 10-class one-vs-one grid: 45 pairs x 3 C values in one solver block
+    # and one support pass over it; no object of the package is built, and no
+    # named function of it runs, once per problem (such as a per-problem
+    # solution or support step)
+    X, labels = clustered_data(np.random.default_rng(28), 10, per_class=5)
+    c_values = [1.0, 4.0, 16.0]
+    blocks, passes = [], []
+
+    def counting_solver(*args, **kwargs):
+        blocks.append(solve_smo(*args, **kwargs))
+        return blocks[-1]
+
+    def counting_pass(block):
+        passes.append(block)
+        return block_support(block)
+
+    monkeypatch.setattr(multiclass, "solve_smo", counting_solver)
+    monkeypatch.setattr(multiclass, "block_support", counting_pass)
+    package_dir = Path(multiclass.__file__).parent
+    built, calls = Counter(), Counter()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        owner = type(frame.f_locals.get("self"))
+        if code.co_name == "__init__" and owner.__module__.startswith("glyphsvm."):
+            built[owner.__name__] += 1
+        elif Path(code.co_filename).parent == package_dir and not code.co_name.startswith("<"):
+            calls[code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        package = train_multiclass_c_grid(X, labels, "ovo", RBF, c_values)
+        models = [package(k) for k in range(len(c_values))]
+    finally:
+        sys.setprofile(None)
+    pairs = len(class_pairs(10))
+    assert [len(block.C) for block in blocks] == [pairs * len(c_values)]
+    assert len(passes) == 1 and passes[0] is blocks[0]
+    assert all(len(model.biases) == pairs for model in models)
+    assert built["DualBlock"] == 1 and built["MulticlassModel"] == len(c_values)
+    assert calls["train_multiclass_c_grid.<locals>.package"] == len(c_values)
+    for counts in (built, calls):
+        busiest = max(counts, key=counts.get)
+        assert counts[busiest] < pairs, f"{busiest} runs {counts[busiest]} times"
+
+
 def test_c_grid_rejects_non_positive_c_before_the_kernel_matrix(monkeypatch):
     X, labels = clustered_data(np.random.default_rng(24), 3, per_class=4)
     built = []
@@ -374,6 +437,135 @@ def test_predict_batch_tie_probes_match_per_row_predict():
         assert batch == [reference_label(model, v) for v in reference]
 
 
+# --- one support pass per block against the per-problem arithmetic ---------------------------
+
+def assert_support_pass_matches_per_problem(block):
+    """Every problem of a solved block comes out of `block_support` and
+    `block_error` as out of the per-problem arithmetic over its real
+    samples: the same support mask, bias bits and error."""
+    support, bias, failed = block_support(block)
+    for p, size in enumerate(np.count_nonzero(block.Y, axis=1)):
+        real = slice(size)
+        assert not support[p, size:].any()
+        try:
+            want_support, want_bias = reference_solution_support(
+                block.Y[p, real], block.C[p], block.alpha[p, real], block.yg[p, real],
+                block.converged[p], int(block.iterations[p]), float(block.violation[p]),
+                block.tol,
+            )
+        except (NoConvergenceError, InvalidConfigError) as expected:
+            got = block_error(block, p)
+            assert failed[p]
+            assert type(got) is type(expected) and str(got) == str(expected)
+            assert getattr(got, "iterations", None) == getattr(expected, "iterations", None)
+            assert getattr(got, "violation", None) == getattr(expected, "violation", None)
+            continue
+        assert not failed[p]
+        assert np.array_equal(support[p, real], want_support)
+        assert np.float64(bias[p]).tobytes() == np.float64(want_bias).tobytes()
+
+
+@pytest.mark.parametrize("case", ["converged", "unconverged", "no-support-vector"])
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
+def test_support_pass_matches_per_problem_arithmetic(kernel, strategy, case, monkeypatch):
+    X, labels = clustered_data(np.random.default_rng(29), 4, per_class=8, spread=2.5)
+    c_values = [0.25, 4.0, 1024.0]
+    blocks = []
+
+    def capture(*args, **kwargs):
+        blocks.append(solve_smo(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(multiclass, "solve_smo", capture)
+    if case == "unconverged":
+        train_multiclass_c_grid(X, labels, strategy, kernel, c_values)
+        monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", int(np.median(blocks[0].iterations)))
+    if case == "no-support-vector":
+        # the violation at alpha = 0 is 2: every problem stops there
+        monkeypatch.setattr(multiclass, "DEFAULT_TOL", 2.0)
+    package = train_multiclass_c_grid(X, labels, strategy, kernel, c_values)
+    block = blocks[-1]
+    assert_support_pass_matches_per_problem(block)
+    _, bias, failed = block_support(block)
+    assert failed.any() == (case != "converged")
+    classes = ordered_classes(labels)
+    keys = [(c, None) for c in classes] if strategy == "ova" else [
+        (classes[i], classes[j]) for i, j in class_pairs(len(classes))
+    ]
+    for k in range(len(c_values)):
+        at_c = list(range(k, len(block.C), len(c_values)))
+        first = next((q for q in at_c if failed[q]), None)
+        if first is None:
+            assert package(k).biases.tobytes() == bias[at_c].tobytes()
+            continue
+        size = np.count_nonzero(block.Y[first])
+        with pytest.raises(GlyphSvmError) as expected:
+            reference_solution_support(
+                block.Y[first, :size], block.C[first], block.alpha[first, :size],
+                block.yg[first, :size], block.converged[first], int(block.iterations[first]),
+                float(block.violation[first]), block.tol,
+            )
+        with pytest.raises(type(expected.value)) as got:
+            package(k)
+        if case == "no-support-vector":
+            assert str(got.value) == str(expected.value)
+            continue
+        a, b = keys[first // len(c_values)]
+        context = a if b is None else (a, b)
+        what = f"class {context!r} vs rest" if b is None else f"class pair {context!r}"
+        assert str(got.value) == f"{what}: {expected.value}"
+        assert got.value.context == context
+        assert got.value.iterations == expected.value.iterations
+        assert got.value.violation == expected.value.violation
+
+
+@pytest.mark.parametrize("members", [False, True], ids=["all-rows", "members"])
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
+def test_support_pass_bias_falls_back_to_the_midpoint(kernel, members):
+    # every sample at one point makes the kernel matrix constant: with as many
+    # labels of each sign, every multiplier ends at its bound C, none inside
+    X = np.tile([[0.3, -0.2]], (8, 1))
+    gram = gram_matrix(kernel, X)
+    Y = np.tile([1.0, -1.0], (3, 4))
+    rows = None
+    if members:
+        rows = np.tile(np.arange(8), (3, 1))
+        Y[1, 6:] = Y[2, 4:] = 0.0  # problems over 6 and 4 of the rows
+    block = solve_smo(gram, Y, [0.5, 1.0, 10.0], members=rows)
+    real = Y != 0
+    assert np.all(block.alpha[real] == np.repeat(block.C, real.sum(axis=1)))
+    assert block.converged.all()
+    assert_support_pass_matches_per_problem(block)
+
+
+def test_ovo_votes_equal_the_pair_loop(monkeypatch):
+    # few exact levels, zeros of both signs among them, so decision values of
+    # 0 vote for the first class and votes and sums tie
+    rng = np.random.default_rng(30)
+    levels = [-1.5, -0.5, -0.0, 0.0, 0.5, 1.5]
+    saw_zero = saw_tie = False
+    for n_classes in (2, 3, 4, 7):
+        pairs = class_pairs(n_classes)
+        for rows in (0, 1, 40):
+            values = rng.choice(levels, size=(rows, len(pairs)))
+            drawn = rng.random(values.shape) < 0.3
+            values[drawn] = rng.normal(size=drawn.sum())
+            votes, scores = ovo_votes(values, pairs, n_classes)
+            want_votes, want_scores = reference_ovo_votes(values, pairs, n_classes)
+            assert votes.dtype == want_votes.dtype and np.array_equal(votes, want_votes)
+            assert scores.tobytes() == want_scores.tobytes()
+            saw_zero |= bool((values == 0.0).any())
+            saw_tie |= bool(((votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1).any())
+            model = ovo_from_values([1.0] * len(pairs), n_classes) if n_classes <= 3 else None
+            if model is not None:
+                monkeypatch.setattr(multiclass, "decision_matrix", lambda model, X: values)
+                assert predict_batch(model, np.ones((rows, 1))) == [
+                    reference_label(model, v) for v in values
+                ]
+    assert saw_zero and saw_tie
+
+
 # --- one kernel matrix against per-problem training ------------------------------------------
 
 def reference_classifiers(X, labels, strategy, kernel, C):
@@ -438,8 +630,8 @@ def test_support_vector_table_is_the_union_of_support_rows(strategy):
     support = {}  # (training row, problem) -> alpha_i y_i
     for p, (positive, rows) in enumerate(problems):
         y = np.where(positive[rows], 1.0, -1.0)
-        (s,) = solve_smo(gram[np.ix_(rows, rows)], y[None], [10.0])
-        support.update(((r, p), a * yy) for r, a, yy in zip(rows, s.alpha, y) if a > 0)
+        block = solve_smo(gram[np.ix_(rows, rows)], y[None], [10.0])
+        support.update(((r, p), a * yy) for r, a, yy in zip(rows, block.alpha[0], y) if a > 0)
     union = sorted({r for r, _ in support})
     assert np.array_equal(model.support_vectors, Xs[union])
     expected = np.zeros((len(union), len(problems)))

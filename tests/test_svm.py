@@ -300,20 +300,21 @@ def assert_same_model(got, want):
     assert got.meta == want.meta
 
 
-def assert_same_as_scalar_loop(solution, X, y, spec, C, gram, max_iter=DEFAULT_MAX_ITER):
-    """A lockstep solution comes out as the scalar loop's: the same model when
-    it converged, else the same NoConvergenceError after `max_iter` updates,
-    with the same violation and message. Without an explicit cap this covers
-    draws that neither solver finishes within the default budget."""
-    if solution.converged:
+def assert_same_as_scalar_loop(block, p, X, y, spec, C, gram, max_iter=DEFAULT_MAX_ITER):
+    """Problem p of a lockstep block comes out as the scalar loop's: the same
+    model when it converged, else the same NoConvergenceError after
+    `max_iter` updates, with the same violation and message. Without an
+    explicit cap this covers draws that neither solver finishes within the
+    default budget."""
+    if block.converged[p]:
         want = reference_train_binary(X, y, spec, C, max_iter=max_iter, gram=gram)
-        assert_same_model(binary_model(solution, X, spec, DEFAULT_TOL), want)
+        assert_same_model(binary_model(block, p, X, spec), want)
         return
     with pytest.raises(NoConvergenceError) as expected:
         reference_train_binary(X, y, spec, C, max_iter=max_iter, gram=gram)
     with pytest.raises(NoConvergenceError) as got:
-        binary_model(solution, X, spec, DEFAULT_TOL)
-    assert solution.iterations == got.value.iterations == expected.value.iterations == max_iter
+        binary_model(block, p, X, spec)
+    assert block.iterations[p] == got.value.iterations == expected.value.iterations == max_iter
     assert got.value.violation == expected.value.violation
     assert str(got.value) == str(expected.value)
 
@@ -339,22 +340,22 @@ def test_lockstep_solver_equals_scalar_loop(seed, n, sliced, spec, c_values):
     # problems with their own C finish on different trips; each must come out
     # as if solved alone
     X, Y, gram = block_problem(seed, n, sliced, spec, len(c_values))
-    solutions = solve_smo(gram, Y, c_values)
-    for y, C, solution in zip(Y, c_values, solutions):
-        assert_same_as_scalar_loop(solution, X, y, spec, C, gram)
+    block = solve_smo(gram, Y, c_values)
+    for p, (y, C) in enumerate(zip(Y, c_values)):
+        assert_same_as_scalar_loop(block, p, X, y, spec, C, gram)
 
 
 def test_lockstep_max_iter_fails_only_the_slow_problems():
     spec = KernelSpec(kind="rbf", gamma=0.8)
     X, Y, gram = block_problem(3, 24, False, spec, 8)
     c_values = [0.5, 100.0, 1.0, 10.0, 100.0, 0.5, 10.0, 1.0]
-    full = [s.iterations for s in solve_smo(gram, Y, c_values)]
+    full = list(solve_smo(gram, Y, c_values).iterations)
     max_iter = sorted(full)[len(full) // 2]
-    solutions = solve_smo(gram, Y, c_values, max_iter=max_iter)
-    failed = [not s.converged for s in solutions]
-    assert any(failed) and not all(failed)
-    for y, C, solution in zip(Y, c_values, solutions):
-        assert_same_as_scalar_loop(solution, X, y, spec, C, gram, max_iter)
+    block = solve_smo(gram, Y, c_values, max_iter=max_iter)
+    failed = ~block.converged
+    assert failed.any() and not failed.all()
+    for p, (y, C) in enumerate(zip(Y, c_values)):
+        assert_same_as_scalar_loop(block, p, X, y, spec, C, gram, max_iter)
 
 
 # --- member blocks: problems over their own rows of one matrix ----------------------------
@@ -404,11 +405,12 @@ def member_block(seed, n, sliced, spec, cuts):
 )
 def test_member_block_equals_scalar_loop_on_each_subset(seed, n, sliced, spec, c_values, cuts):
     X, gram, members, Y, subsets = member_block(seed, n, sliced, spec, cuts[: len(c_values)])
-    solutions = solve_smo(gram, Y, c_values, members=members)
-    for rows, y, C, solution in zip(subsets, Y, c_values, solutions):
-        assert len(solution.alpha) == len(rows)
+    block = solve_smo(gram, Y, c_values, members=members)
+    for p, (rows, y, C) in enumerate(zip(subsets, Y, c_values)):
+        assert np.count_nonzero(block.Y[p]) == len(rows)
+        assert not block.alpha[p, len(rows):].any()  # padding never enters a pair
         sub_gram = gram[np.ix_(rows, rows)]
-        assert_same_as_scalar_loop(solution, X[rows], y[: len(rows)], spec, C, sub_gram)
+        assert_same_as_scalar_loop(block, p, X[rows], y[: len(rows)], spec, C, sub_gram)
 
 
 def one_vs_one_block(spec, c_values):
@@ -433,14 +435,14 @@ def one_vs_one_block(spec, c_values):
 def test_member_block_max_iter_fails_only_the_slow_pairs():
     spec = KernelSpec(kind="rbf", gamma=0.8)
     X, gram, members, Y, subsets, C_all = one_vs_one_block(spec, [0.5, 100.0])
-    full = [s.iterations for s in solve_smo(gram, Y, C_all, members=members)]
+    full = list(solve_smo(gram, Y, C_all, members=members).iterations)
     max_iter = sorted(full)[len(full) // 2]
-    solutions = solve_smo(gram, Y, C_all, max_iter=max_iter, members=members)
-    failed = [not s.converged for s in solutions]
-    assert any(failed) and not all(failed)
-    for rows, y, C, solution in zip(subsets, Y, C_all, solutions):
+    block = solve_smo(gram, Y, C_all, max_iter=max_iter, members=members)
+    failed = ~block.converged
+    assert failed.any() and not failed.all()
+    for p, (rows, y, C) in enumerate(zip(subsets, Y, C_all)):
         assert_same_as_scalar_loop(
-            solution, X[rows], y, spec, C, gram[np.ix_(rows, rows)], max_iter
+            block, p, X[rows], y, spec, C, gram[np.ix_(rows, rows)], max_iter
         )
 
 
@@ -460,6 +462,14 @@ def test_solver_checks_members_and_matrix_shape(case):
     }[case]
     with pytest.raises(DimensionMismatchError):
         solve_smo(*bad[:2], [1.0, 1.0], members=bad[2])
+
+
+@pytest.mark.parametrize("c_values", [[1.0], [1.0, 1.0, 1.0]])
+def test_solver_names_a_c_count_that_is_not_one_per_problem(c_values):
+    # a C list of another length used to end in a bare ValueError from reshape
+    X, Y, gram = block_problem(4, 6, False, LINEAR, 2)
+    with pytest.raises(DimensionMismatchError, match=f"{len(c_values)} box bounds C for 2 problems"):
+        solve_smo(gram, Y, c_values)
 
 
 def test_solver_rejects_bad_c_and_tol():
