@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError, MixedDimensionsError, UnreadableFileError, WrongDimensionsError
+    DimensionMismatchError, InvalidConfigError, MixedDimensionsError, UnreadableFileError,
+    WrongDimensionsError,
 )
 from .fileio import format_float, write_atomic
 from .preprocess import (
@@ -122,14 +123,20 @@ def csv_header(config: FeatureConfig) -> str:
 def write_features_csv(path, labels, vectors, config: FeatureConfig) -> None:
     """One row per character: label, then the feature values in vector order.
     A vector whose length is not `config.total_count` is
-    DimensionMismatchError; the file is replaced atomically."""
+    DimensionMismatchError, and a label that would not read back as itself
+    (empty, holding a comma or a line break, or with surrounding whitespace)
+    is InvalidConfigError, both before anything is written; the file is
+    replaced atomically."""
     lines = [csv_header(config)]
     for label, vec in zip(labels, vectors):
+        text = str(label)
+        if "," in text or text.strip() != text or text.splitlines() != [text]:
+            raise InvalidConfigError(f"{path}: label {text!r} cannot be a CSV label")
         if len(vec) != config.total_count:
             raise DimensionMismatchError(
                 f"{path}: a row has {len(vec)} features, the header {config.total_count}"
             )
-        lines.append(",".join([str(label)] + [format_float(v) for v in vec]))
+        lines.append(",".join([text] + [format_float(v) for v in vec]))
     write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -234,33 +234,37 @@ def load_model(path) -> MulticlassModel:
         )
 
     pairs = None if strategy == "ova" else class_pairs(n_classes)
-    columns = []
+    biases, C, violations = np.zeros((3, n_classifiers))
+    iterations = np.zeros(n_classifiers, dtype=np.int64)
+    indexes, coefficients = [], []
     for idx in range(n_classifiers):
         head, expected = reader.next("classifier"), _classifier_line(idx, pairs)
         if head.split() != expected.split():
             raise CorruptBlockError(f"{path}: expected {expected!r}, found {head!r}")
-        c_value = reader.next_floats("C", 1)[0]
-        bias = reader.next_floats("bias", 1)[0]
-        iterations, violation = 0, 0.0
+        C[idx] = reader.next_floats("C", 1)[0]
+        biases[idx] = reader.next_floats("bias", 1)[0]
         if version == 2:
-            iterations = _parse_int(reader, "iterations")
-            violation = reader.next_floats("kkt_violation", 1)[0]
-            if not 0 <= iterations <= np.iinfo(np.int64).max or violation < 0:
+            count = _parse_int(reader, "iterations")
+            violations[idx] = reader.next_floats("kkt_violation", 1)[0]
+            if not 0 <= count <= np.iinfo(np.int64).max or violations[idx] < 0:
                 raise CorruptBlockError(f"{path}: classifier {idx} has bad solver metadata")
+            iterations[idx] = count
         sv_count = _parse_int(reader, "sv_count")
         if sv_count < 1:
             raise CorruptBlockError(f"{path}: classifier {idx} has no support vectors")
         if version == 2:
-            index = _parse_index(reader, sv_count, n_sv, idx)
-        coeffs = reader.next_floats("coeffs", sv_count)
+            indexes.append(_parse_index(reader, sv_count, n_sv, idx))
+        coefficients.append(reader.next_floats("coeffs", sv_count))
         if version == 1:
-            index = np.arange(len(table), len(table) + sv_count)
             table += [reader.next_floats("sv", dims) for _ in range(sv_count)]
-        _check_dual(coeffs, c_value, path, idx)
-        columns.append((index, coeffs, bias, c_value, iterations, violation))
+        _check_dual(coefficients[-1], C[idx], path, idx)
     reader.next("end")
-    model = MulticlassModel.from_columns(
-        strategy, class_ids, kernel, np.array(table), columns, scaling
+    # version 1's blocks appended their rows in entry order
+    row = np.concatenate(indexes) if version == 2 else np.arange(len(table))
+    classifier = np.repeat(np.arange(n_classifiers), [len(values) for values in coefficients])
+    model = MulticlassModel.from_entries(
+        strategy, class_ids, kernel, np.array(table),
+        (row, classifier, np.concatenate(coefficients)), biases, C, iterations, violations, scaling,
     )
     if len(model.support_vectors) < len(table):
         raise CorruptBlockError(f"{path}: a support-vector table row belongs to no classifier")

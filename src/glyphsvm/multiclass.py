@@ -34,11 +34,12 @@ STRATEGIES = ("ova", "ovo")
 
 
 def class_sort_key(label):
-    """Numeric order when every label parses as an integer, else lexicographic."""
+    """Integer labels first, in numeric order, then the rest in text order;
+    ties ("1" and "01", 1 and "1") go by text, then type name."""
     try:
-        return (0, int(label), "")
+        return (0, int(label), str(label), type(label).__name__)
     except (TypeError, ValueError):
-        return (1, 0, str(label))
+        return (1, 0, str(label), type(label).__name__)
 
 
 def ordered_classes(labels) -> list:
@@ -108,25 +109,23 @@ class MulticlassModel:
     scaling: MinMaxScaling
 
     @classmethod
-    def from_columns(
+    def from_entries(
         cls, strategy: str, class_ids: list, kernel: KernelSpec, rows: np.ndarray,
-        columns: list, scaling: MinMaxScaling,
+        entries: tuple, biases, C, iterations, kkt_violations, scaling: MinMaxScaling,
     ) -> "MulticlassModel":
-        """The validated model whose classifier p is `columns[p]`, a tuple
-        (row indices, coefficients, bias, C, iterations, KKT violation) over
-        the candidate `rows`. The support-vector table keeps the rows that
-        some classifier indexes, each once, in row order."""
+        """The validated model of the coefficient `entries`, three arrays
+        (candidate row, classifier, coefficient) over the candidate `rows`, and
+        one bias, C, iteration count and KKT violation per classifier. The
+        support-vector table keeps the rows some entry names, once, in order."""
+        row, classifier, values = entries
         used = np.zeros(len(rows), dtype=bool)
-        for index, *_ in columns:
-            used[index] = True
+        used[row] = True
         position = np.cumsum(used) - 1  # a table row's index, by candidate row
-        coeffs = np.zeros((np.count_nonzero(used), len(columns)))
-        for p, (index, values, *_) in enumerate(columns):
-            coeffs[position[index], p] = values
-        _, _, biases, C, iterations, violations = zip(*columns)
+        coeffs = np.zeros((np.count_nonzero(used), len(biases)))
+        coeffs[position[row], classifier] = values
         model = cls(
             strategy, class_ids, kernel, rows[used], coeffs, np.array(biases), np.array(C),
-            np.array(iterations, dtype=np.int64), np.array(violations), scaling,
+            np.array(iterations, dtype=np.int64), np.array(kkt_violations), scaling,
         )
         model.validate()
         return model
@@ -175,11 +174,7 @@ class MulticlassModel:
 
 
 def train_multiclass(
-    data_vectors,
-    data_labels,
-    strategy: str,
-    kernel: KernelSpec,
-    C: float,
+    data_vectors, data_labels, strategy: str, kernel: KernelSpec, C: float
 ) -> MulticlassModel:
     """Train every binary problem of a one-vs-all ("ova") or one-vs-one
     ("ovo") reduction over one kernel matrix of the scaled samples: a
@@ -188,11 +183,7 @@ def train_multiclass(
 
 
 def train_multiclass_c_grid(
-    data_vectors,
-    data_labels,
-    strategy: str,
-    kernel: KernelSpec,
-    c_values,
+    data_vectors, data_labels, strategy: str, kernel: KernelSpec, c_values
 ) -> Callable[[int], MulticlassModel]:
     """Train the reduction at every C of `c_values` over one kernel matrix.
 
@@ -229,19 +220,20 @@ def train_multiclass_c_grid(
     class_idx = np.array([index[lb] for lb in labels])
     if strategy == "ova":
         keys = [(c, None) for c in range(len(classes))]
-        rows_of = [np.arange(len(labels))] * len(classes)  # every problem trains on all rows
+        rows = np.broadcast_to(np.arange(len(X)), (len(keys), len(X)))  # all, every problem
         members = None
         Y = np.where(class_idx == np.arange(len(classes))[:, None], 1.0, -1.0)
     else:
         keys = class_pairs(len(classes))
-        rows_of = [np.flatnonzero((class_idx == i) | (class_idx == j)) for i, j in keys]
+        first, second = np.array(keys).T
         # each pair's rows of the matrix, padded with label 0 to the longest pair
-        members = np.zeros((len(keys), max(map(len, rows_of))), dtype=np.intp)
-        Y = np.zeros(members.shape)
-        for p, ((i, _), rows) in enumerate(zip(keys, rows_of)):
-            members[p, : len(rows)] = rows
-            Y[p, : len(rows)] = np.where(class_idx[rows] == i, 1.0, -1.0)
-        members = np.repeat(members, len(c_values), axis=0)
+        problem, row = np.nonzero((class_idx == first[:, None]) | (class_idx == second[:, None]))
+        slot = np.arange(len(row)) - np.searchsorted(problem, problem)  # a row's place in its pair
+        rows = np.zeros((len(keys), slot.max() + 1), dtype=np.intp)
+        rows[problem, slot] = row
+        Y = np.zeros(rows.shape)
+        Y[problem, slot] = np.where(class_idx[row] == first[problem], 1.0, -1.0)
+        members = np.repeat(rows, len(c_values), axis=0)
     # one block: every problem at every C, problem-major
     block = solve_smo(
         gram, np.repeat(Y, len(c_values), axis=0), c_values * len(keys),
@@ -252,12 +244,12 @@ def train_multiclass_c_grid(
 
     def package(k: int) -> MulticlassModel:
         # problem p of this C is row p * len(c_values) + k of the block
-        at_c = range(k, len(block.C), len(c_values))
-        first_failed = next((q for q in at_c if failed[q]), None)
-        if first_failed is not None:
-            exc = block_error(block, first_failed)
+        at_c = slice(k, None, len(c_values))
+        failing = np.flatnonzero(failed[at_c])
+        if len(failing):
+            exc = block_error(block, failing[0] * len(c_values) + k)
             if isinstance(exc, NoConvergenceError):
-                i, j = keys[first_failed // len(c_values)]
+                i, j = keys[failing[0]]
                 context = classes[i] if j is None else (classes[i], classes[j])
                 what = f"class {context!r} vs rest" if j is None else f"class pair {context!r}"
                 raise NoConvergenceError(
@@ -267,34 +259,22 @@ def train_multiclass_c_grid(
                     context=context,
                 ) from exc
             raise exc
-        columns = []
-        for rows, q in zip(rows_of, at_c):
-            sv = support[q, : len(rows)]
-            columns.append((
-                rows[sv], coeffs[q, : len(rows)][sv], float(biases[q]), float(block.C[q]),
-                int(block.iterations[q]), max(float(block.violation[q]), 0.0),
-            ))
-        return MulticlassModel.from_columns(strategy, classes, kernel, Xs, columns, scaling)
+        problem, slot = np.nonzero(support[at_c])  # never padding, whose alpha stays 0
+        entries = (rows[problem, slot], problem, coeffs[at_c][problem, slot])
+        return MulticlassModel.from_entries(
+            strategy, classes, kernel, Xs, entries, biases[at_c], block.C[at_c],
+            block.iterations[at_c], np.maximum(block.violation[at_c], 0.0), scaling,
+        )
 
     return package
 
 
-def train_one_vs_all(
-    data_vectors,
-    data_labels,
-    kernel: KernelSpec,
-    C: float,
-) -> MulticlassModel:
+def train_one_vs_all(data_vectors, data_labels, kernel: KernelSpec, C: float) -> MulticlassModel:
     """One binary model per class: +1 for the class, -1 for the rest."""
     return train_multiclass(data_vectors, data_labels, "ova", kernel, C)
 
 
-def train_one_vs_one(
-    data_vectors,
-    data_labels,
-    kernel: KernelSpec,
-    C: float,
-) -> MulticlassModel:
+def train_one_vs_one(data_vectors, data_labels, kernel: KernelSpec, C: float) -> MulticlassModel:
     """One binary model per unordered class pair (i, j), i < j, +1 = class i."""
     return train_multiclass(data_vectors, data_labels, "ovo", kernel, C)
 

@@ -325,6 +325,17 @@ def test_features_names_a_later_bad_file(tmp_path, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_features_refuses_a_class_directory_that_is_no_csv_label(tmp_path, capsys):
+    # a class directory "a,b" used to write a CSV that `train` then refused
+    data = tmp_path / "data"
+    assert main(["datagen", "--out-dir", str(data), "--classes", "2", "--per-class", "2"]) == 0
+    (data / "1").rename(data / "a,b")
+    rc = main(["features", "--data", str(data), "--output", str(tmp_path / "f.csv")])
+    assert rc == 1
+    assert_one_line_error(capsys, "InvalidConfig")
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_preprocess_page_of_specks(tmp_path, capsys):
     # each 2x3 block survives the median filter as 2 pixels, under
     # MIN_COMPONENT_AREA, so the page has ink but no character

@@ -3,6 +3,7 @@ import pytest
 
 from glyphsvm.errors import (
     DimensionMismatchError,
+    InvalidConfigError,
     MixedDimensionsError,
     UnreadableFileError,
     WrongDimensionsError,
@@ -281,6 +282,25 @@ def test_csv_writer_rejects_a_row_of_the_wrong_length(tmp_path):
     with pytest.raises(DimensionMismatchError):
         write_features_csv(path, ["1", "2"], [np.zeros(cfg.total_count), np.zeros(10)], cfg)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", ["a,b", " a", "a ", "", "a\nb", "a\rb", "\t"])
+def test_csv_writer_rejects_a_label_that_would_not_read_back(tmp_path, bad):
+    # "a,b" used to write a row that read_features_csv refused as ragged, and
+    # " a" one that read back as "a"
+    cfg = FeatureConfig(cell_px=4)
+    path = tmp_path / "feats.csv"
+    with pytest.raises(InvalidConfigError):
+        write_features_csv(path, ["1", bad], [np.zeros(cfg.total_count)] * 2, cfg)
+    assert not path.exists()
+
+
+def test_csv_roundtrip_keeps_labels_with_inner_spaces_and_symbols(tmp_path):
+    cfg = FeatureConfig(cell_px=4)
+    labels = ["a b", "é", "x;y", "01", 7]
+    path = tmp_path / "feats.csv"
+    write_features_csv(path, labels, [np.zeros(cfg.total_count)] * len(labels), cfg)
+    assert read_features_csv(path)[0] == [str(label) for label in labels]
 
 
 def test_csv_rejects_ragged_rows(tmp_path):

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -79,6 +81,24 @@ def test_class_ordering_ints():
     assert ordered_classes([3, 1, 2]) == [1, 2, 3]
 
 
+def test_class_ordering_does_not_depend_on_the_hash_seed():
+    # "1", "01" and "001" are one number: their text breaks the tie, and the
+    # type name breaks one between 1 and "1"
+    script = (
+        "from glyphsvm.multiclass import ordered_classes; "
+        "print(ordered_classes(['1', '01', '2', '001']), ordered_classes(['1', 1, 'b', 0]))"
+    )
+    src = str(Path(multiclass.__file__).parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs == ["['001', '01', '1', '2'] [0, 1, '1', 'b']\n"] * 2
+
+
 # --- classifier counts ------------------------------------------------------------
 
 @pytest.mark.parametrize("n_classes", range(2, 11))
@@ -129,18 +149,20 @@ def test_two_class_paths_coincide():
 
 # --- prediction rules ----------------------------------------------------------------
 
-def pinned_columns(weights):
+def pinned_model(strategy, class_ids, weights):
     """Hand-built classifiers over the one support vector [1]: under the
     linear kernel, classifier p has f(x) = weights[p] * x[0]."""
-    return [([0], [w], 0.0, 1.0, 0, 0.0) for w in weights]
+    count = len(weights)
+    entries = (np.zeros(count, dtype=int), np.arange(count), np.array(weights, dtype=float))
+    return MulticlassModel.from_entries(
+        strategy, class_ids, LINEAR, np.ones((1, 1)), entries, np.zeros(count),
+        np.ones(count), np.zeros(count, dtype=int), np.zeros(count), identity_scaling(1),
+    )
 
 
 def ova_from_values(values):
     """OVA model whose decision values at probe x=[1] equal `values`."""
-    return MulticlassModel.from_columns(
-        "ova", list(range(1, len(values) + 1)), LINEAR, np.ones((1, 1)),
-        pinned_columns(values), identity_scaling(1),
-    )
+    return pinned_model("ova", list(range(1, len(values) + 1)), values)
 
 
 def test_ova_argmax():
@@ -171,10 +193,7 @@ def test_ova_rescaling_invariance():
 
 
 def ovo_from_values(pair_values, n_classes=3):
-    return MulticlassModel.from_columns(
-        "ovo", ["A", "B", "C"][:n_classes], LINEAR, np.ones((1, 1)),
-        pinned_columns(pair_values), identity_scaling(1),
-    )
+    return pinned_model("ovo", ["A", "B", "C"][:n_classes], pair_values)
 
 
 def test_ovo_plurality():
@@ -351,6 +370,35 @@ def test_c_grid_does_no_per_problem_work(monkeypatch):
     for counts in (built, calls):
         busiest = max(counts, key=counts.get)
         assert counts[busiest] < pairs, f"{busiest} runs {counts[busiest]} times"
+
+
+def test_packaging_runs_no_line_per_classifier():
+    # packaging a one-vs-one model runs as many lines of `package` and
+    # `MulticlassModel.from_entries` for 3 pairs as for 45
+    watched = {"package", "from_entries"}
+
+    def line_events(n_classes):
+        X, labels = clustered_data(np.random.default_rng(28), n_classes, per_class=5)
+        package = train_multiclass_c_grid(X, labels, "ovo", RBF, [1.0, 4.0])
+        counts = Counter()
+
+        def local(frame, event, arg):
+            if event == "line":
+                counts[frame.f_code.co_name] += 1
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code.co_name in watched else None)
+        try:
+            model = package(1)
+        finally:
+            sys.settrace(previous)
+        assert len(model.biases) == len(class_pairs(n_classes))
+        return counts
+
+    few, many = line_events(3), line_events(10)
+    assert few == many
+    assert set(few) == watched
 
 
 def test_c_grid_rejects_non_positive_c_before_the_kernel_matrix(monkeypatch):
@@ -594,20 +642,23 @@ def reference_classifiers(X, labels, strategy, kernel, C):
 @pytest.mark.parametrize("strategy", ["ova", "ovo"])
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
 def test_training_matches_per_problem_kernel_rows(kernel, strategy, tmp_path):
-    rng = np.random.default_rng(22)
-    X = np.vstack([rng.normal(size=(10, 6)) + 1.5 * c for c in range(4)])
-    labels = [c for c in range(4) for _ in range(10)]
-    model = train_multiclass(X, labels, strategy, kernel, 10.0)
-    save_model(model, tmp_path / "model.gsvm")
-    reference = reference_classifiers(X, labels, strategy, kernel, 10.0)
-    for derived in (model, load_model(tmp_path / "model.gsvm")):
-        assert len(derived.classifiers) == len(reference)
-        for got, want in zip(derived.classifiers, reference):
-            assert got.kernel == want.kernel
-            assert np.array_equal(got.support_vectors, want.support_vectors)
-            assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
-            assert (got.bias, got.C) == (want.bias, want.C)
-            assert got.meta == want.meta
+    # uneven classes pad one-vs-one's shorter pairs with row index 0, a row
+    # of class 0: neither the padding nor that row may leak into a pair
+    for sizes in ((10, 10, 10, 10), (12, 5, 9, 7)):
+        rng = np.random.default_rng(22)
+        X = np.vstack([rng.normal(size=(size, 6)) + 1.5 * c for c, size in enumerate(sizes)])
+        labels = [c for c, size in enumerate(sizes) for _ in range(size)]
+        model = train_multiclass(X, labels, strategy, kernel, 10.0)
+        save_model(model, tmp_path / "model.gsvm")
+        reference = reference_classifiers(X, labels, strategy, kernel, 10.0)
+        for derived in (model, load_model(tmp_path / "model.gsvm")):
+            assert len(derived.classifiers) == len(reference)
+            for got, want in zip(derived.classifiers, reference):
+                assert got.kernel == want.kernel
+                assert np.array_equal(got.support_vectors, want.support_vectors)
+                assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
+                assert (got.bias, got.C) == (want.bias, want.C)
+                assert got.meta == want.meta
 
 
 @pytest.mark.parametrize("strategy", ["ova", "ovo"])

@@ -576,10 +576,11 @@ def test_train_rejects_gram_of_wrong_shape():
 def test_predict_sign_rule():
     # as one class pair, f = 0 votes for the first class, the +1 side
     model, _, _ = two_point_model()
-    column = (np.arange(len(model.dual_coeffs)), model.dual_coeffs, model.bias, model.C, 0, 0.0)
-    pair = MulticlassModel.from_columns(
-        "ovo", ["+1", "-1"], model.kernel, model.support_vectors, [column],
-        MinMaxScaling(np.zeros(2), np.ones(2)),
+    count = len(model.dual_coeffs)
+    entries = (np.arange(count), np.zeros(count, dtype=int), model.dual_coeffs)
+    pair = MulticlassModel.from_entries(
+        "ovo", ["+1", "-1"], model.kernel, model.support_vectors, entries, [model.bias],
+        [model.C], [0], [0.0], MinMaxScaling(np.zeros(2), np.ones(2)),
     )
     probes = [[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # f = +1, -1, 0
     assert predict_batch(pair, probes) == ["+1", "-1", "+1"]
