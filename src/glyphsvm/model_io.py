@@ -44,6 +44,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     CorruptBlockError,
+    InvalidConfigError,
     IoFailureError,
     VersionMismatchError,
 )
@@ -66,10 +67,14 @@ def _kernel_line(spec: KernelSpec) -> str:
 
 
 def save_model(model: MulticlassModel, path) -> None:
-    """Validate, serialize as version 2 and atomically replace `path`."""
+    """Validate, serialize as version 2 and atomically replace `path`.
+
+    Class ids must reload as themselves: all integers, or all text that is
+    not blank and holds no line break. Any other ids are InvalidConfigError,
+    and `path` is left as it was."""
     model.validate()
-    integer = all(isinstance(c, (int, np.integer)) for c in model.class_ids)
-    label_kind = "int" if integer else "str"
+    label_kind = _label_kind(model.class_ids)
+    integer = label_kind == "int"
     lines = [
         MAGIC,
         f"version {VERSION}",
@@ -98,6 +103,18 @@ def save_model(model: MulticlassModel, path) -> None:
         lines.append("coeffs " + _fmt_vec(col[index]))
     lines.append("end")
     write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _label_kind(class_ids) -> str:
+    """'int' or 'str', the `label_kind` under which every id reloads as itself."""
+    if all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in class_ids):
+        return "int"
+    if not all(isinstance(c, str) for c in class_ids):
+        raise InvalidConfigError(f"class ids must be all integers or all text, got {class_ids!r}")
+    for c in class_ids:
+        if not c.strip() or "\n" in c or "\r" in c:
+            raise InvalidConfigError(f"class id {c!r} is blank or holds a line break")
+    return "str"
 
 
 def _classifier_line(idx: int, pairs) -> str:

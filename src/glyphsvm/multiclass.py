@@ -16,8 +16,6 @@ from .errors import (
     SingleClassError,
 )
 from .svm import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     BinaryModel,
     KernelSpec,
     TrainingMeta,
@@ -192,8 +190,9 @@ def train_multiclass_c_grid(
     problem of the reduction at every C is one lockstep `solve_smo` block on
     that matrix: one-vs-all's classes x `c_values` over all of its rows, and
     one-vs-one's class pairs x `c_values` each over its two classes' rows,
-    read from the matrix through `members` rather than copied out. Each block
-    stops by the solver's rule, `DEFAULT_TOL` and `DEFAULT_MAX_ITER`.
+    read from the matrix through `members` rather than copied out. Each
+    problem stops by the solver's rule, `svm.DEFAULT_TOL` and
+    `svm.DEFAULT_MAX_ITER`.
 
     A C that is not a positive finite number is InvalidConfigError before
     the matrix is built. The result is a function of k that packages the
@@ -235,10 +234,7 @@ def train_multiclass_c_grid(
         Y[problem, slot] = np.where(class_idx[row] == first[problem], 1.0, -1.0)
         members = np.repeat(rows, len(c_values), axis=0)
     # one block: every problem at every C, problem-major
-    block = solve_smo(
-        gram, np.repeat(Y, len(c_values), axis=0), c_values * len(keys),
-        DEFAULT_TOL, DEFAULT_MAX_ITER, members,
-    )
+    block = solve_smo(gram, np.repeat(Y, len(c_values), axis=0), c_values * len(keys), members)
     support, biases, failed = block_support(block)
     coeffs = block.alpha * block.Y
 

@@ -9,7 +9,7 @@ each with its own arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,16 +178,17 @@ class BinaryModel:
     dual_coeffs: np.ndarray
     bias: float
     C: float
-    meta: TrainingMeta = field(default_factory=lambda: TrainingMeta(0, 0.0))
+    meta: TrainingMeta
 
 
 @dataclass
 class DualBlock:
     """Where SMO left a block of binary problems, one row per problem: labels
     in +-1 (0 pads a problem after its real samples), box bounds C,
-    multipliers, y_i times the dual gradient, pair updates made and the last
-    maximal KKT violation. A problem converged when its violation dropped to
-    `tol`; otherwise its updates ran out first."""
+    multipliers, y_i times the dual gradient, pair updates made, the last
+    maximal KKT violation and whether the problem converged: its violation
+    dropped to `DEFAULT_TOL` before `DEFAULT_MAX_ITER` updates ran out, as
+    `solve_smo` read the two."""
 
     Y: np.ndarray
     C: np.ndarray
@@ -195,11 +196,7 @@ class DualBlock:
     yg: np.ndarray
     iterations: np.ndarray
     violation: np.ndarray
-    tol: float
-
-    @property
-    def converged(self) -> np.ndarray:
-        return self.violation <= self.tol
+    converged: np.ndarray
 
 
 def _validate_training_input(samples, labels):
@@ -220,18 +217,12 @@ def _validate_training_input(samples, labels):
 
 # The SMO stopping rule: done once the maximal KKT violation drops to
 # DEFAULT_TOL (LIBSVM's eps), unconverged after DEFAULT_MAX_ITER pair updates.
+# `solve_smo` reads both at each call, so setting one reaches every training.
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000
 
 
-def solve_smo(
-    gram: np.ndarray,
-    Y,
-    C,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    members=None,
-) -> DualBlock:
+def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
     """Solve the soft-margin duals of several binary problems over one
     kernel matrix by SMO, in lockstep.
 
@@ -243,7 +234,7 @@ def solve_smo(
     floor, the step clipped to the box, the snap onto the box and the
     gradient update. Each problem's arithmetic is that of solving it alone,
     so its solution is too. A problem leaves the block once its violation
-    drops to `tol`, or unconverged after `max_iter` updates.
+    drops to `DEFAULT_TOL`, or unconverged after `DEFAULT_MAX_ITER` updates.
 
     Without `members` every problem trains on all rows of `gram`. With it,
     row p of the integer (problems, m) array `members` lists the rows
@@ -255,13 +246,12 @@ def solve_smo(
     it holds as given. A trip reads the i rows of the kernel matrix for
     every problem with one take, K[i, j] from them, and the j rows with one
     more. Each problem's multipliers are updated in place in the
-    block; its gradient, pair updates and violation are written once, when
-    it leaves the block.
+    block; its gradient, pair updates, violation and convergence are written
+    once, when it leaves the block.
     """
+    tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     Y = np.asarray(Y, dtype=np.float64)
     C = np.array(validate_c(np.ravel(C)))
-    if not tol > 0:
-        raise InvalidConfigError("tol must be positive")
     gram = np.asarray(gram, dtype=np.float64)
     n = len(gram)
     if gram.shape != (n, n):
@@ -284,7 +274,8 @@ def solve_smo(
         raise DimensionMismatchError(f"{len(C)} box bounds C for {problems} problems")
     block = DualBlock(
         Y=Y, C=C, alpha=np.zeros(Y.shape), yg=np.empty(Y.shape),
-        iterations=np.zeros(problems, dtype=np.int64), violation=np.empty(problems), tol=tol,
+        iterations=np.zeros(problems, dtype=np.int64), violation=np.empty(problems),
+        converged=np.zeros(problems, dtype=bool),
     )
     diag = np.diagonal(gram).copy()
     flat_gram = gram.ravel()
@@ -364,6 +355,7 @@ def solve_smo(
         block.yg[finished] = np.where(finished_up > -np.inf, finished_up, low[done])
         block.iterations[finished] = iterations
         block.violation[finished] = violation[done]
+        block.converged[finished] = violation[done] <= tol
         keep = ~done
         up, low, live = up[keep], low[keep], live[keep]
         if members is not None:
@@ -409,11 +401,11 @@ def block_error(block: DualBlock, p: int) -> NoConvergenceError | InvalidConfigE
         iterations, violation = int(block.iterations[p]), float(block.violation[p])
         return NoConvergenceError(
             f"no convergence after {iterations} pair updates "
-            f"(KKT violation {violation:.3e} > tol {block.tol:.3e})",
+            f"(KKT violation {violation:.3e} > tol {DEFAULT_TOL:.3e})",
             iterations=iterations,
             violation=violation,
         )
-    return InvalidConfigError(f"tol {block.tol} is too loose; no support vectors survived")
+    return InvalidConfigError(f"tol {DEFAULT_TOL} is too loose; no support vectors survived")
 
 
 def binary_model(block: DualBlock, p: int, samples, kernel: KernelSpec) -> BinaryModel:
@@ -439,21 +431,15 @@ def binary_model(block: DualBlock, p: int, samples, kernel: KernelSpec) -> Binar
 
 
 def train_binary(
-    samples,
-    labels,
-    kernel: KernelSpec,
-    C: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    gram: np.ndarray | None = None,
+    samples, labels, kernel: KernelSpec, C: float, gram: np.ndarray | None = None
 ) -> BinaryModel:
     """Solve one soft-margin dual by SMO (a one-problem `solve_smo`) and
     package the resulting model.
 
-    Stops once the maximal KKT violation drops to `tol`; raises
-    NoConvergenceError with diagnostics if `max_iter` pair updates are not
-    enough. `gram` is the kernel matrix of `samples` (see `gram_matrix`),
-    built here when omitted.
+    Stops by the solver's rule: once the maximal KKT violation drops to
+    `DEFAULT_TOL`, else NoConvergenceError with diagnostics after
+    `DEFAULT_MAX_ITER` pair updates. `gram` is the kernel matrix of
+    `samples` (see `gram_matrix`), built here when omitted.
     """
     X, y = _validate_training_input(samples, labels)
     n = X.shape[0]
@@ -463,7 +449,7 @@ def train_binary(
         raise DimensionMismatchError(
             f"kernel matrix has shape {np.shape(gram)}, {n} samples need ({n}, {n})"
         )
-    return binary_model(solve_smo(gram, y[None], [C], tol, max_iter), 0, X, kernel)
+    return binary_model(solve_smo(gram, y[None], [C]), 0, X, kernel)
 
 
 def decision_values(model: BinaryModel, X) -> np.ndarray:

@@ -121,6 +121,8 @@ class SynthConfig:
             raise InvalidConfigError(
                 f"translation_px must be in [0, {MAX_TRANSLATION_PX}]"
             )
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _transform_point(pt, rotation_deg, scale, translate):

@@ -17,6 +17,7 @@ from oracles import (
     recover_alpha,
 )
 
+from glyphsvm import svm
 from glyphsvm.data import load_dataset
 from glyphsvm.errors import BadMagicError, CorruptBlockError
 from glyphsvm.features import FeatureConfig, local_zone_features, skeleton_topology
@@ -59,8 +60,9 @@ def report(num, name, ok, detail=""):
 
 # --- 1. dual-solver oracle equivalence ----------------------------------------
 
-def test_criterion_01_dual_oracle():
+def test_criterion_01_dual_oracle(monkeypatch):
     rng = np.random.default_rng(101)
+    monkeypatch.setattr(svm, "DEFAULT_TOL", 1e-3)
     started = time.monotonic()
     worst_gap = -np.inf
     worst_kkt = 0.0
@@ -72,7 +74,7 @@ def test_criterion_01_dual_oracle():
             y[0] = -y[0]
         spec = LINEAR if trial % 2 == 0 else KernelSpec(kind="rbf", gamma=1.0)
         C = 1.0 if trial % 4 < 2 else 10.0
-        model = train_binary(X, y, spec, C=C, tol=1e-3)
+        model = train_binary(X, y, spec, C=C)
         alpha = recover_alpha(model, X, y)
         ours = dual_objective(alpha, y, kernel_matrix(spec, X))
         worst_gap = max(worst_gap, oracle_best_dual(X, y, spec, C) - ours)

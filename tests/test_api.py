@@ -6,7 +6,7 @@ property of its classes, is used somewhere."""
 import ast
 import importlib
 import importlib.util
-import re
+from collections import Counter
 from pathlib import Path
 
 import glyphsvm
@@ -37,36 +37,54 @@ def test_every_public_name_resolves():
     assert [name for name in glyphsvm.__all__ if not hasattr(glyphsvm, name)] == []
 
 
+def references(node) -> Counter:
+    """The names that the code under `node` refers to: `Name` ids,
+    `Attribute` attrs and imported names. Text in strings is no reference."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def references_in(paths) -> Counter:
+    return sum((references(ast.parse(path.read_text())) for path in paths), Counter())
+
+
 def test_no_unused_helpers():
     """A module-level function or class that is not public, and a method or
-    property (other than a dunder) of a package class, must be named
-    somewhere in the package or the benchmark besides its own definition.
-    A module-level function of the test oracles must be named in a test
-    file, or called by an oracle that is."""
+    property (other than a dunder) of a package class, must be referred to
+    in the code of the package or the benchmark outside its own definition.
+    A module-level function of the test oracles must be referred to in a
+    test file, or called by an oracle that is."""
     sources = sorted((ROOT / "src" / "glyphsvm").glob("*.py"))
-    text = "\n".join(p.read_text() for p in sources + sorted((ROOT / "perfbench").glob("*.py")))
+    everywhere = references_in(sources + sorted((ROOT / "perfbench").glob("*.py")))
     unused = []
     for path in sources:
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            names = [] if node.name in glyphsvm.__all__ else [node.name]
+            defs = [] if node.name in glyphsvm.__all__ else [(node.name, node)]
             if isinstance(node, ast.ClassDef):
-                names += [
-                    f"{node.name}.{item.name}" for item in node.body
+                defs += [
+                    (f"{node.name}.{item.name}", item) for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
                 ]
-            for name in names:
-                if len(re.findall(rf"\b{name.split('.')[-1]}\b", text)) < 2:
+            for name, definition in defs:
+                short = name.split(".")[-1]
+                if everywhere[short] - references(definition)[short] < 1:
                     unused.append(f"{path.stem}.{name}")
     oracles = ROOT / "tests" / "oracles.py"
-    tests = "\n".join(p.read_text() for p in sorted(oracles.parent.glob("test_*.py")))
+    tests = references_in(sorted(oracles.parent.glob("test_*.py")))
     calls = {
-        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-        for node in ast.parse(oracles.read_text()).body
+        node.name: set(references(node)) for node in ast.parse(oracles.read_text()).body
         if isinstance(node, ast.FunctionDef)
     }
-    used = {name for name in calls if re.search(rf"\b{name}\b", tests)}
+    used = {name for name in calls if tests[name]}
     while reached := set().union(*(calls[name] for name in used)) & calls.keys() - used:
         used |= reached
     unused += [f"oracles.{name}" for name in calls if name not in used]

@@ -313,6 +313,23 @@ def assert_one_line_error(capsys, category):
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("command", ["datagen", "cv", "gridsearch", "repeat-eval"])
+def test_negative_seed_is_one_line_error(dataset_dir, tmp_path, capsys, command):
+    # each used to end in numpy's "expected non-negative integer" traceback,
+    # datagen after writing its first class directory
+    out = tmp_path / "out"
+    args = {
+        "datagen": ["--out-dir", str(out), "--classes", "2", "--per-class", "2"],
+        "cv": ["--data", str(dataset_dir), "--folds", "2"],
+        "gridsearch": ["--data", str(dataset_dir), "--c-grid", "1", "--gamma-grid", "0.5",
+                       "--folds", "2", "--csv-out", str(out)],
+        "repeat-eval": ["--data", str(dataset_dir), "--repeats", "2", "--report", str(out)],
+    }[command]
+    assert main([command, "--seed", "-1"] + args) == 1
+    assert_one_line_error(capsys, "InvalidConfig")
+    assert not out.exists()
+
+
 def test_features_names_a_later_bad_file(tmp_path, capsys):
     bad = write_dataset_with_late_bad_file(tmp_path / "data")
     rc = main(["features", "--data", str(tmp_path / "data"), "--output", str(tmp_path / "f.csv")])

@@ -7,6 +7,7 @@ import pytest
 from glyphsvm.errors import (
     BadMagicError,
     CorruptBlockError,
+    InvalidConfigError,
     VersionMismatchError,
 )
 from glyphsvm.model_io import load_model, save_model
@@ -63,12 +64,14 @@ def test_roundtrip_all_kernels(kernel, tmp_path):
 
 
 def test_roundtrip_string_labels(tmp_path):
-    model, _ = small_model("ova", labels=["alpha", "beta", "gamma"])
-    path = tmp_path / "model.gsvm"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.class_ids == ["alpha", "beta", "gamma"]
-    assert all(isinstance(c, str) for c in loaded.class_ids)
+    # an id's surrounding spaces are part of it
+    for labels in (["alpha", "beta", "gamma"], [" a", "b ", "c d"]):
+        model, _ = small_model("ova", labels=labels)
+        path = tmp_path / "model.gsvm"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.class_ids == labels
+        assert all(isinstance(c, str) for c in loaded.class_ids)
 
 
 def test_roundtrip_int_labels_stay_int(tmp_path):
@@ -207,6 +210,23 @@ def test_kernel_line_with_a_non_finite_parameter_is_corrupt(line, tmp_path):
     path.write_text(path.read_text().replace("\nkernel rbf gamma=0.5\n", f"\n{line}\n", 1))
     with pytest.raises(CorruptBlockError):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [["a", "", "c"], ["a", " ", "c"], ["a", "b\nc", "d"], ["a", "b\rc", "d"], [1, "a", "b"],
+     [0.5, 1.5, 2.5], [False, True, 2]],
+    ids=["empty", "blank", "newline", "carriage-return", "int-and-text", "float", "bool"],
+)
+def test_class_ids_that_would_not_reload_as_themselves_are_refused(labels, tmp_path):
+    # "" and ids with a line break used to save, then fail to load with
+    # CorruptBlock; [1, "a", "b"] reloaded as ["1", "a", "b"]
+    model, _ = small_model("ova", labels=labels)
+    path = tmp_path / "model.gsvm"
+    path.write_text("kept\n")
+    with pytest.raises(InvalidConfigError):
+        save_model(model, path)
+    assert path.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("strategy", ["ova", "ovo"])

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from glyphsvm import modelsel, multiclass
+from glyphsvm import modelsel, svm
 from glyphsvm.errors import (
     BadKError,
     DegenerateSplitError,
@@ -217,7 +217,7 @@ def test_grid_no_convergence_tags_only_its_own_cells(monkeypatch):
     # problem, C = 1024 does not; both share each (fold, gamma) matrix
     data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
     unlimited = grid_search(data, "rbf", c_grid=[0.25], param_grid=[0.5, 4.0], k=3, seed=0)
-    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 100)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 100)
     report = grid_search(data, "rbf", c_grid=[0.25, 1024.0], param_grid=[0.5, 4.0], k=3, seed=0)
     for entry in report.entries:
         if entry.C == 1024.0:
@@ -258,7 +258,7 @@ def test_grid_unknown_strategy_raises_before_any_cell():
 
 def test_grid_loose_tol_recorded_not_fatal(monkeypatch):
     data = separable_dataset(np.random.default_rng(24), n_per_class=8)
-    monkeypatch.setattr(multiclass, "DEFAULT_TOL", 10.0)
+    monkeypatch.setattr(svm, "DEFAULT_TOL", 10.0)
     report = grid_search(data, "rbf", c_grid=[1.0], param_grid=[0.5, 2.0], k=4, seed=0)
     assert [e.error for e in report.entries] == ["InvalidConfig", "InvalidConfig"]
     assert all(e.accuracy == 0.0 for e in report.entries)
@@ -366,7 +366,7 @@ def test_a_failing_c_releases_its_fold_before_the_next_fold_trains(monkeypatch):
     # the kept error of a C that stops early used to hold its fold's models
     data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
     alive_at_start = count_live_folds(monkeypatch)
-    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 100)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 100)
     report = grid_search(data, "rbf", c_grid=[0.25, 1024.0], param_grid=[0.5, 4.0], k=3, seed=0)
     assert [e.error for e in report.entries] == [None, None, "NoConvergence", "NoConvergence"]
     assert alive_at_start == [0] * 6
@@ -374,7 +374,7 @@ def test_a_failing_c_releases_its_fold_before_the_next_fold_trains(monkeypatch):
 
 def test_cv_raises_the_error_of_its_first_failing_fold(monkeypatch):
     data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
-    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 100)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 100)
     with pytest.raises(NoConvergenceError) as excinfo:
         cross_validate(data, KernelSpec(kind="rbf", gamma=0.5), 1024.0, k=3, seed=0)
     assert excinfo.value.iterations == 100
@@ -469,6 +469,23 @@ def test_repeat_bad_repetitions_or_seeds():
     data = separable_dataset(np.random.default_rng(26), n_per_class=10)
     with pytest.raises(InvalidConfigError):
         repeat_evaluate(data, LINEAR, 10.0, repetitions=0)
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        repeat_evaluate(data, LINEAR, 10.0, seed=-1)
+
+
+def test_negative_seed_is_invalid_config_at_every_entry_point():
+    # numpy's bare "expected non-negative integer" ValueError used to escape
+    data = separable_dataset(np.random.default_rng(26), n_per_class=10)
+    calls = [
+        lambda: kfold_split(10, 2, seed=-1),
+        lambda: split_train_test(data, 0.5, seed=-1),
+        lambda: split_train_test(data, 0.5, seed=-1, stratified=True),
+        lambda: cross_validate(data, LINEAR, 1.0, k=2, seed=-1),
+        lambda: grid_search(data, "linear", c_grid=[1.0], k=2, seed=-1),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidConfigError, match="seed must be >= 0, got -1"):
+            call()
 
 
 def test_repeat_pooled_confusion_sums_repetitions_by_class_id():
@@ -500,7 +517,7 @@ def test_repeat_raises_the_error_of_its_failing_repetition(monkeypatch):
     # fails on the second and every later one
     data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
     rbf = KernelSpec(kind="rbf", gamma=0.5)
-    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 100)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 100)
     failed = []
     for rep, rep_seed in enumerate(np.random.SeedSequence(3).generate_state(4).tolist()):
         train_part, _ = split_train_test(data, 0.8, rep_seed)

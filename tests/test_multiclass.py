@@ -20,7 +20,7 @@ from glyphsvm.errors import (
     NonFiniteInputError,
     SingleClassError,
 )
-from glyphsvm import multiclass
+from glyphsvm import multiclass, svm
 from glyphsvm.model_io import load_model, save_model
 from glyphsvm.multiclass import (
     MinMaxScaling,
@@ -269,7 +269,7 @@ def test_prediction_rejects_non_finite_input():
 def test_no_convergence_tagged_with_class(monkeypatch):
     rng = np.random.default_rng(14)
     X, labels = clustered_data(rng, 3, per_class=8, spread=2.5)
-    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", 1)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 1)
     with pytest.raises(NoConvergenceError) as excinfo:
         train_one_vs_all(X, labels, RBF, C=10.0)
     assert excinfo.value.context == 0
@@ -283,7 +283,7 @@ def test_no_convergence_tagged_with_the_first_failing_later_class(monkeypatch):
     max_iter = full[0]
     failing = next(c for c, count in enumerate(full) if count > max_iter)
     assert failing > 0
-    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", max_iter)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", max_iter)
     with pytest.raises(NoConvergenceError) as excinfo:
         train_one_vs_all(X, labels, RBF, C=100.0)
     assert excinfo.value.context == failing
@@ -299,7 +299,7 @@ def test_no_convergence_tagged_with_the_first_failing_class_pair(monkeypatch):
     max_iter = full[0]
     failing = next(p for p, count in enumerate(full) if count > max_iter)
     assert failing > 0
-    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", max_iter)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", max_iter)
     with pytest.raises(NoConvergenceError) as excinfo:
         train_one_vs_one(X, labels, RBF, C=100.0)
     i, j = model.pairs[failing]
@@ -417,7 +417,7 @@ def test_c_grid_packages_a_model_or_raises_per_c(strategy, monkeypatch):
     full = train_multiclass_c_grid(X, labels, strategy, RBF, [0.25, 1024.0])
     small, large = (max(clf.meta.iterations for clf in full(k).classifiers) for k in (0, 1))
     assert small < large
-    monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", small)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", small)
     package = train_multiclass_c_grid(X, labels, strategy, RBF, [1024.0, 0.25])
     with pytest.raises(NoConvergenceError):
         package(0)
@@ -499,7 +499,7 @@ def assert_support_pass_matches_per_problem(block):
             want_support, want_bias = reference_solution_support(
                 block.Y[p, real], block.C[p], block.alpha[p, real], block.yg[p, real],
                 block.converged[p], int(block.iterations[p]), float(block.violation[p]),
-                block.tol,
+                svm.DEFAULT_TOL,
             )
         except (NoConvergenceError, InvalidConfigError) as expected:
             got = block_error(block, p)
@@ -528,10 +528,10 @@ def test_support_pass_matches_per_problem_arithmetic(kernel, strategy, case, mon
     monkeypatch.setattr(multiclass, "solve_smo", capture)
     if case == "unconverged":
         train_multiclass_c_grid(X, labels, strategy, kernel, c_values)
-        monkeypatch.setattr(multiclass, "DEFAULT_MAX_ITER", int(np.median(blocks[0].iterations)))
+        monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", int(np.median(blocks[0].iterations)))
     if case == "no-support-vector":
         # the violation at alpha = 0 is 2: every problem stops there
-        monkeypatch.setattr(multiclass, "DEFAULT_TOL", 2.0)
+        monkeypatch.setattr(svm, "DEFAULT_TOL", 2.0)
     package = train_multiclass_c_grid(X, labels, strategy, kernel, c_values)
     block = blocks[-1]
     assert_support_pass_matches_per_problem(block)
@@ -552,7 +552,7 @@ def test_support_pass_matches_per_problem_arithmetic(kernel, strategy, case, mon
             reference_solution_support(
                 block.Y[first, :size], block.C[first], block.alpha[first, :size],
                 block.yg[first, :size], block.converged[first], int(block.iterations[first]),
-                float(block.violation[first]), block.tol,
+                float(block.violation[first]), svm.DEFAULT_TOL,
             )
         with pytest.raises(type(expected.value)) as got:
             package(k)

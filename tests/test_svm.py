@@ -14,16 +14,16 @@ from oracles import (
     reference_train_binary,
 )
 
+from glyphsvm import svm
 from glyphsvm.errors import (
     DimensionMismatchError,
     InvalidConfigError,
     NoConvergenceError,
     SingleClassError,
 )
-from glyphsvm.multiclass import MinMaxScaling, MulticlassModel, predict_batch
+from glyphsvm.modelsel import Dataset, grid_search
+from glyphsvm.multiclass import MinMaxScaling, MulticlassModel, predict_batch, train_multiclass
 from glyphsvm.svm import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     KernelSpec,
     binary_model,
     decision_value,
@@ -205,22 +205,44 @@ def test_single_class_raises():
         train_binary(np.eye(3), np.ones(3), LINEAR, C=1.0)
 
 
-def test_no_convergence_carries_diagnostics():
+def test_no_convergence_carries_diagnostics(monkeypatch):
     rng = np.random.default_rng(2)
     X, y = random_problem(rng, 30)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 2)
     with pytest.raises(NoConvergenceError) as excinfo:
-        train_binary(X, y, KernelSpec(kind="rbf", gamma=0.5), C=10.0, max_iter=2)
+        train_binary(X, y, KernelSpec(kind="rbf", gamma=0.5), C=10.0)
     err = excinfo.value
     assert err.iterations == 2
     assert err.violation is not None and err.violation > 1e-3
     assert err.category == "NoConvergence"
 
 
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_the_stopping_rule_reaches_every_solve(monkeypatch, strategy):
+    # each caller used to hold its own copy of the cap, so patching
+    # svm.DEFAULT_MAX_ITER changed no training
+    rng = np.random.default_rng(2)
+    X, y = random_problem(rng, 30)
+    labels = [0, 1, 2] * 10
+    rbf = KernelSpec(kind="rbf", gamma=0.5)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 1)
+    block = solve_smo(gram_matrix(rbf, X), np.stack((y, -y)), [10.0, 1.0])
+    assert not block.converged.any()
+    assert block.iterations.tolist() == [1, 1]
+    with pytest.raises(NoConvergenceError):
+        train_binary(X, y, rbf, C=10.0)
+    with pytest.raises(NoConvergenceError):
+        train_multiclass(X, labels, strategy, rbf, 10.0)
+    report = grid_search(
+        Dataset(X, labels), "rbf", c_grid=[1.0, 10.0], param_grid=[0.5], strategy=strategy,
+        k=3, seed=0,
+    )
+    assert [e.error for e in report.entries] == ["NoConvergence", "NoConvergence"]
+
+
 def test_bad_hyperparameters():
     with pytest.raises(ValueError):
         train_binary(XOR_X, XOR_Y, LINEAR, C=0.0)
-    with pytest.raises(ValueError):
-        train_binary(XOR_X, XOR_Y, LINEAR, C=1.0, tol=0.0)
 
 
 def test_decision_dimension_mismatch():
@@ -276,7 +298,9 @@ def test_box_and_equality_constraints(seed, n, sliced, spec, C):
 @given(**SMO_CASES)
 def test_kkt_within_tolerance(seed, n, sliced, spec, C):
     X, y, gram = smo_problem(seed, n, sliced, spec)
-    model = train_binary(X, y, spec, C=C, tol=1e-3, gram=gram)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svm, "DEFAULT_TOL", 1e-3)
+        model = train_binary(X, y, spec, C=C, gram=gram)
     assert max_kkt_violation(model, X, y, C) <= 1e-3 + 1e-9
 
 
@@ -300,18 +324,21 @@ def assert_same_model(got, want):
     assert got.meta == want.meta
 
 
-def assert_same_as_scalar_loop(block, p, X, y, spec, C, gram, max_iter=DEFAULT_MAX_ITER):
+def assert_same_as_scalar_loop(block, p, X, y, spec, C, gram):
     """Problem p of a lockstep block comes out as the scalar loop's: the same
     model when it converged, else the same NoConvergenceError after
-    `max_iter` updates, with the same violation and message. Without an
-    explicit cap this covers draws that neither solver finishes within the
-    default budget."""
+    `svm.DEFAULT_MAX_ITER` updates, with the same violation and message.
+    The scalar loop gets the solver's stopping rule as it reads now, so a
+    cap patched around both calls reaches both. Unpatched this covers draws
+    that neither solver finishes within the default budget."""
+    max_iter = svm.DEFAULT_MAX_ITER
+    rule = dict(tol=svm.DEFAULT_TOL, max_iter=max_iter, gram=gram)
     if block.converged[p]:
-        want = reference_train_binary(X, y, spec, C, max_iter=max_iter, gram=gram)
+        want = reference_train_binary(X, y, spec, C, **rule)
         assert_same_model(binary_model(block, p, X, spec), want)
         return
     with pytest.raises(NoConvergenceError) as expected:
-        reference_train_binary(X, y, spec, C, max_iter=max_iter, gram=gram)
+        reference_train_binary(X, y, spec, C, **rule)
     with pytest.raises(NoConvergenceError) as got:
         binary_model(block, p, X, spec)
     assert block.iterations[p] == got.value.iterations == expected.value.iterations == max_iter
@@ -345,17 +372,17 @@ def test_lockstep_solver_equals_scalar_loop(seed, n, sliced, spec, c_values):
         assert_same_as_scalar_loop(block, p, X, y, spec, C, gram)
 
 
-def test_lockstep_max_iter_fails_only_the_slow_problems():
+def test_lockstep_max_iter_fails_only_the_slow_problems(monkeypatch):
     spec = KernelSpec(kind="rbf", gamma=0.8)
     X, Y, gram = block_problem(3, 24, False, spec, 8)
     c_values = [0.5, 100.0, 1.0, 10.0, 100.0, 0.5, 10.0, 1.0]
     full = list(solve_smo(gram, Y, c_values).iterations)
-    max_iter = sorted(full)[len(full) // 2]
-    block = solve_smo(gram, Y, c_values, max_iter=max_iter)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", sorted(full)[len(full) // 2])
+    block = solve_smo(gram, Y, c_values)
     failed = ~block.converged
     assert failed.any() and not failed.all()
     for p, (y, C) in enumerate(zip(Y, c_values)):
-        assert_same_as_scalar_loop(block, p, X, y, spec, C, gram, max_iter)
+        assert_same_as_scalar_loop(block, p, X, y, spec, C, gram)
 
 
 # --- member blocks: problems over their own rows of one matrix ----------------------------
@@ -432,18 +459,16 @@ def one_vs_one_block(spec, c_values):
     return X, gram, members, Y, subsets, c_values * 6
 
 
-def test_member_block_max_iter_fails_only_the_slow_pairs():
+def test_member_block_max_iter_fails_only_the_slow_pairs(monkeypatch):
     spec = KernelSpec(kind="rbf", gamma=0.8)
     X, gram, members, Y, subsets, C_all = one_vs_one_block(spec, [0.5, 100.0])
     full = list(solve_smo(gram, Y, C_all, members=members).iterations)
-    max_iter = sorted(full)[len(full) // 2]
-    block = solve_smo(gram, Y, C_all, max_iter=max_iter, members=members)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", sorted(full)[len(full) // 2])
+    block = solve_smo(gram, Y, C_all, members=members)
     failed = ~block.converged
     assert failed.any() and not failed.all()
     for p, (rows, y, C) in enumerate(zip(subsets, Y, C_all)):
-        assert_same_as_scalar_loop(
-            block, p, X[rows], y, spec, C, gram[np.ix_(rows, rows)], max_iter
-        )
+        assert_same_as_scalar_loop(block, p, X[rows], y, spec, C, gram[np.ix_(rows, rows)])
 
 
 @pytest.mark.parametrize(
@@ -472,31 +497,31 @@ def test_solver_names_a_c_count_that_is_not_one_per_problem(c_values):
         solve_smo(gram, Y, c_values)
 
 
-def test_solver_rejects_bad_c_and_tol():
+def test_solver_rejects_bad_c():
     X, Y, gram = block_problem(4, 6, False, LINEAR, 2)
     with pytest.raises(InvalidConfigError):
         solve_smo(gram, Y, [1.0, 0.0])
-    with pytest.raises(InvalidConfigError):
-        solve_smo(gram, Y, [1.0, 1.0], tol=0.0)
 
 
-def test_separable_margin_matches_analytic():
+def test_separable_margin_matches_analytic(monkeypatch):
     # two parallel point clusters at distance 4 -> margin 4, w = (0.5, 0)
     X = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
     y = np.array([-1.0, -1.0, 1.0, 1.0])
-    model = train_binary(X, y, LINEAR, C=1e3, tol=1e-6)
+    monkeypatch.setattr(svm, "DEFAULT_TOL", 1e-6)
+    model = train_binary(X, y, LINEAR, C=1e3)
     w = model.dual_coeffs @ model.support_vectors
     assert 2.0 / np.linalg.norm(w) == pytest.approx(4.0, abs=1e-3)
 
 
-def test_dual_objective_meets_oracle_small_instances():
+def test_dual_objective_meets_oracle_small_instances(monkeypatch):
     rng = np.random.default_rng(5)
+    monkeypatch.setattr(svm, "DEFAULT_TOL", 1e-4)
     for trial in range(8):
         n = int(rng.integers(4, 7))
         X, y = random_problem(rng, n)
         spec = LINEAR if trial % 2 == 0 else KernelSpec(kind="rbf", gamma=1.0)
         C = 1.0 if trial % 4 < 2 else 10.0
-        model = train_binary(X, y, spec, C=C, tol=1e-4)
+        model = train_binary(X, y, spec, C=C)
         alpha = recover_alpha(model, X, y)
         ours = dual_objective(alpha, y, kernel_matrix(spec, X))
         assert ours >= oracle_best_dual(X, y, spec, C) - 1e-4

@@ -37,6 +37,8 @@ def test_config_validation():
         SynthConfig(classes=2, per_class=5, scale_min=0.5)
     with pytest.raises(InvalidConfigError):
         SynthConfig(classes=2, per_class=0)
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        SynthConfig(classes=2, per_class=5, seed=-1)
 
 
 def test_file_counts_and_layout(tmp_path):
