@@ -107,6 +107,8 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 def _check_seed(seed: int) -> None:
     """InvalidConfigError for a seed numpy refuses, before anything is drawn."""
+    if not isinstance(seed, (int, np.integer)):
+        raise InvalidConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise InvalidConfigError(f"seed must be >= 0, got {seed}")
 

@@ -1,10 +1,14 @@
 """Binary soft-margin kernel SVM with an SMO dual solver.
 
-The solver is sequential minimal optimization over the maximal
-KKT-violating pair (Keerthi's working-set selection), deterministic with
+The solver is sequential minimal optimization with second-order
+working-set selection (Fan, Chen & Lin, JMLR 2005; LIBSVM's default): i
+violates the KKT conditions most, and j gains the most objective with i.
+It stops at the maximal KKT violation, and it is deterministic with
 lowest-index tie-breaking, so identical inputs always produce identical
 models. Binary problems that share a kernel matrix are solved in lockstep,
-each with its own arithmetic.
+each with its own arithmetic; a problem that differs from the one before
+it only in C rides on that problem's updates for as long as C cannot
+change them.
 """
 
 from __future__ import annotations
@@ -185,10 +189,13 @@ class BinaryModel:
 class DualBlock:
     """Where SMO left a block of binary problems, one row per problem: labels
     in +-1 (0 pads a problem after its real samples), box bounds C,
-    multipliers, y_i times the dual gradient, pair updates made, the last
-    maximal KKT violation and whether the problem converged: its violation
-    dropped to `DEFAULT_TOL` before `DEFAULT_MAX_ITER` updates ran out, as
-    `solve_smo` read the two."""
+    multipliers, y_i times the dual gradient, the pair updates of the
+    problem's own solve, the last maximal KKT violation and whether the
+    problem converged: its violation dropped to `DEFAULT_TOL` before
+    `DEFAULT_MAX_ITER` updates ran out, as `solve_smo` read the two. A row
+    that rode on another row of its family holds what solving it alone
+    gives, so `iterations` counts the updates that solve makes, not the
+    trips that stepped the row."""
 
     Y: np.ndarray
     C: np.ndarray
@@ -228,13 +235,29 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
 
     Row p of the (problems, n) array `Y` holds problem p's labels in +-1 and
     `C[p]` its box bound; a C list of another length is
-    DimensionMismatchError. Each trip takes every unfinished problem through
-    one pair update as array operations over all of them: its own maximal
-    KKT-violating pair (Keerthi's rule, lowest index on ties), the curvature
-    floor, the step clipped to the box, the snap onto the box and the
-    gradient update. Each problem's arithmetic is that of solving it alone,
-    so its solution is too. A problem leaves the block once its violation
-    drops to `DEFAULT_TOL`, or unconverged after `DEFAULT_MAX_ITER` updates.
+    DimensionMismatchError. Each trip takes every stepped problem through
+    one pair update as array operations over all of them:
+    - i is the sample whose y_i * alpha_i can rise with the largest
+      up_i = y_i * gradient_i, and j is chosen by second-order working-set
+      selection (Fan, Chen & Lin 2005): among the samples t whose
+      y_t * alpha_t can fall with b_t = up_i - low_t > 0, the largest
+      b_t^2 / a_t, where a_t = K_ii + K_tt - 2 K_it is floored at
+      `CURVATURE_FLOOR`. Ties go to the lowest index.
+    - The step b_ij / a_ij is clipped to the box, the two multipliers are
+      snapped onto it, and the gradient is updated.
+    A problem stops once its maximal KKT violation (largest up minus
+    smallest low) drops to `DEFAULT_TOL`, or unconverged after
+    `DEFAULT_MAX_ITER` of its own updates.
+
+    Consecutive rows with equal labels (and equal `members`) form a family,
+    as one problem of a multiclass reduction at several C values does. Only
+    the family's first row of smallest C is stepped; the other rows ride on
+    it and copy its result when it finishes. A trip whose arithmetic could
+    depend on C (a multiplier passes C minus its snap, or lands between its
+    own snap to 0 and the largest rider's) hands the riders of larger C a
+    copy of the state before it, and they go on as a family of their own,
+    one trip behind. So each problem's arithmetic is that of solving it
+    alone, and so is its solution.
 
     Without `members` every problem trains on all rows of `gram`. With it,
     row p of the integer (problems, m) array `members` lists the rows
@@ -244,10 +267,10 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
 
     The result is one DualBlock of the problems in the order of `Y`, which
     it holds as given. A trip reads the i rows of the kernel matrix for
-    every problem with one take, K[i, j] from them, and the j rows with one
-    more. Each problem's multipliers are updated in place in the
-    block; its gradient, pair updates, violation and convergence are written
-    once, when it leaves the block.
+    every stepped problem with one take, every curvature a_t from them,
+    and the j rows with one more. Each stepped problem's multipliers
+    are updated in place in the block; its gradient, pair updates,
+    violation and convergence are written once, when it finishes.
     """
     tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     Y = np.asarray(Y, dtype=np.float64)
@@ -279,56 +302,84 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
     )
     diag = np.diagonal(gram).copy()
     flat_gram = gram.ravel()
-    alpha = block.alpha  # every problem's multipliers, updated in place
+    alpha = block.alpha  # every stepped problem's multipliers, updated in place
+    # families: runs of equal rows. head[p] is the row that problem p rides
+    # on, the first row of least C of its family (p itself when stepped).
+    same = (Y[1:] == Y[:-1]).all(axis=1)
+    if members is not None:
+        same &= (members[1:] == members[:-1]).all(axis=1)
+    family = np.concatenate(([0], np.cumsum(~same)))[:problems]
+    order = np.lexsort((C, family))
+    head = order[np.flatnonzero(np.diff(family[order], prepend=-1))][family]
+    live = np.flatnonzero(head == np.arange(problems))  # the problem each live row steps
+    birth = np.zeros(live.size, dtype=np.int64)  # trips made before a live row's first update
+    all_members = members
     # y_i * dW/dalpha_i where y_i * alpha_i can rise (up) or fall (low), and
     # -inf / +inf where it cannot: at alpha = 0 it can rise only for y = +1 and
     # fall only for y = -1, and padding can do neither. Every real sample is in
     # at least one of the two, and an update changes that only for its own
     # pair, so the gradient itself need not be kept apart (its value at
     # alpha = 0 is y).
-    up = np.where(Y > 0, Y, -np.inf)
-    low = np.where(Y < 0, Y, np.inf)
-    live = np.arange(problems)  # the problem each row of the live state belongs to
-    iterations = 0
+    up = np.where(Y[live] > 0, Y[live], -np.inf)
+    low = np.where(Y[live] < 0, Y[live], np.inf)
+    iterations = 0  # trips made
     while live.size:
         count = live.size
+        start = np.arange(count) * width  # the start of each row of the live state
+        if all_members is not None:
+            members = all_members[live]
+        row_diag = diag if members is None else diag.take(members)
         # the pair (i, j) of every row side by side: i first, then j, with
-        # the start of its row in the live state (up, low, members) and in
-        # the block (Y, alpha), and its C
+        # the start of its row in the live state and in the block, and its C
         pair_start, pair_block_start, pair_C = (
-            np.concatenate((a, a)) for a in (np.arange(count) * width, live * width, C[live])
+            np.concatenate((a, a)) for a in (start, live * width, C[live])
         )
         # keep the box constraint exact despite rounding in the update
         pair_snap = 1e-12 * np.maximum(1.0, pair_C)
         pair_top = pair_C - pair_snap
+        # the largest C riding on each live row; a multiplier past pair_top,
+        # or in [pair_snap, the rider's snap), would move differently there
+        rider_C = np.zeros(problems)
+        np.maximum.at(rider_C, head, C)
+        rider_C = np.concatenate((rider_C[live], rider_C[live]))
+        fanned = rider_C > pair_C
+        sharing = fanned.any()
+        split_top = np.where(fanned, pair_top, np.inf)
+        rider_snap = 1e-12 * np.maximum(1.0, rider_C)
+        cap = max_iter + birth
+        first_cap = cap.min()
         while True:
-            ij = np.concatenate((up.argmax(axis=1), low.argmin(axis=1)))
-            flat = pair_start + ij
-            slot = pair_block_start + ij
-            flat_i, flat_j = flat[:count], flat[count:]
-            violation = up.take(flat_i) - low.take(flat_j)
+            behind = None
+            i = up.argmax(axis=1)
+            flat_i = start + i
+            up_i = up.take(flat_i)
+            violation = up_i - low.min(axis=1)
             done = violation <= tol
-            if iterations >= max_iter:
-                done[:] = True
+            if iterations >= first_cap:
+                done |= cap <= iterations
             if done.any():
                 break
             # the i rows of the kernel matrix against each problem's own
-            # samples, K[i, j] read from them, minus the j rows (two takes of
-            # one block each run faster than one take of both)
+            # samples; K[i, t] gives every curvature a_t
             if members is None:
-                g = ij
-                delta = gram.take(ij[:count], axis=0)
-                k_ij = delta.take(flat_j)
-                delta -= gram.take(ij[count:], axis=0)
+                g_i = i
+                k_i = gram.take(i, axis=0)
             else:
-                g = members.take(flat)
-                delta = flat_gram.take(g[:count, None] * n + members)
-                k_ij = delta.take(flat_j)
-                delta -= flat_gram.take(g[count:, None] * n + members)
-            pair_diag = diag.take(g)
-            curvature = np.maximum(
-                pair_diag[:count] + pair_diag[count:] - 2.0 * k_ij, CURVATURE_FLOOR
-            )
+                g_i = members.take(flat_i)
+                k_i = flat_gram.take(g_i[:, None] * n + members)
+            curvature = diag.take(g_i)[:, None] + row_diag
+            curvature -= 2.0 * k_i
+            np.maximum(curvature, CURVATURE_FLOOR, out=curvature)
+            # b_t^2 / a_t where b_t = up_i - low_t > 0, else 0: the maximal
+            # violating t scores above 0, so no such 0 wins
+            gain = up_i[:, None] - low
+            np.maximum(gain, 0.0, out=gain)
+            gain *= gain
+            gain /= curvature
+            ij = np.concatenate((i, gain.argmax(axis=1)))
+            flat = pair_start + ij
+            slot = pair_block_start + ij
+            flat_j = flat[count:]
             y = Y.take(slot)
             bound = y * pair_C  # y_i * alpha_i lies in [min(bound, 0), max(bound, 0)]
             upper = np.maximum(bound, 0.0)
@@ -337,29 +388,57 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
             ya = y * pair_alpha
             step = np.minimum(
                 np.minimum(upper[:count] - ya[:count], ya[count:] - lower[count:]),
-                violation / curvature,
+                (up_i - low.take(flat_j)) / curvature.take(flat_j),
             )
-            delta *= step[:, None]
-            up -= delta
-            low -= delta
+            moved = pair_alpha + y * np.concatenate((step, -step))
+            if sharing:
+                split = (moved > split_top) | ((moved >= pair_snap) & (moved < rider_snap))
+                split = np.flatnonzero(split[:count] | split[count:])
+                if split.size:  # the riders' state before this trip
+                    behind = split, up[split], low[split], alpha[live[split]]
+            moved = np.where(moved < pair_snap, 0.0, np.where(moved > pair_top, pair_C, moved))
+            # minus the j rows
+            if members is None:
+                k_i -= gram.take(ij[count:], axis=0)
+            else:
+                k_i -= flat_gram.take(members.take(flat_j)[:, None] * n + members)
+            k_i *= step[:, None]
+            up -= k_i
+            low -= k_i
             # the pair's own gradients: i could rise and j could fall before the step
             pair_yg = np.concatenate((up.take(flat_i), low.take(flat_j)))
-            moved = pair_alpha + y * np.concatenate((step, -step))
-            moved = np.where(moved < pair_snap, 0.0, np.where(moved > pair_top, pair_C, moved))
             alpha.put(slot, moved)
             ya = y * moved
             up.put(flat, np.where(ya < upper, pair_yg, -np.inf))
             low.put(flat, np.where(ya > lower, pair_yg, np.inf))
             iterations += 1
-        finished, finished_up = live[done], up[done]
-        block.yg[finished] = np.where(finished_up > -np.inf, finished_up, low[done])
-        block.iterations[finished] = iterations
-        block.violation[finished] = violation[done]
-        block.converged[finished] = violation[done] <= tol
-        keep = ~done
-        up, low, live = up[keep], low[keep], live[keep]
-        if members is not None:
-            members = members[keep]
+            if behind is not None:
+                break
+        if behind is None:  # some problems finished
+            finished, finished_up = live[done], up[done]
+            block.yg[finished] = np.where(finished_up > -np.inf, finished_up, low[done])
+            block.iterations[finished] = iterations - birth[done]
+            block.violation[finished] = violation[done]
+            block.converged[finished] = violation[done] <= tol
+            keep = ~done
+            up, low, live, birth = up[keep], low[keep], live[keep], birth[keep]
+            continue
+        # the riders of larger C leave each split row as a family of their own
+        split, split_up, split_low, split_alpha = behind
+        leaders = []
+        for p in live[split]:
+            leaving = np.flatnonzero((head == p) & (C > C[p]))
+            head[leaving] = leaving[np.argmin(C[leaving])]
+            leaders.append(head[leaving[0]])
+        alpha[leaders] = split_alpha
+        live = np.concatenate((live, leaders))
+        birth = np.concatenate((birth, birth[split] + 1))
+        up = np.concatenate((up, split_up))
+        low = np.concatenate((low, split_low))
+    # every rider comes out as the row it rode on when that row finished
+    riders = np.flatnonzero(head != np.arange(problems))
+    for field in (alpha, block.yg, block.iterations, block.violation, block.converged):
+        field[riders] = field[head[riders]]
     return block
 
 

@@ -121,6 +121,8 @@ class SynthConfig:
             raise InvalidConfigError(
                 f"translation_px must be in [0, {MAX_TRANSLATION_PX}]"
             )
+        if not isinstance(self.seed, (int, np.integer)):
+            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -58,7 +58,10 @@ def reference_train_binary(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BinaryModel:
     """The scalar SMO loop that `solve_smo` runs in lockstep: one problem,
-    one pair update per trip, the model packaged at the end.
+    one pair update per trip, the model packaged at the end. i is the
+    sample that can rise with the largest y * gradient, j the second-order
+    choice among those that can fall (the largest b^2 / a), and the step
+    b / a is clipped to the box, each tie going to the lowest index.
 
     Stops once the maximal KKT violation drops to `tol`; raises
     NoConvergenceError with diagnostics if `max_iter` pair updates are not
@@ -85,8 +88,7 @@ def reference_train_binary(
         up_scores = np.where(in_up, yg, -np.inf)
         low_scores = np.where(in_low, yg, np.inf)
         i = int(np.argmax(up_scores))
-        j = int(np.argmin(low_scores))
-        violation = float(up_scores[i] - low_scores[j])
+        violation = float(up_scores[i] - np.min(low_scores))
         if violation <= tol:
             break
         if iterations >= max_iter:
@@ -97,12 +99,17 @@ def reference_train_binary(
                 violation=violation,
             )
         k_i = gram[i]
+        # second-order selection: the j of largest gain b^2 / a among the
+        # samples that can fall with b = up_i - low_j > 0, where a is the
+        # pair's curvature, floored
+        b = up_scores[i] - low_scores
+        a = np.maximum(k_i[i] + np.diagonal(gram) - 2.0 * k_i, CURVATURE_FLOOR)
+        j = int(np.argmax(np.where(b > 0, b * b / a, -np.inf)))
         k_j = gram[j]
-        curvature = max(k_i[i] + k_j[j] - 2.0 * k_i[j], CURVATURE_FLOOR)
         step = min(
             upper[i] - ya[i],
             ya[j] - lower[j],
-            violation / curvature,
+            b[j] / a[j],
         )
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step

@@ -2,7 +2,7 @@
 
 Pinned: a saved model, a grid CSV and the cross-validation details of each
 multiclass strategy, the version-1 files of the same two models (which must
-still load and predict), the SMO work of the one-vs-one grid, the records of
+still load and predict), the SMO work of each strategy's grid, the records of
 a small noisy page and the feature rows of single glyphs.
 
 A change that alters training or prediction arithmetic changes one of these
@@ -23,19 +23,20 @@ from glyphsvm.preprocess import preprocess_character, preprocess_page, rotate_bi
 from glyphsvm.svm import KernelSpec
 from glyphsvm.synth import SynthConfig, render_sample
 
-MODEL_SHA256 = "0335e473ef930063444eaffecafa9dd325a3c6daaaf6a0ecc1172cc2121deb73"
+MODEL_SHA256 = "5834e4acac8839ff5212aa74b2ee8189da0910fc0c4cf1357af218b64f3d603c"
 GRID_CSV_SHA256 = "666d15f06315c888201568ec8c958ab0e6cad5fe88ad8a3f7ed50f3fbf01e52e"
 PAGE_RECORDS_SHA256 = "af2a2b39fde6f948085427ce7bcb5c23b82b1abf88ac8a22058067648cd6487b"
 GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597fd2e9ce7a"
-OVO_MODEL_SHA256 = "3e4ad5e4804d5006410fd58b859767c13556c5f69f34e89ad468a3015e72eefc"
+OVO_MODEL_SHA256 = "d4fc20f81f0d515a1293a8f11f6fd9573c63452bc34e5871b581bd420ffc3dd4"
 # the same two models as written by the version-1 writer, kept in tests/data
 V1_MODEL_SHA256 = {
-    "ova": "d40189fb22563085845e42e66c7ca334b5dcfed45b88634b1ed72df20d4d8186",
-    "ovo": "74d7c22162bc2bc0598a002130365e03b4a3092a775c47bc41341e7471e78b7e",
+    "ova": "97b8db899d2d242e2157af5d7571663c110c6bf99013da9c2c649f44b3a1689e",
+    "ovo": "c4569e804af255cfebe9c721d13d187c536e098f389e5db73d2bb75412a4de77",
 }
 OVO_GRID_CSV_SHA256 = "a7868ec24927dfc375aba7032d0212f66da66735d984dc1f86fec267ce27fada"
-# SMO pair updates summed over each cell's folds and pairs, in entry order
-OVO_GRID_ITERATIONS = [150, 121, 416, 209]
+# SMO pair updates summed over each cell's folds and problems, in entry order
+OVA_GRID_ITERATIONS = [202, 157, 562, 263]
+OVO_GRID_ITERATIONS = [125, 113, 308, 184]
 # mean and fold accuracies, then each fold's scaling mins and maxs
 CV_DETAILS_SHA256 = {
     "ova": "a58372d3407d2011be43062c3fcae089fd9893e108410d1906b41816881e12b2",
@@ -62,6 +63,7 @@ def test_golden_grid_csv():
     )
     csv = "\n".join(report.csv_lines()) + "\n"
     assert sha256(csv.encode()) == GRID_CSV_SHA256, csv
+    assert [e.iterations for e in report.entries] == OVA_GRID_ITERATIONS
 
 
 def test_golden_model_bytes(tmp_path):

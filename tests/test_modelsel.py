@@ -488,6 +488,20 @@ def test_negative_seed_is_invalid_config_at_every_entry_point():
             call()
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_a_seed_that_is_no_integer_is_invalid_config(seed):
+    # numpy's "SeedSequence expects int" TypeError used to escape
+    data = separable_dataset(np.random.default_rng(26), n_per_class=10)
+    calls = [
+        lambda: kfold_split(10, 2, seed=seed),
+        lambda: split_train_test(data, 0.5, seed=seed),
+        lambda: cross_validate(data, LINEAR, 1.0, k=2, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+            call()
+
+
 def test_repeat_pooled_confusion_sums_repetitions_by_class_id():
     rng = np.random.default_rng(27)
     base = separable_dataset(rng, n_per_class=10, classes=3)
@@ -513,11 +527,12 @@ def test_repeat_pooled_confusion_sums_repetitions_by_class_id():
 
 
 def test_repeat_raises_the_error_of_its_failing_repetition(monkeypatch):
-    # under a cap of 100 pair updates, C = 32 trains the first split and
-    # fails on the second and every later one
+    # under a cap of 40 pair updates, C = 32 trains the first split and
+    # fails on the second and every later one (the slowest classes of the
+    # four splits need 25, 120, 51 and 71)
     data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
     rbf = KernelSpec(kind="rbf", gamma=0.5)
-    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 100)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 40)
     failed = []
     for rep, rep_seed in enumerate(np.random.SeedSequence(3).generate_state(4).tolist()):
         train_part, _ = split_train_test(data, 0.8, rep_seed)
@@ -530,4 +545,4 @@ def test_repeat_raises_the_error_of_its_failing_repetition(monkeypatch):
     with pytest.raises(NoConvergenceError) as excinfo:
         repeat_evaluate(data, rbf, 32.0, repetitions=4, seed=3)
     assert str(excinfo.value) == str(first)
-    assert (excinfo.value.context, excinfo.value.iterations) == (first.context, 100)
+    assert (excinfo.value.context, excinfo.value.iterations) == (first.context, 40)

@@ -41,6 +41,13 @@ def test_config_validation():
         SynthConfig(classes=2, per_class=5, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_a_seed_that_is_no_integer_is_invalid_config(seed):
+    # numpy's "seed must be integer" TypeError used to escape from render_sample
+    with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+        SynthConfig(classes=2, per_class=1, seed=seed)
+
+
 def test_file_counts_and_layout(tmp_path):
     config = SynthConfig(classes=4, per_class=6, seed=7)
     written = generate_synthetic_dataset(config, tmp_path)
