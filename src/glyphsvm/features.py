@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError, InvalidConfigError, MixedDimensionsError, UnreadableFileError,
-    WrongDimensionsError,
+    DimensionMismatchError, InvalidConfigError, MixedDimensionsError, NonFiniteInputError,
+    UnreadableFileError, WrongDimensionsError,
 )
 from .fileio import format_float, write_atomic
 from .preprocess import (
@@ -123,10 +123,10 @@ def csv_header(config: FeatureConfig) -> str:
 def write_features_csv(path, labels, vectors, config: FeatureConfig) -> None:
     """One row per character: label, then the feature values in vector order.
     A vector whose length is not `config.total_count` is
-    DimensionMismatchError, and a label that would not read back as itself
-    (empty, holding a comma or a line break, or with surrounding whitespace)
-    is InvalidConfigError, both before anything is written; the file is
-    replaced atomically."""
+    DimensionMismatchError, a NaN or infinite value NonFiniteInputError, and
+    a label that would not read back as itself (empty, holding a comma or a
+    line break, or with surrounding whitespace) InvalidConfigError, each
+    before anything is written; the file is replaced atomically."""
     lines = [csv_header(config)]
     for label, vec in zip(labels, vectors):
         text = str(label)
@@ -136,6 +136,8 @@ def write_features_csv(path, labels, vectors, config: FeatureConfig) -> None:
             raise DimensionMismatchError(
                 f"{path}: a row has {len(vec)} features, the header {config.total_count}"
             )
+        if not np.isfinite(vec).all():
+            raise NonFiniteInputError(f"{path}: a row labelled {text!r} is not finite")
         lines.append(",".join([text] + [format_float(v) for v in vec]))
     write_atomic(path, "\n".join(lines) + "\n")
 

@@ -71,7 +71,7 @@ def split_train_test(
         raise InvalidConfigError(
             f"train_fraction must be strictly between 0 and 1, got {train_fraction}"
         )
-    _check_seed(seed)
+    check_seed(seed)
     n = len(data)
     rng = np.random.default_rng(seed)
     if stratified:
@@ -100,13 +100,14 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Seeded shuffle then near-equal partition: fold sizes differ by <= 1."""
     if k < 2 or k > n:
         raise BadKError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
-    _check_seed(seed)
+    check_seed(seed)
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(fold) for fold in np.array_split(perm, k)]
 
 
-def _check_seed(seed: int) -> None:
-    """InvalidConfigError for a seed numpy refuses, before anything is drawn."""
+def check_seed(seed: int) -> None:
+    """InvalidConfigError for a seed numpy refuses, before anything is drawn:
+    one that is not an integer or is negative. The package's one seed rule."""
     if not isinstance(seed, (int, np.integer)):
         raise InvalidConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
@@ -424,7 +425,7 @@ def repeat_evaluate(
     """
     if repetitions < 1:
         raise InvalidConfigError(f"repetitions must be >= 1, got {repetitions}")
-    _check_seed(seed)
+    check_seed(seed)
 
     classes, truth, predicted, iteration_acc = set(), [], [], []
     for rep_seed in np.random.SeedSequence(seed).generate_state(repetitions).tolist():

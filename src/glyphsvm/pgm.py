@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnreadableFileError
+from .errors import NonFiniteInputError, UnreadableFileError, WrongDimensionsError
 from .fileio import write_atomic
 
 
@@ -93,12 +93,28 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(height, width)
 
 
+def check_gray(img) -> np.ndarray:
+    """`img` as a 2-D uint8 grayscale image. An image that is not 2-D or is
+    empty is WrongDimensionsError, a NaN or infinite intensity
+    NonFiniteInputError and one outside [0, 255] ValueError; other
+    intensities are truncated to integers."""
+    img = np.asarray(img)
+    if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
+        raise WrongDimensionsError("expected a 2-D grayscale image")
+    if img.dtype != np.uint8:
+        if not np.isfinite(img).all():
+            raise NonFiniteInputError("intensities must be finite")
+        if img.min() < 0 or img.max() > 255:
+            raise ValueError("intensities must lie in [0, 255]")
+        img = img.astype(np.uint8)
+    return img
+
+
 def write_pgm(gray: np.ndarray, path) -> None:
-    """Write a 2-D uint8 array as binary PGM (P5), atomically."""
-    img = np.asarray(gray)
-    if img.ndim != 2:
-        raise ValueError("write_pgm expects a 2-D array")
-    img = img.astype(np.uint8)
+    """Write a grayscale image as binary PGM (P5), atomically. `check_gray`
+    refuses what `read_pgm` could not give back before anything is written,
+    so a refused image leaves an existing file as it was."""
+    img = check_gray(gray)
     height, width = img.shape
     write_atomic(path, b"P5\n%d %d\n255\n" % (width, height) + img.tobytes())
 

@@ -15,10 +15,10 @@ from .errors import (
     AngleOutOfRangeError,
     EmptyCropError,
     EmptyPageError,
-    NonFiniteInputError,
     UniformImageError,
     WrongDimensionsError,
 )
+from .pgm import check_gray
 
 NORMALIZED_SIZE = 32
 MIN_COMPONENT_AREA = 5
@@ -58,19 +58,6 @@ class CharacterRecord:
             raise ValueError("skeleton foreground escapes normalized foreground")
 
 
-def _check_gray(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img)
-    if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
-        raise WrongDimensionsError("expected a 2-D grayscale image")
-    if img.dtype != np.uint8:
-        if not np.isfinite(img).all():
-            raise NonFiniteInputError("intensities must be finite")
-        if img.min() < 0 or img.max() > 255:
-            raise ValueError("intensities must lie in [0, 255]")
-        img = img.astype(np.uint8)
-    return img
-
-
 def _check_binary(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim != 2:
@@ -92,7 +79,7 @@ def median_filter(img: np.ndarray) -> np.ndarray:
     Selects each window's median with a fixed network of elementwise
     min/max exchanges over the nine shifted planes.
     """
-    img = _check_gray(img)
+    img = check_gray(img)
     h, w = img.shape
     padded = np.pad(img, 1, mode="edge")
     planes = [padded[r : r + h, c : c + w] for r in range(3) for c in range(3)]
@@ -109,7 +96,7 @@ def otsu_binarize(img: np.ndarray):
     smallest t in [0, 254] maximizing the between-class variance of the
     256-bin histogram.
     """
-    img = _check_gray(img)
+    img = check_gray(img)
     hist = np.bincount(img.ravel(), minlength=256).astype(np.float64)
     if np.count_nonzero(hist) < 2:
         raise UniformImageError("image has a single intensity; cannot binarize")

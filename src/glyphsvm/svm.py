@@ -6,9 +6,9 @@ violates the KKT conditions most, and j gains the most objective with i.
 It stops at the maximal KKT violation, and it is deterministic with
 lowest-index tie-breaking, so identical inputs always produce identical
 models. Binary problems that share a kernel matrix are solved in lockstep,
-each with its own arithmetic; a problem that differs from the one before
-it only in C rides on that problem's updates for as long as C cannot
-change them.
+each with its own arithmetic. C enters an update only through the box, so
+problems that differ only in C ride on the updates of the least C until
+one of them would take a multiplier to that C.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
     NoConvergenceError,
+    NonFiniteInputError,
     SingleClassError,
 )
 
@@ -113,7 +114,9 @@ def validate_c(c_values) -> list[float]:
 
 def kernel_against(spec: KernelSpec, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """Kernel values of a 2-D block of probes against a 2-D stack of rows,
-    as a (probes, rows) matrix. Any other shape is DimensionMismatchError.
+    as a (probes, rows) matrix. Any other shape is DimensionMismatchError,
+    and a value that is not finite (the kernel overflowed, or an input was
+    not finite) is NonFiniteInputError.
 
     RBF is expanded as ||p||^2 + ||r||^2 - 2 p.r, clipped at 0, as LIBSVM
     computes it, so memory stays probes x rows, not probes x rows x dimension.
@@ -122,18 +125,24 @@ def kernel_against(spec: KernelSpec, rows: np.ndarray, probes: np.ndarray) -> np
     probes = np.asarray(probes, dtype=np.float64)
     if rows.ndim != 2 or probes.ndim != 2 or rows.shape[1] != probes.shape[1]:
         raise DimensionMismatchError(f"kernel of {rows.shape} rows against {probes.shape} probes")
-    dot = probes @ rows.T
-    if spec.kind == "rbf":
-        sq_dist = np.einsum("ij,ij->i", probes, probes)[:, None] + np.einsum("ij,ij->i", rows, rows)
-        sq_dist -= 2.0 * dot
-        np.maximum(sq_dist, 0.0, out=sq_dist)
-        sq_dist *= -spec.gamma
-        return np.exp(sq_dist, out=sq_dist)
-    if spec.kind == "linear":
-        return dot
-    if spec.kind == "poly":
-        return (dot + 1.0) ** spec.degree
-    return np.tanh(spec.slope * dot + spec.offset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = probes @ rows.T
+        if spec.kind == "rbf":
+            probe_sq = np.einsum("ij,ij->i", probes, probes)
+            sq_dist = probe_sq[:, None] + np.einsum("ij,ij->i", rows, rows)
+            sq_dist -= 2.0 * values
+            np.maximum(sq_dist, 0.0, out=sq_dist)
+            sq_dist *= -spec.gamma
+            values = np.exp(sq_dist, out=sq_dist)
+        elif spec.kind == "poly":
+            values = (values + 1.0) ** spec.degree
+        elif spec.kind == "sigmoid":
+            values = np.tanh(spec.slope * values + spec.offset)
+    if not np.isfinite(values).all():
+        raise NonFiniteInputError(
+            f"{spec.describe()} kernel is not finite: it overflowed, or an input is not finite"
+        )
+    return values
 
 
 def gram_matrix(spec: KernelSpec, samples) -> np.ndarray:
@@ -193,9 +202,10 @@ class DualBlock:
     problem's own solve, the last maximal KKT violation and whether the
     problem converged: its violation dropped to `DEFAULT_TOL` before
     `DEFAULT_MAX_ITER` updates ran out, as `solve_smo` read the two. A row
-    that rode on another row of its family holds what solving it alone
-    gives, so `iterations` counts the updates that solve makes, not the
-    trips that stepped the row."""
+    that rode on the row of least C of its family, until an update of that
+    row would take a multiplier to its C, holds what solving it alone gives,
+    so `iterations` counts the updates that solve makes, not the trips that
+    stepped the row."""
 
     Y: np.ndarray
     C: np.ndarray
@@ -243,8 +253,9 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
       y_t * alpha_t can fall with b_t = up_i - low_t > 0, the largest
       b_t^2 / a_t, where a_t = K_ii + K_tt - 2 K_it is floored at
       `CURVATURE_FLOOR`. Ties go to the lowest index.
-    - The step b_ij / a_ij is clipped to the box, the two multipliers are
-      snapped onto it, and the gradient is updated.
+    - The step b_ij / a_ij is clipped to the box and the gradient is
+      updated. A multiplier below 1e-12 becomes 0 whatever C, and one
+      within 1e-12 * max(1, C) of C becomes C, so C enters only the box.
     A problem stops once its maximal KKT violation (largest up minus
     smallest low) drops to `DEFAULT_TOL`, or unconverged after
     `DEFAULT_MAX_ITER` of its own updates.
@@ -252,12 +263,12 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
     Consecutive rows with equal labels (and equal `members`) form a family,
     as one problem of a multiclass reduction at several C values does. Only
     the family's first row of smallest C is stepped; the other rows ride on
-    it and copy its result when it finishes. A trip whose arithmetic could
-    depend on C (a multiplier passes C minus its snap, or lands between its
-    own snap to 0 and the largest rider's) hands the riders of larger C a
-    copy of the state before it, and they go on as a family of their own,
-    one trip behind. So each problem's arithmetic is that of solving it
-    alone, and so is its solution.
+    it and copy its result when it finishes. They leave on one event: a
+    trip would take a multiplier of the stepped row to its C, where a larger
+    C would move it differently. That trip is not applied; the riders of
+    larger C leave from the current state as a family of their own, and
+    every row makes the trip again. So each problem's arithmetic is that of
+    solving it alone, and so is its solution.
 
     Without `members` every problem trains on all rows of `gram`. With it,
     row p of the integer (problems, m) array `members` lists the rows
@@ -312,7 +323,6 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
     order = np.lexsort((C, family))
     head = order[np.flatnonzero(np.diff(family[order], prepend=-1))][family]
     live = np.flatnonzero(head == np.arange(problems))  # the problem each live row steps
-    birth = np.zeros(live.size, dtype=np.int64)  # trips made before a live row's first update
     all_members = members
     # y_i * dW/dalpha_i where y_i * alpha_i can rise (up) or fall (low), and
     # -inf / +inf where it cannot: at alpha = 0 it can rise only for y = +1 and
@@ -322,7 +332,7 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
     # alpha = 0 is y).
     up = np.where(Y[live] > 0, Y[live], -np.inf)
     low = np.where(Y[live] < 0, Y[live], np.inf)
-    iterations = 0  # trips made
+    iterations = 0  # trips made: the pair updates of every live row's problem
     while live.size:
         count = live.size
         start = np.arange(count) * width  # the start of each row of the live state
@@ -334,29 +344,24 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
         pair_start, pair_block_start, pair_C = (
             np.concatenate((a, a)) for a in (start, live * width, C[live])
         )
-        # keep the box constraint exact despite rounding in the update
-        pair_snap = 1e-12 * np.maximum(1.0, pair_C)
-        pair_top = pair_C - pair_snap
-        # the largest C riding on each live row; a multiplier past pair_top,
-        # or in [pair_snap, the rider's snap), would move differently there
+        # keep the box constraint exact despite rounding in the update: below
+        # 1e-12 is 0 whatever C, and past pair_top is C
+        pair_top = pair_C - 1e-12 * np.maximum(1.0, pair_C)
+        # whether a larger C rides on each live row; its multipliers must not
+        # reach the row's C, where they would move differently
         rider_C = np.zeros(problems)
         np.maximum.at(rider_C, head, C)
-        rider_C = np.concatenate((rider_C[live], rider_C[live]))
-        fanned = rider_C > pair_C
+        fanned = rider_C[live] > C[live]
         sharing = fanned.any()
-        split_top = np.where(fanned, pair_top, np.inf)
-        rider_snap = 1e-12 * np.maximum(1.0, rider_C)
-        cap = max_iter + birth
-        first_cap = cap.min()
+        split = np.zeros(count, dtype=bool)
         while True:
-            behind = None
             i = up.argmax(axis=1)
             flat_i = start + i
             up_i = up.take(flat_i)
             violation = up_i - low.min(axis=1)
             done = violation <= tol
-            if iterations >= first_cap:
-                done |= cap <= iterations
+            if iterations >= max_iter:
+                done[:] = True
             if done.any():
                 break
             # the i rows of the kernel matrix against each problem's own
@@ -391,12 +396,12 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
                 (up_i - low.take(flat_j)) / curvature.take(flat_j),
             )
             moved = pair_alpha + y * np.concatenate((step, -step))
+            top = moved > pair_top
             if sharing:
-                split = (moved > split_top) | ((moved >= pair_snap) & (moved < rider_snap))
-                split = np.flatnonzero(split[:count] | split[count:])
-                if split.size:  # the riders' state before this trip
-                    behind = split, up[split], low[split], alpha[live[split]]
-            moved = np.where(moved < pair_snap, 0.0, np.where(moved > pair_top, pair_C, moved))
+                split = (top[:count] | top[count:]) & fanned
+                if split.any():  # the trip is made again once the riders left
+                    break
+            moved = np.where(moved < 1e-12, 0.0, np.where(top, pair_C, moved))
             # minus the j rows
             if members is None:
                 k_i -= gram.take(ij[count:], axis=0)
@@ -412,29 +417,21 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
             up.put(flat, np.where(ya < upper, pair_yg, -np.inf))
             low.put(flat, np.where(ya > lower, pair_yg, np.inf))
             iterations += 1
-            if behind is not None:
-                break
-        if behind is None:  # some problems finished
-            finished, finished_up = live[done], up[done]
-            block.yg[finished] = np.where(finished_up > -np.inf, finished_up, low[done])
-            block.iterations[finished] = iterations - birth[done]
-            block.violation[finished] = violation[done]
-            block.converged[finished] = violation[done] <= tol
-            keep = ~done
-            up, low, live, birth = up[keep], low[keep], live[keep], birth[keep]
-            continue
-        # the riders of larger C leave each split row as a family of their own
-        split, split_up, split_low, split_alpha = behind
-        leaders = []
-        for p in live[split]:
+        # regroup: finished rows leave, and the riders of larger C leave each
+        # split row as a family of their own, from its state
+        finished, finished_up = live[done], up[done]
+        block.yg[finished] = np.where(finished_up > -np.inf, finished_up, low[done])
+        block.iterations[finished] = iterations
+        block.violation[finished] = violation[done]
+        block.converged[finished] = violation[done] <= tol
+        leaders = np.zeros(np.count_nonzero(split), dtype=np.intp)
+        for k, p in enumerate(live[split]):
             leaving = np.flatnonzero((head == p) & (C > C[p]))
-            head[leaving] = leaving[np.argmin(C[leaving])]
-            leaders.append(head[leaving[0]])
-        alpha[leaders] = split_alpha
-        live = np.concatenate((live, leaders))
-        birth = np.concatenate((birth, birth[split] + 1))
-        up = np.concatenate((up, split_up))
-        low = np.concatenate((low, split_low))
+            head[leaving] = leaders[k] = leaving[np.argmin(C[leaving])]
+        alpha[leaders] = alpha[live[split]]
+        keep = ~done
+        live = np.concatenate((live[keep], leaders))
+        up, low = (np.concatenate((a[keep], a[split])) for a in (up, low))
     # every rider comes out as the row it rode on when that row finished
     riders = np.flatnonzero(head != np.arange(problems))
     for field in (alpha, block.yg, block.iterations, block.violation, block.converged):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
+from .modelsel import check_seed
 from .pgm import write_pgm
 
 # Strokes live in unit coordinates centered on (0.5, 0.5); every control
@@ -121,10 +122,7 @@ class SynthConfig:
             raise InvalidConfigError(
                 f"translation_px must be in [0, {MAX_TRANSLATION_PX}]"
             )
-        if not isinstance(self.seed, (int, np.integer)):
-            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 def _transform_point(pt, rotation_deg, scale, translate):

@@ -113,12 +113,12 @@ def reference_train_binary(
         )
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
-        # keep the box constraint exact despite rounding in the update
-        snap = 1e-12 * max(1.0, C)
+        # keep the box constraint exact despite rounding in the update: below
+        # 1e-12 is 0 whatever C, and the snap onto C is relative to C
         for idx in (i, j):
-            if alpha[idx] < snap:
+            if alpha[idx] < 1e-12:
                 alpha[idx] = 0.0
-            elif alpha[idx] > C - snap:
+            elif alpha[idx] > C - 1e-12 * max(1.0, C):
                 alpha[idx] = C
         yg -= step * (k_i - k_j)
         iterations += 1

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -449,6 +454,35 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "datagen" in proc.stdout
+
+
+def run_module(cwd, *args):
+    """`python -m glyphsvm.cli` in a fresh process over this tree's `src`,
+    with Python's default warning filters."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "glyphsvm.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_runs_as_a_process(tmp_path):
+    proc = run_module(tmp_path, "--help")
+    assert proc.returncode == 0
+    assert "datagen" in proc.stdout
+    args = ["datagen", "--out-dir", "d", "--classes", "3", "--per-class", "4", "--seed", "1"]
+    assert run_module(tmp_path, *args).returncode == 0
+    # a degree-400 poly kernel overflows; it used to make a million NaN pair
+    # updates in a minute and end in NoConvergence after three RuntimeWarnings
+    args = ["train", "--data", "d", "--model", "m.gsvm", "--kernel", "poly", "--degree", "400"]
+    proc = run_module(tmp_path, *args)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: NonFiniteInput: ")
+    assert "Warning" not in proc.stderr
+    assert not (tmp_path / "m.gsvm").exists()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from glyphsvm.errors import (
     DimensionMismatchError,
     InvalidConfigError,
     MixedDimensionsError,
+    NonFiniteInputError,
     UnreadableFileError,
     WrongDimensionsError,
 )
@@ -293,6 +294,20 @@ def test_csv_writer_rejects_a_label_that_would_not_read_back(tmp_path, bad):
     with pytest.raises(InvalidConfigError):
         write_features_csv(path, ["1", bad], [np.zeros(cfg.total_count)] * 2, cfg)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csv_writer_rejects_a_value_that_would_not_read_back(tmp_path, bad):
+    # a NaN used to be written as "nan", which read_features_csv refuses
+    cfg = FeatureConfig(cell_px=4)
+    path = tmp_path / "feats.csv"
+    write_features_csv(path, ["1"], [np.zeros(cfg.total_count)], cfg)
+    before = path.read_bytes()
+    row = np.zeros(cfg.total_count)
+    row[5] = bad
+    with pytest.raises(NonFiniteInputError):
+        write_features_csv(path, ["1", "2"], [np.zeros(cfg.total_count), row], cfg)
+    assert path.read_bytes() == before
 
 
 def test_csv_roundtrip_keeps_labels_with_inner_spaces_and_symbols(tmp_path):

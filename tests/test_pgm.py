@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glyphsvm.errors import UnreadableFileError
+from glyphsvm.errors import NonFiniteInputError, UnreadableFileError, WrongDimensionsError
 from glyphsvm.pgm import binary_to_gray, read_pgm, write_binary_pgm, write_pgm
 
 
@@ -74,3 +74,30 @@ def test_binary_dump_polarity(tmp_path):
     path = tmp_path / "dump.pgm"
     write_binary_pgm(binary, path)
     assert np.array_equal(read_pgm(path), gray)
+
+
+@pytest.mark.parametrize(
+    "gray, error",
+    [
+        ([[300, -1], [2.7, 255]], ValueError),
+        ([[np.nan, 0.0]], NonFiniteInputError),
+        ([[np.inf, 0.0]], NonFiniteInputError),
+        (np.zeros((0, 3)), WrongDimensionsError),
+        (np.zeros((2, 2, 2)), WrongDimensionsError),
+    ],
+    ids=["out-of-range", "nan", "inf", "empty", "3d"],
+)
+def test_write_refuses_what_read_could_not_give_back(tmp_path, gray, error):
+    # 300 and -1 used to wrap to 44 and 255, and NaN to be written as 0
+    path = tmp_path / "img.pgm"
+    write_pgm(np.full((2, 2), 7, np.uint8), path)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_pgm(np.asarray(gray), path)
+    assert path.read_bytes() == before
+
+
+def test_write_truncates_fractional_intensities(tmp_path):
+    path = tmp_path / "img.pgm"
+    write_pgm(np.array([[0.0, 2.7], [254.9, 255.0]]), path)
+    assert read_pgm(path).tolist() == [[0, 2], [254, 255]]

@@ -19,10 +19,17 @@ from glyphsvm.errors import (
     DimensionMismatchError,
     InvalidConfigError,
     NoConvergenceError,
+    NonFiniteInputError,
     SingleClassError,
 )
 from glyphsvm.modelsel import Dataset, grid_search
-from glyphsvm.multiclass import MinMaxScaling, MulticlassModel, predict_batch, train_multiclass
+from glyphsvm.multiclass import (
+    MinMaxScaling,
+    MulticlassModel,
+    decision_matrix,
+    predict_batch,
+    train_multiclass,
+)
 from glyphsvm.svm import (
     KernelSpec,
     binary_model,
@@ -93,6 +100,26 @@ def test_kernel_dimension_mismatch():
 def test_kernel_probes_must_be_a_2d_block(probes):
     with pytest.raises(DimensionMismatchError):
         kernel_against(LINEAR, [[1.0, 2.0]], probes)
+
+
+# a linear kernel of 1e120 inputs is 1e240, still finite; from 1e160 it overflows.
+# Every RuntimeWarning fails a test here, so none may escape on the way.
+@pytest.mark.parametrize(
+    "spec, scale", [(LINEAR, 1e160), (KernelSpec(kind="poly", degree=3), 1e120)],
+    ids=["linear", "poly"],
+)
+def test_an_overflowing_kernel_is_non_finite_input(spec, scale):
+    X = scale * np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, -1.0]])
+    with pytest.raises(NonFiniteInputError, match="kernel is not finite"):
+        train_binary(X, np.array([1.0, 1.0, -1.0, -1.0]), spec, 1.0)
+
+
+def test_decision_matrix_refuses_a_probe_that_overflows():
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    model = train_multiclass(X, ["a", "a", "b", "b"], "ova", KernelSpec(kind="poly", degree=3), 1.0)
+    assert np.isfinite(decision_matrix(model, X)).all()
+    with pytest.raises(NonFiniteInputError, match="kernel is not finite"):
+        decision_matrix(model, [[1e120, 0.0]])
 
 
 def test_kernel_spec_validation():
@@ -468,15 +495,21 @@ def test_riders_equal_the_scalar_loop_at_their_own_c(
         assert_each_c_as_if_alone(solve_smo(*args), c_values, alone, spec)
 
 
-def test_a_multiplier_between_two_snaps_leaves_the_riders():
-    # the first pair's step 2 / (3e5 + 1)^2 = 2.2e-11 is kept at C = 1, whose
-    # snap to 0 is 1e-12, and snapped to 0 at C = 100, whose snap is 1e-10
+def test_a_multiplier_above_the_zero_snap_is_kept_at_every_c():
+    # the first pair's step 2 / (3e5 + 1)^2 = 2.2e-11 lies above the snap to 0,
+    # which is 1e-12 whatever C, so C = 100 keeps it as C = 1 does
     X = np.array([[-3e5], [0.0], [1.0], [2.0]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
     gram = gram_matrix(LINEAR, X)
     c_values = [1.0, 100.0, 1.0]
-    block = solve_smo(gram, np.repeat(y[None], 3, axis=0), c_values)
-    assert block.iterations.tolist() == [3, 2, 3]
+    Y = np.repeat(y[None], 3, axis=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svm, "DEFAULT_MAX_ITER", 1)
+        first = solve_smo(gram, Y, c_values).alpha
+    assert 2.2e-11 < first[0, 0] < 2.3e-11
+    assert (first == first[0]).all()
+    block = solve_smo(gram, Y, c_values)
+    assert block.iterations.tolist() == [3, 3, 3]
     assert_each_c_as_if_alone(block, c_values, (X, y, gram), LINEAR)
 
 
