@@ -37,7 +37,6 @@ from .preprocess import (
     segment_characters,
     segment_lines,
     thin,
-    zhang_suen,
 )
 from .svm import (
     BinaryModel,
@@ -86,5 +85,4 @@ __all__ = [
     "train_multiclass",
     "train_one_vs_all",
     "train_one_vs_one",
-    "zhang_suen",
 ]

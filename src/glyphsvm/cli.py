@@ -129,14 +129,18 @@ def _parse_grid(raw: str | None, cast):
 
 
 def cmd_gridsearch(parser, args) -> int:
+    if args.kernel == "sigmoid":
+        parser.error("gridsearch does not support the sigmoid kernel")
+    if args.gamma_grid is not None and args.kernel != "rbf":
+        parser.error(f"--gamma-grid needs --kernel rbf, not {args.kernel}")
+    if args.degree_grid is not None and args.kernel != "poly":
+        parser.error(f"--degree-grid needs --kernel poly, not {args.kernel}")
     data = _load(args)
     param_grid = None
     if args.kernel == "rbf":
         param_grid = _parse_grid(args.gamma_grid, float)
     elif args.kernel == "poly":
         param_grid = _parse_grid(args.degree_grid, int)
-    elif args.kernel == "sigmoid":
-        parser.error("gridsearch does not support the sigmoid kernel")
     report = grid_search(
         data,
         args.kernel,

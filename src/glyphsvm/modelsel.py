@@ -116,12 +116,11 @@ def check_seed(seed: int) -> None:
 
 @dataclass
 class _FoldedC:
-    """One C's cross-validation: each fold's held-out accuracy and scaling
-    record, pair updates summed over the folds, and its first fold's error."""
+    """One C's cross-validation: each fold's held-out accuracy, pair updates
+    summed over the folds, and its first fold's error."""
 
     C: float
     accuracies: list = field(default_factory=list)
-    scalings: list = field(default_factory=list)
     iterations: int = 0
     error: GlyphSvmError | None = None
 
@@ -159,7 +158,6 @@ def _fold_results(train_part, test_part, strategy, kernel, folded) -> None:
         predicted = predict_batch(model, test_part.vectors)
         hits = sum(p == lb for p, lb in zip(predicted, test_part.labels))
         entry.accuracies.append(hits / len(test_part))
-        entry.scalings.append(model.scaling)
         entry.iterations += int(model.iterations.sum())
         del model
 
@@ -184,22 +182,19 @@ def cross_validate(
     strategy: str = "ova",
     k: int = 10,
     seed: int = 0,
-    return_details: bool = False,
-):
+) -> float:
     """Mean held-out accuracy over k folds.
 
     Feature scaling is refitted inside every fold on its training side only,
     which `train_multiclass_c_grid` does by construction, so no statistics
-    leak from the held-out samples. With `return_details` the per-fold
-    accuracies and scaling records are returned alongside the mean. The
-    error of the first failing fold is raised.
+    leak from the held-out samples. The error of the first failing fold is
+    raised.
     """
     folds = kfold_split(len(data), k, seed)
     (cv,) = _cross_validate(data, folds, kernel, [C], strategy)
     if cv.error is not None:
         raise cv.error
-    mean = float(np.mean(cv.accuracies))
-    return (mean, cv.accuracies, cv.scalings) if return_details else mean
+    return float(np.mean(cv.accuracies))
 
 
 DEFAULT_GAMMA_GRID = tuple(2.0 ** p for p in range(4, -11, -1))
@@ -316,29 +311,32 @@ class PerClassError:
 
 @dataclass
 class EvalReport:
-    """Accuracy, per-class error rates, and the confusion matrix."""
+    """A confusion matrix, rows (true) and columns (predicted) in `class_ids`
+    order, with the accuracy and per-class error rates read from it, and the
+    accuracy of each repetition when the protocol repeats."""
 
-    overall_accuracy: float
     class_ids: list
-    per_class: list[PerClassError]
     confusion: np.ndarray
     iterations: list[float] | None = None
+
+    @property
+    def overall_accuracy(self) -> float:
+        return int(np.trace(self.confusion)) / int(self.confusion.sum())
+
+    @property
+    def per_class(self) -> list[PerClassError]:
+        """Each class's errors over its own test count (0.0 without any)."""
+        rows = []
+        for i, cls in enumerate(self.class_ids):
+            count = int(self.confusion[i].sum())
+            errors = count - int(self.confusion[i, i])
+            rows.append(PerClassError(cls, count, errors, errors / count if count else 0.0))
+        return rows
 
     @property
     def mean_iteration_accuracy(self) -> float:
         accs = self.iterations if self.iterations else [self.overall_accuracy]
         return float(np.mean(accs))
-
-    def check_consistency(self) -> None:
-        total = int(self.confusion.sum())
-        correct = int(np.trace(self.confusion))
-        if total == 0:
-            raise ValueError("empty confusion matrix")
-        if abs(self.overall_accuracy - correct / total) > 1e-12:
-            raise ValueError("overall accuracy disagrees with the confusion matrix")
-        for idx, row in enumerate(self.per_class):
-            if self.confusion[idx].sum() != row.test_count:
-                raise ValueError("confusion row sum disagrees with per-class count")
 
     def iteration_table(self, row_label: str) -> str:
         accs = self.iterations if self.iterations else [self.overall_accuracy]
@@ -362,19 +360,15 @@ class EvalReport:
 
 
 def evaluate(model: MulticlassModel, test: Dataset) -> EvalReport:
-    """Score a model on a labeled test set.
-
-    Per-class error rate divides by that class's test count; the confusion
-    matrix is also included so other denominators stay recomputable.
-    """
+    """Score a model on a labeled test set: the confusion matrix of its
+    predictions, from which the report reads accuracy and per-class error
+    rates (each over that class's test count)."""
     if test.dimension != model.scaling.dimension:
         raise DimensionMismatchError(
             f"model expects dimension {model.scaling.dimension}, test has {test.dimension}"
         )
     classes = ordered_classes(set(model.class_ids) | set(test.labels))
-    return _report_from_confusion(
-        _confusion(classes, test.labels, predict_batch(model, test.vectors)), classes
-    )
+    return EvalReport(classes, _confusion(classes, test.labels, predict_batch(model, test.vectors)))
 
 
 def _confusion(classes, truth, predicted) -> np.ndarray:
@@ -383,28 +377,6 @@ def _confusion(classes, truth, predicted) -> np.ndarray:
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     np.add.at(confusion, ([index[lb] for lb in truth], [index[p] for p in predicted]), 1)
     return confusion
-
-
-def _report_from_confusion(confusion, classes, iterations=None) -> EvalReport:
-    total = int(confusion.sum())
-    correct = int(np.trace(confusion))
-    per_class = []
-    for i, cls in enumerate(classes):
-        count = int(confusion[i].sum())
-        errors = count - int(confusion[i, i])
-        rate = errors / count if count else 0.0
-        per_class.append(
-            PerClassError(class_id=cls, test_count=count, error_count=errors, error_rate=rate)
-        )
-    report = EvalReport(
-        overall_accuracy=correct / total,
-        class_ids=list(classes),
-        per_class=per_class,
-        confusion=confusion,
-        iterations=iterations,
-    )
-    report.check_consistency()
-    return report
 
 
 def repeat_evaluate(
@@ -439,6 +411,4 @@ def repeat_evaluate(
         truth.extend(test_part.labels)
         predicted.extend(guess)
     classes = ordered_classes(classes)
-    return _report_from_confusion(
-        _confusion(classes, truth, predicted), classes, iterations=iteration_acc
-    )
+    return EvalReport(classes, _confusion(classes, truth, predicted), iterations=iteration_acc)

@@ -48,15 +48,6 @@ class CharacterRecord:
     normalized: np.ndarray
     skeleton: np.ndarray
 
-    def validate(self) -> None:
-        n = NORMALIZED_SIZE
-        if self.normalized.shape != (n, n) or self.skeleton.shape != (n, n):
-            raise WrongDimensionsError("normalized/skeleton must be 32x32")
-        if self.crop.shape != (self.bbox.height, self.bbox.width):
-            raise ValueError("crop dimensions disagree with bounding box")
-        if np.any(self.skeleton & ~self.normalized):
-            raise ValueError("skeleton foreground escapes normalized foreground")
-
 
 def _check_binary(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
@@ -181,45 +172,6 @@ def _bicubic_gather(padded: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) ->
     return acc
 
 
-# output rows mapped at once: a band bounds the coordinate arrays and the 16
-# taps' temporaries (about 150 bytes per active pixel) where a canvas would not
-_BAND_ROWS = 32
-
-
-def rotate_bicubic(img: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Rotate a binary image with bicubic interpolation, re-binarized at 0.5.
-
-    The output canvas is enlarged to hold all rotated content. It is mapped
-    in bands of rows, and a pixel is decided by the inner 2x2 of its 4x4
-    source taps. Each Keys outer weight lies in [-0.0741, 0] and the two of
-    an axis sum to at least -0.125, so with every inner tap inked the value
-    is at least 1 - 0.125**2 whatever the outer taps hold, and with none
-    inked at most 0.125**2: such pixels are True and False without being
-    computed. Only pixels whose inner taps are mixed are interpolated.
-    """
-    img = _check_binary(img)
-    if not math.isfinite(angle_deg):
-        raise AngleOutOfRangeError(f"rotation angle {angle_deg} is not finite")
-    out = np.zeros(_rotated_extent(*img.shape, angle_deg), dtype=bool)
-    padded = np.pad(img, 1)
-    # window[by + 3, bx + 3] classes rows by..by+1, columns bx..bx+1:
-    # 0 no ink, 1 mixed, 2 all ink
-    cells = np.pad(img, 3)
-    some = cells[:-1] | cells[1:]
-    every = cells[:-1] & cells[1:]
-    window = (some[:, :-1] | some[:, 1:]).view(np.uint8) + (every[:, :-1] & every[:, 1:])
-    for top in range(0, out.shape[0], _BAND_ROWS):
-        band = slice(top, top + _BAND_ROWS)
-        src_y, src_x = _inverse_map(out.shape, img.shape, angle_deg, band)
-        by = np.clip(np.floor(src_y), -3, img.shape[0] + 1).astype(np.intp) + 3
-        bx = np.clip(np.floor(src_x), -3, img.shape[1] + 1).astype(np.intp) + 3
-        cls = window[by, bx]
-        mixed = cls == 1
-        out[band] = cls == 2
-        out[band][mixed] = _bicubic_gather(padded, src_y[mixed], src_x[mixed]) >= 0.5
-    return out
-
-
 def detect_skew(page: np.ndarray) -> float:
     """Estimate page skew in degrees within +/-15.
 
@@ -262,17 +214,47 @@ def detect_skew(page: np.ndarray) -> float:
     return fine / 10.0
 
 
+# output rows mapped at once: a band bounds the coordinate arrays and the 16
+# taps' temporaries (about 150 bytes per active pixel) where a canvas would not
+_BAND_ROWS = 32
+
+
 def deskew(page: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Undo a detected skew by rotating the page by -angle with bicubic sampling.
+    """Undo a detected skew: rotate the page by -angle with bicubic
+    interpolation, re-binarized at 0.5.
 
     The output canvas is enlarged to hold all rotated content; regions the
-    source never covered are background. Only pixels whose 4x4 source window
-    holds ink are interpolated; the rest would sum to +-0 (`rotate_bicubic`).
+    source never covered are background. It is mapped in bands of rows, and
+    a pixel is decided by the inner 2x2 of its 4x4 source taps. Each Keys
+    outer weight lies in [-0.0741, 0] and the two of an axis sum to at least
+    -0.125, so with every inner tap inked the value is at least
+    1 - 0.125**2 whatever the outer taps hold, and with none inked at most
+    0.125**2: such pixels are True and False without being computed. Only
+    pixels whose inner taps are mixed are interpolated. An angle beyond
+    +-MAX_SKEW_DEG, or one that is not a number, is AngleOutOfRangeError.
     """
     page = _check_binary(page)
-    if abs(angle_deg) > MAX_SKEW_DEG:
-        raise AngleOutOfRangeError(f"|{angle_deg}| exceeds {MAX_SKEW_DEG} degrees")
-    return rotate_bicubic(page, -angle_deg)
+    if not abs(angle_deg) <= MAX_SKEW_DEG:
+        raise AngleOutOfRangeError(f"skew {angle_deg} is not within +-{MAX_SKEW_DEG} degrees")
+    rotation = -angle_deg
+    out = np.zeros(_rotated_extent(*page.shape, rotation), dtype=bool)
+    padded = np.pad(page, 1)
+    # window[by + 3, bx + 3] classes rows by..by+1, columns bx..bx+1:
+    # 0 no ink, 1 mixed, 2 all ink
+    cells = np.pad(page, 3)
+    some = cells[:-1] | cells[1:]
+    every = cells[:-1] & cells[1:]
+    window = (some[:, :-1] | some[:, 1:]).view(np.uint8) + (every[:, :-1] & every[:, 1:])
+    for top in range(0, out.shape[0], _BAND_ROWS):
+        band = slice(top, top + _BAND_ROWS)
+        src_y, src_x = _inverse_map(out.shape, page.shape, rotation, band)
+        by = np.clip(np.floor(src_y), -3, page.shape[0] + 1).astype(np.intp) + 3
+        bx = np.clip(np.floor(src_x), -3, page.shape[1] + 1).astype(np.intp) + 3
+        cls = window[by, bx]
+        mixed = cls == 1
+        out[band] = cls == 2
+        out[band][mixed] = _bicubic_gather(padded, src_y[mixed], src_x[mixed]) >= 0.5
+    return out
 
 
 # --- segmentation ---------------------------------------------------------
@@ -551,11 +533,6 @@ def _zhang_suen_stack(stack: np.ndarray) -> np.ndarray:
             out[live[~changed]] = imgs[~changed]
             imgs, live = imgs[changed], live[changed]
     return out
-
-
-def zhang_suen(img: np.ndarray) -> np.ndarray:
-    """Zhang-Suen two-subiteration thinning to fixpoint, any image size."""
-    return _zhang_suen_stack(_check_binary(img)[None])[0]
 
 
 # glyphs thinned at once: the lockstep passes keep about 14.3 KB of

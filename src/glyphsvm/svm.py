@@ -472,7 +472,7 @@ def block_support(block: DualBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def block_error(block: DualBlock, p: int) -> NoConvergenceError | InvalidConfigError:
     """The error of failed problem p of a block: NoConvergenceError with its
     diagnostics when it did not converge, else InvalidConfigError (no
-    support vector survived)."""
+    support vector survived the snap of small multipliers to 0)."""
     if not block.converged[p]:
         iterations, violation = int(block.iterations[p]), float(block.violation[p])
         return NoConvergenceError(
@@ -481,7 +481,10 @@ def block_error(block: DualBlock, p: int) -> NoConvergenceError | InvalidConfigE
             iterations=iterations,
             violation=violation,
         )
-    return InvalidConfigError(f"tol {DEFAULT_TOL} is too loose; no support vectors survived")
+    return InvalidConfigError(
+        "no support vectors survived: every multiplier fell below the 1e-12 snap to 0, "
+        "as happens when kernel values are huge; scale the samples"
+    )
 
 
 def binary_model(block: DualBlock, p: int, samples, kernel: KernelSpec) -> BinaryModel:
@@ -506,26 +509,16 @@ def binary_model(block: DualBlock, p: int, samples, kernel: KernelSpec) -> Binar
     )
 
 
-def train_binary(
-    samples, labels, kernel: KernelSpec, C: float, gram: np.ndarray | None = None
-) -> BinaryModel:
-    """Solve one soft-margin dual by SMO (a one-problem `solve_smo`) and
-    package the resulting model.
+def train_binary(samples, labels, kernel: KernelSpec, C: float) -> BinaryModel:
+    """Solve one soft-margin dual by SMO (a one-problem `solve_smo` over the
+    `gram_matrix` of `samples`) and package the resulting model.
 
     Stops by the solver's rule: once the maximal KKT violation drops to
     `DEFAULT_TOL`, else NoConvergenceError with diagnostics after
-    `DEFAULT_MAX_ITER` pair updates. `gram` is the kernel matrix of
-    `samples` (see `gram_matrix`), built here when omitted.
+    `DEFAULT_MAX_ITER` pair updates.
     """
     X, y = _validate_training_input(samples, labels)
-    n = X.shape[0]
-    if gram is None:
-        gram = gram_matrix(kernel, X)
-    elif np.shape(gram) != (n, n):
-        raise DimensionMismatchError(
-            f"kernel matrix has shape {np.shape(gram)}, {n} samples need ({n}, {n})"
-        )
-    return binary_model(solve_smo(gram, y[None], [C]), 0, X, kernel)
+    return binary_model(solve_smo(gram_matrix(kernel, X), y[None], [C]), 0, X, kernel)
 
 
 def decision_values(model: BinaryModel, X) -> np.ndarray:

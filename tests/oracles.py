@@ -11,13 +11,15 @@ package's four-tap table replaced, and so does the crop-at-a-time resample
 that the package's flat batched one replaced. The per-problem support and
 bias arithmetic and the pair-at-a-time one-vs-one vote loop are kept as the
 bit-for-bit references of the package's one pass per solver block and its
-two bincounts.
+two bincounts. One recorder reads the feature scaling that each fold of a
+cross-validation fits.
 """
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
@@ -30,6 +32,7 @@ from glyphsvm.preprocess import (
     _zhang_suen_pass,
 )
 from glyphsvm.errors import InvalidConfigError, NoConvergenceError
+from glyphsvm.multiclass import MinMaxScaling
 from glyphsvm.svm import (
     CURVATURE_FLOOR,
     DEFAULT_MAX_ITER,
@@ -132,7 +135,10 @@ def reference_train_binary(
         bias = (m + big_m) / 2.0
     support = alpha > 0
     if not support.any():
-        raise ValueError(f"tol {tol} is too loose; no support vectors survived")
+        raise ValueError(
+            "no support vectors survived: every multiplier fell below the 1e-12 snap to 0, "
+            "as happens when kernel values are huge; scale the samples"
+        )
     return BinaryModel(
         kernel=kernel,
         support_vectors=X[support].copy(),
@@ -173,7 +179,10 @@ def reference_solution_support(y, C, alpha, yg, converged, iterations, violation
         bias = (m + big_m) / 2.0
     support = alpha > 0
     if not support.any():
-        raise InvalidConfigError(f"tol {tol} is too loose; no support vectors survived")
+        raise InvalidConfigError(
+            "no support vectors survived: every multiplier fell below the 1e-12 snap to 0, "
+            "as happens when kernel values are huge; scale the samples"
+        )
     return support, bias
 
 
@@ -603,3 +612,19 @@ def reference_segment_characters(strip):
         crop = mask[top : rows[-1] + 1, left : cols[-1] + 1]
         out.append((int(left), int(top), crop.shape[1], crop.shape[0], crop))
     return sorted(out, key=lambda rec: rec[:2])
+
+
+def fold_scalings(run, *args, **kwargs):
+    """Call `run`, such as `modelsel.cross_validate`, and return its result
+    with the `MinMaxScaling` of every `MinMaxScaling.fit` call it made, in
+    call order: one per fold, fitted on the fold's training side."""
+    fitted = []
+    fit = MinMaxScaling.fit
+
+    def recording_fit(cls, X):
+        fitted.append(fit(X))
+        return fitted[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MinMaxScaling, "fit", classmethod(recording_fit))
+        return run(*args, **kwargs), fitted

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import (
     dual_objective,
+    fold_scalings,
     kernel_matrix,
     max_kkt_violation,
     oracle_best_dual,
@@ -37,12 +38,11 @@ from glyphsvm.multiclass import (
     train_one_vs_one,
 )
 from glyphsvm.preprocess import (
+    deskew,
     detect_skew,
     label_components,
     otsu_binarize,
-    rotate_bicubic,
     thin,
-    zhang_suen,
 )
 from glyphsvm.svm import KernelSpec, decision_value, decision_values, train_binary
 from glyphsvm.synth import SynthConfig, generate_synthetic_dataset
@@ -175,7 +175,7 @@ def test_criterion_05_feature_arithmetic():
     rng = np.random.default_rng(105)
     partition_ok = True
     for _ in range(100):
-        skel = zhang_suen(rng.random((32, 32)) < rng.uniform(0.1, 0.5))
+        skel = thin(rng.random((32, 32)) < rng.uniform(0.1, 0.5))
         for cell in (16, 8, 4, 2):
             if local_zone_features(skel, FeatureConfig(cell_px=cell)).sum() != skel.sum():
                 partition_ok = False
@@ -225,7 +225,7 @@ def test_criterion_06_topology_counts():
             r = int(np.clip(r + dr, 1, 30))
             c = int(np.clip(c + dc, 1, 30))
             img[r, c] = True
-        curve = zhang_suen(img)
+        curve = thin(img)
         if skeleton_topology(curve) != crossing_oracle(curve):
             oracle_ok = False
     report(6, "line/plus/T triples and 50 random curves match the crossing oracle",
@@ -278,7 +278,7 @@ def test_criterion_08_skew_roundtrip():
     page[95:105, 30:80] = False
     errors = {}
     for theta in (-12.0, -5.0, 0.0, 5.0, 12.0):
-        rotated = rotate_bicubic(page, theta) if theta else page
+        rotated = deskew(page, -theta) if theta else page
         errors[theta] = abs(detect_skew(rotated) - theta)
     ok = all(err <= 0.5 for err in errors.values())
     report(8, "skew detected within 0.5 degrees for -12/-5/0/5/12",
@@ -291,15 +291,13 @@ def test_criterion_09_cv_hygiene():
     rng = np.random.default_rng(109)
     vectors, labels = clusters(rng, 2, 15)
     data = Dataset(vectors, labels)
-    _, _, scalings = cross_validate(data, LINEAR, 10.0, k=5, seed=2, return_details=True)
+    _, scalings = fold_scalings(cross_validate, data, LINEAR, 10.0, k=5, seed=2)
     folds = kfold_split(len(data), 5, seed=2)
     leakage_ok = True
     for fold_idx, fold in enumerate(folds):
         perturbed = Dataset(data.vectors.copy(), list(data.labels))
         perturbed.vectors[fold[0]] += 1e6
-        _, _, scalings_p = cross_validate(
-            perturbed, LINEAR, 10.0, k=5, seed=2, return_details=True
-        )
+        _, scalings_p = fold_scalings(cross_validate, perturbed, LINEAR, 10.0, k=5, seed=2)
         if not (
             np.array_equal(scalings[fold_idx].mins, scalings_p[fold_idx].mins)
             and np.array_equal(scalings[fold_idx].maxs, scalings_p[fold_idx].maxs)

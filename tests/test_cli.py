@@ -253,6 +253,19 @@ def test_sigmoid_requires_slope_and_offset(dataset_dir, tmp_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--kernel", "rbf", "--degree-grid", "2,3"], ["--kernel", "linear", "--gamma-grid", "1,2"]],
+    ids=["degree-grid-rbf", "gamma-grid-linear"],
+)
+def test_grid_of_another_kernel_is_usage_error(dataset_dir, capsys, args):
+    # the grid used to be dropped: rbf swept its 15 default gammas and exited 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gridsearch", "--data", str(dataset_dir), "--c-grid", "1", "--folds", "2", *args])
+    assert excinfo.value.code == 2
+    assert f"{args[2]} needs --kernel" in capsys.readouterr().err
+
+
 def test_bad_kernel_parameter_is_one_line_error(dataset_dir, tmp_path, capsys):
     rc = main(
         [

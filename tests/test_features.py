@@ -21,7 +21,7 @@ from glyphsvm.features import (
     skeleton_topology,
     write_features_csv,
 )
-from glyphsvm.preprocess import BoundingBox, CharacterRecord, thin, zhang_suen
+from glyphsvm.preprocess import BoundingBox, CharacterRecord, thin
 
 from oracles import neighborhood_images, reference_crossing_number
 
@@ -63,7 +63,7 @@ def random_thin_curve(rng):
         r = int(np.clip(r + dr, 1, 30))
         c = int(np.clip(c + dc, 1, 30))
         img[r, c] = True
-    return zhang_suen(img)
+    return thin(img)
 
 
 # --- config & arithmetic -----------------------------------------------------
@@ -176,7 +176,7 @@ def test_topology_open_curve_has_two_ends():
     rr = np.arange(6, 26)
     for i, r in enumerate(rr):  # a diagonal staircase open curve
         img[r, 6 + i // 2] = True
-    img = zhang_suen(img)
+    img = thin(img)
     ep, bp, cp = skeleton_topology(img)
     assert (ep, bp, cp) == (2, 0, 0)
 
@@ -241,7 +241,7 @@ def test_vector_tail_cross_before_branch():
 
 def test_vector_locals_match_zones():
     rng = np.random.default_rng(12)
-    img = zhang_suen(rng.random((32, 32)) < 0.3)
+    img = thin(rng.random((32, 32)) < 0.3)
     cfg = FeatureConfig(cell_px=8)
     vec = extract_features(make_record(img), cfg)
     np.testing.assert_array_equal(vec.values[:16], local_zone_features(img, cfg))

@@ -17,11 +17,13 @@ import pytest
 
 from glyphsvm.features import FeatureConfig, extract_features
 from glyphsvm.model_io import load_model, save_model
-from glyphsvm.modelsel import Dataset, cross_validate, grid_search
+from glyphsvm.modelsel import Dataset, _cross_validate, cross_validate, grid_search, kfold_split
 from glyphsvm.multiclass import decision_matrix, predict_batch, train_one_vs_all, train_one_vs_one
-from glyphsvm.preprocess import preprocess_character, preprocess_page, rotate_bicubic
+from glyphsvm.preprocess import deskew, preprocess_character, preprocess_page
 from glyphsvm.svm import KernelSpec
 from glyphsvm.synth import SynthConfig, render_sample
+
+from oracles import fold_scalings
 
 MODEL_SHA256 = "5834e4acac8839ff5212aa74b2ee8189da0910fc0c4cf1357af218b64f3d603c"
 GRID_CSV_SHA256 = "666d15f06315c888201568ec8c958ab0e6cad5fe88ad8a3f7ed50f3fbf01e52e"
@@ -86,10 +88,12 @@ def test_golden_ovo_grid_csv():
 
 @pytest.mark.parametrize("strategy", ["ova", "ovo"])
 def test_golden_cross_validation_details(strategy):
-    mean, accuracies, scalings = cross_validate(
-        golden_dataset(), KernelSpec("rbf", gamma=0.5), 16.0, strategy=strategy, k=3, seed=7,
-        return_details=True,
+    data, spec = golden_dataset(), KernelSpec("rbf", gamma=0.5)
+    mean, scalings = fold_scalings(
+        cross_validate, data, spec, 16.0, strategy=strategy, k=3, seed=7
     )
+    (cv,) = _cross_validate(data, kfold_split(len(data), 3, 7), spec, [16.0], strategy)
+    accuracies = cv.accuracies
     digest = hashlib.sha256(np.array([mean] + accuracies).tobytes())
     for scaling in scalings:
         digest.update(scaling.mins.tobytes())
@@ -133,7 +137,7 @@ def golden_page() -> np.ndarray:
     for k in range(8):
         top, left = 16 + (k // 4) * 80, 16 + (k % 4) * 68
         ink[top : top + 64, left : left + 64] = render_sample(config, k, k) == 0
-    gray = np.where(rotate_bicubic(ink, 2.0), 0, 255).astype(np.uint8)
+    gray = np.where(deskew(ink, -2.0), 0, 255).astype(np.uint8)
     rng = np.random.default_rng(11)
     noisy = rng.random(gray.shape) < 0.01
     gray[noisy] = rng.integers(0, 2, size=int(noisy.sum())).astype(np.uint8) * 255

@@ -38,6 +38,7 @@ from glyphsvm.multiclass import (
 )
 from glyphsvm.svm import (
     KernelSpec,
+    binary_model,
     block_error,
     block_support,
     decision_values,
@@ -617,8 +618,8 @@ def test_ovo_votes_equal_the_pair_loop(monkeypatch):
 # --- one kernel matrix against per-problem training ------------------------------------------
 
 def reference_classifiers(X, labels, strategy, kernel, C):
-    """Every binary problem trained alone by `train_binary` on its own rows'
-    block of the training set's kernel matrix."""
+    """Every binary problem solved alone (a one-problem `solve_smo`) on its
+    own rows' block of the training set's kernel matrix."""
     Xs = MinMaxScaling.fit(X).transform(X)
     gram = gram_matrix(kernel, Xs)
     classes = ordered_classes(labels)
@@ -635,7 +636,8 @@ def reference_classifiers(X, labels, strategy, kernel, C):
     for positive, rows in problems:
         sub_x = Xs[rows]
         y = np.where(positive[rows], 1.0, -1.0)
-        out.append(train_binary(sub_x, y, kernel, C, gram=gram[np.ix_(rows, rows)]))
+        block = solve_smo(gram[np.ix_(rows, rows)], y[None], [C])
+        out.append(binary_model(block, 0, sub_x, kernel))
     return out
 
 

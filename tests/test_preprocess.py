@@ -26,13 +26,11 @@ from glyphsvm.preprocess import (
     normalize_size,
     otsu_binarize,
     preprocess_page,
-    rotate_bicubic,
     segment_characters,
     segment_lines,
     segment_page,
     thin,
     window_codes,
-    zhang_suen,
     _DELETABLE,
     _bicubic_gather,
     _cubic_kernel,
@@ -285,7 +283,7 @@ def test_detect_skew_horizontal_is_zero():
 
 @pytest.mark.parametrize("theta", [-12.0, -5.0, 5.0, 12.0])
 def test_detect_skew_roundtrip(theta):
-    rotated = rotate_bicubic(bar_page(), theta)
+    rotated = deskew(bar_page(), -theta)
     assert abs(detect_skew(rotated) - theta) <= 0.5
 
 
@@ -299,7 +297,7 @@ def glyph_page(seed):
         top, left = 16 + (k // 5) * 80, 16 + (k % 5) * 68
         ink[top : top + 64, left : left + 64] = render_sample(config, int(rng.integers(10)), k) == 0
     theta = float(rng.uniform(-10.0, 10.0))
-    return rotate_bicubic(ink, theta), theta
+    return deskew(ink, -theta), theta
 
 
 def assert_skew_as_close_as_reference(page, theta):
@@ -311,7 +309,7 @@ def assert_skew_as_close_as_reference(page, theta):
 
 @pytest.mark.parametrize("theta", [0.0, -5.0, 5.0, -10.0, 10.0, -12.0, 12.0])
 def test_detect_skew_bar_page_against_reference(theta):
-    assert_skew_as_close_as_reference(rotate_bicubic(bar_page(), theta), theta)
+    assert_skew_as_close_as_reference(deskew(bar_page(), -theta), theta)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -376,7 +374,7 @@ BAND_HEIGHTS = [0, 1, BAND - 1, BAND, BAND + 1, 3 * BAND + 5]
 @example(height=3 * BAND, width=40, angle=-7.3, fill=0.002, seed=0)
 def test_banded_rotation_equals_full_canvas(height, width, angle, fill, seed):
     img = np.random.default_rng(seed).random((height, width)) < fill
-    assert np.array_equal(rotate_bicubic(img, angle), reference_rotate_bicubic(img, angle))
+    assert np.array_equal(deskew(img, -angle), reference_rotate_bicubic(img, angle))
 
 
 def test_deskew_peak_memory():
@@ -418,11 +416,11 @@ def test_rotation_interpolates_only_inked_windows(monkeypatch, angle, ink):
 
     monkeypatch.setattr(preprocess, "_bicubic_gather", recording_gather)
     img = np.zeros((40, 50), dtype=bool)
-    rotate_bicubic(img, angle)
+    deskew(img, -angle)
     assert sum(ys.size for ys, _ in evaluated) == 0
     img[ink] = True
     evaluated.clear()
-    rotated = rotate_bicubic(img, angle)
+    rotated = deskew(img, -angle)
     assert np.array_equal(rotated, reference_rotate_bicubic(img, angle))
     src_y, src_x = _full_canvas_inverse_map(rotated.shape, img.shape, angle)
     (r, c), by, bx = ink, np.floor(src_y), np.floor(src_x)
@@ -437,7 +435,7 @@ def test_inner_taps_decide_the_rotated_pixel():
     """Over a 101 x 101 grid of fractional offsets and every ink pattern of
     the 12 outer taps, weighed by `_taps`: with all 4 inner taps inked the
     interpolated value never falls below 0.5, and with none it never reaches
-    0.5, so `rotate_bicubic` may decide those pixels without interpolating."""
+    0.5, so `deskew` may decide those pixels without interpolating."""
     _, weight = _taps(np.linspace(0.0, 1.0, 101, endpoint=False) + 7.0)
     inner = np.zeros((4, 4), dtype=bool)
     inner[1:3, 1:3] = True
@@ -454,7 +452,7 @@ def test_inner_taps_decide_the_rotated_pixel():
 
 def test_deskew_roundtrip_iou():
     page = bar_page()
-    rotated = rotate_bicubic(page, 10.0)
+    rotated = deskew(page, -10.0)
     restored = deskew(rotated, detect_skew(rotated))
     # align by foreground centroid before comparing
     def centered(img, shape):
@@ -959,7 +957,7 @@ def test_zhang_suen_matches_oracle_on_blobs():
         oracle = zhang_suen_oracle(img)
         if not oracle.any():
             continue
-        assert np.array_equal(zhang_suen(img), oracle)
+        assert np.array_equal(thin(img), oracle)
         checked += 1
     assert checked >= 20
 
@@ -1028,7 +1026,9 @@ def test_preprocess_page_records():
     records = preprocess_page(page_with_glyphs())
     assert len(records) == 6
     for rec in records:
-        rec.validate()
+        assert rec.normalized.shape == rec.skeleton.shape == (32, 32)
+        assert rec.crop.shape == (rec.bbox.height, rec.bbox.width)
+        assert not np.any(rec.skeleton & ~rec.normalized)  # skeleton within the glyph
     tops = [rec.bbox.top for rec in records]
     assert max(tops[:3]) < min(tops[3:])  # first line above second
     lefts = [rec.bbox.left for rec in records[:3]]

@@ -244,6 +244,15 @@ def test_no_convergence_carries_diagnostics(monkeypatch):
     assert err.category == "NoConvergence"
 
 
+def test_no_support_vector_error_names_the_scale():
+    # kernel values near 1e240 leave every multiplier near 1e-240, under
+    # the snap to 0; the message used to blame a tol no caller can set
+    X = np.array([[1e120, 0.0], [-1e120, 0.0], [0.0, 1e120], [0.0, -1e120]])
+    with pytest.raises(InvalidConfigError, match="snap to 0.*scale the samples") as excinfo:
+        train_binary(X, [1.0, -1.0, 1.0, -1.0], LINEAR, C=1.0)
+    assert "tol" not in str(excinfo.value)
+
+
 @pytest.mark.parametrize("strategy", ["ova", "ovo"])
 def test_the_stopping_rule_reaches_every_solve(monkeypatch, strategy):
     # each caller used to hold its own copy of the cap, so patching
@@ -314,7 +323,7 @@ SMO_CASES = dict(
 @given(**SMO_CASES)
 def test_box_and_equality_constraints(seed, n, sliced, spec, C):
     X, y, gram = smo_problem(seed, n, sliced, spec)
-    model = train_binary(X, y, spec, C=C, gram=gram)
+    model = binary_model(solve_smo(gram, y[None], [C]), 0, X, spec)
     alpha = np.abs(model.dual_coeffs)
     assert np.all(alpha > 0.0) and np.all(alpha <= C)  # exact box
     assert abs(model.dual_coeffs.sum()) <= 1e-9 * C * n
@@ -330,7 +339,7 @@ def test_kkt_within_tolerance(seed, n, sliced, spec, C):
     X, y, gram = smo_problem(seed, n, sliced, spec)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(svm, "DEFAULT_TOL", 1e-3)
-        model = train_binary(X, y, spec, C=C, gram=gram)
+        model = binary_model(solve_smo(gram, y[None], [C]), 0, X, spec)
     assert max_kkt_violation(model, X, y, C) <= 1e-3 + 1e-9
 
 
@@ -719,11 +728,6 @@ def test_gram_budget_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-def test_train_rejects_gram_of_wrong_shape():
-    with pytest.raises(DimensionMismatchError):
-        train_binary(XOR_X, XOR_Y, LINEAR, C=1.0, gram=np.eye(3))
 
 
 def test_predict_sign_rule():
