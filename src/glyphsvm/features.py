@@ -62,20 +62,22 @@ class FeatureVector:
 
 
 def _check_skeleton(skeleton: np.ndarray) -> np.ndarray:
+    """`skeleton` as one 32x32 bool image or a (k, 32, 32) stack of them."""
     skeleton = np.asarray(skeleton, dtype=bool)
     n = NORMALIZED_SIZE
-    if skeleton.shape != (n, n):
+    if skeleton.ndim not in (2, 3) or skeleton.shape[-2:] != (n, n):
         raise WrongDimensionsError(f"expected {n}x{n} skeleton, got {skeleton.shape}")
     return skeleton
 
 
 def local_zone_features(skeleton: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Foreground pixel count per grid cell, cells ordered row-major."""
+    """Foreground pixel count per grid cell, cells ordered row-major; of a
+    (k, 32, 32) stack, one row of counts per image."""
     skeleton = _check_skeleton(skeleton)
     g = config.cells_per_side
     c = config.cell_px
-    grid = skeleton.reshape(g, c, g, c).sum(axis=(1, 3))
-    return grid.ravel().astype(np.int64)
+    grid = skeleton.reshape(-1, g, c, g, c).sum(axis=(2, 4), dtype=np.int64)
+    return grid.reshape(skeleton.shape[:-2] + (-1,))
 
 
 def aspect_ratio(bbox: BoundingBox) -> float:
@@ -90,27 +92,45 @@ def crossing_number(skeleton: np.ndarray) -> np.ndarray:
     return TRANSITIONS.take(window_codes(skeleton))
 
 
-def skeleton_topology(skeleton: np.ndarray) -> tuple[int, int, int]:
-    """Counts of (endpoints, branch points, cross points) of a thin image.
+# crossing numbers run 0..4: four 0-to-1 transitions at most around 8 cells
+_CROSSING_BINS = 5
+# the crossing numbers of an endpoint, a branch point and a cross point
+_TOPOLOGY_BINS = np.array([1, 3, 4])
+
+
+def skeleton_topology(skeleton: np.ndarray):
+    """Counts of (endpoints, branch points, cross points) of a thin image;
+    of a (k, 32, 32) stack, a (k, 3) array of them from one `bincount`.
 
     A foreground pixel is an endpoint at crossing number 1, a branch point
     at 3, and a cross point at 4 or more.
     """
-    counts = np.bincount(crossing_number(_check_skeleton(skeleton)).ravel(), minlength=5)
-    return int(counts[1]), int(counts[3]), int(counts[4:].sum())
+    skeleton = _check_skeleton(skeleton)
+    crossings = crossing_number(skeleton).reshape(-1, NORMALIZED_SIZE**2)
+    k = len(crossings)
+    crossings += np.arange(0, _CROSSING_BINS * k, _CROSSING_BINS, dtype=crossings.dtype)[:, None]
+    counts = np.bincount(crossings.ravel(), minlength=_CROSSING_BINS * k)
+    topology = counts.reshape(k, _CROSSING_BINS)[:, _TOPOLOGY_BINS]
+    return tuple(topology[0].tolist()) if skeleton.ndim == 2 else topology
+
+
+def feature_rows(records: list[CharacterRecord], config: FeatureConfig) -> np.ndarray:
+    """The feature values of thinned records, one row each in `FeatureVector`
+    order, from one pass over their stacked skeletons."""
+    skeletons = np.array([record.skeleton for record in records])
+    local = config.local_count
+    rows = np.empty((len(records), config.total_count))
+    rows[:, :local] = local_zone_features(skeletons, config)
+    rows[:, local] = [aspect_ratio(record.bbox) for record in records]
+    # endpoints, cross points, branch points
+    rows[:, local + 1 :] = skeleton_topology(skeletons)[:, [0, 2, 1]]
+    return rows
 
 
 def extract_features(record: CharacterRecord, config: FeatureConfig) -> FeatureVector:
-    """Assemble the full vector: zones, then w/h, endpoints, crosses, branches."""
-    local = local_zone_features(record.skeleton, config)
-    endpoints, branch_points, cross_points = skeleton_topology(record.skeleton)
-    values = np.concatenate(
-        [
-            local.astype(np.float64),
-            [aspect_ratio(record.bbox), endpoints, cross_points, branch_points],
-        ]
-    )
-    return FeatureVector(values=values, config=config)
+    """Assemble the full vector: zones, then w/h, endpoints, crosses, branches
+    (the one-record case of `feature_rows`)."""
+    return FeatureVector(values=feature_rows([record], config)[0], config=config)
 
 
 # --- CSV interchange --------------------------------------------------------

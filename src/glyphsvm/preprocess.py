@@ -1,7 +1,9 @@
 """Page-to-glyph preprocessing: denoise, binarize, deskew, segment, normalize, thin.
 
 Images are plain numpy arrays: grayscale pages are 2-D uint8 (0-255), binary
-images are 2-D bool where True marks ink (dark foreground).
+images are 2-D bool where True marks ink (dark foreground). The glyph stages
+(median filter, Otsu, component labelling, cropping, thinning) also take a
+(k, H, W) stack of same-shaped images and treat each image as if alone.
 """
 
 from __future__ import annotations
@@ -49,34 +51,69 @@ class CharacterRecord:
     skeleton: np.ndarray
 
 
-def _check_binary(img: np.ndarray) -> np.ndarray:
+def _check_binary(img: np.ndarray, stack: bool = False) -> np.ndarray:
+    """`img` as a 2-D bool image or, where `stack`, as a (k, H, W) stack of
+    them."""
     img = np.asarray(img)
-    if img.ndim != 2:
-        raise WrongDimensionsError("expected a 2-D binary image")
+    if img.ndim != 2 and not (stack and img.ndim == 3):
+        raise WrongDimensionsError("expected a 2-D binary image" + " or a stack" * stack)
     return img.astype(bool)
 
 
-# Paeth's median-of-9 network (Graphics Gems, 1990): after these
-# compare-exchanges of the 3x3 window, slot 4 holds its fifth smallest value
-_MEDIAN9 = (
-    (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8),
-    (0, 3), (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4), (4, 2),
-)
+def _check_grays(img) -> np.ndarray:
+    """`img` as a 2-D grayscale image (`check_gray`) or as a non-empty
+    (k, H, W) stack of them, checked as one."""
+    img = np.asarray(img)
+    if img.ndim == 3 and img.size:
+        return check_gray(img.reshape(-1, img.shape[-1])).reshape(img.shape)
+    return check_gray(img)
+
+
+def _median3(a, b, c):
+    """The elementwise median of three arrays, max(min(a, b), min(max(a, b), c))."""
+    low = np.minimum(a, b)
+    high = np.maximum(a, b)
+    np.minimum(high, c, out=high)
+    return np.maximum(low, high, out=low)
 
 
 def median_filter(img: np.ndarray) -> np.ndarray:
     """3x3 median with replicate (edge) padding; output keeps input dimensions.
 
-    Selects each window's median with a fixed network of elementwise
-    min/max exchanges over the nine shifted planes.
+    Takes one 2-D image or a (k, H, W) stack, filtered image by image.
+    Selects each window's median with a min/max network (Smith, 1996): sort
+    every vertical triple of the padded image once; the median of a window
+    is then the median of its largest column minimum, the median of its
+    column medians and its smallest column maximum. Each triple is shared by
+    the three windows that hold it, so the network takes 18 elementwise
+    minima and maxima of whole planes, and no more than five planes are
+    alive at once.
     """
-    img = check_gray(img)
-    h, w = img.shape
-    padded = np.pad(img, 1, mode="edge")
-    planes = [padded[r : r + h, c : c + w] for r in range(3) for c in range(3)]
-    for i, j in _MEDIAN9:
-        planes[i], planes[j] = np.minimum(planes[i], planes[j]), np.maximum(planes[i], planes[j])
-    return planes[4]
+    img = _check_grays(img)
+    h, w = img.shape[-2:]
+    padded = np.empty(img.shape[:-2] + (h + 2, w + 2), dtype=np.uint8)
+    padded[..., 1:-1, 1:-1] = img
+    padded[..., 0, 1:-1] = img[..., 0, :]
+    padded[..., -1, 1:-1] = img[..., -1, :]
+    padded[..., 0] = padded[..., 1]
+    padded[..., -1] = padded[..., -2]
+    top, centre, bottom = padded[..., :-2, :], padded[..., 1:-1, :], padded[..., 2:, :]
+    low = np.minimum(top, centre)
+    high = np.maximum(top, centre)
+    mid = np.minimum(high, bottom)
+    np.maximum(mid, low, out=mid)  # each column's median
+    np.minimum(low, bottom, out=low)  # minimum
+    np.maximum(high, bottom, out=high)  # maximum
+    del padded, top, centre, bottom
+    left, centre, right = slice(0, w), slice(1, w + 1), slice(2, w + 2)
+    most_low = np.maximum(low[..., left], low[..., centre])
+    np.maximum(most_low, low[..., right], out=most_low)
+    del low
+    least_high = np.minimum(high[..., left], high[..., centre])
+    np.minimum(least_high, high[..., right], out=least_high)
+    del high
+    mid = _median3(mid[..., left], mid[..., centre], mid[..., right])
+    return _median3(most_low, mid, least_high)
 
 
 def otsu_binarize(img: np.ndarray):
@@ -85,30 +122,37 @@ def otsu_binarize(img: np.ndarray):
     Returns (threshold, binary) where the binary image marks pixels with
     intensity <= threshold as foreground (ink is dark). The threshold is the
     smallest t in [0, 254] maximizing the between-class variance of the
-    256-bin histogram.
+    256-bin histogram. A (k, H, W) stack gives a (k,) array of thresholds,
+    one per image, from its (k, 256) histograms: one `bincount` per image,
+    which is no slower than one over intensity + 256 x image index and
+    needs no 8-byte copy of the stack. An image of a single intensity is
+    UniformImageError.
     """
-    img = check_gray(img)
-    hist = np.bincount(img.ravel(), minlength=256).astype(np.float64)
-    if np.count_nonzero(hist) < 2:
+    img = _check_grays(img)
+    images = img.reshape(-1, img.shape[-2] * img.shape[-1])
+    hist = np.stack([np.bincount(image, minlength=256) for image in images])
+    if (hist.max(axis=1) == images.shape[1]).any():
         raise UniformImageError("image has a single intensity; cannot binarize")
 
-    total = hist.sum()
-    weights = np.cumsum(hist)  # pixels with intensity <= t
-    moments = np.cumsum(hist * np.arange(256))
-    w0 = weights[:-1] / total
+    hist = hist.astype(np.float64)
+    total = hist.sum(axis=1, keepdims=True)
+    weights = np.cumsum(hist, axis=1)[:, :-1]  # pixels with intensity <= t
+    moments = np.cumsum(hist * np.arange(256), axis=1)
+    w0 = weights / total
     w1 = 1.0 - w0
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu0 = np.where(weights[:-1] > 0, moments[:-1] / weights[:-1], 0.0)
+        mu0 = np.where(weights > 0, moments[:, :-1] / weights, 0.0)
         mu1 = np.where(
-            total - weights[:-1] > 0,
-            (moments[-1] - moments[:-1]) / (total - weights[:-1]),
+            total - weights > 0,
+            (moments[:, -1:] - moments[:, :-1]) / (total - weights),
             0.0,
         )
     sigma_b = np.where(
         (w0 > 0) & (w1 > 0), w0 * w1 * (mu0 - mu1) ** 2, 0.0
     )
-    threshold = int(np.argmax(sigma_b))  # first maximizer = smallest t
-    return threshold, img <= threshold
+    thresholds = np.argmax(sigma_b, axis=1)  # first maximizer = smallest t
+    binary = img <= thresholds.astype(np.uint8).reshape(img.shape[:-2] + (1, 1))
+    return (int(thresholds[0]) if img.ndim == 2 else thresholds), binary
 
 
 # --- rotation -------------------------------------------------------------
@@ -297,14 +341,19 @@ def label_components(img: np.ndarray):
     """8-connected component labeling. Returns (labels int array, count).
 
     Labels are assigned in raster-scan order of each component's first pixel,
-    starting at 1; background stays 0. Works on row runs (He, Chao & Suzuki,
-    2008): a run links to the runs of the next row that overlap it widened by
-    one column. Links hook the larger root under the smaller until no link
-    joins two roots, so each component's root is its first raster run.
+    starting at 1; background stays 0. A (k, H, W) stack is labelled as one
+    image with a blank row after each image, so its labels number the
+    components of image 0, then of image 1, and so on. Works on row runs
+    (He, Chao & Suzuki, 2008): a run links to the runs of the next row that
+    overlap it widened by one column. Links hook the larger root under the
+    smaller until no link joins two roots, so each component's root is its
+    first raster run.
     """
-    img = _check_binary(img)
-    rows, starts, ends = _runs(img)
-    width = img.shape[1] + 2  # exceeds every run start and end in a row
+    img = _check_binary(img, stack=True)
+    h, w = img.shape[-2:]
+    rows, starts, ends = _runs(img.reshape(math.prod(img.shape[:-1]), w))
+    rows += rows // max(h, 1)  # the blank rows: no run links across images
+    width = w + 2  # exceeds every run start and end in a row
     key = rows * width
     # the next row's runs that touch a run form one slice [lo, hi)
     lo = np.searchsorted(key + ends, key + width + starts, side="left")
@@ -324,19 +373,10 @@ def label_components(img: np.ndarray):
         parent = parent[parent]
     is_root = parent == runs
     labels = np.zeros(img.shape, dtype=np.int32)
-    labels[img] = np.repeat(np.cumsum(is_root, dtype=np.int32)[parent], ends - starts)
+    run_labels = np.cumsum(is_root, dtype=np.int32)[parent]
+    # through flat views: numpy assigns through a 1-D mask twice as fast as a 3-D one
+    labels.ravel()[img.ravel()] = np.repeat(run_labels, ends - starts)
     return labels, int(is_root.sum())
-
-
-def _raw_record(mask: np.ndarray) -> CharacterRecord:
-    """The tight bounding box of the ink in `mask` and the crop inside it."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    top, bottom = int(rows[0]), int(rows[-1])
-    left, right = int(cols[0]), int(cols[-1])
-    bbox = BoundingBox(left=left, top=top, width=right - left + 1, height=bottom - top + 1)
-    crop = mask[top : bottom + 1, left : right + 1]
-    return CharacterRecord(bbox=bbox, crop=crop, normalized=None, skeleton=None)
 
 
 def segment_characters(line: np.ndarray) -> list[CharacterRecord]:
@@ -611,19 +651,44 @@ def preprocess_character(gray: np.ndarray) -> CharacterRecord:
 
 
 def crop_character(gray: np.ndarray) -> CharacterRecord:
-    """A single pre-segmented character image up to its crop.
+    """A single pre-segmented character image up to its crop: the one-image
+    case of `crop_characters`."""
+    return crop_characters(check_gray(gray)[None])[0]
+
+
+def crop_characters(grays: np.ndarray) -> list[CharacterRecord]:
+    """Pre-segmented character images of a (k, H, W) stack up to their crops.
 
     Median filter and Otsu as on pages, then drop sub-threshold specks and
     take the tight box around the remaining ink; `normalized` and `skeleton`
     are left to the caller. Skew and line segmentation do not apply to
-    isolated glyphs.
+    isolated glyphs. Each stage is one call over the stack: the components
+    of every image are labelled at once and their areas counted by one
+    `bincount` over the labels of the ink. A uniform image is
+    UniformImageError, and one with no component of MIN_COMPONENT_AREA
+    pixels EmptyCropError.
     """
-    filtered = median_filter(gray)
-    _, binary = otsu_binarize(filtered)
+    grays = np.asarray(grays)
+    if grays.ndim != 3:
+        raise WrongDimensionsError("expected a (k, H, W) stack of grayscale images")
+    _, binary = otsu_binarize(median_filter(grays))
     labels, count = label_components(binary)
-    kept = np.bincount(labels.ravel(), minlength=count + 1) >= MIN_COMPONENT_AREA
-    kept[0] = False
-    keep = kept[labels]
-    if not keep.any():
+    ink = binary.ravel()
+    owner = labels.ravel()[ink]
+    keep = np.zeros_like(binary)
+    keep.ravel()[ink] = (np.bincount(owner, minlength=count + 1) >= MIN_COMPONENT_AREA)[owner]
+    rows, cols = keep.any(axis=2), keep.any(axis=1)
+    if not rows.any(axis=1).all():
         raise EmptyCropError("no component of sufficient area")
-    return _raw_record(keep)
+    # the tight box: first inked row and column, and one past the last
+    h, w = keep.shape[1:]
+    top, left = rows.argmax(axis=1).tolist(), cols.argmax(axis=1).tolist()
+    bottom = (h - rows[:, ::-1].argmax(axis=1)).tolist()
+    right = (w - cols[:, ::-1].argmax(axis=1)).tolist()
+    return [
+        CharacterRecord(
+            bbox=BoundingBox(left=lf, top=t, width=rt - lf, height=b - t),
+            crop=mask[t:b, lf:rt], normalized=None, skeleton=None,
+        )
+        for mask, t, b, lf, rt in zip(keep, top, bottom, left, right)
+    ]

@@ -164,12 +164,15 @@ def gram_matrix(spec: KernelSpec, samples) -> np.ndarray:
         )
     X = np.asarray(samples, dtype=np.float64)
     gram = np.empty((n, n))
+    # a band's strict lower triangle: a prefix of a full band's, row by row
+    below_rows, below_cols = np.tril_indices(min(n, _GRAM_BAND_ROWS), -1)
     for s in range(0, n, _GRAM_BAND_ROWS):
         e = min(s + _GRAM_BAND_ROWS, n)
         gram[s:e, s:] = kernel_against(spec, X[s:], X[s:e])
         gram[e:, s:e] = gram[s:e, e:].T
         block = gram[s:e, s:e]
-        lower = np.tril_indices(e - s, -1)
+        count = (e - s) * (e - s - 1) // 2
+        lower = below_rows[:count], below_cols[:count]
         block[lower] = block.T[lower]
     if spec.kind == "rbf":
         np.fill_diagonal(gram, 1.0)
@@ -312,6 +315,8 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
         converged=np.zeros(problems, dtype=bool),
     )
     diag = np.diagonal(gram).copy()
+    # K_ii + K_tt when every K_tt is the same (always for RBF), else None
+    twice_diag = diag[0] + diag[0] if n and (diag == diag[0]).all() else None
     flat_gram = gram.ravel()
     alpha = block.alpha  # every stepped problem's multipliers, updated in place
     # families: runs of equal rows. head[p] is the row that problem p rides
@@ -372,8 +377,12 @@ def solve_smo(gram: np.ndarray, Y, C, members=None) -> DualBlock:
             else:
                 g_i = members.take(flat_i)
                 k_i = flat_gram.take(g_i[:, None] * n + members)
-            curvature = diag.take(g_i)[:, None] + row_diag
-            curvature -= 2.0 * k_i
+            if twice_diag is None:
+                curvature = diag.take(g_i)[:, None] + row_diag
+                curvature -= 2.0 * k_i
+            else:  # the same rounding: doubling is exact, and x + -y is x - y
+                curvature = k_i * -2.0
+                curvature += twice_diag
             np.maximum(curvature, CURVATURE_FLOOR, out=curvature)
             # b_t^2 / a_t where b_t = up_i - low_t > 0, else 0: the maximal
             # violating t scores above 0, so no such 0 wins

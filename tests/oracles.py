@@ -11,12 +11,16 @@ package's four-tap table replaced, and so does the crop-at-a-time resample
 that the package's flat batched one replaced. The per-problem support and
 bias arithmetic and the pair-at-a-time one-vs-one vote loop are kept as the
 bit-for-bit references of the package's one pass per solver block and its
-two bincounts. One recorder reads the feature scaling that each fold of a
-cross-validation fits.
+two bincounts. The image-directory loader is kept as it ran before it
+cleaned glyphs in stacks: one file at a time, read, cropped alone with
+scipy's labelling, normalized, thinned and reduced to features alone, with
+the features counted from the reference crossing numbers. One recorder
+reads the feature scaling that each fold of a cross-validation fits.
 """
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -30,9 +34,20 @@ from glyphsvm.preprocess import (
     _inverse_map,
     _rotated_extent,
     _zhang_suen_pass,
+    median_filter,
+    otsu_binarize,
 )
-from glyphsvm.errors import InvalidConfigError, NoConvergenceError
-from glyphsvm.multiclass import MinMaxScaling
+from glyphsvm.errors import (
+    EmptyClassError,
+    EmptyCropError,
+    InvalidConfigError,
+    NoConvergenceError,
+    UniformImageError,
+    UnreadableFileError,
+)
+from glyphsvm.modelsel import Dataset
+from glyphsvm.multiclass import MinMaxScaling, class_sort_key
+from glyphsvm.pgm import read_pgm
 from glyphsvm.svm import (
     CURVATURE_FLOOR,
     DEFAULT_MAX_ITER,
@@ -628,3 +643,67 @@ def fold_scalings(run, *args, **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MinMaxScaling, "fit", classmethod(recording_fit))
         return run(*args, **kwargs), fitted
+
+
+def reference_crop_character(gray):
+    """(left, top, width, height, crop) of one pre-segmented glyph cleaned
+    alone: the 2-D median filter and Otsu, then scipy's 8-connected
+    labelling, components under MIN_COMPONENT_AREA pixels dropped and the
+    tight box of the rest. A glyph with no larger component is
+    EmptyCropError."""
+    _, binary = otsu_binarize(median_filter(gray))
+    labels, _ = ndimage.label(binary, structure=np.ones((3, 3)))
+    keep = binary & (np.bincount(labels.ravel()) >= MIN_COMPONENT_AREA)[labels]
+    if not keep.any():
+        raise EmptyCropError("no component of sufficient area")
+    rows = np.flatnonzero(keep.any(axis=1))
+    cols = np.flatnonzero(keep.any(axis=0))
+    crop = keep[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    return int(cols[0]), int(rows[0]), crop.shape[1], crop.shape[0], crop
+
+
+def reference_feature_row(skeleton, width, height, config):
+    """The feature values of one thinned glyph whose box is width x height:
+    zone counts cell by cell, then width / height, endpoints, cross points
+    and branch points from `reference_crossing_number`."""
+    c = config.cell_px
+    zones = [
+        int(skeleton[r : r + c, q : q + c].sum())
+        for r in range(0, NORMALIZED_SIZE, c)
+        for q in range(0, NORMALIZED_SIZE, c)
+    ]
+    crossings = reference_crossing_number(skeleton)
+    endpoints, cross_points = (crossings == 1).sum(), (crossings >= 4).sum()
+    branch_points = (crossings == 3).sum()
+    return np.array(zones + [width / height, endpoints, cross_points, branch_points], float)
+
+
+def reference_load_image_dataset(root, config):
+    """`<root>/<class_label>/*.pgm` loaded one file at a time: every class
+    directory listed first, then each file read, cropped
+    (`reference_crop_character`), resampled (`reference_normalize_size`),
+    thinned (`reference_thin`) and reduced (`reference_feature_row`) before
+    the next is read. The first file that cannot be read or cropped is
+    UnreadableFileError naming it."""
+    root = str(root)
+    labels = sorted(
+        (e for e in os.listdir(root) if os.path.isdir(os.path.join(root, e))), key=class_sort_key
+    )
+    if not labels:
+        raise EmptyClassError(f"{root}: no class directories")
+    files = []
+    for label in labels:
+        class_dir = os.path.join(root, label)
+        names = sorted(f for f in os.listdir(class_dir) if f.lower().endswith(".pgm"))
+        if not names:
+            raise EmptyClassError(f"{class_dir}: no .pgm files")
+        files += [(label, os.path.join(class_dir, name)) for name in names]
+    rows = []
+    for _, path in files:
+        try:
+            _, _, width, height, crop = reference_crop_character(read_pgm(path))
+        except (EmptyCropError, UniformImageError) as exc:
+            raise UnreadableFileError(f"{path}: {exc}") from exc
+        skeleton = reference_thin(reference_normalize_size(crop))
+        rows.append(reference_feature_row(skeleton, width, height, config))
+    return Dataset(np.array(rows), [label for label, _ in files])

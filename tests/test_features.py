@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
+from hypothesis.strategies import booleans, integers, lists, sampled_from, tuples
 
+from glyphsvm import features
 from glyphsvm.errors import (
     DimensionMismatchError,
     InvalidConfigError,
@@ -16,14 +20,15 @@ from glyphsvm.features import (
     crossing_number,
     csv_header,
     extract_features,
+    feature_rows,
     local_zone_features,
     read_features_csv,
     skeleton_topology,
     write_features_csv,
 )
-from glyphsvm.preprocess import BoundingBox, CharacterRecord, thin
+from glyphsvm.preprocess import TRANSITIONS, BoundingBox, CharacterRecord, thin
 
-from oracles import neighborhood_images, reference_crossing_number
+from oracles import neighborhood_images, reference_crossing_number, reference_feature_row
 
 
 def crossing_number_oracle(img, r, c):
@@ -245,6 +250,37 @@ def test_vector_locals_match_zones():
     cfg = FeatureConfig(cell_px=8)
     vec = extract_features(make_record(img), cfg)
     np.testing.assert_array_equal(vec.values[:16], local_zone_features(img, cfg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(bool, tuples(integers(1, 5), integers(32, 32), integers(32, 32)), elements=booleans()),
+    lists(tuples(integers(1, 90), integers(1, 90)), min_size=5, max_size=5),
+    sampled_from([16, 8, 4, 2]),
+)
+def test_feature_rows_of_a_stack_are_each_records_features(skeletons, boxes, cell):
+    config = FeatureConfig(cell_px=cell)
+    records = [make_record(img, BoundingBox(0, 0, w, h)) for img, (w, h) in zip(skeletons, boxes)]
+    rows = feature_rows(records, config)
+    assert rows.shape == (len(records), config.total_count)
+    assert rows.dtype == np.float64
+    for row, record in zip(rows, records):
+        assert np.array_equal(row, extract_features(record, config).values)
+        box = record.bbox
+        want = reference_feature_row(record.skeleton, box.width, box.height, config)
+        assert np.array_equal(row, want)
+
+
+def test_stacked_zone_and_topology_counts_are_each_images():
+    rng = np.random.default_rng(29)
+    stack = thin(rng.random((6, 32, 32)) < 0.3)
+    config = FeatureConfig(cell_px=8)
+    assert np.array_equal(
+        local_zone_features(stack, config), [local_zone_features(img, config) for img in stack]
+    )
+    assert skeleton_topology(stack).tolist() == [list(skeleton_topology(img)) for img in stack]
+    # the per-image bins of one bincount hold every crossing number
+    assert TRANSITIONS.max() < features._CROSSING_BINS
 
 
 def test_feature_vector_validates_length():

@@ -3,7 +3,8 @@
 Pinned: a saved model, a grid CSV and the cross-validation details of each
 multiclass strategy, the version-1 files of the same two models (which must
 still load and predict), the SMO work of each strategy's grid, the records of
-a small noisy page and the feature rows of single glyphs.
+a small noisy page, the feature rows of single glyphs and the dataset loaded
+from a glyph directory.
 
 A change that alters training or prediction arithmetic changes one of these
 digests. If that is intended, say so in CHANGES.md and update the digests.
@@ -15,13 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from glyphsvm.data import load_dataset
 from glyphsvm.features import FeatureConfig, extract_features
 from glyphsvm.model_io import load_model, save_model
 from glyphsvm.modelsel import Dataset, _cross_validate, cross_validate, grid_search, kfold_split
 from glyphsvm.multiclass import decision_matrix, predict_batch, train_one_vs_all, train_one_vs_one
 from glyphsvm.preprocess import deskew, preprocess_character, preprocess_page
 from glyphsvm.svm import KernelSpec
-from glyphsvm.synth import SynthConfig, render_sample
+from glyphsvm.pgm import write_pgm
+from glyphsvm.synth import SynthConfig, generate_synthetic_dataset, render_sample
 
 from oracles import fold_scalings
 
@@ -29,6 +32,8 @@ MODEL_SHA256 = "5834e4acac8839ff5212aa74b2ee8189da0910fc0c4cf1357af218b64f3d603c
 GRID_CSV_SHA256 = "666d15f06315c888201568ec8c958ab0e6cad5fe88ad8a3f7ed50f3fbf01e52e"
 PAGE_RECORDS_SHA256 = "af2a2b39fde6f948085427ce7bcb5c23b82b1abf88ac8a22058067648cd6487b"
 GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597fd2e9ce7a"
+# the vectors, then the labels, of `golden_glyph_directory`
+LOADER_SHA256 = "6109ffc6b7eb2df6cda72ec5a2530212448184ed99e36ed14d14efa8ca846b10"
 OVO_MODEL_SHA256 = "d4fc20f81f0d515a1293a8f11f6fd9573c63452bc34e5871b581bd420ffc3dd4"
 # the same two models as written by the version-1 writer, kept in tests/data
 V1_MODEL_SHA256 = {
@@ -162,3 +167,26 @@ def test_golden_glyph_features():
         for i in range(2)
     ]
     assert sha256(np.array(rows).tobytes()) == GLYPH_FEATURES_SHA256
+
+
+def golden_glyph_directory(root):
+    """3 classes x 45 seeded 64x64 glyphs, more than one loader batch. Every
+    ninth glyph is also written framed wider (64x80) and cropped (52x52)
+    under a name that sorts right after it, so batches mix shapes."""
+    config = SynthConfig(classes=3, per_class=45, seed=29)
+    generate_synthetic_dataset(config, root)
+    for c in range(3):
+        for i in range(0, 45, 9):
+            gray = render_sample(config, c, i)
+            wide = np.pad(gray, ((0, 0), (8, 8)), constant_values=255)
+            write_pgm(wide, root / f"{c}" / f"{c}_{i:04d}w.pgm")
+            write_pgm(gray[6:58, 6:58], root / f"{c}" / f"{c}_{i:04d}c.pgm")
+    return root
+
+
+def test_golden_loaded_dataset(tmp_path):
+    data = load_dataset(golden_glyph_directory(tmp_path))
+    assert len(data) == 165
+    digest = hashlib.sha256(data.vectors.tobytes())
+    digest.update("\n".join(data.labels).encode())
+    assert digest.hexdigest() == LOADER_SHA256

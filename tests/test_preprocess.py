@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis.extra.numpy import arrays
-from hypothesis.strategies import booleans, floats, integers, sampled_from, tuples
+from hypothesis.strategies import booleans, composite, floats, integers, sampled_from, tuples
 from scipy import ndimage
 
 from glyphsvm import preprocess
@@ -19,6 +19,8 @@ from glyphsvm.errors import (
 from glyphsvm.preprocess import (
     TRANSITIONS,
     BoundingBox,
+    crop_character,
+    crop_characters,
     deskew,
     detect_skew,
     label_components,
@@ -43,6 +45,7 @@ from oracles import RING_OFFSETS, _neighbour_planes, _taps as reference_taps
 from oracles import (
     _full_canvas_inverse_map,
     neighborhood_images,
+    reference_crop_character,
     reference_crossing_number,
     reference_detect_skew,
     reference_median_filter,
@@ -1005,6 +1008,146 @@ def test_deletion_table_matches_plane_arithmetic(second):
     for img in images:
         expected = reference_zhang_suen_pass(img, second)
         assert np.array_equal(_zhang_suen_pass(img, second), expected)
+
+
+# --- glyph stacks ------------------------------------------------------------
+
+@composite
+def gray_stacks(draw, max_side=12):
+    """(k, H, W) uint8 stacks, H and W down to 1, with intensities up to a
+    drawn maxval as a P5 file of maxval < 255 holds them."""
+    maxval = draw(integers(1, 255))
+    shape = draw(tuples(integers(1, 4), integers(1, max_side), integers(1, max_side)))
+    return draw(arrays(np.uint8, shape, elements=integers(0, maxval)))
+
+
+def glyph_stack(count, seed):
+    """`count` synthetic glyphs with their salt-and-pepper noise."""
+    config = SynthConfig(classes=10, per_class=count, seed=seed)
+    return np.stack([render_sample(config, i % 10, i) for i in range(count)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gray_stacks())
+@example(np.zeros((2, 1, 1), np.uint8))
+@example(np.arange(21, dtype=np.uint8).reshape(3, 1, 7))
+def test_median_of_a_stack_is_the_median_of_each_image(stack):
+    got = median_filter(stack)
+    assert np.array_equal(got, np.stack([median_filter(img) for img in stack]))
+    assert np.array_equal(got, np.stack([reference_median_filter(img) for img in stack]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gray_stacks())
+@example(np.array([[[0, 9]], [[3, 3]]], np.uint8))
+@example(np.array([[[0, 9, 9]], [[3, 1, 3]]], np.uint8))
+def test_otsu_of_a_stack_is_otsu_of_each_image(stack):
+    if any(np.unique(img).size < 2 for img in stack):
+        with pytest.raises(UniformImageError):
+            otsu_binarize(stack)
+        return
+    thresholds, binary = otsu_binarize(stack)
+    alone = [otsu_binarize(img) for img in stack]
+    assert thresholds.tolist() == [t for t, _ in alone]
+    assert np.array_equal(binary, np.stack([b for _, b in alone]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(bool, tuples(integers(1, 4), integers(0, 9), integers(0, 9)), elements=booleans()))
+def test_labels_of_a_stack_number_each_image_in_turn(stack):
+    labels, count = label_components(stack)
+    offset = 0
+    for img, got in zip(stack, labels):
+        want, n = label_components(img)
+        assert np.array_equal(got, np.where(want > 0, want + offset, 0))
+        offset += n
+    assert count == offset
+
+
+def assert_crops_of_each_image(stack):
+    """`crop_characters` of the stack is `crop_character` of each image and
+    the reference crop; where an image fails alone, the stack fails, with
+    UniformImageError if any image is uniform once filtered (Otsu runs
+    before the crop)."""
+    alone, failures = [], set()
+    for img in stack:
+        try:
+            alone.append(crop_character(img))
+        except (EmptyCropError, UniformImageError) as exc:
+            failures.add(type(exc))
+    if failures:
+        with pytest.raises(UniformImageError if UniformImageError in failures else EmptyCropError):
+            crop_characters(stack)
+        return
+    for got, want, img in zip(crop_characters(stack), alone, stack, strict=True):
+        assert got.bbox == want.bbox
+        assert np.array_equal(got.crop, want.crop)
+        box = want.bbox
+        assert (box.left, box.top, box.width, box.height) == reference_crop_character(img)[:4]
+        assert np.array_equal(want.crop, reference_crop_character(img)[4])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gray_stacks())
+@example(np.stack([np.full((9, 9), 200, np.uint8), np.eye(9, dtype=np.uint8) * 200]))
+def test_crop_of_a_stack_is_the_crop_of_each_image(stack):
+    assert_crops_of_each_image(stack)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_crop_of_a_glyph_stack_is_the_crop_of_each_glyph(seed):
+    assert_crops_of_each_image(glyph_stack(24, seed))
+
+
+def test_a_uniform_image_fails_its_stack():
+    stack = glyph_stack(3, 5)
+    stack[1] = 255
+    with pytest.raises(UniformImageError):
+        otsu_binarize(median_filter(stack))
+    with pytest.raises(UniformImageError):
+        crop_characters(stack)
+
+
+@pytest.mark.parametrize("stage", [median_filter, otsu_binarize, crop_character])
+@pytest.mark.parametrize(
+    "img, error",
+    [
+        (np.zeros(5, np.uint8), WrongDimensionsError),
+        (np.zeros((2, 2, 3, 3), np.uint8), WrongDimensionsError),
+        (np.zeros((0, 4), np.uint8), WrongDimensionsError),
+        (np.zeros((4, 0), np.uint8), WrongDimensionsError),
+        (np.full((4, 4), 256.0), ValueError),
+        (np.full((4, 4), -1.0), ValueError),
+    ],
+    ids=["1-D", "4-D", "0xN", "Nx0", "above-255", "negative"],
+)
+def test_glyph_stages_keep_their_input_checks(stage, img, error):
+    with pytest.raises(error):
+        stage(img)
+
+
+@pytest.mark.parametrize("stage", [median_filter, otsu_binarize, crop_characters])
+@pytest.mark.parametrize(
+    "stack, error",
+    [
+        (np.zeros((0, 4, 4), np.uint8), WrongDimensionsError),
+        (np.zeros((2, 0, 4), np.uint8), WrongDimensionsError),
+        (np.full((2, 4, 4), 256.0), ValueError),
+        (np.full((2, 4, 4), np.nan), NonFiniteInputError),
+    ],
+    ids=["no-images", "0xN", "above-255", "nan"],
+)
+def test_glyph_stacks_are_checked_as_images(stage, stack, error):
+    with pytest.raises(error):
+        stage(stack)
+
+
+def test_crop_character_takes_one_image_and_crop_characters_a_stack():
+    stack = glyph_stack(2, 3)
+    with pytest.raises(WrongDimensionsError):
+        crop_character(stack)
+    with pytest.raises(WrongDimensionsError):
+        crop_characters(stack[0])
 
 
 # --- page pipeline ------------------------------------------------------------
