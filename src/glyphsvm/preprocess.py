@@ -53,11 +53,12 @@ class CharacterRecord:
 
 def _check_binary(img: np.ndarray, stack: bool = False) -> np.ndarray:
     """`img` as a 2-D bool image or, where `stack`, as a (k, H, W) stack of
-    them."""
+    them. A bool array comes back as itself, not a copy: callers only read
+    it."""
     img = np.asarray(img)
     if img.ndim != 2 and not (stack and img.ndim == 3):
         raise WrongDimensionsError("expected a 2-D binary image" + " or a stack" * stack)
-    return img.astype(bool)
+    return img.astype(bool, copy=False)
 
 
 def _check_grays(img) -> np.ndarray:
@@ -207,12 +208,14 @@ def _bicubic_gather(padded: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) ->
     as 1.0 and 0.0. Samples outside the source read as 0: taps clamp onto
     the ring.
     """
-    cols = [(np.clip(tx + 1, 0, padded.shape[1] - 1), wx) for tx, wx in zip(*_taps(src_x))]
+    h, w = padded.shape
+    flat = padded.ravel()
+    cols = [(np.clip(tx + 1, 0, w - 1), wx) for tx, wx in zip(*_taps(src_x))]
     acc = np.zeros(src_y.shape, dtype=np.float64)
     for ty, wy in zip(*_taps(src_y)):
-        rows = np.clip(ty + 1, 0, padded.shape[0] - 1)
+        row_start = np.clip(ty + 1, 0, h - 1) * w
         for col, wx in cols:
-            acc += wy * wx * padded[rows, col]
+            acc += wy * wx * flat.take(row_start + col)
     return acc
 
 
@@ -232,13 +235,17 @@ def detect_skew(page: np.ndarray) -> float:
     ys, xs = np.nonzero(page)
     # an integer centre keeps rows whole at 0 degrees; about a half-integer
     # one, rounding half to even would merge pairs of rows
-    ys = ys - page.shape[0] // 2
-    xs = xs - page.shape[1] // 2
+    h, w = page.shape
+    ys = (ys - h // 2).astype(np.float64)
+    xs = (xs - w // 2).astype(np.float64)
+    # every rotated row lies within +-bound, so row + bound indexes a count
+    bound = math.ceil(math.hypot(h, w)) + 1
 
     def score(tenths: int) -> int:
         rad = math.radians(-tenths / 10.0)
         rows = np.rint(math.sin(rad) * xs + math.cos(rad) * ys).astype(np.int64)
-        counts = np.bincount(rows - rows.min())
+        rows += bound
+        counts = np.bincount(rows)
         return int(counts @ counts)
 
     def sweep(candidates) -> int:
@@ -294,7 +301,7 @@ def deskew(page: np.ndarray, angle_deg: float) -> np.ndarray:
         src_y, src_x = _inverse_map(out.shape, page.shape, rotation, band)
         by = np.clip(np.floor(src_y), -3, page.shape[0] + 1).astype(np.intp) + 3
         bx = np.clip(np.floor(src_x), -3, page.shape[1] + 1).astype(np.intp) + 3
-        cls = window[by, bx]
+        cls = window.ravel().take(by * window.shape[1] + bx)
         mixed = cls == 1
         out[band] = cls == 2
         out[band][mixed] = _bicubic_gather(padded, src_y[mixed], src_x[mixed]) >= 0.5
@@ -502,81 +509,158 @@ def window_codes(img: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _rule_tables():
-    """Every 3x3 rule, evaluated once over all 512 window codes.
-
-    TRANSITIONS[code] is the Rutovitz crossing number of an ink centre, the
-    0-to-1 transitions around its circular neighborhood, and 0 for a
-    background centre; _DELETABLE[second][code] is the Zhang-Suen deletion
-    test of the first or second subiteration, true only at an ink centre.
-    """
+def _transition_table() -> np.ndarray:
+    """TRANSITIONS[code], for each of the 512 window codes, is the Rutovitz
+    crossing number of an ink centre, the 0-to-1 transitions around its
+    circular neighborhood, and 0 for a background centre."""
     codes = np.arange(512)
     shifts = np.array([3 * r + c for r, c in _RING])[:, None]
-    p2, p3, p4, p5, p6, p7, p8, p9 = bits = codes >> shifts & 1
+    bits = codes >> shifts & 1
     transitions = ((bits == 0) & (np.roll(bits, -1, axis=0) == 1)).sum(axis=0, dtype=np.int32)
     transitions[(codes & 16) == 0] = 0  # bit 4, the centre, is background
-    b = bits.sum(axis=0)
-    thinnable = (b >= 2) & (b <= 6) & (transitions == 1)
-    first = thinnable & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-    second = thinnable & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-    return transitions, (first, second)
+    return transitions
 
 
-TRANSITIONS, _DELETABLE = _rule_tables()
+TRANSITIONS = _transition_table()
 
 
-def _zhang_suen_pass(img: np.ndarray, second: bool) -> np.ndarray:
-    """Deletion mask for one Zhang-Suen subiteration."""
-    return _DELETABLE[second].take(window_codes(img))
+# Thinning runs on packed rows: bit c of a uint32 word is column c of one
+# glyph row. The rows of a (k, 32, 32) stack lie in a (3, 34, k) array:
+# [0, r + 1, g] is row r of glyph g, under a blank row 0 and over a blank
+# row 33, and planes 1 and 2 hold plane 0 shifted so that bit c is column
+# c + 1 and column c - 1. Zeros shift in, so cells off the frame are
+# background, as in `window_codes`.
+#
+# (plane, row offset) of the ring cells as four segments edge, corner, next
+# edge: the edges N, E, S, W and N again, then the corners NE, SE, SW, NW
+_SEGMENT_CELLS = ((0, 0), (1, 1), (0, 2), (2, 1), (0, 0), (1, 0), (1, 2), (2, 2), (2, 0))
+_SEGMENT_ROWS = (
+    np.array([plane * (NORMALIZED_SIZE + 2) + row for plane, row in _SEGMENT_CELLS])[:, None]
+    + np.arange(NORMALIZED_SIZE)
+)
 
 
-def _protect_vanishing(imgs: np.ndarray, deletions: np.ndarray) -> np.ndarray:
-    """Keep one pixel of any component the pass would delete entirely, in
-    every image of a (k, h, w) stack; `deletions` is updated in place.
+def _shift_rows(rows: np.ndarray) -> None:
+    """Refill planes 1 and 2 of packed rows from plane 0."""
+    np.right_shift(rows[0], 1, out=rows[1])
+    np.left_shift(rows[0], 1, out=rows[2])
 
-    Classic Zhang-Suen erases isolated 2x2 squares; retaining the component's
-    first raster pixel keeps the component count invariant. A deleted pixel
-    with a surviving 8-neighbour lies in that survivor's component, so a
-    component can vanish only if some deleted pixel has no surviving
-    neighbour. One test over the stack finds the images where that happens,
-    and only their components are labelled.
+
+def _pack_rows(stack: np.ndarray) -> np.ndarray:
+    """The (3, 34, k) packed rows of a (k, 32, 32) bool stack."""
+    n = NORMALIZED_SIZE
+    rows = np.zeros((3, n + 2, len(stack)), dtype=np.uint32)
+    rows[0, 1:-1] = np.packbits(stack, axis=-1, bitorder="little").view("<u4")[..., 0].T
+    _shift_rows(rows)
+    return rows
+
+
+def _unpack_rows(words: np.ndarray) -> np.ndarray:
+    """The (k, 32, 32) bool stack of (32, k) row words."""
+    n = NORMALIZED_SIZE
+    words = np.ascontiguousarray(words.T, dtype="<u4")
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+    return bits.reshape(len(words), n, n).view(bool)
+
+
+def _packed_deletions(rows: np.ndarray, second: bool) -> np.ndarray:
+    """The (32, k) deletion words of one Zhang-Suen subiteration over packed
+    rows: ink pixels with 2 <= B <= 6 ink neighbours, A == 1 0-to-1
+    transitions around the ring N, NE, E, ..., NW, and the subiteration's
+    two products zero.
+
+    Each segment edge, corner, next edge of the ring holds at most one
+    0-to-1 transition, (corner | next edge) ^ (edge & corner), so A == 1 is
+    exactly one segment with a transition. Then the ink neighbours form one
+    arc: B >= 2 holds when some corner and an edge beside it are ink, and B
+    <= 6 when some corner and an edge beside it are background. A == 0 means
+    B is 0 or 8, which those two tests refuse.
     """
-    survivors = imgs & ~deletions
-    at_risk = (deletions & (window_codes(survivors) == 0)).any(axis=(1, 2))
-    for g in at_risk.nonzero()[0]:
-        labels, count = label_components(imgs[g])
-        alive = np.bincount(labels[survivors[g]], minlength=count + 1)
-        for lab in np.flatnonzero(alive[1:] == 0) + 1:
-            deletions[g].flat[np.argmax(labels.ravel() == lab)] = False
+    k = rows.shape[2]
+    ring = rows.reshape(-1, k)[_SEGMENT_ROWS]
+    edge, next_edge, corner = ring[0:4], ring[1:5], ring[5:9]
+    steps = corner | next_edge
+    steps ^= edge & corner
+    either = steps[:2] | steps[2:]
+    refuse = steps[:2] & steps[2:]
+    refuse = refuse[0] | refuse[1]
+    refuse |= either[0] & either[1]  # A >= 2
+    full = edge & next_edge
+    full |= corner
+    full = full[:2] & full[2:]
+    refuse |= full[0] & full[1]  # B >= 7
+    north, east, south, west = ring[:4]
+    refuse |= (east | south) & north & west if second else (north | west) & east & south
+    pairs = edge | next_edge
+    pairs &= corner
+    pairs = pairs[:2] | pairs[2:]
+    deletions = pairs[0] | pairs[1]  # B >= 2
+    deletions &= rows[0, 1:-1]
+    np.invert(refuse, out=refuse)
+    deletions &= refuse
     return deletions
 
 
-def _zhang_suen_stack(stack: np.ndarray) -> np.ndarray:
-    """Zhang-Suen two-subiteration thinning to fixpoint of every image of a
-    (k, h, w) stack, stepped in lockstep.
+def _protect_vanishing(rows: np.ndarray, deletions: np.ndarray) -> None:
+    """Restore one pixel of any component a pass deleted entirely, in every
+    glyph of packed `rows` that the pass has already left; `deletions` is
+    updated in place.
 
-    Each subiteration computes one deletion mask for the live images. An
-    image leaves the live stack after a full iteration deletes nothing, where
-    thinning it alone would stop, so every image gets the passes it would get
-    alone and later passes cover only the images still changing.
+    Classic Zhang-Suen erases isolated 2x2 squares; retaining the
+    component's first raster pixel keeps the component count invariant. A
+    deleted pixel with a surviving 8-neighbour lies in that survivor's
+    component, so a component can vanish only if some deleted pixel has no
+    surviving neighbour. One test over the stack finds the glyphs where
+    that happens, and only their components are labelled.
     """
-    out = np.empty_like(stack)
-    imgs = stack.copy()
+    near = rows[0] | rows[1]
+    near |= rows[2]
+    lonely = near[:-2] | near[1:-1]
+    lonely |= near[2:]
+    np.invert(lonely, out=lonely)
+    lonely &= deletions
+    if not np.count_nonzero(lonely):
+        return
+    for g in lonely.any(axis=0).nonzero()[0]:
+        survivors = _unpack_rows(rows[0, 1:-1, g, None])[0]
+        labels, count = label_components(survivors | _unpack_rows(deletions[:, g, None])[0])
+        alive = np.bincount(labels[survivors], minlength=count + 1)
+        for lab in np.flatnonzero(alive[1:] == 0) + 1:
+            r, c = divmod(int(np.argmax(labels.ravel() == lab)), NORMALIZED_SIZE)
+            rows[0, r + 1, g] |= np.uint32(1 << c)
+            deletions[r, g] ^= np.uint32(1 << c)
+    _shift_rows(rows)
+
+
+def _zhang_suen_stack(stack: np.ndarray) -> np.ndarray:
+    """Zhang-Suen two-subiteration thinning to fixpoint of every glyph of a
+    (k, 32, 32) stack, stepped in lockstep on packed rows.
+
+    Each subiteration computes one deletion mask for the live glyphs. A
+    glyph leaves the live stack after a full iteration deletes nothing,
+    where thinning it alone would stop, so every glyph gets the passes it
+    would get alone and later passes cover only the glyphs still changing.
+    """
+    rows = _pack_rows(stack)
+    out = np.empty((NORMALIZED_SIZE, len(stack)), dtype=np.uint32)
     live = np.arange(len(stack))
     while len(live):
-        changed = np.zeros(len(live), dtype=bool)
+        gone = np.zeros((NORMALIZED_SIZE, len(live)), dtype=np.uint32)
         for second in (False, True):
-            deletions = _protect_vanishing(imgs, _zhang_suen_pass(imgs, second))
-            imgs &= ~deletions
-            changed |= deletions.any(axis=(1, 2))
+            deletions = _packed_deletions(rows, second)
+            rows[0, 1:-1] ^= deletions
+            _shift_rows(rows)
+            _protect_vanishing(rows, deletions)
+            gone |= deletions
+        changed = gone.any(axis=0)
         if not changed.all():
-            out[live[~changed]] = imgs[~changed]
-            imgs, live = imgs[changed], live[changed]
-    return out
+            out[:, live[~changed]] = rows[0, 1:-1][:, ~changed]
+            rows, live = rows[:, :, changed], live[changed]
+    return _unpack_rows(out)
 
 
-# glyphs thinned at once: the lockstep passes keep about 14.3 KB of
-# temporaries per glyph, so a batch bounds them where a whole dataset would not
+# glyphs thinned at once: the lockstep passes and the unpacked result keep
+# about 3.9 KB per glyph, so a batch bounds them where a whole dataset would not
 _THIN_BATCH = 128
 
 
@@ -585,7 +669,9 @@ def thin(norm: np.ndarray) -> np.ndarray:
 
     Takes one 32x32 image or a (k, 32, 32) stack and returns the same shape.
     A stack is thinned in lockstep, in batches of at most `_THIN_BATCH`
-    glyphs.
+    glyphs. Each glyph row is packed into one uint32 word, so a subiteration
+    is a few dozen bitwise operations over the whole batch's words
+    (`_packed_deletions`), not a table lookup per pixel.
     """
     norm = np.asarray(norm, dtype=bool)
     n = NORMALIZED_SIZE

@@ -15,9 +15,13 @@ two bincounts. The image-directory loader is kept as it ran before it
 cleaned glyphs in stacks: one file at a time, read, cropped alone with
 scipy's labelling, normalized, thinned and reduced to features alone, with
 the features counted from the reference crossing numbers. One recorder
-reads the feature scaling that each fold of a cross-validation fits.
+reads the feature scaling that each fold of a cross-validation fits. The
+Zhang-Suen pass that looked each pixel's window code up in a 512-entry
+table is kept as the reference of the package's bitwise pass over packed
+rows, and `reference_thin` thins with it.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -33,9 +37,9 @@ from glyphsvm.preprocess import (
     NORMALIZED_SIZE,
     _inverse_map,
     _rotated_extent,
-    _zhang_suen_pass,
     median_filter,
     otsu_binarize,
+    window_codes,
 )
 from glyphsvm.errors import (
     EmptyClassError,
@@ -467,14 +471,40 @@ def reference_protect_vanishing(img, deletions):
     return deletions
 
 
+@functools.cache
+def deletion_table(second):
+    """The Zhang-Suen deletion test of the first or second subiteration,
+    evaluated once at each of the 512 window codes of `window_codes` (bit
+    3r + c for cell (r, c)), true only at an ink centre. Read-only."""
+    codes = np.arange(512)
+    shifts = np.array([3 * r + c for r, c in RING_OFFSETS])[:, None]
+    p2, p3, p4, p5, p6, p7, p8, p9 = bits = codes >> shifts & 1
+    transitions = ((bits == 0) & (np.roll(bits, -1, axis=0) == 1)).sum(axis=0)
+    b = bits.sum(axis=0)
+    table = (b >= 2) & (b <= 6) & (transitions == 1) & ((codes & 16) != 0)
+    if not second:
+        table &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    else:
+        table &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    table.flags.writeable = False
+    return table
+
+
+def table_zhang_suen_pass(img, second):
+    """Deletion mask of one Zhang-Suen subiteration by one table lookup per
+    pixel, as the package ran it before it packed glyph rows into words. The
+    last two axes are the image; leading axes stack images."""
+    return deletion_table(second).take(window_codes(img))
+
+
 def reference_thin(img):
-    """Zhang-Suen to fixpoint: the package's deletion pass, the reference
+    """Zhang-Suen to fixpoint: the table deletion pass, the reference
     vanishing guard."""
     img = img.copy()
     while True:
         changed = False
         for second in (False, True):
-            deletions = reference_protect_vanishing(img, _zhang_suen_pass(img, second))
+            deletions = reference_protect_vanishing(img, table_zhang_suen_pass(img, second))
             if deletions.any():
                 img[deletions] = False
                 changed = True

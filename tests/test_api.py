@@ -1,7 +1,7 @@
 """The package's public names, and the functions the benchmark's tracer
 wraps, exist: deleting one of them fails here, not in a benchmark run. And
-every module-level function or class of the package, public or not, and
-every method or property of its classes, is used somewhere."""
+every module-level function, class or constant of the package, public or
+not, and every method or property of its classes, is used somewhere."""
 
 import ast
 import importlib
@@ -56,11 +56,11 @@ def references_in(paths) -> Counter:
 
 
 def test_no_unused_helpers():
-    """A module-level function or class, and a method or property (other
-    than a dunder) of a package class, must be referred to in the code of
-    the package or the benchmark outside its own definition and the
-    re-exports of `__init__.py`, unless it is public and the benchmark's
-    tracer wraps it. A module-level function of the test oracles must be
+    """A module-level function, class or constant, and a method or property
+    (other than a dunder) of a package class, must be referred to in the
+    code of the package or the benchmark outside its own definition and the
+    re-exports of `__init__.py`, unless it is a function or class that is
+    public and the benchmark's tracer wraps it. A module-level function of the test oracles must be
     referred to in a test file, or called by an oracle that is."""
     sources = sorted((ROOT / "src" / "glyphsvm").glob("*.py"))
     program = [path for path in sources if path.name != "__init__.py"]
@@ -69,6 +69,13 @@ def test_no_unused_helpers():
     unused = []
     for path in sources:
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unused += [
+                    f"{path.stem}.{name.id}" for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and not name.id.startswith("__")
+                    and everywhere[name.id] - references(node)[name.id] < 1
+                ]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             wrapped = node.name in glyphsvm.__all__ and node.name in traced

@@ -33,17 +33,19 @@ from glyphsvm.preprocess import (
     segment_page,
     thin,
     window_codes,
-    _DELETABLE,
     _bicubic_gather,
     _cubic_kernel,
+    _pack_rows,
+    _packed_deletions,
     _taps,
-    _zhang_suen_pass,
+    _unpack_rows,
 )
 from glyphsvm.synth import SynthConfig, render_sample
 
 from oracles import RING_OFFSETS, _neighbour_planes, _taps as reference_taps
 from oracles import (
     _full_canvas_inverse_map,
+    deletion_table,
     neighborhood_images,
     reference_crop_character,
     reference_crossing_number,
@@ -54,6 +56,7 @@ from oracles import (
     reference_rotate_bicubic,
     reference_thin,
     reference_zhang_suen_pass,
+    table_zhang_suen_pass,
 )
 
 # --- independent oracles ----------------------------------------------------
@@ -889,9 +892,9 @@ def test_thin_stack_equals_reference_per_glyph(monkeypatch):
         labelled.append(img.shape)
         return label_components(img)
 
-    def recording_pass(imgs, second):
-        live_sizes.append(len(imgs))
-        return _zhang_suen_pass(imgs, second)
+    def recording_pass(rows, second):
+        live_sizes.append(rows.shape[2])
+        return _packed_deletions(rows, second)
 
     monkeypatch.setattr(preprocess, "label_components", counting_label_components)
     per_glyph_labelled = []
@@ -903,7 +906,7 @@ def test_thin_stack_equals_reference_per_glyph(monkeypatch):
     assert min(per_glyph_labelled) == 0 and max(per_glyph_labelled) > 0
 
     labelled.clear()
-    monkeypatch.setattr(preprocess, "_zhang_suen_pass", recording_pass)
+    monkeypatch.setattr(preprocess, "_packed_deletions", recording_pass)
     out = thin(stack)
     assert out.shape == stack.shape and out.dtype == bool
     for g, img in enumerate(stack):
@@ -934,11 +937,12 @@ def test_thin_peak_memory():
     """Thinning 2,000 glyphs through `thin` keeps its temporaries to one
     batch.
 
-    The output takes 2,000 x 1,024 bytes. Each lockstep pass keeps about
-    14.3 KB of temporaries per glyph of its stack (measured for stacks of
-    128 and 2,000 glyphs), so a batch of 128 glyphs adds about 1.8 MB: the
-    whole call peaked at 3.9 MB. The bound allows the output plus 2.56 MB,
-    4.6 MB; one stack of all 2,000 glyphs peaked at 28.7 MB.
+    The output takes 2,000 x 1,024 bytes. Thinning a stack on packed rows
+    keeps about 3.9 KB per glyph, its unpacked result included (measured
+    for stacks of 128 and 2,000 glyphs), so a batch of 128 glyphs adds
+    about 0.5 MB: the whole call peaked at 2.5 MB. The bound allows the
+    output plus 2.56 MB, 4.6 MB; one stack of all 2,000 glyphs peaked at
+    7.7 MB.
     """
     rng = np.random.default_rng(61)
     stack = np.array([random_blob(rng) for _ in range(2000)])
@@ -980,7 +984,7 @@ def test_window_tables_equal_references_at_every_window():
         code = window_codes(img)[1, 1]
         codes.append(code)
         for second in (False, True):
-            assert _DELETABLE[second][code] == reference_zhang_suen_pass(img, second)[1, 1]
+            assert deletion_table(second)[code] == reference_zhang_suen_pass(img, second)[1, 1]
         assert TRANSITIONS[code] == reference_crossing_number(img)[1, 1]
     assert sorted(codes) == list(range(512))
 
@@ -1007,7 +1011,37 @@ def test_deletion_table_matches_plane_arithmetic(second):
     images += [rng.random((32, 32)) < density for density in np.linspace(0.05, 0.95, 40)]
     for img in images:
         expected = reference_zhang_suen_pass(img, second)
-        assert np.array_equal(_zhang_suen_pass(img, second), expected)
+        assert np.array_equal(table_zhang_suen_pass(img, second), expected)
+    stack = np.array(images[-40:])  # the 32x32 images, through the packed pass
+    expected = [reference_zhang_suen_pass(img, second) for img in stack]
+    assert np.array_equal(_unpack_rows(_packed_deletions(_pack_rows(stack), second)), expected)
+
+
+# the window's centre in a 32x32 frame: an interior pixel, the middle of each
+# edge and each corner
+FRAME_POSITIONS = [(15, 16), (0, 16), (31, 16), (15, 0), (15, 31), (0, 0), (0, 31), (31, 0), (31, 31)]
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_packed_deletions_equal_table_at_every_window_and_frame_position(second):
+    """All 512 windows, each centred at an interior pixel and at every edge
+    and corner of the frame (cells that fall off it are background): the
+    packed pass deletes a pixel exactly where the table pass does."""
+    glyphs, centres = [], []
+    for _, window in neighborhood_images():
+        for r, c in FRAME_POSITIONS:
+            glyph = np.zeros((34, 34), dtype=bool)
+            glyph[r : r + 3, c : c + 3] = window
+            glyphs.append(glyph[1:-1, 1:-1])
+            centres.append((r, c))
+    stack = np.array(glyphs)
+    packed = _unpack_rows(_packed_deletions(_pack_rows(stack), second))
+    assert np.array_equal(packed, table_zhang_suen_pass(stack, second))
+    # the interior placements hold every window code once
+    rows, cols = np.array(centres).T
+    interior = (rows == 15) & (cols == 16)
+    codes = window_codes(stack)[np.arange(len(stack)), rows, cols]
+    assert sorted(codes[interior].tolist()) == list(range(512))
 
 
 # --- glyph stacks ------------------------------------------------------------
@@ -1176,6 +1210,28 @@ def test_preprocess_page_records():
     assert max(tops[:3]) < min(tops[3:])  # first line above second
     lefts = [rec.bbox.left for rec in records[:3]]
     assert lefts == sorted(lefts)
+
+
+def test_check_binary_shares_a_bool_image_and_converts_any_other():
+    img = np.random.default_rng(5).random((6, 7)) < 0.5
+    assert np.shares_memory(preprocess._check_binary(img), img)
+    assert np.shares_memory(preprocess._check_binary(img[None], stack=True), img)
+    converted = preprocess._check_binary(img.astype(np.uint8) * 3)
+    assert converted.dtype == bool and np.array_equal(converted, img)
+
+
+def test_page_stages_leave_their_input_unchanged():
+    gray = page_with_glyphs()
+    kept = gray.copy()
+    assert len(preprocess_page(gray)) == 6
+    assert np.array_equal(gray, kept)
+    page, theta = glyph_page(3)
+    kept = page.copy()
+    detect_skew(page)
+    deskew(page, theta)
+    segment_page(page)
+    label_components(page)
+    assert np.array_equal(page, kept)
 
 
 def test_preprocess_page_blank_after_binarize():
