@@ -8,11 +8,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError, InvalidConfigError, MixedDimensionsError, NonFiniteInputError,
-    UnreadableFileError, WrongDimensionsError,
+    UnreadableFileError,
 )
 from .fileio import format_float, write_atomic
 from .preprocess import (
-    NORMALIZED_SIZE, TRANSITIONS, BoundingBox, CharacterRecord, window_codes
+    NORMALIZED_SIZE, BoundingBox, CharacterRecord, check_glyphs, topology_words
 )
 
 VALID_CELL_SIZES = (16, 8, 4, 2)
@@ -61,19 +61,10 @@ class FeatureVector:
             )
 
 
-def _check_skeleton(skeleton: np.ndarray) -> np.ndarray:
-    """`skeleton` as one 32x32 bool image or a (k, 32, 32) stack of them."""
-    skeleton = np.asarray(skeleton, dtype=bool)
-    n = NORMALIZED_SIZE
-    if skeleton.ndim not in (2, 3) or skeleton.shape[-2:] != (n, n):
-        raise WrongDimensionsError(f"expected {n}x{n} skeleton, got {skeleton.shape}")
-    return skeleton
-
-
 def local_zone_features(skeleton: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """Foreground pixel count per grid cell, cells ordered row-major; of a
     (k, 32, 32) stack, one row of counts per image."""
-    skeleton = _check_skeleton(skeleton)
+    skeleton = check_glyphs(skeleton)
     g = config.cells_per_side
     c = config.cell_px
     grid = skeleton.reshape(-1, g, c, g, c).sum(axis=(2, 4), dtype=np.int64)
@@ -85,33 +76,16 @@ def aspect_ratio(bbox: BoundingBox) -> float:
     return bbox.width / bbox.height
 
 
-def crossing_number(skeleton: np.ndarray) -> np.ndarray:
-    """Rutovitz crossing number per pixel: 0-to-1 transitions around the
-    circular 8-neighborhood. Background pixels get 0."""
-    skeleton = np.asarray(skeleton, dtype=bool)
-    return TRANSITIONS.take(window_codes(skeleton))
-
-
-# crossing numbers run 0..4: four 0-to-1 transitions at most around 8 cells
-_CROSSING_BINS = 5
-# the crossing numbers of an endpoint, a branch point and a cross point
-_TOPOLOGY_BINS = np.array([1, 3, 4])
-
-
-def skeleton_topology(skeleton: np.ndarray):
+def skeleton_topology(skeleton):
     """Counts of (endpoints, branch points, cross points) of a thin image;
-    of a (k, 32, 32) stack, a (k, 3) array of them from one `bincount`.
+    of a (k, 32, 32) stack, a (k, 3) array of them.
 
-    A foreground pixel is an endpoint at crossing number 1, a branch point
-    at 3, and a cross point at 4 or more.
+    A foreground pixel is an endpoint at Rutovitz crossing number 1, a
+    branch point at 3, and a cross point at 4, the most there can be; the
+    pixels are counted on packed rows (`topology_words`).
     """
-    skeleton = _check_skeleton(skeleton)
-    crossings = crossing_number(skeleton).reshape(-1, NORMALIZED_SIZE**2)
-    k = len(crossings)
-    crossings += np.arange(0, _CROSSING_BINS * k, _CROSSING_BINS, dtype=crossings.dtype)[:, None]
-    counts = np.bincount(crossings.ravel(), minlength=_CROSSING_BINS * k)
-    topology = counts.reshape(k, _CROSSING_BINS)[:, _TOPOLOGY_BINS]
-    return tuple(topology[0].tolist()) if skeleton.ndim == 2 else topology
+    counts = np.bitwise_count(topology_words(skeleton)).sum(axis=1, dtype=np.int64).T
+    return tuple(counts[0].tolist()) if np.ndim(skeleton) == 2 else counts
 
 
 def feature_rows(records: list[CharacterRecord], config: FeatureConfig) -> np.ndarray:

@@ -70,6 +70,15 @@ def _check_grays(img) -> np.ndarray:
     return check_gray(img)
 
 
+def check_glyphs(glyphs) -> np.ndarray:
+    """`glyphs` as one 32x32 bool image or a (k, 32, 32) stack of them."""
+    glyphs = np.asarray(glyphs, dtype=bool)
+    n = NORMALIZED_SIZE
+    if glyphs.ndim not in (2, 3) or glyphs.shape[-2:] != (n, n):
+        raise WrongDimensionsError(f"expected {n}x{n} glyphs, got {glyphs.shape}")
+    return glyphs
+
+
 def _median3(a, b, c):
     """The elementwise median of three arrays, max(min(a, b), min(max(a, b), c))."""
     low = np.minimum(a, b)
@@ -489,47 +498,12 @@ def _resample_block(crops: list[np.ndarray]) -> np.ndarray:
     return out >= 0.5
 
 
-# (row, column) of the neighbors N, NE, E, SE, S, SW, W, NW in a 3x3 window
-_RING = ((0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0))
-
-
-def window_codes(img: np.ndarray) -> np.ndarray:
-    """One uint16 per pixel whose bit 3r + c is set when cell (r, c) of the
-    pixel's 3x3 window is ink, so bit 4 is the pixel itself. Cells off the
-    image count as background. The last two axes are the image; leading axes
-    stack independent images."""
-    *lead, h, w = img.shape
-    cells = np.zeros((*lead, h, w + 2), dtype=np.uint16)
-    cells[..., 1:-1] = img
-    # bit c of a row code: column c of the window on the pixel's own row
-    rows = cells[..., :-2] | cells[..., 1:-1] << 1 | cells[..., 2:] << 2
-    codes = rows << 3
-    codes[..., 1:, :] |= rows[..., :-1, :]
-    codes[..., :-1, :] |= rows[..., 1:, :] << 6
-    return codes
-
-
-def _transition_table() -> np.ndarray:
-    """TRANSITIONS[code], for each of the 512 window codes, is the Rutovitz
-    crossing number of an ink centre, the 0-to-1 transitions around its
-    circular neighborhood, and 0 for a background centre."""
-    codes = np.arange(512)
-    shifts = np.array([3 * r + c for r, c in _RING])[:, None]
-    bits = codes >> shifts & 1
-    transitions = ((bits == 0) & (np.roll(bits, -1, axis=0) == 1)).sum(axis=0, dtype=np.int32)
-    transitions[(codes & 16) == 0] = 0  # bit 4, the centre, is background
-    return transitions
-
-
-TRANSITIONS = _transition_table()
-
-
-# Thinning runs on packed rows: bit c of a uint32 word is column c of one
-# glyph row. The rows of a (k, 32, 32) stack lie in a (3, 34, k) array:
-# [0, r + 1, g] is row r of glyph g, under a blank row 0 and over a blank
-# row 33, and planes 1 and 2 hold plane 0 shifted so that bit c is column
-# c + 1 and column c - 1. Zeros shift in, so cells off the frame are
-# background, as in `window_codes`.
+# Thinning and the skeleton's topology run on packed rows: bit c of a uint32
+# word is column c of one glyph row. The rows of a (k, 32, 32) stack lie in a
+# (3, 34, k) array: [0, r + 1, g] is row r of glyph g, under a blank row 0
+# and over a blank row 33, and planes 1 and 2 hold plane 0 shifted so that
+# bit c is column c + 1 and column c - 1. Zeros shift in, so cells off the
+# frame are background.
 #
 # (plane, row offset) of the ring cells as four segments edge, corner, next
 # edge: the edges N, E, S, W and N again, then the corners NE, SE, SW, NW
@@ -563,24 +537,36 @@ def _unpack_rows(words: np.ndarray) -> np.ndarray:
     return bits.reshape(len(words), n, n).view(bool)
 
 
-def _packed_deletions(rows: np.ndarray, second: bool) -> np.ndarray:
-    """The (32, k) deletion words of one Zhang-Suen subiteration over packed
-    rows: ink pixels with 2 <= B <= 6 ink neighbours, A == 1 0-to-1
-    transitions around the ring N, NE, E, ..., NW, and the subiteration's
-    two products zero.
+def _segment_steps(rows: np.ndarray):
+    """The (9, 32, k) ring words of packed rows in `_SEGMENT_CELLS` order,
+    and the (4, 32, k) transition words of the ring's four segments.
 
-    Each segment edge, corner, next edge of the ring holds at most one
-    0-to-1 transition, (corner | next edge) ^ (edge & corner), so A == 1 is
-    exactly one segment with a transition. Then the ink neighbours form one
-    arc: B >= 2 holds when some corner and an edge beside it are ink, and B
-    <= 6 when some corner and an edge beside it are background. A == 0 means
-    B is 0 or 8, which those two tests refuse.
+    Each segment edge, corner, next edge of the ring N, NE, E, ..., NW holds
+    at most one 0-to-1 transition, (corner | next edge) ^ (edge & corner),
+    so a pixel's Rutovitz crossing number is how many of its four bits are
+    set.
     """
     k = rows.shape[2]
     ring = rows.reshape(-1, k)[_SEGMENT_ROWS]
     edge, next_edge, corner = ring[0:4], ring[1:5], ring[5:9]
     steps = corner | next_edge
     steps ^= edge & corner
+    return ring, steps
+
+
+def _packed_deletions(rows: np.ndarray, second: bool) -> np.ndarray:
+    """The (32, k) deletion words of one Zhang-Suen subiteration over packed
+    rows: ink pixels with 2 <= B <= 6 ink neighbours, A == 1 0-to-1
+    transitions around the ring, and the subiteration's two products zero.
+
+    A == 1 is exactly one segment with a transition (`_segment_steps`).
+    Then the ink neighbours form one arc: B >= 2 holds when some corner and
+    an edge beside it are ink, and B <= 6 when some corner and an edge
+    beside it are background. A == 0 means B is 0 or 8, which those two
+    tests refuse.
+    """
+    ring, steps = _segment_steps(rows)
+    edge, next_edge, corner = ring[0:4], ring[1:5], ring[5:9]
     either = steps[:2] | steps[2:]
     refuse = steps[:2] & steps[2:]
     refuse = refuse[0] | refuse[1]
@@ -659,6 +645,29 @@ def _zhang_suen_stack(stack: np.ndarray) -> np.ndarray:
     return _unpack_rows(out)
 
 
+def topology_words(skeleton) -> np.ndarray:
+    """The (3, 32, k) packed row words of the endpoints, branch points and
+    cross points of one 32x32 image or a (k, 32, 32) stack: ink pixels of
+    crossing number 1, 3 and 4, the most four segments can hold.
+
+    A bit-sliced adder counts each pixel's four segment transitions
+    (`_segment_steps`) in two pairs of segments: an odd count is 1 or 3,
+    told apart by a pair that holds two.
+    """
+    stack = check_glyphs(skeleton).reshape(-1, NORMALIZED_SIZE, NORMALIZED_SIZE)
+    rows = _pack_rows(stack)
+    _, steps = _segment_steps(rows)
+    steps &= rows[0, 1:-1]
+    pairs = steps[:2] ^ steps[2:]
+    carries = steps[:2] & steps[2:]
+    words = np.empty((3,) + pairs.shape[1:], dtype=np.uint32)
+    odd = np.bitwise_xor(*pairs, out=words[0])
+    np.bitwise_and(*carries, out=words[2])
+    np.bitwise_and(odd, carries[0] | carries[1], out=words[1])
+    odd ^= words[1]
+    return words
+
+
 # glyphs thinned at once: the lockstep passes and the unpacked result keep
 # about 3.9 KB per glyph, so a batch bounds them where a whole dataset would not
 _THIN_BATCH = 128
@@ -671,12 +680,10 @@ def thin(norm: np.ndarray) -> np.ndarray:
     A stack is thinned in lockstep, in batches of at most `_THIN_BATCH`
     glyphs. Each glyph row is packed into one uint32 word, so a subiteration
     is a few dozen bitwise operations over the whole batch's words
-    (`_packed_deletions`), not a table lookup per pixel.
+    (`_packed_deletions`).
     """
-    norm = np.asarray(norm, dtype=bool)
+    norm = check_glyphs(norm)
     n = NORMALIZED_SIZE
-    if norm.ndim not in (2, 3) or norm.shape[-2:] != (n, n):
-        raise WrongDimensionsError(f"thin expects {n}x{n} images, got {norm.shape}")
     stack = norm.reshape(-1, n, n)
     out = np.empty_like(stack)
     for start in range(0, len(stack), _THIN_BATCH):

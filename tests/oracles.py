@@ -18,9 +18,12 @@ the features counted from the reference crossing numbers. One recorder
 reads the feature scaling that each fold of a cross-validation fits. The
 Zhang-Suen pass that looked each pixel's window code up in a 512-entry
 table is kept as the reference of the package's bitwise pass over packed
-rows, and `reference_thin` thins with it.
+rows, with its own window codes built from the ring offsets here, and
+`reference_thin` thins with it. The package counts crossing numbers on
+packed rows too; `reference_crossing_number` sums neighbour planes.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -39,7 +42,6 @@ from glyphsvm.preprocess import (
     _rotated_extent,
     median_filter,
     otsu_binarize,
-    window_codes,
 )
 from glyphsvm.errors import (
     EmptyClassError,
@@ -423,6 +425,20 @@ def neighborhood_images():
             yield code, img
 
 
+def window_codes(img):
+    """One uint16 per pixel whose bit 3r + c is set when cell (r, c) of the
+    pixel's 3x3 window is ink, so bit 4 is the pixel itself. Cells off the
+    image count as background. The last two axes are the image; leading axes
+    stack independent images."""
+    *lead, h, w = img.shape
+    padded = np.zeros((*lead, h + 2, w + 2), dtype=np.uint16)
+    padded[..., 1:-1, 1:-1] = img
+    codes = padded[..., 1:-1, 1:-1] << 4
+    for r, c in RING_OFFSETS:
+        codes |= padded[..., r : r + h, c : c + w] << 3 * r + c
+    return codes
+
+
 def _neighbour_planes(img):
     """The 8 neighbour planes of a binary image as uint8, zero off the image."""
     padded = np.pad(img, 1, mode="constant", constant_values=False).astype(np.uint8)
@@ -443,6 +459,26 @@ def reference_zhang_suen_pass(img, second):
     else:
         cond = (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
     return img & (b >= 2) & (b <= 6) & (a == 1) & cond
+
+
+def random_blob(rng, step_bound, size=32):
+    """A random connected blob grown from a seed pixel by 10 to
+    `step_bound - 1` steps, each inking a random neighbour of a random ink
+    cell. The ink cells are kept as sorted flat indices, the raster order
+    of `np.argwhere`, so a draw picks the cell it would pick from
+    `np.argwhere(img)`."""
+    r, c = rng.integers(4, size - 4, 2).tolist()
+    cells = [r * size + c]
+    for _ in range(rng.integers(10, step_bound)):
+        y, x = divmod(cells[rng.integers(len(cells))], size)
+        dy, dx = rng.integers(-1, 2, 2).tolist()
+        cell = min(max(y + dy, 0), size - 1) * size + min(max(x + dx, 0), size - 1)
+        at = bisect.bisect_left(cells, cell)
+        if at == len(cells) or cells[at] != cell:
+            cells.insert(at, cell)
+    img = np.zeros((size, size), dtype=bool)
+    img.flat[cells] = True
+    return img
 
 
 def reference_crossing_number(skeleton):

@@ -15,6 +15,7 @@ from oracles import (
     kernel_matrix,
     max_kkt_violation,
     oracle_best_dual,
+    random_blob,
     recover_alpha,
 )
 
@@ -137,23 +138,11 @@ def test_criterion_03_otsu_oracle():
 
 # --- 4. thinning properties --------------------------------------------------------
 
-def random_blob(rng, size=32):
-    img = np.zeros((size, size), dtype=bool)
-    r, c = rng.integers(4, size - 4, 2)
-    img[r, c] = True
-    for _ in range(rng.integers(10, 140)):
-        cells = np.argwhere(img)
-        y, x = cells[rng.integers(len(cells))]
-        dy, dx = rng.integers(-1, 2, 2)
-        img[np.clip(y + dy, 0, size - 1), np.clip(x + dx, 0, size - 1)] = True
-    return img
-
-
 def test_criterion_04_thinning_properties():
     rng = np.random.default_rng(104)
     failures = []
     for i in range(50):
-        img = random_blob(rng)
+        img = random_blob(rng, 140)
         skel = thin(img)
         if np.any(skel & ~img):
             failures.append((i, "escapes foreground"))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 from hypothesis.strategies import booleans, integers, lists, sampled_from, tuples
 
-from glyphsvm import features
 from glyphsvm.errors import (
     DimensionMismatchError,
     InvalidConfigError,
@@ -17,7 +16,6 @@ from glyphsvm.features import (
     FeatureConfig,
     FeatureVector,
     aspect_ratio,
-    crossing_number,
     csv_header,
     extract_features,
     feature_rows,
@@ -26,7 +24,7 @@ from glyphsvm.features import (
     skeleton_topology,
     write_features_csv,
 )
-from glyphsvm.preprocess import TRANSITIONS, BoundingBox, CharacterRecord, thin
+from glyphsvm.preprocess import BoundingBox, CharacterRecord, thin, topology_words, _unpack_rows
 
 from oracles import neighborhood_images, reference_crossing_number, reference_feature_row
 
@@ -142,6 +140,12 @@ def test_zones_require_32():
         local_zone_features(np.zeros((16, 16), dtype=bool), FeatureConfig())
 
 
+@pytest.mark.parametrize("shape", [(16, 16), (3, 32, 16), (2, 2, 32, 32), (32,)])
+def test_topology_requires_32(shape):
+    with pytest.raises(WrongDimensionsError):
+        skeleton_topology(np.zeros(shape, dtype=bool))
+
+
 # --- aspect ratio -------------------------------------------------------------
 
 def test_aspect_ratio_values():
@@ -193,20 +197,30 @@ def test_topology_matches_oracle_on_random_curves():
         assert skeleton_topology(img) == topology_oracle(img)
 
 
-def test_crossing_number_table_matches_references():
+def test_topology_words_match_references():
+    """Every 3x3 window, in the corner of a blank frame where the cells
+    around it are background as off a 3x3 image, and random images at 10
+    densities: the packed end, branch and cross words hold the ink pixels of
+    crossing number 1, 3 and 4 by both references."""
     rng = np.random.default_rng(43)
-    images = [img for _, img in neighborhood_images()]
+    images = []
+    for _, window in neighborhood_images():
+        img = blank()
+        img[:3, :3] = window
+        images.append(img)
     images += [rng.random((32, 32)) < density for density in np.linspace(0.05, 0.95, 10)]
-    for img in images:
-        t = crossing_number(img)
-        assert t.dtype == np.int32
-        assert np.array_equal(t, reference_crossing_number(img))
-        rows, cols = img.shape
+    stack = np.array(images)
+    words = [_unpack_rows(word) for word in topology_words(stack)]
+    for img, ends, branches, crosses in zip(stack, *words):
+        t = reference_crossing_number(img)
         expected = [
-            [crossing_number_oracle(img, r, c) if img[r, c] else 0 for c in range(cols)]
-            for r in range(rows)
+            [crossing_number_oracle(img, r, c) if img[r, c] else 0 for c in range(32)]
+            for r in range(32)
         ]
         assert np.array_equal(t, expected)
+        assert np.array_equal(ends, t == 1)
+        assert np.array_equal(branches, t == 3)
+        assert np.array_equal(crosses, t == 4)
 
 
 # --- assembled vector ------------------------------------------------------------
@@ -279,8 +293,6 @@ def test_stacked_zone_and_topology_counts_are_each_images():
         local_zone_features(stack, config), [local_zone_features(img, config) for img in stack]
     )
     assert skeleton_topology(stack).tolist() == [list(skeleton_topology(img)) for img in stack]
-    # the per-image bins of one bincount hold every crossing number
-    assert TRANSITIONS.max() < features._CROSSING_BINS
 
 
 def test_feature_vector_validates_length():

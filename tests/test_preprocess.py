@@ -17,7 +17,6 @@ from glyphsvm.errors import (
     WrongDimensionsError,
 )
 from glyphsvm.preprocess import (
-    TRANSITIONS,
     BoundingBox,
     crop_character,
     crop_characters,
@@ -32,7 +31,7 @@ from glyphsvm.preprocess import (
     segment_lines,
     segment_page,
     thin,
-    window_codes,
+    topology_words,
     _bicubic_gather,
     _cubic_kernel,
     _pack_rows,
@@ -47,6 +46,7 @@ from oracles import (
     _full_canvas_inverse_map,
     deletion_table,
     neighborhood_images,
+    random_blob,
     reference_crop_character,
     reference_crossing_number,
     reference_detect_skew,
@@ -57,6 +57,7 @@ from oracles import (
     reference_thin,
     reference_zhang_suen_pass,
     table_zhang_suen_pass,
+    window_codes,
 )
 
 # --- independent oracles ----------------------------------------------------
@@ -157,20 +158,6 @@ def zhang_suen_oracle(img):
     for r, c in fg:
         out[r, c] = True
     return out
-
-
-def random_blob(rng, size=32):
-    """Random connected blob grown from a seed pixel."""
-    img = np.zeros((size, size), dtype=bool)
-    r, c = rng.integers(4, size - 4, 2)
-    img[r, c] = True
-    for _ in range(rng.integers(10, 120)):
-        cells = np.argwhere(img)
-        y, x = cells[rng.integers(len(cells))]
-        dy, dx = rng.integers(-1, 2, 2)
-        ny, nx = np.clip(y + dy, 0, size - 1), np.clip(x + dx, 0, size - 1)
-        img[ny, nx] = True
-    return img
 
 
 def embed(mask, size=32, at=(4, 4)):
@@ -827,7 +814,7 @@ def test_thin_bar_matches_hand_traceable_oracle():
 def test_thin_random_blobs_properties():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        img = random_blob(rng)
+        img = random_blob(rng, 120)
         out = thin(img)
         assert not np.any(out & ~img)  # skeleton inside foreground
         assert np.array_equal(thin(out), out)  # idempotent
@@ -855,7 +842,7 @@ def test_thin_matches_reference_guard_on_vanishing_squares(monkeypatch):
     monkeypatch.setattr(preprocess, "label_components", counting_label_components)
     rng = np.random.default_rng(29)
     for _ in range(50):
-        img = sprinkle_squares(rng, random_blob(rng))
+        img = sprinkle_squares(rng, random_blob(rng, 120))
         assert np.array_equal(thin(img), reference_thin(img))
     assert labelled  # the labelling fallback ran
 
@@ -878,7 +865,7 @@ def thinning_stack():
     glyphs += [embed(np.ones((rows, 20), dtype=bool)) for rows in (1, 3, 7, 13)]
     glyphs += [rng.random((32, 32)) < density for density in (0.3, 0.5, 0.7, 0.9)]
     for i in range(16):
-        blob = random_blob(rng)
+        blob = random_blob(rng, 120)
         glyphs.append(sprinkle_squares(rng, blob) if i % 2 else blob)
     return np.array(glyphs)
 
@@ -945,7 +932,7 @@ def test_thin_peak_memory():
     7.7 MB.
     """
     rng = np.random.default_rng(61)
-    stack = np.array([random_blob(rng) for _ in range(2000)])
+    stack = np.array([random_blob(rng, 120) for _ in range(2000)])
     tracemalloc.start()
     try:
         thin(stack)
@@ -955,12 +942,34 @@ def test_thin_peak_memory():
     assert peak < 2000 * 1024 + 256 * 10_000
 
 
+def argwhere_blob(rng, step_bound, size=32):
+    """`random_blob` as first written: one `np.argwhere` of the image per
+    growth step."""
+    img = np.zeros((size, size), dtype=bool)
+    r, c = rng.integers(4, size - 4, 2)
+    img[r, c] = True
+    for _ in range(rng.integers(10, step_bound)):
+        cells = np.argwhere(img)
+        y, x = cells[rng.integers(len(cells))]
+        dy, dx = rng.integers(-1, 2, 2)
+        img[np.clip(y + dy, 0, size - 1), np.clip(x + dx, 0, size - 1)] = True
+    return img
+
+
+@pytest.mark.parametrize("step_bound", [120, 140])
+def test_random_blob_equals_argwhere_loop(step_bound):
+    for seed in (5, 17, 61, 104):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(25):
+            assert np.array_equal(random_blob(fast, step_bound), argwhere_blob(slow, step_bound))
+
+
 def test_zhang_suen_matches_oracle_on_blobs():
     # guard only differs on vanishing components; skip those cases
     rng = np.random.default_rng(17)
     checked = 0
     for _ in range(30):
-        img = random_blob(rng)
+        img = random_blob(rng, 120)
         oracle = zhang_suen_oracle(img)
         if not oracle.any():
             continue
@@ -978,14 +987,21 @@ def test_neighbor_codes_read_each_neighbourhood():
 
 def test_window_tables_equal_references_at_every_window():
     """Over all 512 windows, each table read at the centre's window code gives
-    the references' value at the centre pixel."""
+    the references' value at the centre pixel, and the packed topology words
+    of the window centred in a blank frame class the centre by its reference
+    crossing number."""
+    windows = [img for _, img in neighborhood_images()]
+    frames = np.zeros((len(windows), 32, 32), dtype=bool)
+    frames[:, 14:17, 15:18] = windows
+    ends, branches, crosses = (_unpack_rows(words)[:, 15, 16] for words in topology_words(frames))
     codes = []
-    for _, img in neighborhood_images():
+    for img, end, branch, cross in zip(windows, ends, branches, crosses):
         code = window_codes(img)[1, 1]
         codes.append(code)
         for second in (False, True):
             assert deletion_table(second)[code] == reference_zhang_suen_pass(img, second)[1, 1]
-        assert TRANSITIONS[code] == reference_crossing_number(img)[1, 1]
+        crossing = reference_crossing_number(img)[1, 1]
+        assert (end, branch, cross) == (crossing == 1, crossing == 3, crossing == 4)
     assert sorted(codes) == list(range(512))
 
 
@@ -1022,11 +1038,10 @@ def test_deletion_table_matches_plane_arithmetic(second):
 FRAME_POSITIONS = [(15, 16), (0, 16), (31, 16), (15, 0), (15, 31), (0, 0), (0, 31), (31, 0), (31, 31)]
 
 
-@pytest.mark.parametrize("second", [False, True])
-def test_packed_deletions_equal_table_at_every_window_and_frame_position(second):
-    """All 512 windows, each centred at an interior pixel and at every edge
-    and corner of the frame (cells that fall off it are background): the
-    packed pass deletes a pixel exactly where the table pass does."""
+def framed_windows():
+    """All 512 windows, each centred at every one of FRAME_POSITIONS (cells
+    that fall off the frame are background), as one stack of 32x32 glyphs
+    with the rows and columns of their centres."""
     glyphs, centres = [], []
     for _, window in neighborhood_images():
         for r, c in FRAME_POSITIONS:
@@ -1034,14 +1049,38 @@ def test_packed_deletions_equal_table_at_every_window_and_frame_position(second)
             glyph[r : r + 3, c : c + 3] = window
             glyphs.append(glyph[1:-1, 1:-1])
             centres.append((r, c))
-    stack = np.array(glyphs)
-    packed = _unpack_rows(_packed_deletions(_pack_rows(stack), second))
-    assert np.array_equal(packed, table_zhang_suen_pass(stack, second))
-    # the interior placements hold every window code once
     rows, cols = np.array(centres).T
+    return np.array(glyphs), rows, cols
+
+
+def assert_interior_windows_hold_every_code(stack, rows, cols):
     interior = (rows == 15) & (cols == 16)
     codes = window_codes(stack)[np.arange(len(stack)), rows, cols]
     assert sorted(codes[interior].tolist()) == list(range(512))
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_packed_deletions_equal_table_at_every_window_and_frame_position(second):
+    """All 512 windows at an interior pixel and at every edge and corner of
+    the frame: the packed pass deletes a pixel exactly where the table pass
+    does."""
+    stack, rows, cols = framed_windows()
+    packed = _unpack_rows(_packed_deletions(_pack_rows(stack), second))
+    assert np.array_equal(packed, table_zhang_suen_pass(stack, second))
+    assert_interior_windows_hold_every_code(stack, rows, cols)
+
+
+def test_topology_words_equal_reference_crossing_numbers_at_every_window_and_frame_position():
+    """All 512 windows at an interior pixel and at every edge and corner of
+    the frame: a pixel is set in the packed end, branch or cross words
+    exactly where its reference crossing number is 1, 3 or 4."""
+    stack, rows, cols = framed_windows()
+    crossings = np.array([reference_crossing_number(glyph) for glyph in stack])
+    words = topology_words(stack)
+    assert words.shape == (3, 32, len(stack))
+    for word, crossing in zip(words, (1, 3, 4)):
+        assert np.array_equal(_unpack_rows(word), crossings == crossing)
+    assert_interior_windows_hold_every_code(stack, rows, cols)
 
 
 # --- glyph stacks ------------------------------------------------------------
