@@ -67,10 +67,6 @@ def cmd_datagen(parser, args) -> int:
     config = SynthConfig(
         classes=args.classes,
         per_class=args.per_class,
-        rotation_deg=args.rotation,
-        scale_min=args.scale_min,
-        scale_max=args.scale_max,
-        translation_px=args.translation,
         noise_rate=args.noise,
         seed=args.seed,
     )
@@ -186,7 +182,6 @@ def cmd_repeat_eval(parser, args) -> int:
         train_fraction=args.train_frac,
         repetitions=args.repeats,
         seed=args.seed,
-        stratified=args.stratified,
     )
     label = f"{args.kernel} C={args.c:g}"
     text = report.iteration_table(label) + "\n\n" + report.error_table()
@@ -220,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.01)
-    p.add_argument("--rotation", type=float, default=10.0)
-    p.add_argument("--scale-min", type=float, default=0.8)
-    p.add_argument("--scale-max", type=float, default=1.2)
-    p.add_argument("--translation", type=float, default=3.0)
 
     p = sub.add_parser("preprocess", help="segment a page image into character PGMs")
     p.set_defaults(run=cmd_preprocess)
@@ -273,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stratified", action="store_true")
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("cv", help="k-fold cross-validation of one configuration")

@@ -2,7 +2,8 @@
 
 Floats are written with 17 significant digits so a load reproduces every
 decision value bit for bit. The format is line-oriented and diff-able.
-`save_model` writes version 2, which stores each support vector once:
+`save_model` writes version 2, the one version `load_model` reads, which
+stores each support vector once:
 
     GSVM1
     version 2
@@ -30,11 +31,6 @@ decision value bit for bit. The format is line-oriented and diff-able.
 Every row of the table is a support vector of at least one classifier.
 One-vs-one's classifiers follow `multiclass.class_pairs` order: (0, 1),
 (0, 2), ..., (N-2, N-1).
-`load_model` also reads version 1, which has no table: each classifier
-block holds its own `sv` lines after `coeffs` (and no `iterations`,
-`kkt_violation` or `sv_index`), and its rows are stacked classifier by
-classifier, equal rows kept apart. Version 1 reloads with 0 iterations and
-a KKT violation of 0.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from .svm import KERNEL_PARAMS, KernelSpec
 
 MAGIC = "GSVM1"
 VERSION = 2
-READABLE_VERSIONS = (1, 2)
 
 
 def _fmt_vec(values) -> str:
@@ -191,8 +186,8 @@ def _parse_kernel(line: str, path) -> KernelSpec:
 
 
 def load_model(path) -> MulticlassModel:
-    """Parse a version 1 or 2 file, validate invariants, and return the
-    stored model."""
+    """Parse a version 2 file, validate invariants, and return the stored
+    model."""
     try:
         with open(str(path), "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -206,10 +201,8 @@ def load_model(path) -> MulticlassModel:
     reader = _Reader(lines, path)
     reader.next()  # magic
     version = _parse_int(reader, "version")
-    if version not in READABLE_VERSIONS:
-        raise VersionMismatchError(
-            f"{path}: version {version}, supported {', '.join(map(str, READABLE_VERSIONS))}"
-        )
+    if version != VERSION:
+        raise VersionMismatchError(f"{path}: version {version}, supported {VERSION}")
     strategy = reader.next_value("strategy")
     if strategy not in STRATEGIES:
         raise CorruptBlockError(f"{path}: unknown strategy {strategy!r}")
@@ -235,13 +228,10 @@ def load_model(path) -> MulticlassModel:
     )
     if np.any(scaling.maxs < scaling.mins):
         raise CorruptBlockError(f"{path}: scaling_max is below scaling_min")
-    # version 2: the table; 1: each classifier's own rows, appended block by block
-    table = []
-    if version == 2:
-        n_sv = _parse_int(reader, "support_vectors")
-        if n_sv < 1:
-            raise CorruptBlockError(f"{path}: bad support_vectors {n_sv}")
-        table = [reader.next_floats("sv", dims) for _ in range(n_sv)]
+    n_sv = _parse_int(reader, "support_vectors")
+    if n_sv < 1:
+        raise CorruptBlockError(f"{path}: bad support_vectors {n_sv}")
+    table = [reader.next_floats("sv", dims) for _ in range(n_sv)]
     n_classifiers = _parse_int(reader, "classifiers")
     expected = n_classes if strategy == "ova" else n_classes * (n_classes - 1) // 2
     if n_classifiers != expected:
@@ -260,28 +250,23 @@ def load_model(path) -> MulticlassModel:
             raise CorruptBlockError(f"{path}: expected {expected!r}, found {head!r}")
         C[idx] = reader.next_floats("C", 1)[0]
         biases[idx] = reader.next_floats("bias", 1)[0]
-        if version == 2:
-            count = _parse_int(reader, "iterations")
-            violations[idx] = reader.next_floats("kkt_violation", 1)[0]
-            if not 0 <= count <= np.iinfo(np.int64).max or violations[idx] < 0:
-                raise CorruptBlockError(f"{path}: classifier {idx} has bad solver metadata")
-            iterations[idx] = count
+        count = _parse_int(reader, "iterations")
+        violations[idx] = reader.next_floats("kkt_violation", 1)[0]
+        if not 0 <= count <= np.iinfo(np.int64).max or violations[idx] < 0:
+            raise CorruptBlockError(f"{path}: classifier {idx} has bad solver metadata")
+        iterations[idx] = count
         sv_count = _parse_int(reader, "sv_count")
         if sv_count < 1:
             raise CorruptBlockError(f"{path}: classifier {idx} has no support vectors")
-        if version == 2:
-            indexes.append(_parse_index(reader, sv_count, n_sv, idx))
+        indexes.append(_parse_index(reader, sv_count, n_sv, idx))
         coefficients.append(reader.next_floats("coeffs", sv_count))
-        if version == 1:
-            table += [reader.next_floats("sv", dims) for _ in range(sv_count)]
         _check_dual(coefficients[-1], C[idx], path, idx)
     reader.next("end")
-    # version 1's blocks appended their rows in entry order
-    row = np.concatenate(indexes) if version == 2 else np.arange(len(table))
     classifier = np.repeat(np.arange(n_classifiers), [len(values) for values in coefficients])
+    entries = (np.concatenate(indexes), classifier, np.concatenate(coefficients))
     model = MulticlassModel.from_entries(
-        strategy, class_ids, kernel, np.array(table),
-        (row, classifier, np.concatenate(coefficients)), biases, C, iterations, violations, scaling,
+        strategy, class_ids, kernel, np.array(table), entries, biases, C, iterations, violations,
+        scaling,
     )
     if len(model.support_vectors) < len(table):
         raise CorruptBlockError(f"{path}: a support-vector table row belongs to no classifier")

@@ -59,36 +59,18 @@ class Dataset:
         return Dataset(self.vectors[indices], [self.labels[i] for i in indices])
 
 
-def split_train_test(
-    data: Dataset, train_fraction: float, seed: int, stratified: bool = False
-):
-    """Seeded random split; train gets floor(fraction * n) samples.
-
-    The plain split ignores classes; `stratified` applies the fraction
-    within each class instead.
-    """
+def split_train_test(data: Dataset, train_fraction: float, seed: int):
+    """Seeded random split that ignores classes; train gets
+    floor(fraction * n) samples."""
     if not 0.0 < train_fraction < 1.0:
         raise InvalidConfigError(
             f"train_fraction must be strictly between 0 and 1, got {train_fraction}"
         )
     check_seed(seed)
     n = len(data)
-    rng = np.random.default_rng(seed)
-    if stratified:
-        train_idx: list[int] = []
-        test_idx: list[int] = []
-        for cls in data.class_ids:
-            members = np.array([i for i, lb in enumerate(data.labels) if lb == cls])
-            members = members[rng.permutation(len(members))]
-            take = int(np.floor(train_fraction * len(members)))
-            train_idx.extend(members[:take].tolist())
-            test_idx.extend(members[take:].tolist())
-        train_idx = np.array(train_idx, dtype=np.int64)
-        test_idx = np.array(test_idx, dtype=np.int64)
-    else:
-        perm = rng.permutation(n)
-        take = int(np.floor(train_fraction * n))
-        train_idx, test_idx = perm[:take], perm[take:]
+    perm = np.random.default_rng(seed).permutation(n)
+    take = int(np.floor(train_fraction * n))
+    train_idx, test_idx = perm[:take], perm[take:]
     if len(train_idx) == 0 or len(test_idx) == 0:
         raise DegenerateSplitError(
             f"split of {n} samples at {train_fraction} leaves one side empty"
@@ -387,7 +369,6 @@ def repeat_evaluate(
     train_fraction: float = 0.8,
     repetitions: int = 5,
     seed: int = 0,
-    stratified: bool = False,
 ) -> EvalReport:
     """Repeat split -> train -> evaluate and pool the results.
 
@@ -401,9 +382,7 @@ def repeat_evaluate(
 
     classes, truth, predicted, iteration_acc = set(), [], [], []
     for rep_seed in np.random.SeedSequence(seed).generate_state(repetitions).tolist():
-        train_part, test_part = split_train_test(
-            data, train_fraction, rep_seed, stratified=stratified
-        )
+        train_part, test_part = split_train_test(data, train_fraction, rep_seed)
         model = train_multiclass(train_part.vectors, train_part.labels, strategy, kernel, C)
         guess = predict_batch(model, test_part.vectors)
         iteration_acc.append(sum(p == lb for p, lb in zip(guess, test_part.labels)) / len(guess))

@@ -81,9 +81,10 @@ GLYPH_LIBRARY = (
 
 MAX_CLASSES = len(GLYPH_LIBRARY)
 MAX_NOISE_RATE = 0.05
+# every sample's jitter is drawn uniformly from these fixed ranges
 MAX_ROTATION_DEG = 10.0
 SCALE_BOUNDS = (0.8, 1.2)
-MAX_TRANSLATION_PX = 3.0
+MAX_TRANSLATION_PX = 3.0  # on each axis
 CANVAS_PX = 64
 STROKE_PX = 3.0
 
@@ -92,14 +93,14 @@ STROKE_PX = 3.0
 class SynthConfig:
     classes: int
     per_class: int
-    rotation_deg: float = 10.0
-    scale_min: float = 0.8
-    scale_max: float = 1.2
-    translation_px: float = 3.0
     noise_rate: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("classes", "per_class"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.classes <= MAX_CLASSES:
             raise InvalidConfigError(
                 f"classes must be in [2, {MAX_CLASSES}], got {self.classes}"
@@ -109,18 +110,6 @@ class SynthConfig:
         if not 0.0 <= self.noise_rate <= MAX_NOISE_RATE:
             raise InvalidConfigError(
                 f"noise_rate must be in [0, {MAX_NOISE_RATE}], got {self.noise_rate}"
-            )
-        if not 0.0 <= self.rotation_deg <= MAX_ROTATION_DEG:
-            raise InvalidConfigError(
-                f"rotation_deg must be in [0, {MAX_ROTATION_DEG}]"
-            )
-        if not (SCALE_BOUNDS[0] <= self.scale_min <= self.scale_max <= SCALE_BOUNDS[1]):
-            raise InvalidConfigError(
-                f"scale range must satisfy {SCALE_BOUNDS[0]} <= min <= max <= {SCALE_BOUNDS[1]}"
-            )
-        if not 0.0 <= self.translation_px <= MAX_TRANSLATION_PX:
-            raise InvalidConfigError(
-                f"translation_px must be in [0, {MAX_TRANSLATION_PX}]"
             )
         check_seed(self.seed)
 
@@ -203,9 +192,9 @@ def render_sample(config: SynthConfig, class_idx: int, sample_idx: int) -> np.nd
     """One jittered grayscale sample (uint8, ink dark), deterministic in
     (seed, class, sample)."""
     rng = np.random.default_rng([config.seed, class_idx, sample_idx])
-    rotation = rng.uniform(-config.rotation_deg, config.rotation_deg)
-    scale = rng.uniform(config.scale_min, config.scale_max)
-    translate = rng.uniform(-config.translation_px, config.translation_px, 2)
+    rotation = rng.uniform(-MAX_ROTATION_DEG, MAX_ROTATION_DEG)
+    scale = rng.uniform(*SCALE_BOUNDS)
+    translate = rng.uniform(-MAX_TRANSLATION_PX, MAX_TRANSLATION_PX, 2)
     mask = render_glyph_mask(
         class_idx,
         rotation_deg=rotation,

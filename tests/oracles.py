@@ -1,26 +1,32 @@
 """Independent reference computations used by the unit and acceptance tests.
 
-Nothing here shares code paths with the package: the dual oracle works from
-raw objective evaluations (grid enumeration plus pairwise polish), and the
-KKT check recomputes every decision value from scratch. The scalar SMO loop
-that the package's lockstep solver replaced is kept as its bit-for-bit
-reference, and so are the full-canvas bicubic rotation and the float median
-that the package's banded rotation and selection median replaced. The
-rotation reads its own copy of the tap-at-a-time Keys weights that the
-package's four-tap table replaced, and so does the crop-at-a-time resample
-that the package's flat batched one replaced. The per-problem support and
-bias arithmetic and the pair-at-a-time one-vs-one vote loop are kept as the
-bit-for-bit references of the package's one pass per solver block and its
-two bincounts. The image-directory loader is kept as it ran before it
-cleaned glyphs in stacks: one file at a time, read, cropped alone with
-scipy's labelling, normalized, thinned and reduced to features alone, with
-the features counted from the reference crossing numbers. One recorder
-reads the feature scaling that each fold of a cross-validation fits. The
-Zhang-Suen pass that looked each pixel's window code up in a 512-entry
-table is kept as the reference of the package's bitwise pass over packed
-rows, with its own window codes built from the ring offsets here, and
-`reference_thin` thins with it. The package counts crossing numbers on
-packed rows too; `reference_crossing_number` sums neighbour planes.
+Nothing here runs the package's computations: the dual oracle works from raw
+objective evaluations (grid enumeration plus pairwise polish), and the KKT
+check recomputes every decision value from `reference_kernel`. What the
+oracles still take from the package is `read_pgm` to read glyph files,
+`class_sort_key` to order class directories, `MinMaxScaling.fit` (which
+`fold_scalings` records, not replaces), and constants, error types,
+`Dataset` and model types. Otsu's threshold is scored pixel by pixel, one
+mask per threshold, and rotations map canvases through
+`_full_canvas_inverse_map` and `rotated_extent`. The scalar SMO loop that
+the package's lockstep solver replaced is kept as its bit-for-bit reference,
+and so are the full-canvas bicubic rotation and the float median that the
+package's banded rotation and selection median replaced. The rotation reads
+its own copy of the tap-at-a-time Keys weights that the package's four-tap
+table replaced, and so does the crop-at-a-time resample that the package's
+flat batched one replaced. The per-problem support and bias arithmetic and
+the pair-at-a-time one-vs-one vote loop are kept as the bit-for-bit
+references of the package's one pass per solver block and its two bincounts.
+The image-directory loader is kept as it ran before it cleaned glyphs in
+stacks: one file at a time, read, cropped alone with scipy's labelling,
+normalized, thinned and reduced to features alone, with the features counted
+from the reference crossing numbers. One recorder reads the feature scaling
+that each fold of a cross-validation fits. The Zhang-Suen pass that looked
+each pixel's window code up in a 512-entry table is kept as the reference of
+the package's bitwise pass over packed rows, with its own window codes built
+from the ring offsets here, and `reference_thin` thins with it. The package
+counts crossing numbers on packed rows too; `reference_crossing_number` sums
+neighbour planes.
 """
 
 import bisect
@@ -34,15 +40,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from glyphsvm.preprocess import (
-    MAX_SKEW_DEG,
-    MIN_COMPONENT_AREA,
-    NORMALIZED_SIZE,
-    _inverse_map,
-    _rotated_extent,
-    median_filter,
-    otsu_binarize,
-)
+from glyphsvm.preprocess import MAX_SKEW_DEG, MIN_COMPONENT_AREA, NORMALIZED_SIZE
 from glyphsvm.errors import (
     EmptyClassError,
     EmptyCropError,
@@ -61,7 +59,6 @@ from glyphsvm.svm import (
     BinaryModel,
     KernelSpec,
     TrainingMeta,
-    decision_value,
 )
 
 GRID_POINTS = 11  # {0, C/10, ..., C}
@@ -331,11 +328,16 @@ def recover_alpha(model, X, y):
 
 
 def max_kkt_violation(model, X, y, C):
-    """Largest per-point KKT violation, decisions recomputed from scratch."""
+    """Largest per-point KKT violation, decisions recomputed from scratch:
+    the bias plus one `reference_kernel` term per support vector."""
     alpha = recover_alpha(model, X, y)
     worst = 0.0
     for idx in range(len(y)):
-        margin = y[idx] * decision_value(model, X[idx])
+        decision = model.bias + sum(
+            coeff * reference_kernel(model.kernel, sv, X[idx])
+            for sv, coeff in zip(model.support_vectors, model.dual_coeffs)
+        )
+        margin = y[idx] * decision
         if alpha[idx] <= 1e-12:
             worst = max(worst, 1.0 - margin)
         elif alpha[idx] >= C - 1e-12:
@@ -548,9 +550,17 @@ def reference_thin(img):
             return img
 
 
+def rotated_extent(h, w, angle_deg):
+    """(height, width) of the smallest canvas that holds an h x w image
+    rotated by `angle_deg`."""
+    rad = math.radians(angle_deg)
+    c, s = abs(math.cos(rad)), abs(math.sin(rad))
+    return math.ceil(h * c + w * s), math.ceil(w * c + h * s)
+
+
 def _rotate_nearest(img, angle_deg):
     """Rotate a binary image about its center, nearest-neighbor sampling."""
-    src_y, src_x = _inverse_map(img.shape, img.shape, angle_deg)
+    src_y, src_x = _full_canvas_inverse_map(img.shape, img.shape, angle_deg)
     iy = np.rint(src_y).astype(np.int64)
     ix = np.rint(src_x).astype(np.int64)
     inside = (iy >= 0) & (iy < img.shape[0]) & (ix >= 0) & (ix < img.shape[1])
@@ -563,7 +573,7 @@ def reference_detect_skew(page):
     """Skew by rotating the whole page: pad it to its 15-degree extent, undo
     each candidate angle with nearest-neighbour sampling and maximize the
     variance of the row profile. Same sweeps and tie order as the package."""
-    pad_shape = _rotated_extent(*page.shape, MAX_SKEW_DEG)
+    pad_shape = rotated_extent(*page.shape, MAX_SKEW_DEG)
     canvas = np.zeros(pad_shape, dtype=bool)
     oy = (pad_shape[0] - page.shape[0]) // 2
     ox = (pad_shape[1] - page.shape[1]) // 2
@@ -585,6 +595,29 @@ def reference_detect_skew(page):
     coarse = sweep(range(-150, 151, 5))
     fine = sweep(range(max(coarse - 5, -150), min(coarse + 5, 150) + 1))
     return fine / 10.0
+
+
+def reference_otsu_threshold(img):
+    """Smallest t in [0, 254] maximizing the between-class variance
+    w0 * w1 * (mu0 - mu1)^2, both classes scored from their own pixels under
+    one mask per threshold (a threshold that leaves a class empty scores 0).
+    An image of a single intensity is UniformImageError."""
+    pixels = np.asarray(img, dtype=np.int64).ravel()
+    if np.unique(pixels).size < 2:
+        raise UniformImageError("image has a single intensity; cannot binarize")
+    n = pixels.size
+    best_t, best_sigma = 0, -1.0
+    for t in range(255):
+        low = pixels <= t
+        count = int(np.count_nonzero(low))
+        sigma = 0.0
+        if 0 < count < n:
+            mu0 = int(pixels[low].sum()) / count
+            mu1 = int(pixels[~low].sum()) / (n - count)
+            sigma = count / n * ((n - count) / n) * (mu0 - mu1) ** 2
+        if sigma > best_sigma:
+            best_t, best_sigma = t, sigma
+    return best_t
 
 
 def reference_median_filter(img):
@@ -648,7 +681,7 @@ def reference_rotate_bicubic(img, angle_deg):
     one pass, re-binarized at 0.5; the output is enlarged to hold all
     rotated content."""
     img = np.asarray(img).astype(bool)
-    out_shape = _rotated_extent(*img.shape, angle_deg)
+    out_shape = rotated_extent(*img.shape, angle_deg)
     src_y, src_x = _full_canvas_inverse_map(out_shape, img.shape, angle_deg)
     values = _full_canvas_gather(img.astype(np.float64), src_y, src_x)
     return values >= 0.5
@@ -713,11 +746,12 @@ def fold_scalings(run, *args, **kwargs):
 
 def reference_crop_character(gray):
     """(left, top, width, height, crop) of one pre-segmented glyph cleaned
-    alone: the 2-D median filter and Otsu, then scipy's 8-connected
-    labelling, components under MIN_COMPONENT_AREA pixels dropped and the
-    tight box of the rest. A glyph with no larger component is
-    EmptyCropError."""
-    _, binary = otsu_binarize(median_filter(gray))
+    alone: `reference_median_filter` and `reference_otsu_threshold` (ink at
+    or below it), then scipy's 8-connected labelling, components under
+    MIN_COMPONENT_AREA pixels dropped and the tight box of the rest. A glyph
+    with no larger component is EmptyCropError."""
+    filtered = reference_median_filter(gray)
+    binary = filtered <= reference_otsu_threshold(filtered)
     labels, _ = ndimage.label(binary, structure=np.ones((3, 3)))
     keep = binary & (np.bincount(labels.ravel()) >= MIN_COMPONENT_AREA)[labels]
     if not keep.any():

@@ -17,6 +17,7 @@ from oracles import (
     oracle_best_dual,
     random_blob,
     recover_alpha,
+    reference_otsu_threshold,
 )
 
 from glyphsvm import svm
@@ -105,22 +106,6 @@ def test_criterion_02_analytic_margin():
 
 # --- 3. Otsu exhaustive oracle -----------------------------------------------------
 
-def otsu_bruteforce(img):
-    pixels = img.ravel().tolist()
-    n = len(pixels)
-    best_t, best_sigma = 0, -1.0
-    for t in range(255):
-        lo = [p for p in pixels if p <= t]
-        hi = [p for p in pixels if p > t]
-        sigma = 0.0
-        if lo and hi:
-            w0, w1 = len(lo) / n, len(hi) / n
-            sigma = w0 * w1 * (sum(lo) / len(lo) - sum(hi) / len(hi)) ** 2
-        if sigma > best_sigma:
-            best_t, best_sigma = t, sigma
-    return best_t
-
-
 def test_criterion_03_otsu_oracle():
     rng = np.random.default_rng(103)
     checked = mismatches = 0
@@ -130,7 +115,7 @@ def test_criterion_03_otsu_oracle():
             continue
         checked += 1
         t, _ = otsu_binarize(img)
-        if t != otsu_bruteforce(img):
+        if t != reference_otsu_threshold(img):
             mismatches += 1
     report(3, "Otsu threshold equals exhaustive argmax on 100 random images",
            mismatches == 0, f"{checked} images, {mismatches} mismatches")

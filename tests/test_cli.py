@@ -395,9 +395,10 @@ def test_preprocess_page_of_specks(tmp_path, capsys):
         (b"label_kind int", b"label_kind float", "CorruptBlock"),
         (b"\nclass 1\n", b"\nclass \n", "CorruptBlock"),
         (b"\nclass 1\n", b"\nclass 0\n", "CorruptBlock"),
+        (b"version 2", b"version 1", "VersionMismatch"),
     ],
     ids=["header-without-value", "not-utf8", "int-label-zz", "label-kind-float",
-         "empty-class-id", "repeated-class-id"],
+         "empty-class-id", "repeated-class-id", "version-1"],
 )
 def test_bad_model_file_is_one_line_error(dataset_dir, tmp_path, capsys, old, new, category):
     X = np.array([[0.0, 0.0], [0.1, 0.2], [1.0, 1.0], [0.9, 1.1]])
@@ -540,9 +541,9 @@ def test_negative_offset_written_apart_still_trains(dataset_dir, tmp_path):
 
 def test_values_attach_only_to_options_that_take_one():
     parser = cli.build_parser()
-    argv = ["repeat-eval", "--stratified", "-x", "--c", "-inf", "--seed", "--report", "r"]
+    argv = ["repeat-eval", "-h", "-x", "--c", "-inf", "--seed", "--report", "r"]
     assert cli._attach_values(parser, argv) == [
-        "repeat-eval", "--stratified", "-x", "--c=-inf", "--seed", "--report=r"]
+        "repeat-eval", "-h", "-x", "--c=-inf", "--seed", "--report=r"]
     assert cli._attach_values(parser, ["--help"]) == ["--help"]
 
 

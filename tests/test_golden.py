@@ -1,9 +1,8 @@
 """Golden fixture: seeded runs whose outputs are pinned by sha256.
 
 Pinned: a saved model, a grid CSV and the cross-validation details of each
-multiclass strategy, the version-1 files of the same two models (which must
-still load and predict), the SMO work of each strategy's grid, the records of
-a small noisy page, the feature rows of single glyphs and the dataset loaded
+multiclass strategy, the SMO work of each strategy's grid, the records of a
+small noisy page, the feature rows of single glyphs and the dataset loaded
 from a glyph directory.
 
 A change that alters training or prediction arithmetic changes one of these
@@ -11,16 +10,14 @@ digests. If that is intended, say so in CHANGES.md and update the digests.
 """
 
 import hashlib
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from glyphsvm.data import load_dataset
 from glyphsvm.features import FeatureConfig, extract_features
-from glyphsvm.model_io import load_model, save_model
+from glyphsvm.model_io import save_model
 from glyphsvm.modelsel import Dataset, _cross_validate, cross_validate, grid_search, kfold_split
-from glyphsvm.multiclass import decision_matrix, predict_batch, train_one_vs_all, train_one_vs_one
+from glyphsvm.multiclass import train_one_vs_all, train_one_vs_one
 from glyphsvm.preprocess import deskew, preprocess_character, preprocess_page
 from glyphsvm.svm import KernelSpec
 from glyphsvm.pgm import write_pgm
@@ -35,11 +32,6 @@ GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597
 # the vectors, then the labels, of `golden_glyph_directory`
 LOADER_SHA256 = "6109ffc6b7eb2df6cda72ec5a2530212448184ed99e36ed14d14efa8ca846b10"
 OVO_MODEL_SHA256 = "d4fc20f81f0d515a1293a8f11f6fd9573c63452bc34e5871b581bd420ffc3dd4"
-# the same two models as written by the version-1 writer, kept in tests/data
-V1_MODEL_SHA256 = {
-    "ova": "97b8db899d2d242e2157af5d7571663c110c6bf99013da9c2c649f44b3a1689e",
-    "ovo": "c4569e804af255cfebe9c721d13d187c536e098f389e5db73d2bb75412a4de77",
-}
 OVO_GRID_CSV_SHA256 = "a7868ec24927dfc375aba7032d0212f66da66735d984dc1f86fec267ce27fada"
 # SMO pair updates summed over each cell's folds and problems, in entry order
 OVA_GRID_ITERATIONS = [202, 157, 562, 263]
@@ -112,27 +104,6 @@ def test_golden_ovo_model_bytes(tmp_path):
     path = tmp_path / "golden.gsvm"
     save_model(model, path)
     assert sha256(path.read_bytes()) == OVO_MODEL_SHA256
-
-
-@pytest.mark.parametrize("strategy", ["ova", "ovo"])
-def test_golden_version_1_model_reads_as_before(strategy):
-    path = Path(__file__).parent / "data" / f"golden_v1_{strategy}.gsvm"
-    assert sha256(path.read_bytes()) == V1_MODEL_SHA256[strategy]
-    data = golden_dataset()
-    trainer = train_one_vs_all if strategy == "ova" else train_one_vs_one
-    model = trainer(data.vectors, data.labels, KernelSpec(kind="rbf", gamma=0.5), 16.0)
-    loaded = load_model(path)
-    # each classifier's rows stacked apart: as many rows as the file has sv lines
-    assert len(loaded.support_vectors) == path.read_text().count("\nsv ")
-    for got, want in zip(loaded.classifiers, model.classifiers, strict=True):
-        assert np.array_equal(got.support_vectors, want.support_vectors)
-        assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
-        assert (got.bias, got.C, got.meta.iterations) == (want.bias, want.C, 0)
-    probes = np.random.default_rng(3).normal(size=(50, 4)) * 2
-    np.testing.assert_allclose(
-        decision_matrix(loaded, probes), decision_matrix(model, probes), rtol=1e-12, atol=1e-12
-    )
-    assert predict_batch(loaded, probes) == predict_batch(model, probes)
 
 
 def golden_page() -> np.ndarray:

@@ -86,13 +86,6 @@ def test_dataset_rejects_non_finite_vectors(bad):
         Dataset(vectors, [0, 0, 1, 1])
 
 
-def test_split_stratified_balances_classes():
-    data = separable_dataset(np.random.default_rng(5), n_per_class=10, classes=2)
-    train, _ = split_train_test(data, 0.8, seed=1, stratified=True)
-    counts = {c: train.labels.count(c) for c in (0, 1)}
-    assert counts == {0: 8, 1: 8}
-
-
 # --- k-fold ---------------------------------------------------------------------
 
 def test_kfold_equal_sizes():
@@ -469,7 +462,6 @@ def test_negative_seed_is_invalid_config_at_every_entry_point():
     calls = [
         lambda: kfold_split(10, 2, seed=-1),
         lambda: split_train_test(data, 0.5, seed=-1),
-        lambda: split_train_test(data, 0.5, seed=-1, stratified=True),
         lambda: cross_validate(data, LINEAR, 1.0, k=2, seed=-1),
         lambda: grid_search(data, "linear", c_grid=[1.0], k=2, seed=-1),
     ]

@@ -52,6 +52,7 @@ from oracles import (
     reference_detect_skew,
     reference_median_filter,
     reference_normalize_size,
+    reference_otsu_threshold,
     reference_segment_characters,
     reference_rotate_bicubic,
     reference_thin,
@@ -76,27 +77,6 @@ def median_oracle(img):
                     window.append(int(img[rr, cc]))
             out[r, c] = sorted(window)[4]
     return out
-
-
-def otsu_oracle(img):
-    """Smallest t maximizing between-class variance, checked over all 256 bins."""
-    pixels = img.ravel().tolist()
-    n = len(pixels)
-    best_t, best_sigma = 0, -1.0
-    for t in range(255):
-        lo = [p for p in pixels if p <= t]
-        hi = [p for p in pixels if p > t]
-        if not lo or not hi:
-            sigma = 0.0
-        else:
-            w0 = len(lo) / n
-            w1 = len(hi) / n
-            mu0 = sum(lo) / len(lo)
-            mu1 = sum(hi) / len(hi)
-            sigma = w0 * w1 * (mu0 - mu1) ** 2
-        if sigma > best_sigma:
-            best_t, best_sigma = t, sigma
-    return best_t
 
 
 def flood_fill_components(img):
@@ -256,7 +236,7 @@ def test_otsu_matches_exhaustive_oracle():
         if len(np.unique(img)) < 2:
             continue
         t, _ = otsu_binarize(img)
-        assert t == otsu_oracle(img)
+        assert t == reference_otsu_threshold(img)
 
 
 # --- skew -------------------------------------------------------------------

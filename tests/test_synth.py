@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -9,6 +10,9 @@ from glyphsvm.pgm import read_pgm
 from glyphsvm.preprocess import preprocess_character
 from glyphsvm.synth import (
     GLYPH_LIBRARY,
+    MAX_ROTATION_DEG,
+    MAX_TRANSLATION_PX,
+    SCALE_BOUNDS,
     SynthConfig,
     generate_synthetic_dataset,
     render_glyph_mask,
@@ -32,11 +36,12 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         SynthConfig(classes=2, per_class=5, noise_rate=0.2)
     with pytest.raises(InvalidConfigError):
-        SynthConfig(classes=2, per_class=5, rotation_deg=25.0)
-    with pytest.raises(InvalidConfigError):
-        SynthConfig(classes=2, per_class=5, scale_min=0.5)
-    with pytest.raises(InvalidConfigError):
         SynthConfig(classes=2, per_class=0)
+    # both used to be accepted, then end in a bare TypeError while writing
+    with pytest.raises(InvalidConfigError, match="classes must be an integer"):
+        SynthConfig(classes=2.5, per_class=2)
+    with pytest.raises(InvalidConfigError, match="per_class must be an integer"):
+        SynthConfig(classes=2, per_class=1.5)
     with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
         SynthConfig(classes=2, per_class=5, seed=-1)
 
@@ -78,6 +83,21 @@ def test_samples_do_not_touch_border():
             ink = gray == 0
             assert not ink[0].any() and not ink[-1].any()
             assert not ink[:, 0].any() and not ink[:, -1].any()
+
+
+@pytest.mark.parametrize("cls", range(len(GLYPH_LIBRARY)))
+def test_worst_case_jitter_does_not_touch_border(cls):
+    """Every glyph at the extremes of each jitter range (rotation, scale and
+    translation on each axis) stays inside the canvas border."""
+    rotations = np.linspace(-MAX_ROTATION_DEG, MAX_ROTATION_DEG, 5)
+    shifts = (-MAX_TRANSLATION_PX, MAX_TRANSLATION_PX)
+    for rotation in rotations:
+        for scale in SCALE_BOUNDS:
+            for translate in itertools.product(shifts, shifts):
+                ink = render_glyph_mask(cls, rotation, scale, translate)
+                assert ink.any()
+                assert not ink[0].any() and not ink[-1].any()
+                assert not ink[:, 0].any() and not ink[:, -1].any()
 
 
 def test_noise_rate_applied(tmp_path):
