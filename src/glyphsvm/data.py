@@ -19,7 +19,6 @@ from .pgm import read_pgm
 from .preprocess import (
     _THIN_BATCH,
     CharacterRecord,
-    crop_character,
     crop_characters,
     finish_records,
 )
@@ -88,7 +87,7 @@ def _cropped_glyphs(paths) -> list[CharacterRecord]:
     except (EmptyCropError, UniformImageError):
         for path, gray in zip(paths, grays):  # the first failing image names its file
             try:
-                crop_character(gray)
+                crop_characters(gray[None])
             except (EmptyCropError, UniformImageError) as exc:
                 raise UnreadableFileError(f"{path}: {exc}") from exc
         raise

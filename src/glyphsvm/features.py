@@ -30,7 +30,7 @@ class FeatureConfig:
 
     def __post_init__(self):
         if self.cell_px not in VALID_CELL_SIZES:
-            raise ValueError(f"cell_px must be one of {VALID_CELL_SIZES}")
+            raise InvalidConfigError(f"cell_px must be one of {VALID_CELL_SIZES}")
 
     @property
     def cells_per_side(self) -> int:
@@ -62,13 +62,13 @@ class FeatureVector:
 
 
 def local_zone_features(skeleton: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Foreground pixel count per grid cell, cells ordered row-major; of a
-    (k, 32, 32) stack, one row of counts per image."""
+    """Foreground pixel count per grid cell of each image of a (k, 32, 32)
+    stack: one row of counts per image, cells ordered row-major."""
     skeleton = check_glyphs(skeleton)
     g = config.cells_per_side
     c = config.cell_px
     grid = skeleton.reshape(-1, g, c, g, c).sum(axis=(2, 4), dtype=np.int64)
-    return grid.reshape(skeleton.shape[:-2] + (-1,))
+    return grid.reshape(len(skeleton), -1)
 
 
 def aspect_ratio(bbox: BoundingBox) -> float:
@@ -76,16 +76,15 @@ def aspect_ratio(bbox: BoundingBox) -> float:
     return bbox.width / bbox.height
 
 
-def skeleton_topology(skeleton):
-    """Counts of (endpoints, branch points, cross points) of a thin image;
-    of a (k, 32, 32) stack, a (k, 3) array of them.
+def skeleton_topology(skeleton) -> np.ndarray:
+    """Counts of (endpoints, branch points, cross points) of each thin image
+    of a (k, 32, 32) stack, as a (k, 3) array.
 
     A foreground pixel is an endpoint at Rutovitz crossing number 1, a
     branch point at 3, and a cross point at 4, the most there can be; the
     pixels are counted on packed rows (`topology_words`).
     """
-    counts = np.bitwise_count(topology_words(skeleton)).sum(axis=1, dtype=np.int64).T
-    return tuple(counts[0].tolist()) if np.ndim(skeleton) == 2 else counts
+    return np.bitwise_count(topology_words(skeleton)).sum(axis=1, dtype=np.int64).T
 
 
 def feature_rows(records: list[CharacterRecord], config: FeatureConfig) -> np.ndarray:
@@ -182,6 +181,7 @@ def config_for_dimension(dimension: int, path) -> FeatureConfig:
         cfg = FeatureConfig(cell_px=cell)
         if cfg.total_count == dimension:
             return cfg
+    widths = ", ".join(str(FeatureConfig(cell_px=c).total_count) for c in VALID_CELL_SIZES)
     raise UnreadableFileError(
-        f"{path}: {dimension - GLOBAL_FEATURE_COUNT} local features match no supported grid"
+        f"{path}: {dimension} feature columns match no supported grid, which takes {widths}"
     )

@@ -37,9 +37,9 @@ class Dataset:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         self.labels = list(self.labels)
         if self.vectors.ndim != 2:
-            raise ValueError("vectors must form a 2-D matrix")
+            raise InvalidConfigError("vectors must form a 2-D matrix")
         if len(self.labels) != self.vectors.shape[0] or not self.labels:
-            raise ValueError("need one label per vector, at least one sample")
+            raise InvalidConfigError("need one label per vector, at least one sample")
         if not np.isfinite(self.vectors).all():
             raise NonFiniteInputError("feature vectors must not hold nan or inf")
 

@@ -18,7 +18,6 @@ from .errors import (
 from .svm import (
     BinaryModel,
     KernelSpec,
-    TrainingMeta,
     block_error,
     block_support,
     gram_matrix,
@@ -143,12 +142,8 @@ class MulticlassModel:
                 support_vectors=self.support_vectors[col != 0],
                 dual_coeffs=col[col != 0],
                 bias=float(bias),
-                C=float(C),
-                meta=TrainingMeta(iterations=int(iterations), kkt_violation=float(violation)),
             )
-            for col, bias, C, iterations, violation in zip(
-                self.coeffs.T, self.biases, self.C, self.iterations, self.kkt_violations
-            )
+            for col, bias in zip(self.coeffs.T, self.biases)
         ]
 
     def validate(self) -> None:

@@ -1,9 +1,11 @@
 """Page-to-glyph preprocessing: denoise, binarize, deskew, segment, normalize, thin.
 
 Images are plain numpy arrays: grayscale pages are 2-D uint8 (0-255), binary
-images are 2-D bool where True marks ink (dark foreground). The glyph stages
-(median filter, Otsu, component labelling, cropping, thinning) also take a
-(k, H, W) stack of same-shaped images and treat each image as if alone.
+images are 2-D bool where True marks ink (dark foreground). Median filter,
+Otsu and component labelling also take a (k, H, W) stack of same-shaped
+images and treat each image as if alone; cropping takes such a stack, and
+normalization a list of crops. The 32x32 stages (thinning and the skeleton's
+topology) take only a (k, 32, 32) stack.
 """
 
 from __future__ import annotations
@@ -71,11 +73,12 @@ def _check_grays(img) -> np.ndarray:
 
 
 def check_glyphs(glyphs) -> np.ndarray:
-    """`glyphs` as one 32x32 bool image or a (k, 32, 32) stack of them."""
+    """`glyphs` as a (k, 32, 32) bool stack; any other shape, one 32x32
+    image included, is WrongDimensionsError."""
     glyphs = np.asarray(glyphs, dtype=bool)
     n = NORMALIZED_SIZE
-    if glyphs.ndim not in (2, 3) or glyphs.shape[-2:] != (n, n):
-        raise WrongDimensionsError(f"expected {n}x{n} glyphs, got {glyphs.shape}")
+    if glyphs.ndim != 3 or glyphs.shape[1:] != (n, n):
+        raise WrongDimensionsError(f"expected a (k, {n}, {n}) glyph stack, got {glyphs.shape}")
     return glyphs
 
 
@@ -438,17 +441,17 @@ def normalize_size(crops):
     """Bicubic resample of binary crops to NORMALIZED_SIZE pixels square,
     re-binarized at 0.5.
 
-    Takes one 2-D crop and returns one 32x32 image, or a list or tuple of
-    crops and returns a (k, 32, 32) stack. Each axis scales independently;
-    the aspect ratio is intentionally not preserved (it survives separately
-    as a global feature). An empty or inkless crop is EmptyCropError.
+    Takes a list or tuple of 2-D crops and returns a (k, 32, 32) stack; a
+    crop that is not 2-D is WrongDimensionsError. Each axis scales
+    independently; the aspect ratio is intentionally not preserved (it
+    survives separately as a global feature). An empty or inkless crop is
+    EmptyCropError.
 
     Consecutive crops are resampled in blocks of about `_RESAMPLE_BLOCK`
     values (`_resample_block`), so temporaries scale with a block's total
     crop area, not with the number of crops times the largest one.
     """
-    single = not isinstance(crops, (list, tuple))
-    crops = [_check_binary(crop) for crop in ([crops] if single else crops)]
+    crops = [_check_binary(crop) for crop in crops]
     if any(crop.size == 0 or not crop.any() for crop in crops):
         raise EmptyCropError("cannot normalize an empty crop")
     n = NORMALIZED_SIZE
@@ -459,7 +462,7 @@ def normalize_size(crops):
         if size >= _RESAMPLE_BLOCK or end == len(crops):
             out[start:end] = _resample_block(crops[start:end])
             start, size = end, 0
-    return out[0] if single else out
+    return out
 
 
 def _resample_block(crops: list[np.ndarray]) -> np.ndarray:
@@ -647,15 +650,14 @@ def _zhang_suen_stack(stack: np.ndarray) -> np.ndarray:
 
 def topology_words(skeleton) -> np.ndarray:
     """The (3, 32, k) packed row words of the endpoints, branch points and
-    cross points of one 32x32 image or a (k, 32, 32) stack: ink pixels of
+    cross points of a (k, 32, 32) stack of skeletons: ink pixels of
     crossing number 1, 3 and 4, the most four segments can hold.
 
     A bit-sliced adder counts each pixel's four segment transitions
     (`_segment_steps`) in two pairs of segments: an odd count is 1 or 3,
     told apart by a pair that holds two.
     """
-    stack = check_glyphs(skeleton).reshape(-1, NORMALIZED_SIZE, NORMALIZED_SIZE)
-    rows = _pack_rows(stack)
+    rows = _pack_rows(check_glyphs(skeleton))
     _, steps = _segment_steps(rows)
     steps &= rows[0, 1:-1]
     pairs = steps[:2] ^ steps[2:]
@@ -676,20 +678,17 @@ _THIN_BATCH = 128
 def thin(norm: np.ndarray) -> np.ndarray:
     """Thin 32x32 normalized characters to 1-pixel-wide skeletons.
 
-    Takes one 32x32 image or a (k, 32, 32) stack and returns the same shape.
-    A stack is thinned in lockstep, in batches of at most `_THIN_BATCH`
-    glyphs. Each glyph row is packed into one uint32 word, so a subiteration
-    is a few dozen bitwise operations over the whole batch's words
-    (`_packed_deletions`).
+    Takes a (k, 32, 32) stack and returns one of the same shape, thinned in
+    lockstep, in batches of at most `_THIN_BATCH` glyphs. Each glyph row is
+    packed into one uint32 word, so a subiteration is a few dozen bitwise
+    operations over the whole batch's words (`_packed_deletions`).
     """
-    norm = check_glyphs(norm)
-    n = NORMALIZED_SIZE
-    stack = norm.reshape(-1, n, n)
+    stack = check_glyphs(norm)
     out = np.empty_like(stack)
     for start in range(0, len(stack), _THIN_BATCH):
         batch = slice(start, start + _THIN_BATCH)
         out[batch] = _zhang_suen_stack(stack[batch])
-    return out.reshape(norm.shape)
+    return out
 
 
 # --- full pipeline ---------------------------------------------------------
@@ -738,15 +737,10 @@ def preprocess_page(gray: np.ndarray) -> list[CharacterRecord]:
 
 
 def preprocess_character(gray: np.ndarray) -> CharacterRecord:
-    """Pipeline for a single pre-segmented character image: the record of
-    `crop_character`, normalized and thinned (a one-record `finish_records`)."""
-    return finish_records([crop_character(gray)])[0]
-
-
-def crop_character(gray: np.ndarray) -> CharacterRecord:
-    """A single pre-segmented character image up to its crop: the one-image
-    case of `crop_characters`."""
-    return crop_characters(check_gray(gray)[None])[0]
+    """Pipeline for a single pre-segmented 2-D character image: its record
+    from a one-image `crop_characters` stack, normalized and thinned (a
+    one-record `finish_records`)."""
+    return finish_records(crop_characters(check_gray(gray)[None]))[0]
 
 
 def crop_characters(grays: np.ndarray) -> list[CharacterRecord]:

@@ -180,12 +180,6 @@ def gram_matrix(spec: KernelSpec, samples) -> np.ndarray:
 
 
 @dataclass
-class TrainingMeta:
-    iterations: int
-    kkt_violation: float
-
-
-@dataclass
 class BinaryModel:
     """Trained binary SVM: support vectors, alpha_i * y_i, and the bias."""
 
@@ -193,8 +187,6 @@ class BinaryModel:
     support_vectors: np.ndarray
     dual_coeffs: np.ndarray
     bias: float
-    C: float
-    meta: TrainingMeta
 
 
 @dataclass
@@ -496,47 +488,30 @@ def block_error(block: DualBlock, p: int) -> NoConvergenceError | InvalidConfigE
     )
 
 
-def binary_model(block: DualBlock, p: int, samples, kernel: KernelSpec) -> BinaryModel:
-    """Package problem p of a solved block as a model over the rows of
-    `samples`, its real samples in order, with the support vectors and bias
-    of `block_support`; a failed problem raises its `block_error`."""
-    support, bias, failed = block_support(block)
-    if failed[p]:
-        raise block_error(block, p)
-    real = slice(len(samples))
-    support = support[p, real]
-    return BinaryModel(
-        kernel=kernel,
-        support_vectors=np.asarray(samples, dtype=np.float64)[support],
-        dual_coeffs=block.alpha[p, real][support] * block.Y[p, real][support],
-        bias=float(bias[p]),
-        C=float(block.C[p]),
-        meta=TrainingMeta(
-            iterations=int(block.iterations[p]),
-            kkt_violation=max(float(block.violation[p]), 0.0),
-        ),
-    )
-
-
 def train_binary(samples, labels, kernel: KernelSpec, C: float) -> BinaryModel:
     """Solve one soft-margin dual by SMO (a one-problem `solve_smo` over the
-    `gram_matrix` of `samples`) and package the resulting model.
+    `gram_matrix` of `samples`) and package its support vectors and bias
+    (`block_support`).
 
     Stops by the solver's rule: once the maximal KKT violation drops to
     `DEFAULT_TOL`, else NoConvergenceError with diagnostics after
     `DEFAULT_MAX_ITER` pair updates.
     """
     X, y = _validate_training_input(samples, labels)
-    return binary_model(solve_smo(gram_matrix(kernel, X), y[None], [C]), 0, X, kernel)
-
-
-def decision_values(model: BinaryModel, X) -> np.ndarray:
-    """f(x) = sum_i alpha_i y_i K(sv_i, x) + b for every row x of the 2-D X."""
-    k = kernel_against(model.kernel, model.support_vectors, X)
-    return k @ model.dual_coeffs + model.bias
+    block = solve_smo(gram_matrix(kernel, X), y[None], [C])
+    support, bias, failed = block_support(block)
+    if failed[0]:
+        raise block_error(block, 0)
+    support = support[0]
+    return BinaryModel(
+        kernel=kernel,
+        support_vectors=X[support],
+        dual_coeffs=block.alpha[0, support] * y[support],
+        bias=float(bias[0]),
+    )
 
 
 def decision_value(model: BinaryModel, x) -> float:
-    """f(x) of one sample: a 1-row call of `decision_values`."""
-    return float(decision_values(model, np.reshape(x, (1, -1)))[0])
-
+    """f(x) = sum_i alpha_i y_i K(sv_i, x) + b of one sample x."""
+    k = kernel_against(model.kernel, model.support_vectors, np.reshape(x, (1, -1)))
+    return float((k @ model.dual_coeffs + model.bias)[0])

@@ -58,7 +58,6 @@ from glyphsvm.svm import (
     DEFAULT_TOL,
     BinaryModel,
     KernelSpec,
-    TrainingMeta,
 )
 
 GRID_POINTS = 11  # {0, C/10, ..., C}
@@ -77,9 +76,10 @@ def reference_train_binary(
     gram: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> BinaryModel:
+) -> tuple[BinaryModel, int, float]:
     """The scalar SMO loop that `solve_smo` runs in lockstep: one problem,
-    one pair update per trip, the model packaged at the end. i is the
+    one pair update per trip, the model packaged at the end with the pair
+    updates made and the last maximal KKT violation (floored at 0). i is the
     sample that can rise with the largest y * gradient, j the second-order
     choice among those that can fall (the largest b^2 / a), and the step
     b / a is clipped to the box, each tie going to the lowest index.
@@ -157,14 +157,13 @@ def reference_train_binary(
             "no support vectors survived: every multiplier fell below the 1e-12 snap to 0, "
             "as happens when kernel values are huge; scale the samples"
         )
-    return BinaryModel(
+    model = BinaryModel(
         kernel=kernel,
         support_vectors=X[support].copy(),
         dual_coeffs=(alpha[support] * y[support]).copy(),
         bias=bias,
-        C=float(C),
-        meta=TrainingMeta(iterations=iterations, kkt_violation=max(violation, 0.0)),
     )
+    return model, iterations, max(violation, 0.0)
 
 
 def reference_solution_support(y, C, alpha, yg, converged, iterations, violation, tol):

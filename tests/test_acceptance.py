@@ -46,7 +46,7 @@ from glyphsvm.preprocess import (
     otsu_binarize,
     thin,
 )
-from glyphsvm.svm import KernelSpec, decision_value, decision_values, train_binary
+from glyphsvm.svm import KernelSpec, decision_value, train_binary
 from glyphsvm.synth import SynthConfig, generate_synthetic_dataset
 
 LINEAR = KernelSpec(kind="linear")
@@ -128,10 +128,10 @@ def test_criterion_04_thinning_properties():
     failures = []
     for i in range(50):
         img = random_blob(rng, 140)
-        skel = thin(img)
+        skel = thin(img[None])[0]
         if np.any(skel & ~img):
             failures.append((i, "escapes foreground"))
-        if not np.array_equal(thin(skel), skel):
+        if not np.array_equal(thin(skel[None])[0], skel):
             failures.append((i, "not idempotent"))
         if label_components(img)[1] != label_components(skel)[1]:
             failures.append((i, "component count changed"))
@@ -149,7 +149,7 @@ def test_criterion_05_feature_arithmetic():
     rng = np.random.default_rng(105)
     partition_ok = True
     for _ in range(100):
-        skel = thin(rng.random((32, 32)) < rng.uniform(0.1, 0.5))
+        skel = thin((rng.random((32, 32)) < rng.uniform(0.1, 0.5))[None])
         for cell in (16, 8, 4, 2):
             if local_zone_features(skel, FeatureConfig(cell_px=cell)).sum() != skel.sum():
                 partition_ok = False
@@ -183,11 +183,9 @@ def test_criterion_06_topology_counts():
     line = canvas(); line[16, 5:15] = True
     plus = canvas(); plus[16, 13:20] = True; plus[13:20, 16] = True
     tee = canvas(); tee[10, 13:20] = True; tee[11:15, 16] = True
-    shapes_ok = (
-        skeleton_topology(line) == (2, 0, 0)
-        and skeleton_topology(plus) == (4, 0, 1)
-        and skeleton_topology(tee) == (3, 1, 0)
-    )
+    shapes_ok = skeleton_topology(np.stack([line, plus, tee])).tolist() == [
+        [2, 0, 0], [4, 0, 1], [3, 1, 0]
+    ]
     rng = np.random.default_rng(106)
     oracle_ok = True
     for _ in range(50):
@@ -199,8 +197,8 @@ def test_criterion_06_topology_counts():
             r = int(np.clip(r + dr, 1, 30))
             c = int(np.clip(c + dc, 1, 30))
             img[r, c] = True
-        curve = thin(img)
-        if skeleton_topology(curve) != crossing_oracle(curve):
+        curve = thin(img[None])
+        if tuple(skeleton_topology(curve)[0]) != crossing_oracle(curve[0]):
             oracle_ok = False
     report(6, "line/plus/T triples and 50 random curves match the crossing oracle",
            shapes_ok and oracle_ok)
@@ -236,8 +234,10 @@ def test_criterion_07_multiclass_counts_and_equivalence():
     y = np.array([1.0 if lb == 0 else -1.0 for lb in labels])
     direct = train_binary(scaled, y, spec, 10.0)
     probes = rng.normal(size=(200, 2)) * 2
-    direct_labels = np.where(decision_values(direct, ova.scaling.transform(probes)) >= 0.0, 0, 1)
-    equiv_ok = predict_batch(ova, probes) == predict_batch(ovo, probes) == direct_labels.tolist()
+    direct_labels = [
+        0 if decision_value(direct, x) >= 0.0 else 1 for x in ova.scaling.transform(probes)
+    ]
+    equiv_ok = predict_batch(ova, probes) == predict_batch(ovo, probes) == direct_labels
     report(7, "ova N / ovo N(N-1)/2 classifier counts; N=2 paths agree on 200 probes",
            counts_ok and equiv_ok)
 

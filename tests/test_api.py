@@ -1,24 +1,35 @@
 """The package's public names, and the functions the benchmark's tracer
-wraps, exist: deleting one of them fails here, not in a benchmark run. And
-every module-level function, class or constant of the package, public or
-not, and every method or property of its classes, is used somewhere."""
+wraps, exist, and the benchmark's own helpers run: deleting or changing one
+of them fails here, not in a benchmark run. And every module-level function,
+class or constant of the package, public or not, and every method or
+property of its classes, is used somewhere."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
 import glyphsvm
+from glyphsvm import model_io, multiclass
+from glyphsvm.synth import SynthConfig
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def perfbench_module(name):
+    """The benchmark's module `perfbench/<name>.py`, loaded from its file
+    and registered, as its dataclasses need."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def traced_functions():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = perfbench_module("spans")
     return [(mod, fn) for mod, fns in spans.TRACED.items() for fn in fns]
 
 
@@ -31,6 +42,19 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"glyphsvm.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+def test_benchmark_helpers_run_on_a_small_glyph_set(tmp_path):
+    # the benchmark renders glyphs through `preprocess_character` and
+    # `extract_features`, and compares reloaded models through `.classifiers`
+    # and `svm.decision_value`
+    workloads = perfbench_module("workloads")
+    labels, rows = workloads.glyph_features(SynthConfig(classes=2, per_class=3, seed=5))
+    assert rows.shape == (6, workloads.FEATURES.total_count)
+    model = multiclass.train_one_vs_all(rows, labels, *workloads.PAGE_CELL)
+    model_io.save_model(model, tmp_path / "model.gsvm")
+    loaded = model_io.load_model(tmp_path / "model.gsvm")
+    assert workloads.decision_mismatches(loaded, model, rows) == 0
 
 
 def test_every_public_name_resolves():

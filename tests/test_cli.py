@@ -450,6 +450,20 @@ def test_scaling_max_below_min_is_one_line_error(dataset_dir, tmp_path, capsys):
     assert_one_line_error(capsys, "CorruptBlock")
 
 
+@pytest.mark.parametrize("header", ["label", "label,v1"], ids=["no-feature", "one-feature"])
+def test_header_only_csv_names_its_column_count(tmp_path, capsys, header):
+    # the message used to count local features, negative for these headers
+    csv_path = tmp_path / "feats.csv"
+    csv_path.write_text(header + "\n")
+    assert main(["train", "--data", str(csv_path), "--model", str(tmp_path / "m.gsvm")]) == 1
+    err = capsys.readouterr().err
+    columns = header.count(",")
+    assert err == (
+        f"error: UnreadableFile: {csv_path}: {columns} feature columns match no supported "
+        "grid, which takes 8, 20, 68, 260\n"
+    )
+
+
 def test_non_utf8_feature_csv_is_one_line_error(tmp_path, capsys):
     csv_path = tmp_path / "feats.csv"
     csv_path.write_bytes(b"label,v1,v2,v3,v4,whr,ep,cp,bp\n\xff,1,2,3,4,1,0,0,0\n")

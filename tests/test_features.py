@@ -56,6 +56,16 @@ def blank():
     return np.zeros((32, 32), dtype=bool)
 
 
+def zones(img, config):
+    """`local_zone_features` of one image, as a one-image stack."""
+    return local_zone_features(img[None], config)[0]
+
+
+def topology(img):
+    """`skeleton_topology` of one image, as a one-image stack."""
+    return tuple(skeleton_topology(img[None])[0].tolist())
+
+
 def random_thin_curve(rng):
     """Random walk skeletonized by thinning, guaranteed thin."""
     img = blank()
@@ -66,7 +76,7 @@ def random_thin_curve(rng):
         r = int(np.clip(r + dr, 1, 30))
         c = int(np.clip(c + dc, 1, 30))
         img[r, c] = True
-    return thin(img)
+    return thin(img[None])[0]
 
 
 # --- config & arithmetic -----------------------------------------------------
@@ -86,20 +96,20 @@ def test_config_rejects_bad_cell():
 
 
 def test_zones_empty():
-    out = local_zone_features(blank(), FeatureConfig(cell_px=4))
+    out = zones(blank(), FeatureConfig(cell_px=4))
     assert out.shape == (64,)
     assert not out.any()
 
 
 def test_zones_full():
-    out = local_zone_features(np.ones((32, 32), dtype=bool), FeatureConfig(cell_px=4))
+    out = zones(np.ones((32, 32), dtype=bool), FeatureConfig(cell_px=4))
     assert (out == 16).all()
 
 
 def test_zones_single_pixel_first_cell():
     img = blank()
     img[0, 0] = True
-    out = local_zone_features(img, FeatureConfig(cell_px=4))
+    out = zones(img, FeatureConfig(cell_px=4))
     assert out[0] == 1
     assert out[1:].sum() == 0
 
@@ -107,11 +117,11 @@ def test_zones_single_pixel_first_cell():
 def test_zones_row_major_order():
     img = blank()
     img[0, 31] = True  # top-right cell = index cells_per_side - 1
-    out = local_zone_features(img, FeatureConfig(cell_px=4))
+    out = zones(img, FeatureConfig(cell_px=4))
     assert out[7] == 1 and out.sum() == 1
     img2 = blank()
     img2[31, 0] = True  # bottom-left cell = first cell of last row
-    out2 = local_zone_features(img2, FeatureConfig(cell_px=4))
+    out2 = zones(img2, FeatureConfig(cell_px=4))
     assert out2[56] == 1 and out2.sum() == 1
 
 
@@ -121,7 +131,7 @@ def test_zones_partition_property():
         img = rng.random((32, 32)) < rng.uniform(0.05, 0.5)
         total = img.sum()
         for cell in (16, 8, 4, 2):
-            assert local_zone_features(img, FeatureConfig(cell_px=cell)).sum() == total
+            assert zones(img, FeatureConfig(cell_px=cell)).sum() == total
 
 
 def test_zones_translation_covariance():
@@ -130,8 +140,8 @@ def test_zones_translation_covariance():
     img = blank()
     img[4:12, 4:12] = rng.random((8, 8)) < 0.5
     shifted = np.roll(img, (4, 4), axis=(0, 1))
-    base = local_zone_features(img, cfg).reshape(8, 8)
-    moved = local_zone_features(shifted, cfg).reshape(8, 8)
+    base = zones(img, cfg).reshape(8, 8)
+    moved = zones(shifted, cfg).reshape(8, 8)
     assert np.array_equal(np.roll(base, (1, 1), axis=(0, 1)), moved)
 
 
@@ -140,7 +150,7 @@ def test_zones_require_32():
         local_zone_features(np.zeros((16, 16), dtype=bool), FeatureConfig())
 
 
-@pytest.mark.parametrize("shape", [(16, 16), (3, 32, 16), (2, 2, 32, 32), (32,)])
+@pytest.mark.parametrize("shape", [(16, 16), (3, 32, 16), (2, 2, 32, 32), (32,), (32, 32)])
 def test_topology_requires_32(shape):
     with pytest.raises(WrongDimensionsError):
         skeleton_topology(np.zeros(shape, dtype=bool))
@@ -159,25 +169,25 @@ def test_aspect_ratio_values():
 def test_topology_line():
     img = blank()
     img[16, 5:15] = True
-    assert skeleton_topology(img) == (2, 0, 0)
+    assert topology(img) == (2, 0, 0)
 
 
 def test_topology_plus():
     img = blank()
     img[16, 13:20] = True
     img[13:20, 16] = True
-    assert skeleton_topology(img) == (4, 0, 1)
+    assert topology(img) == (4, 0, 1)
 
 
 def test_topology_tee():
     img = blank()
     img[10, 13:20] = True
     img[11:15, 16] = True
-    assert skeleton_topology(img) == (3, 1, 0)
+    assert topology(img) == (3, 1, 0)
 
 
 def test_topology_empty():
-    assert skeleton_topology(blank()) == (0, 0, 0)
+    assert topology(blank()) == (0, 0, 0)
 
 
 def test_topology_open_curve_has_two_ends():
@@ -185,8 +195,8 @@ def test_topology_open_curve_has_two_ends():
     rr = np.arange(6, 26)
     for i, r in enumerate(rr):  # a diagonal staircase open curve
         img[r, 6 + i // 2] = True
-    img = thin(img)
-    ep, bp, cp = skeleton_topology(img)
+    img = thin(img[None])[0]
+    ep, bp, cp = topology(img)
     assert (ep, bp, cp) == (2, 0, 0)
 
 
@@ -194,7 +204,7 @@ def test_topology_matches_oracle_on_random_curves():
     rng = np.random.default_rng(9)
     for _ in range(50):
         img = random_thin_curve(rng)
-        assert skeleton_topology(img) == topology_oracle(img)
+        assert topology(img) == topology_oracle(img)
 
 
 def test_topology_words_match_references():
@@ -260,10 +270,10 @@ def test_vector_tail_cross_before_branch():
 
 def test_vector_locals_match_zones():
     rng = np.random.default_rng(12)
-    img = thin(rng.random((32, 32)) < 0.3)
+    img = thin((rng.random((32, 32)) < 0.3)[None])[0]
     cfg = FeatureConfig(cell_px=8)
     vec = extract_features(make_record(img), cfg)
-    np.testing.assert_array_equal(vec.values[:16], local_zone_features(img, cfg))
+    np.testing.assert_array_equal(vec.values[:16], zones(img, cfg))
 
 
 @settings(max_examples=100, deadline=None)
@@ -289,10 +299,12 @@ def test_stacked_zone_and_topology_counts_are_each_images():
     rng = np.random.default_rng(29)
     stack = thin(rng.random((6, 32, 32)) < 0.3)
     config = FeatureConfig(cell_px=8)
-    assert np.array_equal(
-        local_zone_features(stack, config), [local_zone_features(img, config) for img in stack]
-    )
-    assert skeleton_topology(stack).tolist() == [list(skeleton_topology(img)) for img in stack]
+    assert np.array_equal(local_zone_features(stack, config), [zones(img, config) for img in stack])
+    assert skeleton_topology(stack).tolist() == [list(topology(img)) for img in stack]
+    with pytest.raises(WrongDimensionsError):
+        local_zone_features(stack[0], config)
+    with pytest.raises(WrongDimensionsError):
+        skeleton_topology(stack[0])
 
 
 def test_feature_vector_validates_length():

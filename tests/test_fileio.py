@@ -85,3 +85,29 @@ def test_cli_failed_write_is_one_line_error(command, saved, monkeypatch, capsys)
     assert err.startswith("error: IoFailure:") and len(err.strip().splitlines()) == 1
     assert (saved / "out").read_text() == "old"
     assert sorted(p.name for p in saved.iterdir()) == ["data.csv", "model.gsvm", "out"]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+def test_a_new_file_gets_the_umask_mode(writer, tmp_path, umask_022):
+    # every file used to be written 0600, the mode of a `mkstemp` file
+    path = tmp_path / "out"
+    writer(path)
+    assert os.stat(path).st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o666])
+def test_a_replaced_file_keeps_its_mode(mode, tmp_path, umask_022):
+    path = tmp_path / "out"
+    path.write_text("old")
+    os.chmod(path, mode)
+    write_pgm(np.zeros((2, 3), np.uint8), path)
+    assert os.stat(path).st_mode & 0o777 == mode
+    assert path.read_bytes() != b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

@@ -252,7 +252,6 @@ def test_solver_metadata_survives_a_reload(strategy, tmp_path):
     assert model.iterations.min() > 0 and model.kkt_violations.max() > 0
     assert np.array_equal(loaded.iterations, model.iterations)
     assert np.array_equal(loaded.kkt_violations, model.kkt_violations)
-    assert [c.meta for c in loaded.classifiers] == [c.meta for c in model.classifiers]
 
 
 def test_version_2_stores_each_support_vector_once(tmp_path):

@@ -10,10 +10,12 @@ from glyphsvm.errors import (
     DegenerateSplitError,
     DimensionMismatchError,
     FoldDegenerateError,
+    GlyphSvmError,
     InvalidConfigError,
     NoConvergenceError,
     NonFiniteInputError,
 )
+from glyphsvm.features import FeatureConfig
 from glyphsvm.modelsel import (
     Dataset,
     EvalReport,
@@ -84,6 +86,24 @@ def test_dataset_rejects_non_finite_vectors(bad):
     vectors[2, 1] = bad
     with pytest.raises(NonFiniteInputError):
         Dataset(vectors, [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FeatureConfig(cell_px=5),
+        lambda: Dataset(np.zeros(4), [0, 0, 1, 1]),
+        lambda: Dataset(np.zeros((4, 2)), [0, 1]),
+        lambda: Dataset(np.zeros((0, 2)), []),
+    ],
+    ids=["cell-px", "not-2-D", "label-count", "no-sample"],
+)
+def test_bad_config_and_dataset_are_the_packages_invalid_config(build):
+    # each used to be a bare ValueError, which callers could not tell apart
+    with pytest.raises(GlyphSvmError) as excinfo:
+        build()
+    assert isinstance(excinfo.value, ValueError)
+    assert excinfo.value.category == "InvalidConfig"
 
 
 # --- k-fold ---------------------------------------------------------------------
@@ -227,7 +247,7 @@ def test_grid_iterations_sum_the_cell_models():
         for fold in kfold_split(len(data), 3, 2):
             train = data.subset(np.setdiff1d(np.arange(len(data)), fold))
             model = train_one_vs_all(train.vectors, train.labels, LINEAR, entry.C)
-            expected += sum(clf.meta.iterations for clf in model.classifiers)
+            expected += int(model.iterations.sum())
         assert entry.iterations == expected > 0
     assert report.csv_lines()[1].count(",") == 2  # the CSV does not carry iterations
 

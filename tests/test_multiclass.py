@@ -38,10 +38,9 @@ from glyphsvm.multiclass import (
 )
 from glyphsvm.svm import (
     KernelSpec,
-    binary_model,
     block_error,
     block_support,
-    decision_values,
+    decision_value,
     gram_matrix,
     solve_smo,
     train_binary,
@@ -144,7 +143,7 @@ def test_two_class_paths_coincide():
     y = np.array([1.0 if lb == 0 else -1.0 for lb in labels])
     direct = train_binary(scaled, y, RBF, C=10.0)
     probes = rng.normal(size=(200, 2)) * 2
-    d = np.where(decision_values(direct, ova.scaling.transform(probes)) >= 0.0, 0, 1).tolist()
+    d = [0 if decision_value(direct, x) >= 0.0 else 1 for x in ova.scaling.transform(probes)]
     assert predict_batch(ova, probes) == predict_batch(ovo, probes) == d
 
 
@@ -280,7 +279,7 @@ def test_no_convergence_tagged_with_class(monkeypatch):
 def test_no_convergence_tagged_with_the_first_failing_later_class(monkeypatch):
     # class 0 converges, so the error must come from a class solved beside it
     X, labels = clustered_data(np.random.default_rng(1), 4, per_class=8, spread=2.5)
-    full = [clf.meta.iterations for clf in train_one_vs_all(X, labels, RBF, C=100.0).classifiers]
+    full = train_one_vs_all(X, labels, RBF, C=100.0).iterations.tolist()
     max_iter = full[0]
     failing = next(c for c, count in enumerate(full) if count > max_iter)
     assert failing > 0
@@ -296,7 +295,7 @@ def test_no_convergence_tagged_with_the_first_failing_class_pair(monkeypatch):
     # the first pair converges, so the error must come from a pair solved beside it
     X, labels = clustered_data(np.random.default_rng(1), 4, per_class=8, spread=2.5)
     model = train_one_vs_one(X, labels, RBF, C=100.0)
-    full = [clf.meta.iterations for clf in model.classifiers]
+    full = model.iterations.tolist()
     max_iter = full[0]
     failing = next(p for p, count in enumerate(full) if count > max_iter)
     assert failing > 0
@@ -416,7 +415,7 @@ def test_c_grid_rejects_non_positive_c_before_the_kernel_matrix(monkeypatch):
 def test_c_grid_packages_a_model_or_raises_per_c(strategy, monkeypatch):
     X, labels = clustered_data(np.random.default_rng(1), 3, per_class=8, spread=2.5)
     full = train_multiclass_c_grid(X, labels, strategy, RBF, [0.25, 1024.0])
-    small, large = (max(clf.meta.iterations for clf in full(k).classifiers) for k in (0, 1))
+    small, large = (full(k).iterations.max() for k in (0, 1))
     assert small < large
     monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", small)
     package = train_multiclass_c_grid(X, labels, strategy, RBF, [1024.0, 0.25])
@@ -619,7 +618,8 @@ def test_ovo_votes_equal_the_pair_loop(monkeypatch):
 
 def reference_classifiers(X, labels, strategy, kernel, C):
     """Every binary problem solved alone (a one-problem `solve_smo`) on its
-    own rows' block of the training set's kernel matrix."""
+    own rows' block of the training set's kernel matrix: its support vectors,
+    their alpha_i * y_i, its bias, C, pair updates and KKT violation."""
     Xs = MinMaxScaling.fit(X).transform(X)
     gram = gram_matrix(kernel, Xs)
     classes = ordered_classes(labels)
@@ -637,7 +637,13 @@ def reference_classifiers(X, labels, strategy, kernel, C):
         sub_x = Xs[rows]
         y = np.where(positive[rows], 1.0, -1.0)
         block = solve_smo(gram[np.ix_(rows, rows)], y[None], [C])
-        out.append(binary_model(block, 0, sub_x, kernel))
+        support, bias, failed = block_support(block)
+        assert not failed[0]
+        support = support[0]
+        out.append((
+            sub_x[support], block.alpha[0, support] * y[support], float(bias[0]),
+            float(block.C[0]), int(block.iterations[0]), max(float(block.violation[0]), 0.0),
+        ))
     return out
 
 
@@ -655,12 +661,14 @@ def test_training_matches_per_problem_kernel_rows(kernel, strategy, tmp_path):
         reference = reference_classifiers(X, labels, strategy, kernel, 10.0)
         for derived in (model, load_model(tmp_path / "model.gsvm")):
             assert len(derived.classifiers) == len(reference)
-            for got, want in zip(derived.classifiers, reference):
-                assert got.kernel == want.kernel
-                assert np.array_equal(got.support_vectors, want.support_vectors)
-                assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
-                assert (got.bias, got.C) == (want.bias, want.C)
-                assert got.meta == want.meta
+            per_classifier = zip(derived.C, derived.iterations, derived.kkt_violations)
+            for got, solved, want in zip(derived.classifiers, per_classifier, reference):
+                support_vectors, dual_coeffs, bias, *solver = want
+                assert got.kernel == kernel
+                assert np.array_equal(got.support_vectors, support_vectors)
+                assert np.array_equal(got.dual_coeffs, dual_coeffs)
+                assert got.bias == bias
+                assert list(solved) == solver
 
 
 @pytest.mark.parametrize("strategy", ["ova", "ovo"])
@@ -704,7 +712,7 @@ def test_decision_matrix_stacks_per_classifier_decision_values(kernel, strategy)
     model = train_multiclass(X, labels, strategy, kernel, 10.0)
     probes = rng.normal(size=(40, 2)) * 3
     xs = model.scaling.transform(probes)
-    columns = np.column_stack([decision_values(clf, xs) for clf in model.classifiers])
+    columns = np.array([[decision_value(clf, x) for clf in model.classifiers] for x in xs])
     values = decision_matrix(model, probes)
     np.testing.assert_allclose(values, columns, rtol=1e-12, atol=1e-12)
     assert predict_batch(model, probes) == [reference_label(model, v) for v in columns]

@@ -18,7 +18,6 @@ from glyphsvm.errors import (
 )
 from glyphsvm.preprocess import (
     BoundingBox,
-    crop_character,
     crop_characters,
     deskew,
     detect_skew,
@@ -26,6 +25,7 @@ from glyphsvm.preprocess import (
     median_filter,
     normalize_size,
     otsu_binarize,
+    preprocess_character,
     preprocess_page,
     segment_characters,
     segment_lines,
@@ -641,16 +641,16 @@ def test_normalize_identity_32():
     img = rng.random((32, 32)) < 0.4
     if not img.any():
         img[0, 0] = True
-    assert np.array_equal(normalize_size(img), img)
+    assert np.array_equal(normalize_size([img])[0], img)
 
 
 def test_normalize_constant_field():
-    assert normalize_size(np.ones((64, 64), dtype=bool)).all()
+    assert normalize_size([np.ones((64, 64), dtype=bool)]).all()
 
 
 def test_normalize_diagonal_stays_connected():
     diag = np.eye(16, dtype=bool)
-    out = normalize_size(diag)
+    out = normalize_size([diag])[0]
     assert out[0, 0] and out[31, 31]
     _, count = label_components(out)
     assert count == 1
@@ -658,7 +658,7 @@ def test_normalize_diagonal_stays_connected():
 
 def test_normalize_empty_crop():
     with pytest.raises(EmptyCropError):
-        normalize_size(np.zeros((5, 5), dtype=bool))
+        normalize_size([np.zeros((5, 5), dtype=bool)])
 
 
 def random_crops(rng, shapes, fill=0.3):
@@ -691,7 +691,9 @@ def test_batched_normalize_equals_per_crop_oracle(shapes, block, monkeypatch):
     assert np.array_equal(batch, expected)
     assert np.array_equal(normalize_size(tuple(crops)), expected)
     for crop, want in zip(crops, expected):
-        assert np.array_equal(normalize_size(crop), want)
+        assert np.array_equal(normalize_size([crop])[0], want)
+    with pytest.raises(WrongDimensionsError):
+        normalize_size(crops[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -772,17 +774,17 @@ def test_thin_requires_32x32():
 
 def test_thin_line_unchanged():
     img = embed(np.ones((1, 10), dtype=bool), at=(16, 5))
-    assert np.array_equal(thin(img), img)
+    assert np.array_equal(thin(img[None])[0], img)
 
 
 def test_thin_empty():
     img = np.zeros((32, 32), dtype=bool)
-    assert np.array_equal(thin(img), img)
+    assert np.array_equal(thin(img[None])[0], img)
 
 
 def test_thin_bar_matches_hand_traceable_oracle():
     img = embed(np.ones((3, 10), dtype=bool), at=(10, 5))
-    out = thin(img)
+    out = thin(img[None])[0]
     assert np.array_equal(out, zhang_suen_oracle(img))
     # a single 1-pixel-wide horizontal path
     rows = np.unique(np.nonzero(out)[0])
@@ -795,9 +797,9 @@ def test_thin_random_blobs_properties():
     rng = np.random.default_rng(5)
     for _ in range(50):
         img = random_blob(rng, 120)
-        out = thin(img)
+        out = thin(img[None])[0]
         assert not np.any(out & ~img)  # skeleton inside foreground
-        assert np.array_equal(thin(out), out)  # idempotent
+        assert np.array_equal(thin(out[None])[0], out)  # idempotent
         _, before = label_components(img)
         _, after = label_components(out)
         assert before == after
@@ -806,7 +808,7 @@ def test_thin_random_blobs_properties():
 def test_thin_preserves_2x2_square_component():
     img = np.zeros((32, 32), dtype=bool)
     img[6:8, 6:8] = True
-    out = thin(img)
+    out = thin(img[None])[0]
     _, count = label_components(out)
     assert count == 1
     assert not np.any(out & ~img)
@@ -823,7 +825,7 @@ def test_thin_matches_reference_guard_on_vanishing_squares(monkeypatch):
     rng = np.random.default_rng(29)
     for _ in range(50):
         img = sprinkle_squares(rng, random_blob(rng, 120))
-        assert np.array_equal(thin(img), reference_thin(img))
+        assert np.array_equal(thin(img[None])[0], reference_thin(img))
     assert labelled  # the labelling fallback ran
 
 
@@ -888,8 +890,9 @@ def test_thin_stack_equals_reference_per_glyph(monkeypatch):
 
 def test_thin_stack_of_one_and_empty_stack():
     img = embed(np.ones((5, 12), dtype=bool))
-    assert np.array_equal(thin(img[None]), thin(img)[None])
-    assert np.array_equal(thin(img), reference_thin(img))
+    with pytest.raises(WrongDimensionsError):
+        thin(img)
+    assert np.array_equal(thin(img[None])[0], reference_thin(img))
     empty = thin(np.zeros((0, 32, 32), dtype=bool))
     assert empty.shape == (0, 32, 32) and empty.dtype == bool
 
@@ -953,7 +956,7 @@ def test_zhang_suen_matches_oracle_on_blobs():
         oracle = zhang_suen_oracle(img)
         if not oracle.any():
             continue
-        assert np.array_equal(thin(img), oracle)
+        assert np.array_equal(thin(img[None])[0], oracle)
         checked += 1
     assert checked >= 20
 
@@ -1117,6 +1120,12 @@ def test_labels_of_a_stack_number_each_image_in_turn(stack):
     assert count == offset
 
 
+def crop_character(gray):
+    """The record of one image cropped alone: `crop_characters` of a
+    one-image stack."""
+    return crop_characters(np.asarray(gray)[None])[0]
+
+
 def assert_crops_of_each_image(stack):
     """`crop_characters` of the stack is `crop_character` of each image and
     the reference crop; where an image fails alone, the stack fails, with
@@ -1198,7 +1207,7 @@ def test_glyph_stacks_are_checked_as_images(stage, stack, error):
 def test_crop_character_takes_one_image_and_crop_characters_a_stack():
     stack = glyph_stack(2, 3)
     with pytest.raises(WrongDimensionsError):
-        crop_character(stack)
+        preprocess_character(stack)
     with pytest.raises(WrongDimensionsError):
         crop_characters(stack[0])
 

@@ -31,10 +31,11 @@ from glyphsvm.multiclass import (
     train_multiclass,
 )
 from glyphsvm.svm import (
+    BinaryModel,
     KernelSpec,
-    binary_model,
+    block_error,
+    block_support,
     decision_value,
-    decision_values,
     gram_matrix,
     kernel_against,
     solve_smo,
@@ -172,10 +173,13 @@ def test_c_must_be_a_positive_finite_number(bad):
 
 # --- analytic two-point problem -------------------------------------------------
 
+TWO_POINT_C = 100.0
+
+
 def two_point_model():
     X = np.array([[0.0, 0.0], [2.0, 0.0]])
     y = np.array([-1.0, 1.0])
-    return train_binary(X, y, LINEAR, C=100.0), X, y
+    return train_binary(X, y, LINEAR, C=TWO_POINT_C), X, y
 
 
 def test_two_point_bias_and_margin():
@@ -194,7 +198,7 @@ def test_unbounded_sv_sits_on_margin():
     model, X, y = two_point_model()
     alpha = recover_alpha(model, X, y)
     for idx in range(2):
-        if 0 < alpha[idx] < model.C:
+        if 0 < alpha[idx] < TWO_POINT_C:
             assert abs(decision_value(model, X[idx])) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -216,13 +220,15 @@ XOR_Y = np.array([1.0, 1.0, -1.0, -1.0])
 
 def test_xor_linear_not_separable():
     model = train_binary(XOR_X, XOR_Y, LINEAR, C=10.0)
-    acc = np.mean(np.where(decision_values(model, XOR_X) >= 0.0, 1.0, -1.0) == XOR_Y)
+    values = np.array([decision_value(model, x) for x in XOR_X])
+    acc = np.mean(np.where(values >= 0.0, 1.0, -1.0) == XOR_Y)
     assert acc <= 0.75
 
 
 def test_xor_rbf_separates():
     model = train_binary(XOR_X, XOR_Y, KernelSpec(kind="rbf", gamma=1.0), C=10.0)
-    assert np.array_equal(np.where(decision_values(model, XOR_X) >= 0.0, 1.0, -1.0), XOR_Y)
+    values = np.array([decision_value(model, x) for x in XOR_X])
+    assert np.array_equal(np.where(values >= 0.0, 1.0, -1.0), XOR_Y)
 
 
 # --- error paths -------------------------------------------------------------------
@@ -323,7 +329,7 @@ SMO_CASES = dict(
 @given(**SMO_CASES)
 def test_box_and_equality_constraints(seed, n, sliced, spec, C):
     X, y, gram = smo_problem(seed, n, sliced, spec)
-    model = binary_model(solve_smo(gram, y[None], [C]), 0, X, spec)
+    model = block_model(solve_smo(gram, y[None], [C]), 0, X, spec)
     alpha = np.abs(model.dual_coeffs)
     assert np.all(alpha > 0.0) and np.all(alpha <= C)  # exact box
     assert abs(model.dual_coeffs.sum()) <= 1e-9 * C * n
@@ -339,7 +345,7 @@ def test_kkt_within_tolerance(seed, n, sliced, spec, C):
     X, y, gram = smo_problem(seed, n, sliced, spec)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(svm, "DEFAULT_TOL", 1e-3)
-        model = binary_model(solve_smo(gram, y[None], [C]), 0, X, spec)
+        model = block_model(solve_smo(gram, y[None], [C]), 0, X, spec)
     assert max_kkt_violation(model, X, y, C) <= 1e-3 + 1e-9
 
 
@@ -355,12 +361,22 @@ def block_problem(seed, n, sliced, spec, problems):
     return X, Y, gram
 
 
+def block_model(block, p, X, spec):
+    """Problem p of a solved block as a BinaryModel over its real samples X,
+    from `block_support`; a failed problem raises its `block_error`."""
+    support, bias, failed = block_support(block)
+    if failed[p]:
+        raise block_error(block, p)
+    real = slice(len(X))
+    support = support[p, real]
+    coeffs = block.alpha[p, real][support] * block.Y[p, real][support]
+    return BinaryModel(spec, np.asarray(X, dtype=np.float64)[support], coeffs, float(bias[p]))
+
+
 def assert_same_model(got, want):
     assert np.array_equal(got.support_vectors, want.support_vectors)
     assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
     assert got.bias == want.bias
-    assert got.C == want.C
-    assert got.meta == want.meta
 
 
 def assert_same_as_scalar_loop(block, p, X, y, spec, C, gram):
@@ -373,13 +389,15 @@ def assert_same_as_scalar_loop(block, p, X, y, spec, C, gram):
     max_iter = svm.DEFAULT_MAX_ITER
     rule = dict(tol=svm.DEFAULT_TOL, max_iter=max_iter, gram=gram)
     if block.converged[p]:
-        want = reference_train_binary(X, y, spec, C, **rule)
-        assert_same_model(binary_model(block, p, X, spec), want)
+        want, iterations, violation = reference_train_binary(X, y, spec, C, **rule)
+        assert_same_model(block_model(block, p, X, spec), want)
+        assert block.C[p] == C
+        assert (block.iterations[p], max(block.violation[p], 0.0)) == (iterations, violation)
         return
     with pytest.raises(NoConvergenceError) as expected:
         reference_train_binary(X, y, spec, C, **rule)
     with pytest.raises(NoConvergenceError) as got:
-        binary_model(block, p, X, spec)
+        block_model(block, p, X, spec)
     assert block.iterations[p] == got.value.iterations == expected.value.iterations == max_iter
     assert got.value.violation == expected.value.violation
     assert str(got.value) == str(expected.value)
@@ -671,9 +689,9 @@ def test_prediction_invariant_under_permutation():
     perm = rng.permutation(len(y))
     model_b = train_binary(X[perm], y[perm], KernelSpec(kind="rbf", gamma=0.5), C=10.0)
     probes = rng.normal(size=(50, 2))
-    assert np.array_equal(
-        decision_values(model_a, probes) >= 0.0, decision_values(model_b, probes) >= 0.0
-    )
+    assert [decision_value(model_a, p) >= 0.0 for p in probes] == [
+        decision_value(model_b, p) >= 0.0 for p in probes
+    ]
 
 
 def test_training_deterministic():
@@ -737,7 +755,7 @@ def test_predict_sign_rule():
     entries = (np.arange(count), np.zeros(count, dtype=int), model.dual_coeffs)
     pair = MulticlassModel.from_entries(
         "ovo", ["+1", "-1"], model.kernel, model.support_vectors, entries, [model.bias],
-        [model.C], [0], [0.0], MinMaxScaling(np.zeros(2), np.ones(2)),
+        [TWO_POINT_C], [0], [0.0], MinMaxScaling(np.zeros(2), np.ones(2)),
     )
     probes = [[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # f = +1, -1, 0
     assert predict_batch(pair, probes) == ["+1", "-1", "+1"]

@@ -109,22 +109,26 @@ def test_noise_rate_applied(tmp_path):
     assert 0.0 < diff < 0.1
 
 
+def topology_of(gray):
+    """The (endpoints, branch points, cross points) of one glyph image's skeleton."""
+    return tuple(skeleton_topology(preprocess_character(gray).skeleton[None])[0].tolist())
+
+
 def test_topology_stable_for_first_two_classes():
     """Noise-free jittered samples keep their base glyph's topology triple."""
     config = SynthConfig(classes=2, per_class=25, seed=13, noise_rate=0.0)
     for cls in (0, 1):
         base_gray = np.where(render_glyph_mask(cls), 0, 255).astype(np.uint8)
-        base = skeleton_topology(preprocess_character(base_gray).skeleton)
+        base = topology_of(base_gray)
         for idx in range(config.per_class):
-            rec = preprocess_character(render_sample(config, cls, idx))
-            assert skeleton_topology(rec.skeleton) == base
+            assert topology_of(render_sample(config, cls, idx)) == base
 
 
 def test_first_glyphs_have_distinct_topologies():
     triples = []
     for cls in range(6):
         gray = np.where(render_glyph_mask(cls), 0, 255).astype(np.uint8)
-        triples.append(skeleton_topology(preprocess_character(gray).skeleton))
+        triples.append(topology_of(gray))
     assert len(set(triples)) == len(triples)
 
 
