@@ -6,9 +6,24 @@ one-line machine-parsable error output.
 
 
 class GlyphSvmError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    A package error pickles whole: its args, its attributes and the chain of
+    its causes, so an error raised in a model-selection worker is the same
+    error in the caller.
+    """
 
     category = "Error"
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__, self.__cause__)
+
+
+def _rebuild(cls, args, state, cause):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    error.__cause__ = cause
+    return error
 
 
 class UniformImageError(GlyphSvmError):
@@ -140,3 +155,9 @@ class IoFailureError(GlyphSvmError):
     """Filesystem write or read failed."""
 
     category = "IoFailure"
+
+
+class WorkerLostError(GlyphSvmError):
+    """A model-selection worker process ended without sending its results."""
+
+    category = "WorkerLost"

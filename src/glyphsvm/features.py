@@ -56,7 +56,7 @@ class FeatureVector:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (self.config.total_count,):
-            raise ValueError(
+            raise InvalidConfigError(
                 f"expected {self.config.total_count} features, got {self.values.shape}"
             )
 

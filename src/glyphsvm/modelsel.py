@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +19,7 @@ from .errors import (
     GlyphSvmError,
     InvalidConfigError,
     NonFiniteInputError,
+    WorkerLostError,
 )
 from .multiclass import (
     STRATEGIES,
@@ -96,6 +102,104 @@ def check_seed(seed: int) -> None:
         raise InvalidConfigError(f"seed must be >= 0, got {seed}")
 
 
+def _process_count(items: int) -> int:
+    """How many processes `_deal` spreads `items` over: one per usable CPU,
+    at most one per item. Only the caller while other Python threads are
+    alive (a forked child would hold their locks as they were), or where
+    the platform cannot tell which CPUs are usable."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), items))
+
+
+def _run_share(fn, share) -> tuple[list, Exception | None]:
+    """`fn` of each item of `share` in order, until the first error."""
+    results = []
+    try:
+        for item in share:
+            results.append(fn(item))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _serve(fn, share, pipe: int) -> None:
+    """A worker's whole life: run `share`, write the pickled results and
+    first error down `pipe`, and leave without running any of the caller's
+    clean-up. Whatever escapes ends it with status 1 and no result."""
+    status = 1
+    try:
+        with os.fdopen(pipe, "wb") as out:
+            out.write(pickle.dumps(_run_share(fn, share), pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _drain(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _reap(workers: dict, pid: int) -> int:
+    """Close a worker's pipe, wait for it to end and give its exit status."""
+    os.close(workers.pop(pid))
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _deal(fn, items: list) -> list:
+    """`[fn(item) for item in items]`, item k run by process k mod P: the
+    caller and P - 1 workers forked for this call (`_process_count`).
+
+    A worker starts from the caller's state at the call, patched module
+    globals included, and shares nothing with it afterwards but memory that
+    `fn` mapped shared before the call. The error of the lowest-index failing
+    item is raised, and a worker that ends without a result is
+    WorkerLostError. Every worker is reaped before this returns or raises,
+    and killed first if the caller is failing.
+    """
+    count = _process_count(len(items))
+    workers = {}  # pid -> read end of its pipe
+    try:
+        for w in range(1, count):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _serve(fn, items[w::count], write_end)
+            os.close(write_end)
+            workers[pid] = read_end
+        shares = [_run_share(fn, items[0::count])]
+        for pid in list(workers):
+            payload = _drain(workers[pid])
+            status = _reap(workers, pid)
+            if not payload:
+                raise WorkerLostError(
+                    f"a model-selection worker ended without a result (exit status {status})"
+                )
+            shares.append(pickle.loads(payload))
+    except BaseException:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in list(workers):
+            _reap(workers, pid)
+    failures = [
+        (w + len(done) * count, error)
+        for w, (done, error) in enumerate(shares)
+        if error is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(items)
+    for w, (done, _) in enumerate(shares):
+        results[w::count] = done
+    return results
+
+
 @dataclass
 class _FoldedC:
     """One C's cross-validation: each fold's held-out accuracy, pair updates
@@ -106,54 +210,87 @@ class _FoldedC:
     iterations: int = 0
     error: GlyphSvmError | None = None
 
-    def fail(self, error: GlyphSvmError) -> None:
-        """Keep `error` without the tracebacks of its chain, whose frames
-        would keep the failing fold's models alive."""
-        self.error = error
-        while error is not None:
-            error.__traceback__ = None
-            error = error.__cause__ or error.__context__
+
+def _bare(error: GlyphSvmError) -> GlyphSvmError:
+    """`error` without the tracebacks of its chain, whose frames would keep
+    the failing fold's models alive."""
+    link = error
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return error
 
 
-def _fold_results(train_part, test_part, strategy, kernel, folded) -> None:
-    """Train one fold at the C of every entry of `folded` over one kernel
-    matrix and add each model's held-out score to its entry, or the error
-    its training raised (to every entry, if raised before any model is
-    packaged). Each model dies before the next one is packaged, and the
-    fold's training state when this returns."""
+def _fold_results(data, fold, strategy, kernel, c_values) -> list:
+    """Train the rows of `data` outside `fold` at every C of `c_values` over
+    one kernel matrix and score each model on `fold`: per C, (held-out
+    accuracy, pair updates) or the error its training raised (every C's, if
+    raised before any model is packaged). Each model dies before the next
+    one is packaged, and the fold's training state when this returns."""
+    train_part = data.subset(np.delete(np.arange(len(data)), fold))
+    test_part = data.subset(fold)
     try:
         if len(set(train_part.labels)) < 2:
             raise FoldDegenerateError("a fold leaves fewer than two classes on the training side")
         package = train_multiclass_c_grid(
-            train_part.vectors, train_part.labels, strategy, kernel, [entry.C for entry in folded]
+            train_part.vectors, train_part.labels, strategy, kernel, c_values
         )
     except GlyphSvmError as exc:
-        for entry in folded:
-            entry.fail(exc)
-        return
-    for k, entry in enumerate(folded):
+        return [_bare(exc)] * len(c_values)
+    outcomes = []
+    for k in range(len(c_values)):
         try:
             model = package(k)
         except GlyphSvmError as exc:
-            entry.fail(exc)
+            outcomes.append(_bare(exc))
             continue
         predicted = predict_batch(model, test_part.vectors)
         hits = sum(p == lb for p, lb in zip(predicted, test_part.labels))
-        entry.accuracies.append(hits / len(test_part))
-        entry.iterations += int(model.iterations.sum())
+        outcomes.append((hits / len(test_part), int(model.iterations.sum())))
         del model
+    return outcomes
 
 
-def _cross_validate(data, folds, kernel, c_values, strategy) -> list[_FoldedC]:
-    """Cross-validate every C of `c_values` over `folds` (held-out rows of
-    `data`); a C trains no more after its first failing fold."""
-    folded = [_FoldedC(C) for C in c_values]
-    for fold in folds:
-        alive = [entry for entry in folded if entry.error is None]
-        if not alive:
-            break
-        train_part = data.subset(np.delete(np.arange(len(data)), fold))
-        _fold_results(train_part, data.subset(fold), strategy, kernel, alive)
+def _cross_validate(data, folds, specs, c_values, strategy) -> list[list[_FoldedC]]:
+    """Cross-validate every (kernel, C) of `specs` x `c_values` over `folds`
+    (held-out rows of `data`), one row of `_FoldedC` per kernel.
+
+    Each (kernel, fold) unit trains its C values over one kernel matrix, and
+    the units are dealt fold-major (`_deal`). A C trains no more after its
+    first failing fold: every process reads and records each (kernel, C)'s
+    earliest failing fold in a table mapped shared before the fork, and the
+    reduction in fold order drops whatever a C trained after that fold, so
+    no result depends on timing, only the wasted work does.
+    """
+    failed_at = np.frombuffer(mmap.mmap(-1, 8 * len(specs) * len(c_values)), dtype=np.int64)
+    failed_at = failed_at.reshape(len(specs), len(c_values))
+    failed_at[...] = len(folds)
+
+    def unit(item):
+        s, f = item
+        alive = np.flatnonzero(failed_at[s] > f).tolist()
+        outcomes = [None] * len(c_values)
+        if alive:
+            trained = _fold_results(
+                data, folds[f], strategy, specs[s], [c_values[c] for c in alive]
+            )
+            for c, outcome in zip(alive, trained):
+                outcomes[c] = outcome
+                if isinstance(outcome, GlyphSvmError):
+                    failed_at[s, c] = min(failed_at[s, c], f)
+        return outcomes
+
+    units = [(s, f) for f in range(len(folds)) for s in range(len(specs))]
+    folded = [[_FoldedC(C) for C in c_values] for _ in specs]
+    for (s, _), outcomes in zip(units, _deal(unit, units)):
+        for entry, outcome in zip(folded[s], outcomes):
+            if entry.error is not None or outcome is None:
+                continue
+            if isinstance(outcome, GlyphSvmError):
+                entry.error = outcome
+            else:
+                entry.accuracies.append(outcome[0])
+                entry.iterations += outcome[1]
     return folded
 
 
@@ -173,7 +310,7 @@ def cross_validate(
     raised.
     """
     folds = kfold_split(len(data), k, seed)
-    (cv,) = _cross_validate(data, folds, kernel, [C], strategy)
+    ((cv,),) = _cross_validate(data, folds, [kernel], [C], strategy)
     if cv.error is not None:
         raise cv.error
     return float(np.mean(cv.accuracies))
@@ -269,9 +406,9 @@ def grid_search(
         params = [spec.degree for spec in specs]
 
     # one kernel matrix per (param, fold) serves every C of the grid
+    columns = _cross_validate(data, folds, specs, c_values, strategy)
     cells = {}
-    for p, (param, spec) in enumerate(zip(params, specs)):
-        column = _cross_validate(data, folds, spec, c_values, strategy)
+    for p, (param, column) in enumerate(zip(params, columns)):
         for c, cv in enumerate(column):
             if cv.error is None:
                 accuracy = float(np.mean(cv.accuracies))
@@ -380,14 +517,17 @@ def repeat_evaluate(
         raise InvalidConfigError(f"repetitions must be >= 1, got {repetitions}")
     check_seed(seed)
 
-    classes, truth, predicted, iteration_acc = set(), [], [], []
-    for rep_seed in np.random.SeedSequence(seed).generate_state(repetitions).tolist():
+    def repetition(rep_seed):
         train_part, test_part = split_train_test(data, train_fraction, rep_seed)
         model = train_multiclass(train_part.vectors, train_part.labels, strategy, kernel, C)
-        guess = predict_batch(model, test_part.vectors)
-        iteration_acc.append(sum(p == lb for p, lb in zip(guess, test_part.labels)) / len(guess))
-        classes.update(model.class_ids, test_part.labels)
-        truth.extend(test_part.labels)
+        return model.class_ids, test_part.labels, predict_batch(model, test_part.vectors)
+
+    rep_seeds = np.random.SeedSequence(seed).generate_state(repetitions).tolist()
+    classes, truth, predicted, iteration_acc = set(), [], [], []
+    for class_ids, labels, guess in _deal(repetition, rep_seeds):
+        iteration_acc.append(sum(p == lb for p, lb in zip(guess, labels)) / len(guess))
+        classes.update(class_ids, labels)
+        truth.extend(labels)
         predicted.extend(guess)
     classes = ordered_classes(classes)
     return EvalReport(classes, _confusion(classes, truth, predicted), iterations=iteration_acc)

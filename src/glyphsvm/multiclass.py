@@ -153,7 +153,7 @@ class MulticlassModel:
         expected = n if self.strategy == "ova" else n * (n - 1) // 2
         rows, count = self.coeffs.shape
         if count != expected:
-            raise ValueError(
+            raise InvalidConfigError(
                 f"{self.strategy} with {n} classes needs {expected} classifiers, got {count}"
             )
         per_classifier = (self.biases, self.C, self.iterations, self.kkt_violations)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteInputError, UnreadableFileError, WrongDimensionsError
+from .errors import (
+    InvalidConfigError, NonFiniteInputError, UnreadableFileError, WrongDimensionsError
+)
 from .fileio import write_atomic
 
 
@@ -96,7 +98,7 @@ def read_pgm(path) -> np.ndarray:
 def check_gray(img) -> np.ndarray:
     """`img` as a 2-D uint8 grayscale image. An image that is not 2-D or is
     empty is WrongDimensionsError, a NaN or infinite intensity
-    NonFiniteInputError and one outside [0, 255] ValueError; other
+    NonFiniteInputError and one outside [0, 255] InvalidConfigError; other
     intensities are truncated to integers."""
     img = np.asarray(img)
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
@@ -105,7 +107,7 @@ def check_gray(img) -> np.ndarray:
         if not np.isfinite(img).all():
             raise NonFiniteInputError("intensities must be finite")
         if img.min() < 0 or img.max() > 255:
-            raise ValueError("intensities must lie in [0, 255]")
+            raise InvalidConfigError("intensities must lie in [0, 255]")
         img = img.astype(np.uint8)
     return img
 

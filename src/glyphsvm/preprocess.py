@@ -19,6 +19,7 @@ from .errors import (
     AngleOutOfRangeError,
     EmptyCropError,
     EmptyPageError,
+    InvalidConfigError,
     UniformImageError,
     WrongDimensionsError,
 )
@@ -40,7 +41,7 @@ class BoundingBox:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError(f"degenerate bounding box {self}")
+            raise InvalidConfigError(f"degenerate bounding box {self}")
 
 
 @dataclass

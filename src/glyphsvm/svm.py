@@ -215,13 +215,13 @@ def _validate_training_input(samples, labels):
     X = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if X.ndim != 2:
-        raise ValueError("samples must be a 2-D array")
+        raise InvalidConfigError("samples must be a 2-D array")
     if y.shape != (X.shape[0],):
         raise DimensionMismatchError(
             f"{X.shape[0]} samples but {y.shape} labels"
         )
     if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
+        raise InvalidConfigError("labels must be -1 or +1")
     if np.all(y == y[0]):
         raise SingleClassError("training labels are all identical")
     return X, y

@@ -730,7 +730,9 @@ def reference_segment_characters(strip):
 def fold_scalings(run, *args, **kwargs):
     """Call `run`, such as `modelsel.cross_validate`, and return its result
     with the `MinMaxScaling` of every `MinMaxScaling.fit` call it made, in
-    call order: one per fold, fitted on the fold's training side."""
+    call order: one per fold, fitted on the fold's training side. The
+    recorder sees only its own process, so `run` sees one usable CPU and
+    forks no model-selection worker."""
     fitted = []
     fit = MinMaxScaling.fit
 
@@ -740,6 +742,7 @@ def fold_scalings(run, *args, **kwargs):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MinMaxScaling, "fit", classmethod(recording_fit))
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
         return run(*args, **kwargs), fitted
 
 

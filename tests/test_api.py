@@ -7,12 +7,14 @@ property of its classes, is used somewhere."""
 import ast
 import importlib
 import importlib.util
+import os
 import sys
 from collections import Counter
 from pathlib import Path
 
 import glyphsvm
 from glyphsvm import model_io, multiclass
+from glyphsvm.modelsel import Dataset
 from glyphsvm.synth import SynthConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +57,22 @@ def test_benchmark_helpers_run_on_a_small_glyph_set(tmp_path):
     model_io.save_model(model, tmp_path / "model.gsvm")
     loaded = model_io.load_model(tmp_path / "model.gsvm")
     assert workloads.decision_mismatches(loaded, model, rows) == 0
+
+
+def test_the_benchmark_protocol_does_not_depend_on_the_cpu_count(monkeypatch):
+    # the tune workloads' grid, folds and repetitions, dealt over one
+    # process and over two, give equal fingerprints
+    workloads = perfbench_module("workloads")
+    labels, rows = workloads.glyph_features(SynthConfig(classes=3, per_class=10, seed=5))
+    data = Dataset(rows, labels)
+    for strategy in ("ova", "ovo"):
+        fingerprints = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            _, _, grid, report = workloads.tune(data, strategy, 1, 2, 3)
+            assert len(grid.entries) == len(workloads.C_GRID) * len(workloads.GAMMA_GRID)
+            fingerprints.append(workloads.tune_outcome(grid, report).fingerprint)
+        assert fingerprints[0] == fingerprints[1]
 
 
 def test_every_public_name_resolves():

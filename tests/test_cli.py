@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glyphsvm import cli, preprocess
+from glyphsvm import cli, modelsel, preprocess
 from glyphsvm.cli import main
 from glyphsvm.features import read_features_csv
 from glyphsvm.model_io import load_model, save_model
@@ -329,6 +329,37 @@ def assert_one_line_error(capsys, category):
     assert captured.err.startswith(f"error: {category}:")
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cv", "--c", "1", "--folds", "3"],
+        ["gridsearch", "--c-grid", "1", "--gamma-grid", "0.5", "--folds", "3"],
+        ["repeat-eval", "--c", "1", "--repeats", "3"],
+    ],
+    ids=["cv", "gridsearch", "repeat-eval"],
+)
+def test_a_lost_worker_is_one_line_error(dataset_dir, capsys, monkeypatch, args):
+    # a forked model-selection worker exits with status 3 before its items
+    caller = os.getpid()
+    run_share = modelsel._run_share
+
+    def exiting_in_a_worker(fn, share):
+        if os.getpid() != caller:
+            os._exit(3)
+        return run_share(fn, share)
+
+    monkeypatch.setattr(modelsel, "_run_share", exiting_in_a_worker)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rc = main(args + ["--data", str(dataset_dir)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: WorkerLost: a model-selection worker ended without a result (exit status 3)\n"
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", ["datagen", "cv", "gridsearch", "repeat-eval"])

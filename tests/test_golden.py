@@ -89,7 +89,7 @@ def test_golden_cross_validation_details(strategy):
     mean, scalings = fold_scalings(
         cross_validate, data, spec, 16.0, strategy=strategy, k=3, seed=7
     )
-    (cv,) = _cross_validate(data, kfold_split(len(data), 3, 7), spec, [16.0], strategy)
+    ((cv,),) = _cross_validate(data, kfold_split(len(data), 3, 7), [spec], [16.0], strategy)
     accuracies = cv.accuracies
     digest = hashlib.sha256(np.array([mean] + accuracies).tobytes())
     for scaling in scalings:

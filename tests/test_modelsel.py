@@ -1,4 +1,7 @@
 import gc
+import os
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -14,6 +17,7 @@ from glyphsvm.errors import (
     InvalidConfigError,
     NoConvergenceError,
     NonFiniteInputError,
+    WorkerLostError,
 )
 from glyphsvm.features import FeatureConfig
 from glyphsvm.modelsel import (
@@ -345,9 +349,17 @@ def test_grid_non_positive_c_raises_before_any_cell(c_grid, monkeypatch):
     assert cells == []
 
 
+def usable_cpus(monkeypatch, count: int) -> None:
+    """Have model selection see `count` usable CPUs, so it deals its work
+    between the caller and `count - 1` forked workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def count_live_folds(monkeypatch) -> list:
     """Have each fold's training first note how many earlier folds' trained
-    packages are still alive."""
+    packages are still alive. The trackers live in this process, so every
+    fold trains here: model selection sees one usable CPU."""
+    usable_cpus(monkeypatch, 1)
     packages, alive_at_start = [], []
 
     def tracked(*args):
@@ -389,6 +401,184 @@ def test_cv_raises_the_error_of_its_first_failing_fold(monkeypatch):
         cross_validate(data, KernelSpec(kind="rbf", gamma=0.5), 1024.0, k=3, seed=0)
     assert excinfo.value.iterations == 100
     assert isinstance(excinfo.value.__cause__, NoConvergenceError)
+
+
+
+# --- dealing work between processes ------------------------------------------------
+
+class Abort(BaseException):
+    """A failure of the caller itself, not of an item."""
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def square_and_pid(x):
+    return x * x, os.getpid()
+
+
+@pytest.mark.parametrize("cpus, items, processes", [(1, 5, 1), (2, 5, 2), (2, 1, 1), (4, 3, 3)])
+def test_deal_runs_item_k_in_process_k_mod_p(cpus, items, processes, monkeypatch):
+    usable_cpus(monkeypatch, cpus)
+    results = modelsel._deal(square_and_pid, list(range(items)))
+    assert [square for square, _ in results] == [x * x for x in range(items)]
+    pids = [pid for _, pid in results]
+    assert pids[0::processes] == [os.getpid()] * len(pids[0::processes])
+    for w in range(1, processes):
+        assert len(set(pids[w::processes])) == 1
+    assert len(set(pids)) == processes
+    assert_no_children()
+
+
+def test_deal_forks_nothing_while_other_threads_run(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        results = modelsel._deal(square_and_pid, list(range(4)))
+    finally:
+        release.set()
+        thread.join()
+    assert [pid for _, pid in results] == [os.getpid()] * 4
+
+
+@pytest.mark.parametrize("failing, raised", [({3, 4}, 3), ({2, 3}, 2), ({1}, 1)])
+def test_deal_raises_the_error_of_the_lowest_failing_item(failing, raised, monkeypatch):
+    # items 1 and 3 run in the worker: a non-package error there comes back
+    # as its own type
+    usable_cpus(monkeypatch, 2)
+
+    def item(x):
+        if x in failing:
+            raise KeyError(x)
+        return x
+
+    with pytest.raises(KeyError) as excinfo:
+        modelsel._deal(item, list(range(6)))
+    assert excinfo.value.args == (raised,)
+    assert_no_children()
+
+
+def test_a_worker_error_comes_back_with_its_cause(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+
+    def item(x):
+        if x == 1:
+            try:
+                raise NoConvergenceError("pair", iterations=40, violation=0.25, context="0/2")
+            except NoConvergenceError as exc:
+                raise NoConvergenceError("fold", iterations=40, context="fold") from exc
+        return os.getpid()
+
+    with pytest.raises(NoConvergenceError) as excinfo:
+        modelsel._deal(item, [0, 1, 2])
+    error = excinfo.value
+    assert (str(error), error.iterations, error.context) == ("fold", 40, "fold")
+    assert (error.__cause__.violation, error.__cause__.context) == (0.25, "0/2")
+    assert_no_children()
+
+
+def test_a_worker_that_ends_without_a_result_is_one_package_error(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def item(x):
+        if os.getpid() != caller:
+            os._exit(3)
+        return x
+
+    with pytest.raises(WorkerLostError, match="exit status 3"):
+        modelsel._deal(item, list(range(4)))
+    assert_no_children()
+
+
+def test_a_failing_caller_kills_its_workers(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def item(x):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise Abort()
+
+    started = time.monotonic()
+    with pytest.raises(Abort):
+        modelsel._deal(item, [0, 1])
+    assert time.monotonic() - started < 30
+    assert_no_children()
+
+
+GRID = dict(c_grid=[0.25, 1024.0], param_grid=[0.5, 4.0, 1.0], k=3, seed=0)
+
+
+@pytest.mark.parametrize("cap", [None, 100])
+@pytest.mark.parametrize("strategy", ["ova", "ovo"])
+def test_reports_do_not_depend_on_the_cpu_count(strategy, cap, monkeypatch):
+    # under a cap of 100 pair updates, C = 1024 fails one-vs-all at every
+    # fold and one-vs-one at folds 0 and 2; four usable CPUs put more
+    # processes than this machine's cores on the shared failure table
+    data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
+    rbf = KernelSpec(kind="rbf", gamma=0.5)
+    if cap is not None:
+        monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", cap)
+    reports = []
+    for cpus in (1, 2, 4):
+        usable_cpus(monkeypatch, cpus)
+        grid = grid_search(data, "rbf", strategy=strategy, **GRID)
+        cv = []
+        for C in GRID["c_grid"]:
+            try:
+                cv.append(cross_validate(data, rbf, C, strategy=strategy, k=3, seed=0))
+            except NoConvergenceError as exc:
+                cv.append((str(exc), exc.iterations, exc.context, str(exc.__cause__)))
+        repeated = repeat_evaluate(data, rbf, 0.25, strategy=strategy, repetitions=5, seed=3)
+        reports.append((grid, cv, repeated))
+        assert_no_children()
+    (grid_1, cv_1, rep_1), *others = reports
+    assert [e.error for e in grid_1.entries].count("NoConvergence") == (0 if cap is None else 3)
+    for grid, cv, rep in others:
+        assert grid.entries == grid_1.entries and grid.best == grid_1.best
+        assert cv == cv_1
+        assert (rep.class_ids, rep.iterations) == (rep_1.class_ids, rep_1.iterations)
+        np.testing.assert_array_equal(rep.confusion, rep_1.confusion)
+
+
+def test_a_failing_repetition_raises_the_same_error_at_any_cpu_count(monkeypatch):
+    # repetitions 1, 2 and 3 fail, as
+    # test_repeat_raises_the_error_of_its_failing_repetition shows; at two
+    # CPUs repetition 1 runs in the worker
+    data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 40)
+    raised = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(NoConvergenceError) as excinfo:
+            repeat_evaluate(data, KernelSpec(kind="rbf", gamma=0.5), 32.0, repetitions=4, seed=3)
+        error = excinfo.value
+        raised.append((str(error), error.iterations, error.context, repr(error.__cause__)))
+        assert_no_children()
+    assert raised[0] == raised[1]
+
+
+def test_at_one_cpu_a_failing_c_trains_at_one_fold(monkeypatch):
+    data = separable_dataset(np.random.default_rng(40), n_per_class=12, classes=3, distance=1.0)
+    usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(svm, "DEFAULT_MAX_ITER", 100)
+    trained = []
+
+    def recording(vectors, labels, strategy, kernel, c_values):
+        trained.append((kernel.gamma, list(c_values)))
+        return train_multiclass_c_grid(vectors, labels, strategy, kernel, c_values)
+
+    monkeypatch.setattr(modelsel, "train_multiclass_c_grid", recording)
+    report = grid_search(data, "rbf", strategy="ova", **GRID)
+    assert [e.error for e in report.entries if e.C == 1024.0] == ["NoConvergence"] * 3
+    for gamma in GRID["param_grid"]:
+        c_lists = [c_values for g, c_values in trained if g == gamma]
+        assert c_lists == [[0.25, 1024.0], [0.25], [0.25]]
 
 
 # --- evaluation -----------------------------------------------------------------------
