@@ -113,6 +113,12 @@ def csv_header(config: FeatureConfig) -> str:
     return ",".join(["label"] + names + ["whr", "ep", "cp", "bp"])
 
 
+def _is_csv_label(text: str) -> bool:
+    """Whether `text` reads back from a CSV row as itself: not empty, and
+    with no comma, line break or surrounding whitespace."""
+    return "," not in text and text.strip() == text and text.splitlines() == [text]
+
+
 def write_features_csv(path, labels, vectors, config: FeatureConfig) -> None:
     """One row per character: label, then the feature values in vector order.
     A vector whose length is not `config.total_count` is
@@ -123,7 +129,7 @@ def write_features_csv(path, labels, vectors, config: FeatureConfig) -> None:
     lines = [csv_header(config)]
     for label, vec in zip(labels, vectors):
         text = str(label)
-        if "," in text or text.strip() != text or text.splitlines() != [text]:
+        if not _is_csv_label(text):
             raise InvalidConfigError(f"{path}: label {text!r} cannot be a CSV label")
         if len(vec) != config.total_count:
             raise DimensionMismatchError(
@@ -159,8 +165,11 @@ def read_features_csv(path):
             raise MixedDimensionsError(
                 f"{path}: row has {len(parts)} columns, header has {width}"
             )
-        if not parts[0].strip():
-            raise UnreadableFileError(f"{path}: data row {row} has an empty label")
+        if not _is_csv_label(parts[0]):
+            raise UnreadableFileError(
+                f"{path}: data row {row} has label {parts[0]!r}, which is empty, has "
+                "surrounding whitespace or holds a line break"
+            )
         labels.append(parts[0])
         try:
             rows.append([float(p) for p in parts[1:]])

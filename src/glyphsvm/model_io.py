@@ -294,10 +294,16 @@ def _parse_index(reader: _Reader, count: int, n_sv: int, idx: int) -> np.ndarray
 
 
 def _check_dual(coeffs: np.ndarray, c_value: float, path, idx: int) -> None:
+    """CorruptBlockError unless every coefficient lies in the box [-C, C]
+    less 0 and they sum to 0, each within a tolerance. Neither test
+    overflows near the largest double: the box divides, and a sum that
+    overflows is refused."""
     alphas = np.abs(coeffs)
     if np.any(alphas == 0):
         raise CorruptBlockError(f"{path}: classifier {idx} has a support vector of coefficient 0")
-    if np.any(alphas > c_value * (1 + 1e-12)):
+    if np.any(alphas / (1 + 1e-12) > c_value):
         raise CorruptBlockError(f"{path}: classifier {idx} violates the box constraint")
-    if abs(coeffs.sum()) > 1e-6:
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = coeffs.sum()
+    if not abs(total) <= 1e-6:
         raise CorruptBlockError(f"{path}: classifier {idx} violates the equality constraint")

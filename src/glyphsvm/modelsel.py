@@ -7,6 +7,7 @@ import os
 import pickle
 import signal
 import threading
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +107,13 @@ def _process_count(items: int) -> int:
     """How many processes `_deal` spreads `items` over: one per usable CPU,
     at most one per item. Only the caller while other Python threads are
     alive (a forked child would hold their locks as they were), or where
-    the platform cannot tell which CPUs are usable."""
+    the platform cannot tell which CPUs are usable.
+
+    Only Python threads are counted. The OS threads of a BLAS pool, which
+    a numpy matrix product starts unless OPENBLAS_NUM_THREADS is 1, are
+    not, so the caller forks with them alive; the child runs its BLAS
+    calls in its own pool. CPython 3.12 and later warn about a fork in a
+    process with more than one OS thread."""
     if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), items))
@@ -126,11 +133,15 @@ def _run_share(fn, share) -> tuple[list, Exception | None]:
 def _serve(fn, share, pipe: int) -> None:
     """A worker's whole life: run `share`, write the pickled results and
     first error down `pipe`, and leave without running any of the caller's
-    clean-up. Whatever escapes ends it with status 1 and no result."""
+    clean-up. Pickling drops the error's traceback, so the error carries it
+    as a note. Whatever escapes ends it with status 1 and no result."""
     status = 1
     try:
+        done, error = _run_share(fn, share)
+        if error is not None:
+            error.add_note("in a forked worker:\n" + "".join(traceback.format_exception(error)))
         with os.fdopen(pipe, "wb") as out:
-            out.write(pickle.dumps(_run_share(fn, share), pickle.HIGHEST_PROTOCOL))
+            out.write(pickle.dumps((done, error), pickle.HIGHEST_PROTOCOL))
         status = 0
     finally:
         os._exit(status)

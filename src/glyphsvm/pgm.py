@@ -86,12 +86,13 @@ def read_pgm(path) -> np.ndarray:
         if len(values) < count:
             raise UnreadableFileError(f"{path}: raster truncated ({len(values)} < {count})")
         try:
-            pixels = np.array([int(v) for v in values], dtype=np.int64)
+            samples = [int(v) for v in values]
         except ValueError:
             raise UnreadableFileError(f"{path}: non-numeric P2 sample") from None
-        if pixels.min() < 0 or pixels.max() > maxval:
+        # compared as Python ints: a sample past int64 must not overflow
+        if not all(0 <= v <= maxval for v in samples):
             raise UnreadableFileError(f"{path}: sample outside [0, {maxval}]")
-        pixels = pixels.astype(np.uint8)
+        pixels = np.array(samples, dtype=np.uint8)
     return pixels.reshape(height, width)
 
 

@@ -188,17 +188,17 @@ def _rotated_extent(h: int, w: int, angle_deg: float):
     return int(math.ceil(h * c + w * s)), int(math.ceil(w * c + h * s))
 
 
-def _inverse_map(out_shape, in_shape, angle_deg: float, rows: slice = slice(None)):
-    """Destination pixel centers of the output `rows` mapped back into source
-    coordinates."""
+def _inverse_map(out_shape, in_shape, angle_deg: float, out_y: np.ndarray, out_x: np.ndarray):
+    """The centres of output pixels (out_y, out_x) mapped back into source
+    coordinates: what each pixel samples, exactly as over the whole canvas."""
     rad = math.radians(angle_deg)
     cos, sin = math.cos(rad), math.sin(rad)
     out_h, out_w = out_shape
     in_h, in_w = in_shape
     cy_out, cx_out = (out_h - 1) / 2.0, (out_w - 1) / 2.0
     cy_in, cx_in = (in_h - 1) / 2.0, (in_w - 1) / 2.0
-    dy = np.arange(out_h, dtype=np.float64)[rows, None] - cy_out
-    dx = np.arange(out_w, dtype=np.float64) - cx_out
+    dy = out_y.astype(np.float64) - cy_out
+    dx = out_x.astype(np.float64) - cx_out
     # content rotates by +angle; sample source with the inverse rotation
     src_x = cos * dx + sin * dy + cx_in
     src_y = -sin * dx + cos * dy + cy_in
@@ -278,9 +278,9 @@ def detect_skew(page: np.ndarray) -> float:
     return fine / 10.0
 
 
-# output rows mapped at once: a band bounds the coordinate arrays and the 16
-# taps' temporaries (about 150 bytes per active pixel) where a canvas would not
-_BAND_ROWS = 32
+# output pixels mapped at once: a chunk bounds the coordinate arrays and the
+# 16 taps' temporaries (about 150 bytes per pixel) where a canvas would not
+_CHUNK = 1 << 15
 
 
 def deskew(page: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -288,14 +288,22 @@ def deskew(page: np.ndarray, angle_deg: float) -> np.ndarray:
     interpolation, re-binarized at 0.5.
 
     The output canvas is enlarged to hold all rotated content; regions the
-    source never covered are background. It is mapped in bands of rows, and
-    a pixel is decided by the inner 2x2 of its 4x4 source taps. Each Keys
-    outer weight lies in [-0.0741, 0] and the two of an axis sum to at least
-    -0.125, so with every inner tap inked the value is at least
-    1 - 0.125**2 whatever the outer taps hold, and with none inked at most
-    0.125**2: such pixels are True and False without being computed. Only
-    pixels whose inner taps are mixed are interpolated. An angle beyond
-    +-MAX_SKEW_DEG, or one that is not a number, is AngleOutOfRangeError.
+    source never covered are background. A pixel is decided by the inner
+    2x2 of its 4x4 source taps, the window of the source cell its centre
+    falls in. Each Keys outer weight lies in [-0.0741, 0] and the two of an
+    axis sum to at least -0.125, so with every inner tap inked the value is
+    at least 1 - 0.125**2 whatever the outer taps hold, and with none inked
+    at most 0.125**2: such pixels are True and False without being
+    computed, and only pixels whose inner taps are mixed are interpolated.
+
+    Only pixels near ink are mapped at all. The pixel centres that fall in
+    a source cell form a turned unit square about the forward image of the
+    cell's centre, within half its extent, (|cos| + |sin|) / 2 < 0.71, of
+    it on each axis. So the at most 2x2 pixels within that distance (plus
+    an epsilon for rounding) of the image of each cell whose window holds
+    ink are marked, and those pixels alone are mapped back, in raster order
+    and in chunks of `_CHUNK`. An angle beyond +-MAX_SKEW_DEG, or one that
+    is not a number, is AngleOutOfRangeError.
     """
     page = _check_binary(page)
     if not abs(angle_deg) <= MAX_SKEW_DEG:
@@ -308,16 +316,37 @@ def deskew(page: np.ndarray, angle_deg: float) -> np.ndarray:
     cells = np.pad(page, 3)
     some = cells[:-1] | cells[1:]
     every = cells[:-1] & cells[1:]
-    window = (some[:, :-1] | some[:, 1:]).view(np.uint8) + (every[:, :-1] & every[:, 1:])
-    for top in range(0, out.shape[0], _BAND_ROWS):
-        band = slice(top, top + _BAND_ROWS)
-        src_y, src_x = _inverse_map(out.shape, page.shape, rotation, band)
-        by = np.clip(np.floor(src_y), -3, page.shape[0] + 1).astype(np.intp) + 3
-        bx = np.clip(np.floor(src_x), -3, page.shape[1] + 1).astype(np.intp) + 3
+    inked = some[:, :-1] | some[:, 1:]
+    window = inked.view(np.uint8) + (every[:, :-1] & every[:, 1:])
+    inked_cells = np.flatnonzero(inked)
+    del cells, some, every, inked
+    rad = math.radians(rotation)
+    cos, sin = math.cos(rad), math.sin(rad)
+    (out_h, out_w), (in_h, in_w) = out.shape, page.shape
+    reach = (abs(cos) + abs(sin)) / 2.0 + 1e-6
+    # mark in `out`, which holds nothing else yet, the top-left pixel near
+    # each inked cell, clipped to the canvas, then the pixel right of and
+    # below each mark
+    for start in range(0, len(inked_cells), _CHUNK):
+        by, bx = np.divmod(inked_cells[start : start + _CHUNK], window.shape[1])
+        v = by - 3 + 0.5 - (in_h - 1) / 2.0
+        u = bx - 3 + 0.5 - (in_w - 1) / 2.0
+        top = np.ceil(sin * u + cos * v + (out_h - 1) / 2.0 - reach).astype(np.intp)
+        left = np.ceil(cos * u - sin * v + (out_w - 1) / 2.0 - reach).astype(np.intp)
+        out.ravel()[np.clip(top, 0, out_h - 1) * out_w + np.clip(left, 0, out_w - 1)] = True
+    out[:, 1:] |= out[:, :-1]
+    out[1:] |= out[:-1]
+    candidates = np.flatnonzero(out)
+    for start in range(0, len(candidates), _CHUNK):
+        chunk = candidates[start : start + _CHUNK]
+        src_y, src_x = _inverse_map(out.shape, page.shape, rotation, *np.divmod(chunk, out_w))
+        by = np.clip(np.floor(src_y), -3, in_h + 1).astype(np.intp) + 3
+        bx = np.clip(np.floor(src_x), -3, in_w + 1).astype(np.intp) + 3
         cls = window.ravel().take(by * window.shape[1] + bx)
         mixed = cls == 1
-        out[band] = cls == 2
-        out[band][mixed] = _bicubic_gather(padded, src_y[mixed], src_x[mixed]) >= 0.5
+        values = cls == 2
+        values[mixed] = _bicubic_gather(padded, src_y[mixed], src_x[mixed]) >= 0.5
+        out.ravel()[chunk] = values
     return out
 
 
@@ -325,10 +354,20 @@ def deskew(page: np.ndarray, angle_deg: float) -> np.ndarray:
 
 def _runs(mask: np.ndarray):
     """Row, start and exclusive end of every run of True along the rows of a
-    2-D mask, in raster order."""
-    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    return rows, starts, np.nonzero(edges == -1)[1]
+    2-D mask, in raster order.
+
+    The rows lie end to end in one flat buffer, each after a blank column
+    and the last before a blank pixel, so a run starts where a pixel
+    differs from the one before it and ends at the next such change, in its
+    own row or in the next row's blank column. One `flatnonzero` over the
+    changes finds both.
+    """
+    h, w = mask.shape
+    flat = np.zeros(h * (w + 1) + 1, dtype=bool)
+    flat[:-1].reshape(h, w + 1)[:, 1:] = mask
+    changes = np.flatnonzero(flat[1:] != flat[:-1])
+    rows, starts = np.divmod(changes[0::2], w + 1)
+    return rows, starts, starts + (changes[1::2] - changes[0::2])
 
 
 def segment_lines(page: np.ndarray) -> list[tuple[int, int]]:
@@ -405,25 +444,31 @@ def segment_characters(line: np.ndarray) -> list[CharacterRecord]:
     Components smaller than MIN_COMPONENT_AREA pixels are dropped as noise.
     Records hold the tight bounding box and the component's own pixels;
     `normalized` and `skeleton` are filled by the caller. Ordered by left
-    edge, then top. One pass over the labelled ink finds every component's
-    row and column extent, and each crop compares only its own box.
+    edge, then top. Areas and boxes come from the strip's row runs, each
+    run owned by the label at its start: a component's area is the sum of
+    its run lengths, its top and bottom the rows of its first and last run
+    in raster order, and its sides the least start and greatest end. Each
+    crop compares only its own box.
     """
     line = _check_binary(line)
     labels, count = label_components(line)
-    ys, xs = np.nonzero(labels)
-    owner = labels[ys, xs]
-    areas = np.bincount(owner, minlength=count + 1)
-    top, left = np.full((2, count + 1), max(line.shape))
-    bottom, right = np.full((2, count + 1), -1)
-    np.minimum.at(top, owner, ys)
-    np.maximum.at(bottom, owner, ys)
-    np.minimum.at(left, owner, xs)
-    np.maximum.at(right, owner, xs)
+    if not count:
+        return []
+    rows, starts, ends = _runs(line)
+    owner = labels[rows, starts]
+    # the runs by owner, each owner's in raster order
+    order = np.argsort(owner, kind="stable")
+    owner, rows, starts, ends = owner[order], rows[order], starts[order], ends[order]
+    first = np.searchsorted(owner, np.arange(1, count + 1))
+    last = np.append(first[1:], len(owner)) - 1
+    areas = np.add.reduceat(ends - starts, first)
+    left = np.minimum.reduceat(starts, first)
+    right = np.maximum.reduceat(ends, first)
     records = []
-    for lab in (np.flatnonzero(areas[1:] >= MIN_COMPONENT_AREA) + 1).tolist():
-        t, b, lf, rt = int(top[lab]), int(bottom[lab]), int(left[lab]), int(right[lab])
-        bbox = BoundingBox(left=lf, top=t, width=rt - lf + 1, height=b - t + 1)
-        crop = labels[t : b + 1, lf : rt + 1] == lab
+    for k in np.flatnonzero(areas >= MIN_COMPONENT_AREA).tolist():
+        t, b, lf, rt = int(rows[first[k]]), int(rows[last[k]]), int(left[k]), int(right[k])
+        bbox = BoundingBox(left=lf, top=t, width=rt - lf, height=b - t + 1)
+        crop = labels[t : b + 1, lf:rt] == k + 1
         records.append(CharacterRecord(bbox=bbox, crop=crop, normalized=None, skeleton=None))
     records.sort(key=lambda rec: (rec.bbox.left, rec.bbox.top))
     return records

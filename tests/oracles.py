@@ -11,7 +11,7 @@ mask per threshold, and rotations map canvases through
 `_full_canvas_inverse_map` and `rotated_extent`. The scalar SMO loop that
 the package's lockstep solver replaced is kept as its bit-for-bit reference,
 and so are the full-canvas bicubic rotation and the float median that the
-package's banded rotation and selection median replaced. The rotation reads
+package's ink-only rotation and selection median replaced. The rotation reads
 its own copy of the tap-at-a-time Keys weights that the package's four-tap
 table replaced, and so does the crop-at-a-time resample that the package's
 flat batched one replaced. The per-problem support and bias arithmetic and

@@ -2,8 +2,8 @@
 
 Pinned: a saved model, a grid CSV and the cross-validation details of each
 multiclass strategy, the SMO work of each strategy's grid, the records of a
-small noisy page, the feature rows of single glyphs and the dataset loaded
-from a glyph directory.
+small noisy page and of the benchmark's two page scans, the feature rows of
+single glyphs and the dataset loaded from a glyph directory.
 
 A change that alters training or prediction arithmetic changes one of these
 digests. If that is intended, say so in CHANGES.md and update the digests.
@@ -24,10 +24,13 @@ from glyphsvm.pgm import write_pgm
 from glyphsvm.synth import SynthConfig, generate_synthetic_dataset, render_sample
 
 from oracles import fold_scalings
+from test_api import perfbench_module
 
 MODEL_SHA256 = "5834e4acac8839ff5212aa74b2ee8189da0910fc0c4cf1357af218b64f3d603c"
 GRID_CSV_SHA256 = "666d15f06315c888201568ec8c958ab0e6cad5fe88ad8a3f7ed50f3fbf01e52e"
 PAGE_RECORDS_SHA256 = "af2a2b39fde6f948085427ce7bcb5c23b82b1abf88ac8a22058067648cd6487b"
+# both scans of the `page_ocr` benchmark page at seed 1, one after the other
+BENCHMARK_PAGE_RECORDS_SHA256 = "19e3e9828c7335e790f514212ec78748d63a73f8d43d7bdbbae8ac9108a36305"
 GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597fd2e9ce7a"
 # the vectors, then the labels, of `golden_glyph_directory`
 LOADER_SHA256 = "6109ffc6b7eb2df6cda72ec5a2530212448184ed99e36ed14d14efa8ca846b10"
@@ -120,14 +123,29 @@ def golden_page() -> np.ndarray:
     return gray
 
 
-def test_golden_page_records():
+def page_records_digest(grays) -> str:
+    """The boxes, crops and skeletons of each page's records, in order."""
     digest = hashlib.sha256()
-    for rec in preprocess_page(golden_page()):
-        box = rec.bbox
-        digest.update(np.array([box.left, box.top, box.width, box.height], np.int64).tobytes())
-        digest.update(np.packbits(rec.crop).tobytes())
-        digest.update(np.packbits(rec.skeleton).tobytes())
-    assert digest.hexdigest() == PAGE_RECORDS_SHA256
+    for gray in grays:
+        for rec in preprocess_page(gray):
+            box = rec.bbox
+            digest.update(np.array([box.left, box.top, box.width, box.height], np.int64).tobytes())
+            digest.update(np.packbits(rec.crop).tobytes())
+            digest.update(np.packbits(rec.skeleton).tobytes())
+    return digest.hexdigest()
+
+
+def test_golden_page_records():
+    assert page_records_digest([golden_page()]) == PAGE_RECORDS_SHA256
+
+
+def test_golden_benchmark_page_records():
+    # the scans `page_ocr` sets up at seed 1: 561 records from 256 glyphs
+    workloads = perfbench_module("workloads")
+    *scan_seeds, _ = workloads.derived_seeds(1, workloads.PAGE_SCANS + 1)
+    ink, _ = workloads.render_document()
+    scans = [workloads.scan(ink, seed) for seed in scan_seeds]
+    assert page_records_digest(scans) == BENCHMARK_PAGE_RECORDS_SHA256
 
 
 def test_golden_glyph_features():

@@ -478,7 +478,35 @@ def test_a_worker_error_comes_back_with_its_cause(monkeypatch):
     error = excinfo.value
     assert (str(error), error.iterations, error.context) == ("fold", 40, "fold")
     assert (error.__cause__.violation, error.__cause__.context) == (0.25, "0/2")
+    # a package error pickles its attributes, the worker's traceback among them
+    assert "in item" in error.__notes__[0]
     assert_no_children()
+
+
+def failing_on_one(x):
+    if x == 1:
+        raise KeyError(x)
+    return x
+
+
+def test_a_worker_error_carries_the_worker_traceback(monkeypatch):
+    # item 1 runs in the worker; its error crosses the pipe without frames
+    usable_cpus(monkeypatch, 2)
+    with pytest.raises(KeyError) as excinfo:
+        modelsel._deal(failing_on_one, [0, 1, 2])
+    (note,) = excinfo.value.__notes__
+    line = failing_on_one.__code__.co_firstlineno + 2
+    assert note.startswith("in a forked worker:\nTraceback")
+    assert f"line {line}, in failing_on_one" in note
+    assert_no_children()
+
+
+def test_an_error_in_the_caller_has_no_note(monkeypatch):
+    usable_cpus(monkeypatch, 1)
+    with pytest.raises(KeyError) as excinfo:
+        modelsel._deal(failing_on_one, [0, 1, 2])
+    assert not hasattr(excinfo.value, "__notes__")
+    assert excinfo.traceback[-1].name == "failing_on_one"
 
 
 def test_a_worker_that_ends_without_a_result_is_one_package_error(monkeypatch):

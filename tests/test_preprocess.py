@@ -312,25 +312,25 @@ def test_deskew_non_finite_angle(angle):
         deskew(bar_page(), angle)
 
 
-BAND = preprocess._BAND_ROWS
-BAND_HEIGHTS = [0, 1, BAND - 1, BAND, BAND + 1, 3 * BAND + 5]
+# the heights about the 32-row bands that `deskew` once mapped at a time
+BAND_HEIGHTS = [0, 1, 31, 32, 33, 101]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    height=sampled_from(BAND_HEIGHTS) | integers(0, 3 * BAND),
+    height=sampled_from(BAND_HEIGHTS) | integers(0, 96),
     width=integers(0, 40),
     angle=sampled_from([0.0, 15.0, -15.0]) | integers(-150, 150).map(lambda t: t / 10.0),
     fill=floats(0.0, 1.0),
     seed=integers(0, 2**32 - 1),
 )
-@example(height=BAND - 1, width=9, angle=0.0, fill=0.5, seed=1)
-@example(height=BAND, width=9, angle=0.0, fill=0.5, seed=2)
-@example(height=BAND + 1, width=9, angle=0.0, fill=0.5, seed=3)
-@example(height=3 * BAND, width=30, angle=15.0, fill=0.3, seed=4)
+@example(height=31, width=9, angle=0.0, fill=0.5, seed=1)
+@example(height=32, width=9, angle=0.0, fill=0.5, seed=2)
+@example(height=33, width=9, angle=0.0, fill=0.5, seed=3)
+@example(height=96, width=30, angle=15.0, fill=0.3, seed=4)
 @example(height=0, width=5, angle=-15.0, fill=1.0, seed=5)
 @example(height=1, width=40, angle=0.0, fill=0.5, seed=6)
-@example(height=2 * BAND + 1, width=17, angle=-7.3, fill=0.2, seed=7)
+@example(height=65, width=17, angle=-7.3, fill=0.2, seed=7)
 # ink at the source's edges, where the ink window meets the zero ring: on a
 # 7x9 source at fill 0.03 these seeds give one ink pixel at the top-left (142),
 # top-right (534), bottom-left (254) and bottom-right (428) corner, and ink
@@ -343,11 +343,27 @@ BAND_HEIGHTS = [0, 1, BAND - 1, BAND, BAND + 1, 3 * BAND + 5]
 @example(height=7, width=9, angle=-7.3, fill=0.03, seed=301)
 @example(height=1, width=40, angle=-15.0, fill=0.3, seed=8)
 @example(height=40, width=1, angle=15.0, fill=0.3, seed=9)
-@example(height=BAND + 3, width=40, angle=-7.3, fill=0.0, seed=10)
-@example(height=3 * BAND, width=40, angle=-7.3, fill=0.002, seed=0)
+@example(height=35, width=40, angle=-7.3, fill=0.0, seed=10)
+@example(height=96, width=40, angle=-7.3, fill=0.002, seed=0)
 def test_banded_rotation_equals_full_canvas(height, width, angle, fill, seed):
     img = np.random.default_rng(seed).random((height, width)) < fill
     assert np.array_equal(deskew(img, -angle), reference_rotate_bicubic(img, angle))
+
+
+@pytest.mark.parametrize("angle", [0.0, 15.0, -15.0, 0.1])
+def test_rotation_of_more_pixels_than_one_chunk_equals_full_canvas(monkeypatch, angle):
+    # blobs over a third of the page put several chunks of pixels near ink
+    page = np.kron(np.random.default_rng(31).random((40, 50)) < 0.35, np.ones((6, 6), bool))
+    chunks = []
+    inverse_map = preprocess._inverse_map
+
+    def recording_map(*args):
+        chunks.append(args[-1].size)
+        return inverse_map(*args)
+
+    monkeypatch.setattr(preprocess, "_inverse_map", recording_map)
+    assert np.array_equal(deskew(page, -angle), reference_rotate_bicubic(page, angle))
+    assert len(chunks) >= 2 and chunks[0] == preprocess._CHUNK
 
 
 def test_deskew_peak_memory():
@@ -445,6 +461,36 @@ def test_deskew_roundtrip_iou():
 
 
 # --- line segmentation -------------------------------------------------------
+
+def scanned_runs(mask):
+    """(row, start, end) of each run of True, row by row, in plain Python."""
+    runs = []
+    for r, row in enumerate(mask.tolist()):
+        c = 0
+        while c < len(row):
+            if row[c]:
+                start = c
+                while c < len(row) and row[c]:
+                    c += 1
+                runs.append((r, start, c))
+            c += 1
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(bool, tuples(integers(0, 12), integers(0, 12)), elements=booleans()))
+@example(np.zeros((0, 5), dtype=bool))
+@example(np.zeros((5, 0), dtype=bool))
+@example(np.ones((4, 7), dtype=bool))
+@example(np.eye(5, dtype=bool)[:, ::-1])  # ink in the last column, then row by row leftwards
+@example(np.ones((3, 1), dtype=bool))
+@example(np.ones((1, 1), dtype=bool))
+@example(np.zeros((1, 1), dtype=bool))
+@example(np.eye(1, 6, 5, dtype=bool))
+def test_runs_equal_a_row_by_row_scan(mask):
+    rows, starts, ends = preprocess._runs(mask)
+    assert list(zip(rows.tolist(), starts.tolist(), ends.tolist())) == scanned_runs(mask)
+
 
 def test_segment_lines_two_bands():
     page = np.zeros((60, 40), dtype=bool)
