@@ -2,8 +2,9 @@
 features, and a from-scratch kernel SVM with multiclass strategies and
 cross-validated model selection."""
 
+from .data import load_dataset
 from .errors import GlyphSvmError
-from .features import FeatureConfig, FeatureVector, extract_features
+from .features import FeatureConfig, FeatureVector, extract_features, feature_rows
 from .model_io import load_model, save_model
 from .modelsel import (
     Dataset,
@@ -20,13 +21,13 @@ from .multiclass import (
     MinMaxScaling,
     MulticlassModel,
     predict,
+    predict_batch,
     train_multiclass,
     train_one_vs_all,
     train_one_vs_one,
 )
 from .preprocess import (
-    BoundingBox,
-    CharacterRecord,
+    Glyphs,
     deskew,
     detect_skew,
     median_filter,
@@ -49,13 +50,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryModel",
-    "BoundingBox",
-    "CharacterRecord",
     "Dataset",
     "EvalReport",
     "FeatureConfig",
     "FeatureVector",
     "GlyphSvmError",
+    "Glyphs",
     "GridSearchReport",
     "KernelSpec",
     "MinMaxScaling",
@@ -66,13 +66,16 @@ __all__ = [
     "detect_skew",
     "evaluate",
     "extract_features",
+    "feature_rows",
     "grid_search",
     "kfold_split",
+    "load_dataset",
     "load_model",
     "median_filter",
     "normalize_size",
     "otsu_binarize",
     "predict",
+    "predict_batch",
     "preprocess_character",
     "preprocess_page",
     "repeat_evaluate",

@@ -83,13 +83,13 @@ def cmd_preprocess(parser, args) -> int:
         write_binary_pgm(page, args.dump_deskewed)
     if args.dump_binarized or args.dump_deskewed:
         print(f"otsu threshold {threshold}, skew {angle:+.1f} degrees")
-    records = segment_page(page)
+    glyphs = segment_page(page)
     os.makedirs(args.out_dir, exist_ok=True)
-    for idx, rec in enumerate(records):
-        source = {"crop": rec.crop, "normalized": rec.normalized,
-                  "skeleton": rec.skeleton}[args.emit]
-        write_binary_pgm(source, os.path.join(args.out_dir, f"char_{idx:04d}.pgm"))
-    print(f"segmented {len(records)} characters into {args.out_dir}")
+    images = {"crop": glyphs.crops, "normalized": glyphs.normalized,
+              "skeleton": glyphs.skeletons}[args.emit]
+    for idx, image in enumerate(images):
+        write_binary_pgm(image, os.path.join(args.out_dir, f"char_{idx:04d}.pgm"))
+    print(f"segmented {len(glyphs)} characters into {args.out_dir}")
     return 0
 
 

@@ -16,12 +16,7 @@ from .features import FeatureConfig, feature_rows, read_features_csv
 from .modelsel import Dataset
 from .multiclass import class_sort_key
 from .pgm import read_pgm
-from .preprocess import (
-    _THIN_BATCH,
-    CharacterRecord,
-    crop_characters,
-    finish_records,
-)
+from .preprocess import _THIN_BATCH, crop_characters, finish_glyphs
 
 
 def load_image_dataset(root, config: FeatureConfig | None = None) -> Dataset:
@@ -58,16 +53,16 @@ def load_image_dataset(root, config: FeatureConfig | None = None) -> Dataset:
     vectors = []
     for start in range(0, len(files), _THIN_BATCH):
         paths = [path for _, path in files[start : start + _THIN_BATCH]]
-        vectors.append(feature_rows(finish_records(_cropped_glyphs(paths)), config))
+        vectors.append(feature_rows(finish_glyphs(*_cropped_glyphs(paths)), config))
     return Dataset(np.concatenate(vectors), [label for label, _ in files])
 
 
-def _cropped_glyphs(paths) -> list[CharacterRecord]:
-    """The cropped glyph of each file of `paths`, in order, with one
-    `crop_characters` call per image shape. The files are read up to the
-    first that cannot be; if an image read before it fails to crop, the
-    first such file is named instead, as if the files were taken one at a
-    time."""
+def _cropped_glyphs(paths):
+    """The (boxes, crops) of the glyph of each file of `paths`, in order,
+    with one `crop_characters` call per image shape. The files are read up
+    to the first that cannot be; if an image read before it fails to crop,
+    the first such file is named instead, as if the files were taken one at
+    a time."""
     grays, unread = [], None
     for path in paths:
         try:
@@ -78,12 +73,13 @@ def _cropped_glyphs(paths) -> list[CharacterRecord]:
     by_shape: dict[tuple[int, int], list[int]] = {}
     for index, gray in enumerate(grays):
         by_shape.setdefault(gray.shape, []).append(index)
-    records = [None] * len(grays)
+    boxes = np.empty((len(grays), 4), dtype=np.int64)
+    crops = [None] * len(grays)
     try:
         for indices in by_shape.values():
-            cropped = crop_characters(np.stack([grays[index] for index in indices]))
-            for index, record in zip(indices, cropped):
-                records[index] = record
+            boxes[indices], shape_crops = crop_characters(np.stack([grays[i] for i in indices]))
+            for index, crop in zip(indices, shape_crops):
+                crops[index] = crop
     except (EmptyCropError, UniformImageError):
         for path, gray in zip(paths, grays):  # the first failing image names its file
             try:
@@ -93,7 +89,7 @@ def _cropped_glyphs(paths) -> list[CharacterRecord]:
         raise
     if unread is not None:
         raise unread
-    return records
+    return boxes, crops
 
 
 def load_csv_dataset(path) -> Dataset:

@@ -8,12 +8,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError, InvalidConfigError, MixedDimensionsError, NonFiniteInputError,
-    UnreadableFileError,
+    UnreadableFileError, WrongDimensionsError,
 )
 from .fileio import format_float, write_atomic
-from .preprocess import (
-    NORMALIZED_SIZE, BoundingBox, CharacterRecord, check_glyphs, topology_words
-)
+from .preprocess import NORMALIZED_SIZE, Glyphs, check_glyphs, topology_words
 
 VALID_CELL_SIZES = (16, 8, 4, 2)
 GLOBAL_FEATURE_COUNT = 4
@@ -67,13 +65,8 @@ def local_zone_features(skeleton: np.ndarray, config: FeatureConfig) -> np.ndarr
     skeleton = check_glyphs(skeleton)
     g = config.cells_per_side
     c = config.cell_px
-    grid = skeleton.reshape(-1, g, c, g, c).sum(axis=(2, 4), dtype=np.int64)
-    return grid.reshape(len(skeleton), -1)
-
-
-def aspect_ratio(bbox: BoundingBox) -> float:
-    """Width over height of the original segmented box."""
-    return bbox.width / bbox.height
+    grid = skeleton.reshape(len(skeleton), g, c, g, c).sum(axis=(2, 4), dtype=np.int64)
+    return grid.reshape(len(skeleton), g * g)
 
 
 def skeleton_topology(skeleton) -> np.ndarray:
@@ -87,23 +80,26 @@ def skeleton_topology(skeleton) -> np.ndarray:
     return np.bitwise_count(topology_words(skeleton)).sum(axis=1, dtype=np.int64).T
 
 
-def feature_rows(records: list[CharacterRecord], config: FeatureConfig) -> np.ndarray:
-    """The feature values of thinned records, one row each in `FeatureVector`
-    order, from one pass over their stacked skeletons."""
-    skeletons = np.array([record.skeleton for record in records])
+def feature_rows(glyphs: Glyphs, config: FeatureConfig) -> np.ndarray:
+    """The feature values of a batch of glyphs, one row each in
+    `FeatureVector` order, from one pass over their skeleton stack; the
+    width/height ratio is one division of the box columns."""
     local = config.local_count
-    rows = np.empty((len(records), config.total_count))
-    rows[:, :local] = local_zone_features(skeletons, config)
-    rows[:, local] = [aspect_ratio(record.bbox) for record in records]
+    rows = np.empty((len(glyphs), config.total_count))
+    rows[:, :local] = local_zone_features(glyphs.skeletons, config)
+    rows[:, local] = glyphs.boxes[:, 2] / glyphs.boxes[:, 3]
     # endpoints, cross points, branch points
-    rows[:, local + 1 :] = skeleton_topology(skeletons)[:, [0, 2, 1]]
+    rows[:, local + 1 :] = skeleton_topology(glyphs.skeletons)[:, [0, 2, 1]]
     return rows
 
 
-def extract_features(record: CharacterRecord, config: FeatureConfig) -> FeatureVector:
-    """Assemble the full vector: zones, then w/h, endpoints, crosses, branches
-    (the one-record case of `feature_rows`)."""
-    return FeatureVector(values=feature_rows([record], config)[0], config=config)
+def extract_features(glyph: Glyphs, config: FeatureConfig) -> FeatureVector:
+    """Assemble the full vector of a one-glyph batch: zones, then w/h,
+    endpoints, crosses, branches (the one-glyph case of `feature_rows`). A
+    batch of any other length is WrongDimensionsError."""
+    if len(glyph) != 1:
+        raise WrongDimensionsError(f"expected one glyph, got {len(glyph)}")
+    return FeatureVector(values=feature_rows(glyph, config)[0], config=config)
 
 
 # --- CSV interchange --------------------------------------------------------

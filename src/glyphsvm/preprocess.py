@@ -6,12 +6,16 @@ Otsu and component labelling also take a (k, H, W) stack of same-shaped
 images and treat each image as if alone; cropping takes such a stack, and
 normalization a list of crops. The 32x32 stages (thinning and the skeleton's
 topology) take only a (k, 32, 32) stack.
+
+Glyphs travel from crop to feature row as one batch of arrays, `Glyphs`:
+cropping and segmentation give its boxes and crops, and `finish_glyphs` adds
+the normalized and thinned (k, 32, 32) stacks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,27 +35,33 @@ MAX_SKEW_DEG = 15.0
 
 
 @dataclass(frozen=True)
-class BoundingBox:
-    """Tight pixel box: inclusive top-left corner plus extent."""
+class Glyphs:
+    """k segmented characters: a (k, 4) int64 array of tight boxes (left,
+    top, width, height), the k ragged crops, and the (k, 32, 32) bool stacks
+    of the normalized and the thinned glyphs. A box under 1x1 is
+    InvalidConfigError, a crop count or stack shape other than k's
+    WrongDimensionsError. A batch iterates as k one-glyph batches."""
 
-    left: int
-    top: int
-    width: int
-    height: int
+    boxes: np.ndarray
+    crops: list
+    normalized: np.ndarray
+    skeletons: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidConfigError(f"degenerate bounding box {self}")
+        k = len(self.crops)
+        if self.boxes.shape != (k, 4) or (self.boxes[:, 2:] < 1).any():
+            raise InvalidConfigError(f"expected {k} boxes of 1x1 or more, got {self.boxes.tolist()}")
+        n = NORMALIZED_SIZE
+        if self.normalized.shape != (k, n, n) or self.skeletons.shape != (k, n, n):
+            raise WrongDimensionsError(f"expected ({k}, {n}, {n}) stacks for {k} crops")
 
+    def __len__(self) -> int:
+        return len(self.crops)
 
-@dataclass
-class CharacterRecord:
-    """One segmented character with its normalized and thinned bitmaps."""
-
-    bbox: BoundingBox
-    crop: np.ndarray
-    normalized: np.ndarray
-    skeleton: np.ndarray
+    def __iter__(self):
+        for g in range(len(self)):
+            one = slice(g, g + 1)
+            yield Glyphs(self.boxes[one], self.crops[one], self.normalized[one], self.skeletons[one])
 
 
 def _check_binary(img: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -438,22 +448,20 @@ def label_components(img: np.ndarray):
     return labels, int(is_root.sum())
 
 
-def segment_characters(line: np.ndarray) -> list[CharacterRecord]:
-    """Extract connected components of a line strip as raw character records.
+def segment_characters(line: np.ndarray):
+    """The connected components of a line strip as (boxes, crops): a (k, 4)
+    int64 array of their tight boxes, left, top, width and height, and each
+    component's own pixels within its box.
 
     Components smaller than MIN_COMPONENT_AREA pixels are dropped as noise.
-    Records hold the tight bounding box and the component's own pixels;
-    `normalized` and `skeleton` are filled by the caller. Ordered by left
-    edge, then top. Areas and boxes come from the strip's row runs, each
-    run owned by the label at its start: a component's area is the sum of
-    its run lengths, its top and bottom the rows of its first and last run
-    in raster order, and its sides the least start and greatest end. Each
-    crop compares only its own box.
+    Ordered by left edge, then top. Areas and boxes come from the strip's
+    row runs, each run owned by the label at its start: a component's area
+    is the sum of its run lengths, its top and bottom the rows of its first
+    and last run in raster order, and its sides the least start and
+    greatest end. Each crop compares only its own box.
     """
     line = _check_binary(line)
     labels, count = label_components(line)
-    if not count:
-        return []
     rows, starts, ends = _runs(line)
     owner = labels[rows, starts]
     # the runs by owner, each owner's in raster order
@@ -464,14 +472,16 @@ def segment_characters(line: np.ndarray) -> list[CharacterRecord]:
     areas = np.add.reduceat(ends - starts, first)
     left = np.minimum.reduceat(starts, first)
     right = np.maximum.reduceat(ends, first)
-    records = []
-    for k in np.flatnonzero(areas >= MIN_COMPONENT_AREA).tolist():
-        t, b, lf, rt = int(rows[first[k]]), int(rows[last[k]]), int(left[k]), int(right[k])
-        bbox = BoundingBox(left=lf, top=t, width=rt - lf, height=b - t + 1)
-        crop = labels[t : b + 1, lf:rt] == k + 1
-        records.append(CharacterRecord(bbox=bbox, crop=crop, normalized=None, skeleton=None))
-    records.sort(key=lambda rec: (rec.bbox.left, rec.bbox.top))
-    return records
+    kept = np.flatnonzero(areas >= MIN_COMPONENT_AREA)
+    top, left, right = rows[first[kept]], left[kept], right[kept]
+    bottom = rows[last[kept]] + 1
+    order = np.lexsort((top, left))
+    boxes = np.stack((left, top, right - left, bottom - top), axis=1)[order]
+    crops = [
+        labels[t : t + h, lf : lf + w] == k + 1
+        for k, (lf, t, w, h) in zip(kept[order].tolist(), boxes.tolist())
+    ]
+    return boxes, crops
 
 
 # --- normalization and thinning -------------------------------------------
@@ -596,7 +606,7 @@ def _segment_steps(rows: np.ndarray):
     set.
     """
     k = rows.shape[2]
-    ring = rows.reshape(-1, k)[_SEGMENT_ROWS]
+    ring = rows.reshape(3 * (NORMALIZED_SIZE + 2), k)[_SEGMENT_ROWS]
     edge, next_edge, corner = ring[0:4], ring[1:5], ring[5:9]
     steps = corner | next_edge
     steps ^= edge & corner
@@ -739,13 +749,11 @@ def thin(norm: np.ndarray) -> np.ndarray:
 
 # --- full pipeline ---------------------------------------------------------
 
-def finish_records(records: list[CharacterRecord]) -> list[CharacterRecord]:
-    """Fill the normalized bitmaps of cropped records with one
-    `normalize_size` call and their skeletons with one `thin` call."""
-    stack = normalize_size([rec.crop for rec in records])
-    for rec, normalized, skeleton in zip(records, stack, thin(stack)):
-        rec.normalized, rec.skeleton = normalized, skeleton
-    return records
+def finish_glyphs(boxes: np.ndarray, crops) -> Glyphs:
+    """The batch of cropped glyphs: all crops normalized with one
+    `normalize_size` call and thinned with one `thin` call."""
+    normalized = normalize_size(crops)
+    return Glyphs(boxes, crops, normalized, thin(normalized))
 
 
 def clean_page(gray: np.ndarray):
@@ -760,46 +768,45 @@ def clean_page(gray: np.ndarray):
     return threshold, binary, angle, deskew(binary, angle)
 
 
-def segment_page(page: np.ndarray) -> list[CharacterRecord]:
+def segment_page(page: np.ndarray) -> Glyphs:
     """The segmenting stage of the page pipeline: lines, characters, then
-    normalize them all with one `normalize_size` call and thin them all with
-    one `thin` call. Bounding boxes refer to `page`."""
-    records: list[CharacterRecord] = []
+    one `finish_glyphs` of them all. Boxes refer to `page`: each line's
+    offset is added to its boxes' top column."""
+    boxes, crops = [np.empty((0, 4), dtype=np.int64)], []
     for top, bottom in segment_lines(page):
-        strip = page[top : bottom + 1]
-        for rec in segment_characters(strip):
-            rec.bbox = replace(rec.bbox, top=rec.bbox.top + top)
-            records.append(rec)
-    return finish_records(records)
+        line_boxes, line_crops = segment_characters(page[top : bottom + 1])
+        line_boxes[:, 1] += top
+        boxes.append(line_boxes)
+        crops += line_crops
+    return finish_glyphs(np.concatenate(boxes), crops)
 
 
-def preprocess_page(gray: np.ndarray) -> list[CharacterRecord]:
+def preprocess_page(gray: np.ndarray) -> Glyphs:
     """Run the full page pipeline: median filter, Otsu, deskew, segment, thin.
 
-    Returns fully populated character records in reading order; bounding
-    boxes refer to the deskewed page.
+    Returns the page's glyphs in reading order; boxes refer to the deskewed
+    page.
     """
     return segment_page(clean_page(gray)[3])
 
 
-def preprocess_character(gray: np.ndarray) -> CharacterRecord:
-    """Pipeline for a single pre-segmented 2-D character image: its record
-    from a one-image `crop_characters` stack, normalized and thinned (a
-    one-record `finish_records`)."""
-    return finish_records(crop_characters(check_gray(gray)[None]))[0]
+def preprocess_character(gray: np.ndarray) -> Glyphs:
+    """Pipeline for a single pre-segmented 2-D character image: the
+    one-glyph batch of its one-image `crop_characters` stack."""
+    return finish_glyphs(*crop_characters(check_gray(gray)[None]))
 
 
-def crop_characters(grays: np.ndarray) -> list[CharacterRecord]:
+def crop_characters(grays: np.ndarray):
     """Pre-segmented character images of a (k, H, W) stack up to their crops.
 
     Median filter and Otsu as on pages, then drop sub-threshold specks and
-    take the tight box around the remaining ink; `normalized` and `skeleton`
-    are left to the caller. Skew and line segmentation do not apply to
-    isolated glyphs. Each stage is one call over the stack: the components
-    of every image are labelled at once and their areas counted by one
-    `bincount` over the labels of the ink. A uniform image is
-    UniformImageError, and one with no component of MIN_COMPONENT_AREA
-    pixels EmptyCropError.
+    take the tight box around the remaining ink. Returns (boxes, crops) as
+    `segment_characters` does, one box and crop per image. Skew and line
+    segmentation do not apply to isolated glyphs. Each stage is one call
+    over the stack: the components of every image are labelled at once and
+    their areas counted by one `bincount` over the labels of the ink. A
+    uniform image is UniformImageError, and one with no component of
+    MIN_COMPONENT_AREA pixels EmptyCropError.
     """
     grays = np.asarray(grays)
     if grays.ndim != 3:
@@ -815,13 +822,9 @@ def crop_characters(grays: np.ndarray) -> list[CharacterRecord]:
         raise EmptyCropError("no component of sufficient area")
     # the tight box: first inked row and column, and one past the last
     h, w = keep.shape[1:]
-    top, left = rows.argmax(axis=1).tolist(), cols.argmax(axis=1).tolist()
-    bottom = (h - rows[:, ::-1].argmax(axis=1)).tolist()
-    right = (w - cols[:, ::-1].argmax(axis=1)).tolist()
-    return [
-        CharacterRecord(
-            bbox=BoundingBox(left=lf, top=t, width=rt - lf, height=b - t),
-            crop=mask[t:b, lf:rt], normalized=None, skeleton=None,
-        )
-        for mask, t, b, lf, rt in zip(keep, top, bottom, left, right)
-    ]
+    top, left = rows.argmax(axis=1), cols.argmax(axis=1)
+    bottom = h - rows[:, ::-1].argmax(axis=1)
+    right = w - cols[:, ::-1].argmax(axis=1)
+    boxes = np.stack((left, top, right - left, bottom - top), axis=1)
+    crops = [mask[t : t + bh, lf : lf + bw] for mask, (lf, t, bw, bh) in zip(keep, boxes.tolist())]
+    return boxes, crops

@@ -9,7 +9,7 @@ from glyphsvm.errors import GlyphSvmError, NoConvergenceError
 from glyphsvm.features import FeatureVector
 from glyphsvm.multiclass import train_multiclass
 from glyphsvm.pgm import check_gray
-from glyphsvm.preprocess import BoundingBox
+from glyphsvm.preprocess import Glyphs
 from glyphsvm.svm import KernelSpec, train_binary
 
 CATEGORIES = [
@@ -62,14 +62,20 @@ def bad_classifier_count():
     dataclasses.replace(model, coeffs=model.coeffs[:, :2]).validate()
 
 
+def one_glyph(box):
+    """The one-glyph batch of `box` over a 1x1 crop and blank stacks."""
+    stack = np.zeros((1, 32, 32), dtype=bool)
+    return Glyphs(np.array([box], dtype=np.int64), [np.ones((1, 1), bool)], stack, stack)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: train_binary(np.zeros(4), [1, -1, 1, -1], KernelSpec(kind="linear"), 1.0),
         lambda: train_binary(np.eye(2), [1, 2], KernelSpec(kind="linear"), 1.0),
         lambda: FeatureVector(np.zeros(3)),
-        lambda: BoundingBox(0, 0, 0, 3),
-        lambda: BoundingBox(0, 0, 3, 0),
+        lambda: one_glyph([0, 0, 0, 3]),
+        lambda: one_glyph([0, 0, 3, 0]),
         bad_classifier_count,
         lambda: check_gray(np.array([[0.0, 300.0]])),
     ],

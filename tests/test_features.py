@@ -15,7 +15,6 @@ from glyphsvm.errors import (
 from glyphsvm.features import (
     FeatureConfig,
     FeatureVector,
-    aspect_ratio,
     csv_header,
     extract_features,
     feature_rows,
@@ -24,7 +23,7 @@ from glyphsvm.features import (
     skeleton_topology,
     write_features_csv,
 )
-from glyphsvm.preprocess import BoundingBox, CharacterRecord, thin, topology_words, _unpack_rows
+from glyphsvm.preprocess import Glyphs, segment_page, thin, topology_words, _unpack_rows
 
 from oracles import neighborhood_images, reference_crossing_number, reference_feature_row
 
@@ -159,9 +158,9 @@ def test_topology_requires_32(shape):
 # --- aspect ratio -------------------------------------------------------------
 
 def test_aspect_ratio_values():
-    assert aspect_ratio(BoundingBox(0, 0, 10, 10)) == 1.0
-    assert aspect_ratio(BoundingBox(0, 0, 20, 40)) == 0.5
-    assert aspect_ratio(BoundingBox(0, 0, 40, 20)) == 2.0
+    config = FeatureConfig()
+    glyphs = make_glyphs(np.zeros((3, 32, 32), bool), [(10, 10), (20, 40), (40, 20)])
+    assert feature_rows(glyphs, config)[:, config.local_count].tolist() == [1.0, 0.5, 2.0]
 
 
 # --- topology -------------------------------------------------------------------
@@ -235,27 +234,28 @@ def test_topology_words_match_references():
 
 # --- assembled vector ------------------------------------------------------------
 
-def make_record(skeleton, bbox=None):
-    return CharacterRecord(
-        bbox=bbox or BoundingBox(0, 0, 12, 24),
-        crop=np.ones((24, 12), dtype=bool),
-        normalized=skeleton | True if skeleton.any() else np.ones((32, 32), bool),
-        skeleton=skeleton,
-    )
+def make_glyphs(skeletons, sizes=((12, 24),)):
+    """A batch of thinned glyphs: one (32, 32) skeleton or a stack of them,
+    with boxes of `sizes` (width, height) and crops and normalized images
+    all ink."""
+    skeletons = np.asarray(skeletons, dtype=bool).reshape(-1, 32, 32)
+    boxes = np.array([[0, 0, w, h] for w, h in sizes], dtype=np.int64).reshape(-1, 4)
+    crops = [np.ones((h, w), dtype=bool) for w, h in sizes]
+    return Glyphs(boxes, crops, np.ones_like(skeletons), skeletons)
 
 
 @pytest.mark.parametrize("cell,total", [(16, 8), (8, 20), (4, 68), (2, 260)])
 def test_vector_lengths(cell, total):
     img = blank()
     img[16, 5:15] = True
-    vec = extract_features(make_record(img), FeatureConfig(cell_px=cell))
+    vec = extract_features(make_glyphs(img), FeatureConfig(cell_px=cell))
     assert vec.values.shape == (total,)
 
 
 def test_vector_tail_order_line():
     img = blank()
     img[16, 5:15] = True
-    vec = extract_features(make_record(img), FeatureConfig(cell_px=4))
+    vec = extract_features(make_glyphs(img), FeatureConfig(cell_px=4))
     np.testing.assert_allclose(vec.values[-4:], [12 / 24, 2, 0, 0])
 
 
@@ -263,7 +263,7 @@ def test_vector_tail_cross_before_branch():
     img = blank()
     img[10, 13:20] = True  # tee: 3 endpoints, 1 branch, 0 cross
     img[11:15, 16] = True
-    vec = extract_features(make_record(img), FeatureConfig(cell_px=4))
+    vec = extract_features(make_glyphs(img), FeatureConfig(cell_px=4))
     whr, ep, cp, bp = vec.values[-4:]
     assert (ep, cp, bp) == (3, 0, 1)
 
@@ -272,7 +272,7 @@ def test_vector_locals_match_zones():
     rng = np.random.default_rng(12)
     img = thin((rng.random((32, 32)) < 0.3)[None])[0]
     cfg = FeatureConfig(cell_px=8)
-    vec = extract_features(make_record(img), cfg)
+    vec = extract_features(make_glyphs(img), cfg)
     np.testing.assert_array_equal(vec.values[:16], zones(img, cfg))
 
 
@@ -284,15 +284,33 @@ def test_vector_locals_match_zones():
 )
 def test_feature_rows_of_a_stack_are_each_records_features(skeletons, boxes, cell):
     config = FeatureConfig(cell_px=cell)
-    records = [make_record(img, BoundingBox(0, 0, w, h)) for img, (w, h) in zip(skeletons, boxes)]
-    rows = feature_rows(records, config)
-    assert rows.shape == (len(records), config.total_count)
+    glyphs = make_glyphs(skeletons, boxes[: len(skeletons)])
+    rows = feature_rows(glyphs, config)
+    assert rows.shape == (len(glyphs), config.total_count)
     assert rows.dtype == np.float64
-    for row, record in zip(rows, records):
-        assert np.array_equal(row, extract_features(record, config).values)
-        box = record.bbox
-        want = reference_feature_row(record.skeleton, box.width, box.height, config)
+    for row, glyph in zip(rows, glyphs, strict=True):
+        assert np.array_equal(row, extract_features(glyph, config).values)
+        _, _, width, height = glyph.boxes[0].tolist()
+        want = reference_feature_row(glyph.skeletons[0], width, height, config)
         assert np.array_equal(row, want)
+
+
+def test_a_page_of_no_glyphs_has_no_feature_rows():
+    page = np.zeros((40, 60), dtype=bool)
+    page[20, 30:32] = True  # 2 px, under MIN_COMPONENT_AREA
+    glyphs = segment_page(page)
+    assert len(glyphs) == 0
+    assert feature_rows(glyphs, FeatureConfig()).shape == (0, 68)
+    assert local_zone_features(glyphs.skeletons, FeatureConfig(cell_px=8)).shape == (0, 16)
+    assert skeleton_topology(glyphs.skeletons).shape == (0, 3)
+    assert topology_words(glyphs.skeletons).shape == (3, 32, 0)
+
+
+def test_extract_features_takes_one_glyph():
+    stack = np.zeros((2, 32, 32), dtype=bool)
+    for glyphs in (make_glyphs(stack, [(3, 4), (5, 6)]), make_glyphs(stack[:0], [])):
+        with pytest.raises(WrongDimensionsError):
+            extract_features(glyphs, FeatureConfig())
 
 
 def test_stacked_zone_and_topology_counts_are_each_images():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from glyphsvm.data import load_dataset
-from glyphsvm.features import FeatureConfig, extract_features
+from glyphsvm.features import FeatureConfig, extract_features, feature_rows
 from glyphsvm.model_io import save_model
 from glyphsvm.modelsel import Dataset, _cross_validate, cross_validate, grid_search, kfold_split
 from glyphsvm.multiclass import train_one_vs_all, train_one_vs_one
@@ -124,14 +124,14 @@ def golden_page() -> np.ndarray:
 
 
 def page_records_digest(grays) -> str:
-    """The boxes, crops and skeletons of each page's records, in order."""
+    """The box, crop and skeleton of each glyph of each page, in order."""
     digest = hashlib.sha256()
     for gray in grays:
-        for rec in preprocess_page(gray):
-            box = rec.bbox
-            digest.update(np.array([box.left, box.top, box.width, box.height], np.int64).tobytes())
-            digest.update(np.packbits(rec.crop).tobytes())
-            digest.update(np.packbits(rec.skeleton).tobytes())
+        glyphs = preprocess_page(gray)
+        for box, crop, skeleton in zip(glyphs.boxes, glyphs.crops, glyphs.skeletons, strict=True):
+            digest.update(box.tobytes())
+            digest.update(np.packbits(crop).tobytes())
+            digest.update(np.packbits(skeleton).tobytes())
     return digest.hexdigest()
 
 
@@ -139,13 +139,25 @@ def test_golden_page_records():
     assert page_records_digest([golden_page()]) == PAGE_RECORDS_SHA256
 
 
-def test_golden_benchmark_page_records():
-    # the scans `page_ocr` sets up at seed 1: 561 records from 256 glyphs
+def benchmark_scans():
+    """The scans `page_ocr` sets up at seed 1: 561 glyphs from 256 drawn."""
     workloads = perfbench_module("workloads")
     *scan_seeds, _ = workloads.derived_seeds(1, workloads.PAGE_SCANS + 1)
     ink, _ = workloads.render_document()
-    scans = [workloads.scan(ink, seed) for seed in scan_seeds]
-    assert page_records_digest(scans) == BENCHMARK_PAGE_RECORDS_SHA256
+    return [workloads.scan(ink, seed) for seed in scan_seeds]
+
+
+def test_golden_benchmark_page_records():
+    assert page_records_digest(benchmark_scans()) == BENCHMARK_PAGE_RECORDS_SHA256
+
+
+def test_per_glyph_features_equal_the_batch_rows():
+    # the benchmark's page body takes one glyph at a time
+    config = FeatureConfig()
+    for gray in [golden_page()] + benchmark_scans():
+        glyphs = preprocess_page(gray)
+        one_by_one = np.array([extract_features(g, config).values for g in glyphs])
+        assert one_by_one.tobytes() == feature_rows(glyphs, config).tobytes()
 
 
 def test_golden_glyph_features():

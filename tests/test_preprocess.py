@@ -12,12 +12,13 @@ from glyphsvm.errors import (
     AngleOutOfRangeError,
     EmptyCropError,
     EmptyPageError,
+    InvalidConfigError,
     NonFiniteInputError,
     UniformImageError,
     WrongDimensionsError,
 )
 from glyphsvm.preprocess import (
-    BoundingBox,
+    Glyphs,
     crop_characters,
     deskew,
     detect_skew,
@@ -524,44 +525,42 @@ def test_segment_two_squares():
     strip = np.zeros((10, 30), dtype=bool)
     strip[2:7, 0:5] = True
     strip[3:8, 20:25] = True
-    records = segment_characters(strip)
-    assert len(records) == 2
-    assert (records[0].bbox.left, records[0].bbox.top) == (0, 2)
-    assert (records[0].bbox.width, records[0].bbox.height) == (5, 5)
-    assert (records[1].bbox.left, records[1].bbox.top) == (20, 3)
-    assert records[0].crop.shape == (5, 5)
-    assert records[0].crop.all()
+    boxes, crops = segment_characters(strip)
+    assert boxes.dtype == np.int64
+    assert boxes.tolist() == [[0, 2, 5, 5], [20, 3, 5, 5]]
+    assert len(crops) == 2
+    assert crops[0].shape == (5, 5)
+    assert crops[0].all()
 
 
 def test_segment_plus_component():
     strip = np.zeros((12, 12), dtype=bool)
     strip[5, 2:9] = True
     strip[2:9, 5] = True
-    records = segment_characters(strip)
-    assert len(records) == 1
-    box = records[0].bbox
-    assert (box.left, box.top, box.width, box.height) == (2, 2, 7, 7)
+    boxes, crops = segment_characters(strip)
+    assert boxes.tolist() == [[2, 2, 7, 7]]
+    assert len(crops) == 1
 
 
 def test_segment_drops_specks():
     strip = np.zeros((8, 8), dtype=bool)
     strip[3, 3:5] = True  # 2-pixel speck
-    assert segment_characters(strip) == []
+    for blank_or_specks in (strip, np.zeros_like(strip)):
+        boxes, crops = segment_characters(blank_or_specks)
+        assert boxes.shape == (0, 4) and boxes.dtype == np.int64 and crops == []
 
 
 def test_segment_matches_flood_fill_oracle():
     rng = np.random.default_rng(21)
     for _ in range(20):
         strip = rng.random((18, 40)) < 0.25
-        records = segment_characters(strip)
+        boxes, crops = segment_characters(strip)
         oracle = [c for c in flood_fill_components(strip) if len(c) >= 5]
-        assert len(records) == len(oracle)
-        # each record's pixels must be exactly one oracle component
+        assert len(boxes) == len(crops) == len(oracle)
+        # each crop's pixels must be exactly one oracle component
         kept = set()
-        for rec in records:
-            pixels = {
-                (r + rec.bbox.top, c + rec.bbox.left) for r, c in zip(*np.nonzero(rec.crop))
-            }
+        for (left, top, _, _), crop in zip(boxes.tolist(), crops):
+            pixels = {(r + top, c + left) for r, c in zip(*np.nonzero(crop))}
             assert frozenset(pixels) in oracle
             assert not (pixels & kept)  # pairwise disjoint
             kept |= pixels
@@ -574,10 +573,8 @@ def test_segment_records_equal_per_component_crops():
     for shape, fill in [((18, 40), 0.25), ((30, 90), 0.1), ((5, 7), 0.6), ((1, 30), 0.5)]:
         for _ in range(5):
             strip = rng.random(shape) < fill
-            got = [
-                (r.bbox.left, r.bbox.top, r.bbox.width, r.bbox.height, r.crop)
-                for r in segment_characters(strip)
-            ]
+            boxes, crops = segment_characters(strip)
+            got = [(*box, crop) for box, crop in zip(boxes.tolist(), crops, strict=True)]
             want = reference_segment_characters(strip)
             assert len(got) == len(want)
             for g, w in zip(got, want):
@@ -594,7 +591,7 @@ def test_segment_characters_labels_once(monkeypatch):
 
     monkeypatch.setattr(preprocess, "label_components", counting)
     strip = np.random.default_rng(24).random((20, 60)) < 0.3
-    assert segment_characters(strip)
+    assert len(segment_characters(strip)[1])
     assert calls == [strip.shape]
 
 
@@ -1167,9 +1164,10 @@ def test_labels_of_a_stack_number_each_image_in_turn(stack):
 
 
 def crop_character(gray):
-    """The record of one image cropped alone: `crop_characters` of a
+    """The box and crop of one image cropped alone: `crop_characters` of a
     one-image stack."""
-    return crop_characters(np.asarray(gray)[None])[0]
+    (box,), (crop,) = crop_characters(np.asarray(gray)[None])
+    return tuple(box.tolist()), crop
 
 
 def assert_crops_of_each_image(stack):
@@ -1187,12 +1185,13 @@ def assert_crops_of_each_image(stack):
         with pytest.raises(UniformImageError if UniformImageError in failures else EmptyCropError):
             crop_characters(stack)
         return
-    for got, want, img in zip(crop_characters(stack), alone, stack, strict=True):
-        assert got.bbox == want.bbox
-        assert np.array_equal(got.crop, want.crop)
-        box = want.bbox
-        assert (box.left, box.top, box.width, box.height) == reference_crop_character(img)[:4]
-        assert np.array_equal(want.crop, reference_crop_character(img)[4])
+    boxes, crops = crop_characters(stack)
+    assert boxes.shape == (len(stack), 4) and boxes.dtype == np.int64
+    for box, crop, (want_box, want_crop), img in zip(boxes, crops, alone, stack, strict=True):
+        assert tuple(box.tolist()) == want_box
+        assert np.array_equal(crop, want_crop)
+        assert want_box == reference_crop_character(img)[:4]
+        assert np.array_equal(want_crop, reference_crop_character(img)[4])
 
 
 @settings(max_examples=150, deadline=None)
@@ -1274,15 +1273,16 @@ def page_with_glyphs():
 
 
 def test_preprocess_page_records():
-    records = preprocess_page(page_with_glyphs())
-    assert len(records) == 6
-    for rec in records:
-        assert rec.normalized.shape == rec.skeleton.shape == (32, 32)
-        assert rec.crop.shape == (rec.bbox.height, rec.bbox.width)
-        assert not np.any(rec.skeleton & ~rec.normalized)  # skeleton within the glyph
-    tops = [rec.bbox.top for rec in records]
+    glyphs = preprocess_page(page_with_glyphs())
+    assert len(glyphs) == 6
+    assert glyphs.boxes.shape == (6, 4) and glyphs.boxes.dtype == np.int64
+    assert glyphs.normalized.shape == glyphs.skeletons.shape == (6, 32, 32)
+    for (_, _, width, height), crop in zip(glyphs.boxes.tolist(), glyphs.crops, strict=True):
+        assert crop.shape == (height, width)
+    assert not np.any(glyphs.skeletons & ~glyphs.normalized)  # skeleton within the glyph
+    tops = glyphs.boxes[:, 1]
     assert max(tops[:3]) < min(tops[3:])  # first line above second
-    lefts = [rec.bbox.left for rec in records[:3]]
+    lefts = glyphs.boxes[:3, 0].tolist()
     assert lefts == sorted(lefts)
 
 
@@ -1313,8 +1313,7 @@ def test_preprocess_page_blank_after_binarize():
     # darker half is "ink" covering a full band -> still segmentable
     page = np.full((60, 60), 255, np.uint8)
     page[20:30, 10:50] = 180
-    records = preprocess_page(page)
-    assert len(records) == 1
+    assert len(preprocess_page(page)) == 1
 
 
 def test_page_of_specks_has_no_records():
@@ -1322,9 +1321,47 @@ def test_page_of_specks_has_no_records():
     page[10:12, 10:12] = True  # 4 pixels, under MIN_COMPONENT_AREA
     page[30, 40:44] = True
     page[50, 70] = True
-    assert segment_page(page) == []
+    glyphs = segment_page(page)
+    assert len(glyphs) == 0 and glyphs.crops == []
+    assert glyphs.boxes.shape == (0, 4) and glyphs.skeletons.shape == (0, 32, 32)
+
+
+def glyph_batch(boxes):
+    """A batch of blank 32x32 glyphs with `boxes` and crops of their size."""
+    boxes = np.array(boxes, dtype=np.int64).reshape(-1, 4)
+    crops = [np.ones((max(h, 0), max(w, 0)), bool) for _, _, w, h in boxes.tolist()]
+    stack = np.zeros((len(boxes), 32, 32), dtype=bool)
+    return Glyphs(boxes, crops, stack, stack)
 
 
 def test_bounding_box_validation():
-    with pytest.raises(ValueError):
-        BoundingBox(left=0, top=0, width=0, height=3)
+    for box in ([0, 0, 0, 3], [0, 0, 3, 0], [5, 5, -1, 4]):
+        with pytest.raises(InvalidConfigError):
+            glyph_batch([[0, 0, 4, 4], box])
+    assert glyph_batch([[0, 0, 1, 1]]).boxes.tolist() == [[0, 0, 1, 1]]
+
+
+def test_a_batch_holds_one_crop_and_one_image_of_each_stack_per_box():
+    boxes = np.array([[0, 0, 3, 4], [9, 1, 2, 2]], dtype=np.int64)
+    crops = [np.ones((4, 3), bool), np.ones((2, 2), bool)]
+    stack = np.zeros((2, 32, 32), dtype=bool)
+    Glyphs(boxes, crops, stack, stack)
+    with pytest.raises(InvalidConfigError):
+        Glyphs(boxes[:1], crops, stack, stack)
+    with pytest.raises(InvalidConfigError):
+        Glyphs(boxes[:, :3], crops, stack, stack)
+    for normalized, skeletons in [(stack[:1], stack), (stack, stack[:1]), (stack, stack[:, :16])]:
+        with pytest.raises(WrongDimensionsError):
+            Glyphs(boxes, crops, normalized, skeletons)
+
+
+def test_a_batch_iterates_as_one_glyph_batches():
+    glyphs = preprocess_page(page_with_glyphs())
+    ones = list(glyphs)
+    assert len(ones) == len(glyphs) == 6
+    for g, one in enumerate(ones):
+        assert len(one) == 1
+        assert np.array_equal(one.boxes, glyphs.boxes[g : g + 1])
+        assert one.crops == [glyphs.crops[g]]
+        assert np.array_equal(one.normalized, glyphs.normalized[g : g + 1])
+        assert np.array_equal(one.skeletons, glyphs.skeletons[g : g + 1])

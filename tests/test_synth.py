@@ -111,7 +111,7 @@ def test_noise_rate_applied(tmp_path):
 
 def topology_of(gray):
     """The (endpoints, branch points, cross points) of one glyph image's skeleton."""
-    return tuple(skeleton_topology(preprocess_character(gray).skeleton[None])[0].tolist())
+    return tuple(skeleton_topology(preprocess_character(gray).skeletons)[0].tolist())
 
 
 def test_topology_stable_for_first_two_classes():
