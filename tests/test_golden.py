@@ -28,9 +28,9 @@ from test_api import perfbench_module
 
 MODEL_SHA256 = "5834e4acac8839ff5212aa74b2ee8189da0910fc0c4cf1357af218b64f3d603c"
 GRID_CSV_SHA256 = "666d15f06315c888201568ec8c958ab0e6cad5fe88ad8a3f7ed50f3fbf01e52e"
-PAGE_RECORDS_SHA256 = "af2a2b39fde6f948085427ce7bcb5c23b82b1abf88ac8a22058067648cd6487b"
+PAGE_RECORDS_SHA256 = "2765912598c0ab8e6b2ed6419c364d0feecfb2e4412fae99233095d9769c9631"
 # both scans of the `page_ocr` benchmark page at seed 1, one after the other
-BENCHMARK_PAGE_RECORDS_SHA256 = "19e3e9828c7335e790f514212ec78748d63a73f8d43d7bdbbae8ac9108a36305"
+BENCHMARK_PAGE_RECORDS_SHA256 = "7715cd98525d9e68d037ad9965e4b03b614a6925429fe7ec9d729517e5341f36"
 GLYPH_FEATURES_SHA256 = "d7fb642f446531231a2fb04e051e90aea8980a95938675e11a12597fd2e9ce7a"
 # the vectors, then the labels, of `golden_glyph_directory`
 LOADER_SHA256 = "6109ffc6b7eb2df6cda72ec5a2530212448184ed99e36ed14d14efa8ca846b10"
@@ -139,8 +139,18 @@ def test_golden_page_records():
     assert page_records_digest([golden_page()]) == PAGE_RECORDS_SHA256
 
 
+def test_golden_page_gives_one_record_per_glyph():
+    # two lines of four glyphs, each glyph one component
+    boxes = preprocess_page(golden_page()).boxes
+    assert len(boxes) == 8
+    first, second = boxes[:4], boxes[4:]
+    assert first[:, 1].max() < second[:, 1].min()
+    for line in (first, second):
+        assert (np.diff(line[:, 0]) > 0).all()
+
+
 def benchmark_scans():
-    """The scans `page_ocr` sets up at seed 1: 561 glyphs from 256 drawn."""
+    """The scans `page_ocr` sets up at seed 1: 128 glyphs each."""
     workloads = perfbench_module("workloads")
     *scan_seeds, _ = workloads.derived_seeds(1, workloads.PAGE_SCANS + 1)
     ink, _ = workloads.render_document()
@@ -149,6 +159,10 @@ def benchmark_scans():
 
 def test_golden_benchmark_page_records():
     assert page_records_digest(benchmark_scans()) == BENCHMARK_PAGE_RECORDS_SHA256
+
+
+def test_benchmark_scans_give_one_record_per_glyph():
+    assert [len(preprocess_page(gray)) for gray in benchmark_scans()] == [128, 128]
 
 
 def test_per_glyph_features_equal_the_batch_rows():

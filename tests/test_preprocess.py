@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis.extra.numpy import arrays
 from hypothesis.strategies import booleans, composite, floats, integers, sampled_from, tuples
 from scipy import ndimage
@@ -22,6 +22,7 @@ from glyphsvm.preprocess import (
     crop_characters,
     deskew,
     detect_skew,
+    finish_glyphs,
     label_components,
     median_filter,
     normalize_size,
@@ -517,6 +518,11 @@ def test_segment_lines_touching_split():
     for row, count in enumerate(counts):
         page[row, :count] = True
     assert segment_lines(page) == [(2, 5), (6, 10)]
+    # every row's run starts in column 0: one component across the split
+    # row, and one record
+    glyphs = segment_page(page)
+    assert glyphs.boxes.tolist() == [[0, 2, 7, 9]]
+    assert np.array_equal(glyphs.crops[0], page[2:11, :7])
 
 
 # --- character segmentation ---------------------------------------------------
@@ -593,6 +599,67 @@ def test_segment_characters_labels_once(monkeypatch):
     strip = np.random.default_rng(24).random((20, 60)) < 0.3
     assert len(segment_characters(strip)[1])
     assert calls == [strip.shape]
+
+
+# --- page segmentation --------------------------------------------------------
+
+def per_line_glyphs(page):
+    """The page segmented one text-line strip at a time: each strip's
+    components, their tops moved to the page, strips top to bottom."""
+    boxes, crops = [np.empty((0, 4), dtype=np.int64)], []
+    for top, bottom in segment_lines(page):
+        line_boxes, line_crops = segment_characters(page[top : bottom + 1])
+        line_boxes[:, 1] += top
+        boxes.append(line_boxes)
+        crops += line_crops
+    return finish_glyphs(np.concatenate(boxes), crops)
+
+
+@composite
+def blob_pages(draw):
+    """Pages of 1 to 3 lines of 1 to 4 random blobs on 16 px canvases, each
+    canvas shifted down by up to 6 px: lines may touch, blobs may merge."""
+    lines, columns = draw(integers(1, 3)), draw(integers(1, 4))
+    rng = np.random.default_rng(draw(integers(0, 2**16)))
+    page = np.zeros((lines * 16 + 8, columns * 14 + 4), dtype=bool)
+    for line in range(lines):
+        for column in range(columns):
+            top, left = line * 16 + rng.integers(0, 7), column * 14 + rng.integers(0, 3)
+            page[top : top + 16, left : left + 16] |= random_blob(rng, 60, size=16)
+    return page
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob_pages())
+def test_components_within_one_line_keep_their_per_line_records(page):
+    # a component whose first and last rows lie in one line interval
+    tops = [top for top, _ in segment_lines(page)]
+    labels, _ = ndimage.label(page, structure=np.ones((3, 3)))
+    for rows, _ in ndimage.find_objects(labels):
+        first, last = np.searchsorted(tops, [rows.start, rows.stop - 1], side="right")
+        assume(first == last)
+    got, want = segment_page(page), per_line_glyphs(page)
+    assert np.array_equal(got.boxes, want.boxes)
+    assert all(np.array_equal(g, w) for g, w in zip(got.crops, want.crops, strict=True))
+    assert np.array_equal(got.skeletons, want.skeletons)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_glyph_page_gives_one_record_per_glyph(seed):
+    assert len(segment_page(glyph_page(seed)[0])) == 10
+
+
+def test_segment_page_labels_the_page_once(monkeypatch):
+    calls = []
+
+    def counting(img):
+        calls.append(img.shape)
+        return label_components(img)
+
+    monkeypatch.setattr(preprocess, "label_components", counting)
+    page, _ = glyph_page(3)
+    assert len(segment_page(page)) == 10
+    assert calls.count(page.shape) == 1
 
 
 # --- connected components -----------------------------------------------------
